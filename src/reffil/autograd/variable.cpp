@@ -10,12 +10,105 @@
 
 namespace reffil::autograd {
 
+// One sweep's parameter contributions, in arrival order. Entries keep their
+// buffers across sweeps, so a recycled tape copies instead of allocating.
+class OrderedFold::Tape {
+ public:
+  void clear() { used_ = 0; }
+
+  void record(Node* parameter, const tensor::Tensor& g) {
+    if (used_ == entries_.size()) entries_.emplace_back();
+    Entry& entry = entries_[used_++];
+    entry.parameter = parameter;
+    if (entry.grad.shape() == g.shape()) {
+      std::copy(g.begin(), g.end(), entry.grad.begin());
+    } else {
+      entry.grad = g;
+    }
+  }
+
+  void fold() const {
+    for (std::size_t i = 0; i < used_; ++i) {
+      entries_[i].parameter->accumulate_grad(entries_[i].grad);
+    }
+  }
+
+ private:
+  struct Entry {
+    Node* parameter = nullptr;
+    tensor::Tensor grad;
+  };
+  std::vector<Entry> entries_;  ///< [0, used_) live; the rest keep storage
+  std::size_t used_ = 0;
+};
+
+thread_local OrderedFold::Tape* OrderedFold::armed_ = nullptr;
+
+OrderedFold::OrderedFold() = default;
+OrderedFold::~OrderedFold() = default;
+
+bool OrderedFold::divert(Node* parameter, const tensor::Tensor& g) {
+  if (armed_ == nullptr) return false;
+  armed_->record(parameter, g);
+  return true;
+}
+
+void OrderedFold::begin(std::size_t n) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  next_ = 0;
+  finished_.assign(n, nullptr);
+  // Reclaim every tape, including any stranded by a sweep that threw.
+  free_.clear();
+  for (const auto& tape : tapes_) free_.push_back(tape.get());
+}
+
+void OrderedFold::sweep(std::size_t k, const std::function<void()>& run) {
+  Tape* tape = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    REFFIL_CHECK_MSG(k < finished_.size(), "OrderedFold: sweep out of range");
+    // When k is next in line, every earlier sweep is folded and nobody folds
+    // again until k commits, so k writes the parameters' gradients itself.
+    if (k != next_) {
+      if (free_.empty()) {
+        tapes_.push_back(std::make_unique<Tape>());
+        tape = tapes_.back().get();
+      } else {
+        tape = free_.back();
+        free_.pop_back();
+      }
+      tape->clear();
+    }
+  }
+  {
+    struct Arm {  // restores the thread's previous tape even if run() throws
+      Tape* previous = armed_;
+      explicit Arm(Tape* t) { armed_ = t; }
+      ~Arm() { armed_ = previous; }
+    } arm(tape);
+    run();
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (tape == nullptr) {
+    ++next_;  // k was next in line and wrote the gradients itself
+  } else {
+    finished_[k] = tape;
+  }
+  while (next_ < finished_.size() && finished_[next_] != nullptr) {
+    Tape* ready = finished_[next_];
+    ready->fold();
+    free_.push_back(ready);
+    finished_[next_++] = nullptr;
+  }
+}
+
 void Node::accumulate_grad(const tensor::Tensor& g) {
   if (g.shape() != value_.shape()) {
     throw ShapeError("gradient shape " + tensor::shape_to_string(g.shape()) +
                      " does not match value shape " +
                      tensor::shape_to_string(value_.shape()));
   }
+  if (parameter_ && OrderedFold::divert(this, g)) return;
   if (!grad_initialized_) {
     if (grad_.shape() == value_.shape()) {
       // Reuse the existing storage (owning buffer or arena view): a plain
@@ -44,6 +137,7 @@ Var constant(tensor::Tensor value) {
 
 Var parameter(tensor::Tensor value) {
   auto node = std::make_shared<Node>(std::move(value), /*requires_grad=*/true);
+  node->mark_parameter();
   node->zero_grad();
   return node;
 }

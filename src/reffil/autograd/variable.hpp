@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "reffil/tensor/tensor.hpp"
@@ -33,6 +34,10 @@ class Node {
   tensor::Tensor& mutable_value() { return value_; }
 
   bool requires_grad() const { return requires_grad_; }
+
+  /// Flags a trainable leaf made by parameter(): the nodes whose gradient
+  /// contributions an OrderedFold sweep may divert.
+  void mark_parameter() { parameter_ = true; }
 
   /// Accumulated gradient; zero tensor of value's shape until backward runs.
   const tensor::Tensor& grad() const { return grad_; }
@@ -98,6 +103,7 @@ class Node {
   tensor::Tensor grad_;  // empty-shape scalar until first accumulation
   bool grad_initialized_ = false;
   bool swept_ = false;
+  bool parameter_ = false;
   bool requires_grad_;
   std::vector<Var> parents_;
   std::function<void(const tensor::Tensor&)> backward_fn_;
@@ -116,6 +122,41 @@ Var parameter(tensor::Tensor value);
 /// Throws util::Error if called twice on the same root: the second sweep
 /// would re-seed the root with ones and double-accumulate every gradient.
 void backward(const Var& root);
+
+/// Runs n backward sweeps over shared parameters, concurrently, and leaves
+/// the parameters' gradients bitwise as if one thread had run sweeps 0..n-1
+/// back to back. Float addition does not reassociate, so the contributions
+/// must land in that order: a sweep that starts while it is next in line
+/// accumulates straight into the parameters; any other sweep's parameter
+/// contributions are diverted onto a tape (a copy per contribution), folded
+/// in recorded order the moment every earlier sweep has been committed.
+/// Tapes are recycled, so memory stays at the sweeps in flight, not n.
+class OrderedFold {
+ public:
+  OrderedFold();
+  ~OrderedFold();
+
+  /// Start a round of n sweeps.
+  void begin(std::size_t n);
+  /// Run sweep k of the round on the calling thread: `run` performs one
+  /// backward(); only nodes made by parameter() are diverted.
+  void sweep(std::size_t k, const std::function<void()>& run);
+
+ private:
+  class Tape;
+  friend class Node;
+  /// Called by Node::accumulate_grad for parameters: true when a tape is
+  /// armed on this thread and took the contribution.
+  static bool divert(Node* parameter, const tensor::Tensor& g);
+  /// The tape this thread's sweep diverts onto; null = accumulate directly.
+  static thread_local Tape* armed_;
+
+  std::mutex mutex_;
+  std::size_t next_ = 0;          ///< first uncommitted sweep
+  std::vector<Tape*> finished_;   ///< per sweep: recorded, awaiting fold
+  std::vector<std::unique_ptr<Tape>> tapes_;
+  std::vector<Tape*> free_;
+};
 
 /// Helper used by ops: create an interior node whose requires_grad is the OR
 /// of its parents'. `op_name` must have static storage duration (it is the

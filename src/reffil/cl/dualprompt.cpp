@@ -25,27 +25,23 @@ AG::Var DualPromptMethod::assemble_prompt(const DualPromptReplica& rep,
                          AG::select_row(rep.experts.table(), expert_index));
 }
 
-AG::Var DualPromptMethod::batch_loss(Replica& replica,
-                                     const std::vector<TaggedSample>& batch,
-                                     const fed::TrainJob& job, std::size_t) {
+AG::Var DualPromptMethod::sample_loss(Replica& replica,
+                                      const TaggedSample& sample,
+                                      const fed::TrainJob&, std::size_t) {
   auto& rep = static_cast<DualPromptReplica&>(replica);
   // Training knows each sample's task id; the pool variant trains that
   // task's expert, the rehearsal-free variant the single shared expert.
-  AG::Var total;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::size_t expert = dual_.use_pool ? batch[i].task : 0;
-    const AG::Var prompt = assemble_prompt(rep, expert);
-    const auto out = rep.net.forward(batch[i].sample->image, prompt);
-    AG::Var loss = AG::cross_entropy_logits(out.logits, {batch[i].sample->label});
-    if (dual_.use_pool) {
-      const T::Tensor query = prompt_query(rep.net, batch[i].sample->image);
-      loss = AG::add(
-          loss, AG::mul_scalar(key_pull_loss(rep.expert_keys.table(), {expert}, query),
-                               dual_.key_loss_weight));
-    }
-    total = (i == 0) ? loss : AG::add(total, loss);
+  const std::size_t expert = dual_.use_pool ? sample.task : 0;
+  const AG::Var prompt = assemble_prompt(rep, expert);
+  const auto out = rep.net.forward(sample.sample->image, prompt);
+  AG::Var loss = AG::cross_entropy_logits(out.logits, {sample.sample->label});
+  if (dual_.use_pool) {
+    const T::Tensor query = prompt_query(rep.net, sample.sample->image);
+    loss = AG::add(
+        loss, AG::mul_scalar(key_pull_loss(rep.expert_keys.table(), {expert}, query),
+                             dual_.key_loss_weight));
   }
-  return AG::mul_scalar(total, 1.0f / static_cast<float>(batch.size()));
+  return loss;
 }
 
 AG::Var DualPromptMethod::eval_logits(Replica& replica,

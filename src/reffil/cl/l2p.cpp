@@ -29,25 +29,21 @@ std::vector<std::size_t> L2pMethod::select(const L2pReplica& rep,
   return top_k_by_cosine(rep.keys.table()->value(), query, l2p_.top_k);
 }
 
-AG::Var L2pMethod::batch_loss(Replica& replica,
-                              const std::vector<TaggedSample>& batch,
-                              const fed::TrainJob&, std::size_t) {
+AG::Var L2pMethod::sample_loss(Replica& replica, const TaggedSample& sample,
+                               const fed::TrainJob&, std::size_t) {
   auto& rep = static_cast<L2pReplica&>(replica);
-  AG::Var total;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto indices = select(rep, batch[i].sample->image);
-    const AG::Var prompt = gather_rows(rep.prompts.table(), indices);
-    const auto out = rep.net.forward(batch[i].sample->image, prompt);
-    AG::Var loss = AG::cross_entropy_logits(out.logits, {batch[i].sample->label});
-    if (l2p_.use_pool) {
-      const tensor::Tensor query = prompt_query(rep.net, batch[i].sample->image);
-      loss = AG::add(loss,
-                     AG::mul_scalar(key_pull_loss(rep.keys.table(), indices, query),
-                                    l2p_.key_loss_weight));
-    }
-    total = (i == 0) ? loss : AG::add(total, loss);
+  const tensor::Tensor& image = sample.sample->image;
+  const auto indices = select(rep, image);
+  const AG::Var prompt = gather_rows(rep.prompts.table(), indices);
+  const auto out = rep.net.forward(image, prompt);
+  AG::Var loss = AG::cross_entropy_logits(out.logits, {sample.sample->label});
+  if (l2p_.use_pool) {
+    const tensor::Tensor query = prompt_query(rep.net, image);
+    loss = AG::add(loss,
+                   AG::mul_scalar(key_pull_loss(rep.keys.table(), indices, query),
+                                  l2p_.key_loss_weight));
   }
-  return AG::mul_scalar(total, 1.0f / static_cast<float>(batch.size()));
+  return loss;
 }
 
 AG::Var L2pMethod::eval_logits(Replica& replica, const tensor::Tensor& image,

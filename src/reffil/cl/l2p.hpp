@@ -43,9 +43,8 @@ class L2pMethod : public MethodBase {
 
  protected:
   std::unique_ptr<Replica> make_replica(util::Rng& rng) override;
-  autograd::Var batch_loss(Replica& replica,
-                           const std::vector<TaggedSample>& batch,
-                           const fed::TrainJob& job, std::size_t slot) override;
+  autograd::Var sample_loss(Replica& replica, const TaggedSample& sample,
+                            const fed::TrainJob& job, std::size_t slot) override;
   autograd::Var eval_logits(Replica& replica, const tensor::Tensor& image,
                             std::size_t slot) override;
 

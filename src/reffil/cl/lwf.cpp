@@ -16,7 +16,7 @@ LwfMethod::LwfMethod(MethodConfig config, LwfConfig lwf)
     util::Rng rng(config_.seed ^ 0x7EAC4E2ULL);
     teachers_.push_back(std::make_unique<nn::PromptNet>(config_.net, rng));
   }
-  teacher_loaded_.assign(config_.parallelism, false);
+  teacher_loaded_.assign(config_.parallelism, 0);
 }
 
 void LwfMethod::on_task_start(std::size_t task) {
@@ -25,7 +25,7 @@ void LwfMethod::on_task_start(std::size_t task) {
     // Snapshot the converged previous-task global model as the teacher.
     teacher_state_ = global_state_;
     have_teacher_ = true;
-    teacher_loaded_.assign(config_.parallelism, false);
+    teacher_loaded_.assign(config_.parallelism, 0);
   }
 }
 
@@ -39,35 +39,29 @@ void LwfMethod::read_broadcast_extras(util::ByteReader& reader, std::size_t slot
   if (teacher_present) {
     const fed::ModelState state = fed::deserialize_state(reader);
     teachers_[slot]->load(state);
-    teacher_loaded_[slot] = true;
+    teacher_loaded_[slot] = 1;
   } else {
-    teacher_loaded_[slot] = false;
+    teacher_loaded_[slot] = 0;
   }
   MethodBase::read_broadcast_extras(reader, slot);  // checks exhaustion
 }
 
-AG::Var LwfMethod::batch_loss(Replica& rep,
-                              const std::vector<TaggedSample>& batch,
-                              const fed::TrainJob& job, std::size_t slot) {
-  AG::Var total;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto out = rep.net.forward(batch[i].sample->image);
-    AG::Var loss = AG::cross_entropy_logits(out.logits, {batch[i].sample->label});
-    if (teacher_loaded_[slot]) {
-      // Teacher probabilities are treated as constants; only the student's
-      // graph receives gradients.
-      const auto teacher_out = teachers_[slot]->forward(batch[i].sample->image);
-      const T::Tensor teacher_probs = T::softmax_rows(T::mul_scalar(
-          teacher_out.logits->value(), 1.0f / lwf_.temperature));
-      loss = AG::add(loss, AG::mul_scalar(AG::distillation_loss(
-                                              out.logits, teacher_probs,
-                                              lwf_.temperature),
-                                          lwf_.distill_weight));
-    }
-    total = (i == 0) ? loss : AG::add(total, loss);
+AG::Var LwfMethod::sample_loss(Replica& rep, const TaggedSample& sample,
+                               const fed::TrainJob&, std::size_t slot) {
+  const auto out = rep.net.forward(sample.sample->image);
+  AG::Var loss = AG::cross_entropy_logits(out.logits, {sample.sample->label});
+  if (teacher_loaded_[slot]) {
+    // Teacher probabilities are treated as constants; only the student's
+    // graph receives gradients.
+    const auto teacher_out = teachers_[slot]->forward(sample.sample->image);
+    const T::Tensor teacher_probs = T::softmax_rows(
+        T::mul_scalar(teacher_out.logits->value(), 1.0f / lwf_.temperature));
+    loss = AG::add(loss, AG::mul_scalar(AG::distillation_loss(
+                                            out.logits, teacher_probs,
+                                            lwf_.temperature),
+                                        lwf_.distill_weight));
   }
-  (void)job;
-  return AG::mul_scalar(total, 1.0f / static_cast<float>(batch.size()));
+  return loss;
 }
 
 }  // namespace reffil::cl

@@ -27,9 +27,8 @@ class LwfMethod : public MethodBase {
  protected:
   void write_broadcast_extras(util::ByteWriter& writer) override;
   void read_broadcast_extras(util::ByteReader& reader, std::size_t slot) override;
-  autograd::Var batch_loss(Replica& replica,
-                           const std::vector<TaggedSample>& batch,
-                           const fed::TrainJob& job, std::size_t slot) override;
+  autograd::Var sample_loss(Replica& replica, const TaggedSample& sample,
+                            const fed::TrainJob& job, std::size_t slot) override;
 
  private:
   LwfConfig lwf_;
@@ -37,7 +36,9 @@ class LwfMethod : public MethodBase {
   fed::ModelState teacher_state_;
   /// Per-worker frozen teacher replicas (loaded from broadcast extras).
   std::vector<std::unique_ptr<nn::PromptNet>> teachers_;
-  std::vector<bool> teacher_loaded_;
+  /// One flag per slot, written by that slot's concurrent train_client —
+  /// not std::vector<bool>, whose flags share words.
+  std::vector<char> teacher_loaded_;
 };
 
 }  // namespace reffil::cl

@@ -6,6 +6,7 @@
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/obs.hpp"
+#include "reffil/util/thread_pool.hpp"
 
 namespace reffil::cl {
 
@@ -64,6 +65,7 @@ void MethodBase::init_workers() {
     workers_.push_back(make_replica(replica_rng));
   }
   graph_cache_.assign(workers_.size(), {});
+  sample_folds_ = std::vector<AG::OrderedFold>(workers_.size());
   global_state_ = workers_.front()->snapshot();
 }
 
@@ -251,8 +253,7 @@ fed::ClientUpdate MethodBase::train_client(
           view.begin() + static_cast<std::ptrdiff_t>(end));
       optimizer.zero_grad();
       if (!train_step_replayed(rep, batch, job, job.worker_slot)) {
-        AG::Var loss = batch_loss(rep, batch, job, job.worker_slot);
-        AG::backward(loss);
+        train_step_eager(rep, batch, job, job.worker_slot);
       }
       post_backward(rep, job, job.worker_slot);
       optimizer.step();
@@ -474,17 +475,47 @@ tensor::Tensor MethodBase::eval_feature(std::size_t worker_slot,
   return out.cls->value().reshaped({out.cls->value().numel()});
 }
 
+autograd::Var MethodBase::sample_loss(Replica& rep, const TaggedSample& sample,
+                                      const fed::TrainJob&, std::size_t) {
+  const auto out = rep.net.forward(sample.sample->image);
+  return AG::cross_entropy_logits(out.logits, {sample.sample->label});
+}
+
 autograd::Var MethodBase::batch_loss(Replica& rep,
                                      const std::vector<TaggedSample>& batch,
-                                     const fed::TrainJob&, std::size_t) {
+                                     const fed::TrainJob& job, std::size_t slot) {
   AG::Var total;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto out = rep.net.forward(batch[i].sample->image);
-    const AG::Var ce =
-        AG::cross_entropy_logits(out.logits, {batch[i].sample->label});
-    total = (i == 0) ? ce : AG::add(total, ce);
+    const AG::Var loss = sample_loss(rep, batch[i], job, slot);
+    total = (i == 0) ? loss : AG::add(total, loss);
   }
   return AG::mul_scalar(total, 1.0f / static_cast<float>(batch.size()));
+}
+
+void MethodBase::train_step_eager(Replica& rep,
+                                  const std::vector<TaggedSample>& batch,
+                                  const fed::TrainJob& job, std::size_t slot) {
+  const std::size_t n = batch.size();
+  if (!config_.parallel_samples || n == 1) {
+    AG::backward(batch_loss(rep, batch, job, slot));
+    return;
+  }
+  // batch_loss's left-to-right add chain makes its backward sweep reach the
+  // LAST sample first: each parameter's gradient is the sum of sample n-1's
+  // contributions, then n-2's, ..., then sample 0's. Every sample gets its
+  // own graph scaled by the same 1/n (so its interior gradients are bitwise
+  // the batch graph's), and the fold commits sweep k = sample n-1-k, which
+  // replays exactly that addition order. fan_out claims indices in commit
+  // order, so with no idle worker every sweep writes the gradients directly.
+  const float scale = 1.0f / static_cast<float>(n);
+  AG::OrderedFold& fold = sample_folds_[slot];
+  fold.begin(n);
+  util::global_thread_pool().fan_out(n, [&](std::size_t k) {
+    fold.sweep(k, [&] {
+      AG::backward(
+          AG::mul_scalar(sample_loss(rep, batch[n - 1 - k], job, slot), scale));
+    });
+  });
 }
 
 void MethodBase::post_backward(Replica&, const fed::TrainJob&, std::size_t) {}

@@ -35,6 +35,11 @@ struct MethodConfig {
   /// planner on later batches (methods opt in per step through
   /// replay_signature). Replayed steps are bitwise-identical to eager.
   bool graph_replay = false;
+  /// Train an eager batch's samples on the client's thread plus whichever
+  /// pool workers are idle, each sample on its own graph, and commit their
+  /// parameter gradients in the order the one-graph batch sweep adds them —
+  /// bitwise-identical to parallel_samples = false.
+  bool parallel_samples = true;
 };
 
 /// Everything trainable one worker owns. Subclass replicas add modules; all
@@ -120,11 +125,13 @@ class MethodBase : public fed::Method {
     std::size_t task = 0;
   };
 
-  /// The per-batch training loss. Default: plain cross-entropy with no
-  /// prompts (the Finetune baseline).
-  virtual autograd::Var batch_loss(Replica& replica,
-                                   const std::vector<TaggedSample>& batch,
-                                   const fed::TrainJob& job, std::size_t slot);
+  /// One sample's training loss; a batch trains on the mean over its
+  /// samples. Default: plain cross-entropy with no prompts (the Finetune
+  /// baseline). May run concurrently for samples of the same batch (see
+  /// MethodConfig::parallel_samples): read the replica and per-slot state,
+  /// never write them.
+  virtual autograd::Var sample_loss(Replica& replica, const TaggedSample& sample,
+                                    const fed::TrainJob& job, std::size_t slot);
 
   /// Called after backward() and before the optimizer step (e.g. to add the
   /// EWC penalty gradient). Runs eagerly even on replayed steps.
@@ -180,6 +187,17 @@ class MethodBase : public fed::Method {
   fed::ModelState broadcast_reference_;
 
  private:
+  /// The batch loss as one graph: the per-sample losses summed left to
+  /// right, times 1/|batch|.
+  autograd::Var batch_loss(Replica& replica,
+                           const std::vector<TaggedSample>& batch,
+                           const fed::TrainJob& job, std::size_t slot);
+
+  /// Accumulate one batch's gradients eagerly: through batch_loss, or one
+  /// graph per sample under parallel_samples.
+  void train_step_eager(Replica& replica, const std::vector<TaggedSample>& batch,
+                        const fed::TrainJob& job, std::size_t slot);
+
   /// Train one batch through the captured-graph path. Returns true when this
   /// batch's gradients are already accumulated — either a replay, or the
   /// instrumented eager step a fresh capture runs (captures are real steps).
@@ -197,6 +215,9 @@ class MethodBase : public fed::Method {
       std::map<std::string, std::shared_ptr<autograd::graph::CapturedGraph>>>
       graph_cache_;
   static constexpr std::size_t kMaxGraphsPerSlot = 8;
+
+  /// Per-worker gradient commit order for parallel_samples steps.
+  std::vector<autograd::OrderedFold> sample_folds_;
 
   /// Fold the stored residual for `client_id` into `delta` (and spend it);
   /// a residual whose structure no longer matches is dropped instead.

@@ -7,6 +7,7 @@
 #include "reffil/core/finch.hpp"
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
+#include "reffil/util/thread_pool.hpp"
 
 namespace reffil::core {
 
@@ -194,9 +195,9 @@ std::string RefFiLMethod::replay_signature(const cl::Replica&,
          "|r=" + std::to_string(job.round) + (gpl_active ? "|gpl" : "");
 }
 
-AG::Var RefFiLMethod::batch_loss(cl::Replica& replica,
-                                 const std::vector<cl::MethodBase::TaggedSample>& batch,
-                                 const fed::TrainJob& job, std::size_t slot) {
+AG::Var RefFiLMethod::sample_loss(cl::Replica& replica,
+                                  const TaggedSample& tagged,
+                                  const fed::TrainJob& job, std::size_t slot) {
   auto& rep = static_cast<RefFiLReplica&>(replica);
   const WorkerPrompts& prompts = worker_prompts_[slot];
   // Global prompts only carry cross-domain information once a second domain
@@ -204,62 +205,58 @@ AG::Var RefFiLMethod::batch_loss(cl::Replica& replica,
   // gradient noise.
   const bool gpl_active = reffil_.use_gpl && prompts.has_prompts && job.task > 0;
 
-  AG::Var total;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const data::Sample& sample = *batch[i].sample;
-    // One shared CNN/token graph feeds all three losses. The CDAP task key
-    // is the task of the sample's own domain (old shards keep their key).
-    const AG::Var tokens = rep.net.tokenize(sample.image);
-    const AG::Var local = rep.local_prompt(tokens, batch[i].task);
+  const data::Sample& sample = *tagged.sample;
+  // One shared CNN/token graph feeds all three losses. The CDAP task key is
+  // the task of the sample's own domain (old shards keep their key).
+  const AG::Var tokens = rep.net.tokenize(sample.image);
+  const AG::Var local = rep.local_prompt(tokens, tagged.task);
 
-    // Eq. (10): cross-entropy with the local prompt.
-    const auto out_local = rep.net.forward_tokens(tokens, local);
-    AG::Var loss = AG::cross_entropy_logits(out_local.logits, {sample.label});
-    if (job.task == 0) {
-      // During the first task the generator is still untrained and its
-      // prompts are noise; co-training the prompt-free path keeps early
-      // learning on pace with the baselines while the CDAP warms up.
-      loss = AG::add(loss, AG::cross_entropy_logits(
-                               rep.net.forward_tokens(tokens).logits,
-                               {sample.label}));
-    }
-
-    if (gpl_active) {
-      // Eq. (9) / Figure 1(c): the sample is also classified under the
-      // *other domains'* prompt contexts plus the averaged clustered prompt,
-      // pushing the shared backbone toward domain-invariant features.
-      // Stop-gradient on the tokens: GPL shapes the attention block and
-      // classifier toward prompt-context robustness without dragging the
-      // feature extractor away from the L_CE objective.
-      const AG::Var frozen_tokens = AG::detach(tokens);
-      AG::Var gpl = AG::cross_entropy_logits(
-          rep.net.forward_tokens(frozen_tokens, AG::constant(prompts.pbar)).logits,
-          {sample.label});
-      std::size_t contexts = 1;
-      for (const auto& [task, context] : prompts.per_task) {
-        if (task == batch[i].task) continue;  // own domain: already in L_CE
-        gpl = AG::add(gpl,
-                      AG::cross_entropy_logits(
-                          rep.net.forward_tokens(frozen_tokens, AG::constant(context))
-                              .logits,
-                          {sample.label}));
-        ++contexts;
-      }
-      loss = AG::add(loss, AG::mul_scalar(gpl, reffil_.gpl_weight /
-                                                   static_cast<float>(contexts)));
-    }
-    if (reffil_.use_dpcl && gpl_active) {
-      // u_i: the flattened generated prompt (row-mean for the CDAP prompt,
-      // class row for the static table).
-      const AG::Var u = reffil_.use_cdap
-                            ? AG::mean_rows(local)
-                            : AG::select_row(rep.class_table->table(), sample.label);
-      const AG::Var dpcl = dpcl_loss(u, prompts, sample.label, job);
-      if (dpcl) loss = AG::add(loss, AG::mul_scalar(dpcl, reffil_.dpcl_weight));
-    }
-    total = (i == 0) ? loss : AG::add(total, loss);
+  // Eq. (10): cross-entropy with the local prompt.
+  const auto out_local = rep.net.forward_tokens(tokens, local);
+  AG::Var loss = AG::cross_entropy_logits(out_local.logits, {sample.label});
+  if (job.task == 0) {
+    // During the first task the generator is still untrained and its
+    // prompts are noise; co-training the prompt-free path keeps early
+    // learning on pace with the baselines while the CDAP warms up.
+    loss = AG::add(loss, AG::cross_entropy_logits(
+                             rep.net.forward_tokens(tokens).logits,
+                             {sample.label}));
   }
-  return AG::mul_scalar(total, 1.0f / static_cast<float>(batch.size()));
+
+  if (gpl_active) {
+    // Eq. (9) / Figure 1(c): the sample is also classified under the *other
+    // domains'* prompt contexts plus the averaged clustered prompt, pushing
+    // the shared backbone toward domain-invariant features. Stop-gradient on
+    // the tokens: GPL shapes the attention block and classifier toward
+    // prompt-context robustness without dragging the feature extractor away
+    // from the L_CE objective.
+    const AG::Var frozen_tokens = AG::detach(tokens);
+    AG::Var gpl = AG::cross_entropy_logits(
+        rep.net.forward_tokens(frozen_tokens, AG::constant(prompts.pbar)).logits,
+        {sample.label});
+    std::size_t contexts = 1;
+    for (const auto& [task, context] : prompts.per_task) {
+      if (task == tagged.task) continue;  // own domain: already in L_CE
+      gpl = AG::add(gpl,
+                    AG::cross_entropy_logits(
+                        rep.net.forward_tokens(frozen_tokens, AG::constant(context))
+                            .logits,
+                        {sample.label}));
+      ++contexts;
+    }
+    loss = AG::add(loss, AG::mul_scalar(gpl, reffil_.gpl_weight /
+                                                 static_cast<float>(contexts)));
+  }
+  if (reffil_.use_dpcl && gpl_active) {
+    // u_i: the flattened generated prompt (row-mean for the CDAP prompt,
+    // class row for the static table).
+    const AG::Var u = reffil_.use_cdap
+                          ? AG::mean_rows(local)
+                          : AG::select_row(rep.class_table->table(), sample.label);
+    const AG::Var dpcl = dpcl_loss(u, prompts, sample.label, job);
+    if (dpcl) loss = AG::add(loss, AG::mul_scalar(dpcl, reffil_.dpcl_weight));
+  }
+  return loss;
 }
 
 void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
@@ -279,19 +276,24 @@ void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
   const auto view = local_view(job);
   const std::size_t budget = std::min(view.size(), reffil_.lpg_sample_budget);
   const std::size_t d = config_.net.token_dim;
-  for (std::size_t i = 0; i < budget; ++i) {
+  // The per-sample prompts are independent forward passes over the trained
+  // replica, so idle workers generate them; the sums below still add them
+  // in sample order.
+  std::vector<T::Tensor> prompt_vecs(budget);
+  util::global_thread_pool().fan_out(budget, [&](std::size_t i) {
     const data::Sample& sample = *view[i].sample;
-    T::Tensor prompt_vec;
     if (reffil_.use_cdap) {
       const AG::Var tokens = rep.net.tokenize(sample.image);
       const AG::Var prompt = rep.cdap->generate(tokens, view[i].task);
-      prompt_vec = T::mean_rows(prompt->value());  // [d]
+      prompt_vecs[i] = T::mean_rows(prompt->value());  // [d]
     } else {
-      prompt_vec = T::row(rep.class_table->table()->value(), sample.label);
+      prompt_vecs[i] = T::row(rep.class_table->table()->value(), sample.label);
     }
-    const auto key = std::make_pair(sample.label, view[i].task);
+  });
+  for (std::size_t i = 0; i < budget; ++i) {
+    const auto key = std::make_pair(view[i].sample->label, view[i].task);
     auto [it, inserted] = sums.try_emplace(key, T::Tensor({d}));
-    T::add_inplace(it->second, prompt_vec);
+    T::add_inplace(it->second, prompt_vecs[i]);
     ++counts[key];
   }
   writer.write_u64(sums.size());

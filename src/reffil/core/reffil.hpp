@@ -114,9 +114,8 @@ class RefFiLMethod : public cl::MethodBase {
   bool validate_update_extras(util::ByteReader& reader,
                               std::string* reason) const override;
   void after_aggregate() override;
-  autograd::Var batch_loss(cl::Replica& replica,
-                           const std::vector<cl::MethodBase::TaggedSample>& batch,
-                           const fed::TrainJob& job, std::size_t slot) override;
+  autograd::Var sample_loss(cl::Replica& replica, const TaggedSample& sample,
+                            const fed::TrainJob& job, std::size_t slot) override;
   autograd::Var eval_logits(cl::Replica& replica, const tensor::Tensor& image,
                             std::size_t slot) override;
   std::string replay_signature(const cl::Replica& replica,

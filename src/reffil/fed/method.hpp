@@ -105,7 +105,8 @@ class Method {
   virtual void prepare_eval() = 0;
 
   /// Predict the label of one image with the global model. Called
-  /// concurrently, one call per worker slot at a time, after prepare_eval().
+  /// concurrently after prepare_eval(), including several calls for the same
+  /// worker slot at once: read the slot's replica, never write it.
   virtual std::size_t predict(std::size_t worker_slot,
                               const tensor::Tensor& image) = 0;
 

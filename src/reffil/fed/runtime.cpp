@@ -1,7 +1,9 @@
 #include "reffil/fed/runtime.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <optional>
 
@@ -14,6 +16,25 @@
 #include "reffil/util/thread_pool.hpp"
 
 namespace reffil::fed {
+
+namespace {
+
+// Runs train(i, slot) for every client i in [0, count) on up to `slots`
+// concurrent worker slots; a slot runs one client at a time, so each replica
+// serves exactly one concurrent client. Slots pull the next untrained client
+// as they free up instead of taking a fixed round-robin share, so a slot
+// handed small clients does not idle while another works through large ones.
+// train_client's result does not depend on the slot, so neither does the run.
+void train_on_slots(util::ThreadPool& pool, std::size_t count,
+                    std::size_t slots,
+                    const std::function<void(std::size_t, std::size_t)>& train) {
+  std::atomic<std::size_t> next{0};
+  pool.parallel_for(std::min(slots, count), [&](std::size_t slot) {
+    for (std::size_t i = next++; i < count; i = next++) train(i, slot);
+  });
+}
+
+}  // namespace
 
 double RunResult::average_accuracy() const {
   REFFIL_CHECK_MSG(!tasks.empty(), "no task results");
@@ -264,49 +285,40 @@ RunResult FederatedRunner::run(Method& method) {
 
       std::vector<ClientUpdate> updates(plan.participants.size());
       std::vector<double> client_seconds(plan.participants.size(), 0.0);
-      // Workers are indexed by a pre-assigned slot so each replica is used
-      // by exactly one concurrent client.
       std::vector<std::size_t> slots(plan.participants.size());
-      for (std::size_t i = 0; i < slots.size(); ++i) slots[i] = i % parallelism_;
-
-      // Group jobs by slot to serialize replica reuse.
-      std::vector<std::vector<std::size_t>> by_slot(parallelism_);
-      for (std::size_t i = 0; i < plan.participants.size(); ++i) {
-        by_slot[slots[i]].push_back(i);
-      }
       const auto train_start = std::chrono::steady_clock::now();
       obs::prof::Span round_span("fed.train_round", round_stats.task,
                                  round_stats.round);
-      pool.parallel_for(parallelism_, [&](std::size_t slot) {
-        for (std::size_t i : by_slot[slot]) {
-          const ClientAssignment& assignment = plan.participants[i];
-          TrainJob job;
-          job.worker_slot = slot;
-          job.client_id = assignment.client_id;
-          job.task = task;
-          job.round = round;
-          job.total_rounds = spec.rounds_per_task;
-          job.group = assignment.group;
-          job.local_epochs = spec.local_epochs;
-          job.learning_rate = spec.learning_rate;
-          if (task == 0 || assignment.group != ClientGroup::kOld) {
-            job.new_data = &shards[task][assignment.client_id];
-          }
-          if (task > 0 && assignment.group != ClientGroup::kNew) {
-            job.old_data = &shards[task - 1][assignment.client_id];
-          }
-          const auto client_start = std::chrono::steady_clock::now();
-          {
-            obs::prof::Span client_span("fed.client", round_stats.task,
-                                        round_stats.round);
-            updates[i] = method.train_client(broadcast, job);
-            client_span.set_value(updates[i].payload.size());
-          }
-          updates[i].client_id = assignment.client_id;
-          client_seconds[i] = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - client_start)
-                                  .count();
+      train_on_slots(pool, updates.size(), parallelism_,
+                     [&](std::size_t i, std::size_t slot) {
+        slots[i] = slot;
+        const ClientAssignment& assignment = plan.participants[i];
+        TrainJob job;
+        job.worker_slot = slot;
+        job.client_id = assignment.client_id;
+        job.task = task;
+        job.round = round;
+        job.total_rounds = spec.rounds_per_task;
+        job.group = assignment.group;
+        job.local_epochs = spec.local_epochs;
+        job.learning_rate = spec.learning_rate;
+        if (task == 0 || assignment.group != ClientGroup::kOld) {
+          job.new_data = &shards[task][assignment.client_id];
         }
+        if (task > 0 && assignment.group != ClientGroup::kNew) {
+          job.old_data = &shards[task - 1][assignment.client_id];
+        }
+        const auto client_start = std::chrono::steady_clock::now();
+        {
+          obs::prof::Span client_span("fed.client", round_stats.task,
+                                      round_stats.round);
+          updates[i] = method.train_client(broadcast, job);
+          client_span.set_value(updates[i].payload.size());
+        }
+        updates[i].client_id = assignment.client_id;
+        client_seconds[i] = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - client_start)
+                                .count();
       });
       round_span.finish();
       round_stats.train_seconds =
@@ -761,44 +773,39 @@ RunResult FederatedRunner::run_des(Method& method) {
         std::vector<ClientUpdate> updates(count);
         std::vector<double> client_seconds(count, 0.0);
         std::vector<std::size_t> slots(count);
-        for (std::size_t i = 0; i < count; ++i) slots[i] = i % parallelism_;
-        std::vector<std::vector<std::size_t>> by_slot(parallelism_);
-        for (std::size_t i = 0; i < count; ++i) by_slot[slots[i]].push_back(i);
 
         const auto wave_start = std::chrono::steady_clock::now();
-        pool.parallel_for(parallelism_, [&](std::size_t slot) {
-          for (std::size_t i : by_slot[slot]) {
-            const Event& event = events[begin + i];
-            const ClientAssignment& assignment =
-                plan.participants[event.idx];
-            TrainJob job;
-            job.worker_slot = slot;
-            job.client_id = assignment.client_id;
-            job.task = task;
-            job.round = round;
-            job.total_rounds = spec.rounds_per_task;
-            job.group = assignment.group;
-            job.local_epochs = spec.local_epochs;
-            job.learning_rate = spec.learning_rate;
-            if (task == 0 || assignment.group != ClientGroup::kOld) {
-              job.new_data = &shards[task][assignment.shard];
-            }
-            if (task > 0 && assignment.group != ClientGroup::kNew) {
-              job.old_data = &shards[task - 1][assignment.shard];
-            }
-            const auto client_start = std::chrono::steady_clock::now();
-            {
-              obs::prof::Span client_span("fed.client", round_stats.task,
-                                          round_stats.round);
-              updates[i] = method.train_client(broadcast, job);
-              client_span.set_value(updates[i].payload.size());
-            }
-            updates[i].client_id = assignment.client_id;
-            client_seconds[i] =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - client_start)
-                    .count();
+        train_on_slots(pool, count, parallelism_,
+                       [&](std::size_t i, std::size_t slot) {
+          slots[i] = slot;
+          const Event& event = events[begin + i];
+          const ClientAssignment& assignment = plan.participants[event.idx];
+          TrainJob job;
+          job.worker_slot = slot;
+          job.client_id = assignment.client_id;
+          job.task = task;
+          job.round = round;
+          job.total_rounds = spec.rounds_per_task;
+          job.group = assignment.group;
+          job.local_epochs = spec.local_epochs;
+          job.learning_rate = spec.learning_rate;
+          if (task == 0 || assignment.group != ClientGroup::kOld) {
+            job.new_data = &shards[task][assignment.shard];
           }
+          if (task > 0 && assignment.group != ClientGroup::kNew) {
+            job.old_data = &shards[task - 1][assignment.shard];
+          }
+          const auto client_start = std::chrono::steady_clock::now();
+          {
+            obs::prof::Span client_span("fed.client", round_stats.task,
+                                        round_stats.round);
+            updates[i] = method.train_client(broadcast, job);
+            client_span.set_value(updates[i].payload.size());
+          }
+          updates[i].client_id = assignment.client_id;
+          client_seconds[i] = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - client_start)
+                                  .count();
         });
         round_stats.train_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -1063,15 +1070,13 @@ void FederatedRunner::evaluate_task(Method& method, std::size_t task,
                          "' — accuracy would be 0/0 (NaN)");
     std::atomic<std::size_t> correct{0};
     const auto domain_start = std::chrono::steady_clock::now();
-    // Shard the test set across worker slots (one slot per concurrent call).
-    pool.parallel_for(parallelism_, [&](std::size_t slot) {
-      std::size_t local_correct = 0;
-      for (std::size_t i = slot; i < test.size(); i += parallelism_) {
-        if (method.predict(slot, test[i].image) == test[i].label) {
-          ++local_correct;
-        }
+    // Every pool thread takes test samples; predict only reads the slot's
+    // replica, so threads may share a slot, and the samples still spread
+    // over all slots' replicas.
+    pool.parallel_for(test.size(), [&](std::size_t i) {
+      if (method.predict(i % parallelism_, test[i].image) == test[i].label) {
+        correct.fetch_add(1, std::memory_order_relaxed);
       }
-      correct += local_correct;
     });
     task_result.per_domain_accuracy.push_back(
         100.0 * static_cast<double>(correct.load()) /

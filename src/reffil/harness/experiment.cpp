@@ -89,6 +89,7 @@ cl::MethodConfig base_method_config(const data::DatasetSpec& spec,
   method.seed = config.seed ^ 0xBEEFULL;
   method.max_tasks = spec.domains.size();
   method.graph_replay = config.graph_replay;
+  method.parallel_samples = config.parallel_samples;
   return method;
 }
 }  // namespace

@@ -47,6 +47,10 @@ struct ExperimentConfig {
   /// (see autograd/graph.hpp). Replayed steps are bitwise-identical to
   /// eager, so this deliberately does NOT change the result-cache key.
   bool graph_replay = false;
+  /// Train each eager batch's samples concurrently on idle pool workers
+  /// (cl::MethodConfig::parallel_samples). Bitwise-identical either way, so
+  /// it does not change the result-cache key either.
+  bool parallel_samples = true;
   /// RefFiL component switches (Table 5 ablations; ignored by baselines).
   core::RefFiLConfig reffil;
   /// Transport fault simulation (inert by default; see fed/transport.hpp).

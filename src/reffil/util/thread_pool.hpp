@@ -9,10 +9,14 @@
 // caller. A parallel_for issued from inside a pool task (i.e. a nested
 // parallel_for) runs inline on the caller's chunk, which makes nesting
 // deadlock-free by construction: no task ever blocks on work that only an
-// occupied worker could run.
+// occupied worker could run. fan_out() is the one exception to inlining: it
+// hands indices to workers that are idle at the moment of the call, even from
+// inside a pool task, and the caller claims the rest itself — so it, too,
+// never waits on a chunk nobody is running.
 //
 // Rules for callers:
-//  * parallel_for may be nested to any depth and called from any thread.
+//  * parallel_for and fan_out may be nested to any depth and called from any
+//    thread.
 //  * Tasks given to submit() must not block on futures of other tasks in the
 //    same pool; use parallel_for for fork/join parallelism instead.
 #pragma once
@@ -69,6 +73,14 @@ class ThreadPool {
   /// inside a pool task execute the whole range inline on the caller.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
+  /// Run body(i) for i in [0, n) on the calling thread plus the workers that
+  /// are idle right now (none are waited for), one index per claim. Unlike
+  /// parallel_for, a call from inside a pool task still fans out: this is how
+  /// a busy task puts the pool's spare workers to work on its own inner loop.
+  /// With no idle worker the range runs inline, in index order. Which thread
+  /// runs which index is unspecified; rethrows the first body exception.
+  void fan_out(std::size_t n, const std::function<void(std::size_t)>& body);
+
  private:
   /// Queue entry: the callable plus its enqueue time, so the dequeuing
   /// worker can record the submit→start wait.
@@ -94,11 +106,15 @@ class ThreadPool {
 
   void run_chunks(ForkJoin& fj);
   void worker_loop(std::size_t index);
+  /// Claim fj's chunks on the caller alongside its already-enqueued helper
+  /// tasks, wait for the last chunk, rethrow the first body error.
+  void join(ForkJoin& fj);
 
   std::vector<std::thread> workers_;
   std::queue<QueuedTask> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
+  std::size_t idle_ = 0;  ///< workers parked on cv_ (guarded by mutex_)
   bool stopping_ = false;
 };
 

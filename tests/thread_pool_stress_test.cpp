@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -149,6 +152,85 @@ TEST(ThreadPoolStress, SubmitRacesWithParallelFor) {
   for (auto& future : futures) future.get();
   EXPECT_EQ(pf_hits.load(), 20 * 32);
   EXPECT_EQ(submitted_done.load(), 100);
+}
+
+TEST(ThreadPoolFanOut, CoversEveryIndexExactlyOnceIncludingNested) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> outer(6);
+  std::vector<std::atomic<int>> inner(6 * 12);
+  std::vector<std::atomic<int>> innermost(6 * 12 * 3);
+  pool.parallel_for(6, [&](std::size_t i) {
+    outer[i].fetch_add(1);
+    pool.fan_out(12, [&](std::size_t j) {
+      inner[i * 12 + j].fetch_add(1);
+      pool.fan_out(3, [&](std::size_t k) {
+        innermost[(i * 12 + j) * 3 + k].fetch_add(1);
+      });
+      pool.parallel_for(4, [](std::size_t) {});  // kernels inside still inline
+    });
+  });
+  for (const auto& h : outer) EXPECT_EQ(h.load(), 1);
+  for (const auto& h : inner) EXPECT_EQ(h.load(), 1);
+  for (const auto& h : innermost) EXPECT_EQ(h.load(), 1);
+  pool.fan_out(0, [](std::size_t) { FAIL() << "empty range ran a body"; });
+}
+
+TEST(ThreadPoolFanOut, ReachesIdleWorkersFromInsideAPoolTask) {
+  // parallel_for would run this inner loop inline on the one busy worker;
+  // fan_out must hand some of it to the three parked ones. Workers park
+  // asynchronously after construction, so allow a few attempts.
+  ThreadPool pool(4);
+  std::size_t most_threads = 0;
+  for (int attempt = 0; attempt < 50 && most_threads < 2; ++attempt) {
+    std::mutex m;
+    std::set<std::thread::id> threads;
+    auto task = pool.submit([&] {
+      pool.fan_out(8, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::lock_guard<std::mutex> lock(m);
+        threads.insert(std::this_thread::get_id());
+      });
+    });
+    task.get();
+    most_threads = std::max(most_threads, threads.size());
+  }
+  EXPECT_GE(most_threads, 2u);
+}
+
+TEST(ThreadPoolFanOut, ExceptionPropagatesAndPoolStaysUsable) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.parallel_for(3,
+                                 [&](std::size_t i) {
+                                   pool.fan_out(16, [&](std::size_t j) {
+                                     if (i == 1 && j == 9) {
+                                       throw std::runtime_error("fan-out boom");
+                                     }
+                                   });
+                                 }),
+               std::runtime_error);
+  std::atomic<int> hits{0};
+  pool.fan_out(40, [&](std::size_t) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 40);
+}
+
+TEST(ThreadPoolFanOut, ConcurrentCallersNeverDeadlock) {
+  // Every slot fans out while the others do too, so the idle workers are
+  // contended and claims race; each caller must still finish its range.
+  ThreadPool pool(4);
+  constexpr int kCallers = 6;
+  std::vector<std::atomic<int>> hits(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int repeat = 0; repeat < 30; ++repeat) {
+        pool.parallel_for(2, [&](std::size_t) {
+          pool.fan_out(16, [&](std::size_t) { hits[c].fetch_add(1); });
+        });
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 30 * 2 * 16);
 }
 
 // The end-to-end shape that motivated the rework: the federated runtime
