@@ -102,21 +102,37 @@ static void BM_NestedParallelMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_NestedParallelMatmul)->Arg(128)->Arg(256);
 
+// The seven convs of nn::ResNetMini on a [3, 16, 16] image, by layer name.
+struct ConvBenchGeom {
+  const char* name;
+  std::size_t cin, side, cout, stride;
+};
+constexpr ConvBenchGeom kResNetMiniConvs[] = {
+    {"stem", 3, 16, 8, 1},          {"block1.conv1", 8, 16, 8, 1},
+    {"block1.conv2", 8, 16, 8, 1},  {"down1", 8, 16, 16, 2},
+    {"block2.conv1", 16, 8, 16, 1}, {"block2.conv2", 16, 8, 16, 1},
+    {"down2", 16, 8, 32, 2},
+};
+
+// One 3x3, pad-1 conv forward + backward (input, weight and bias grads).
 static void BM_Conv2dForwardBackward(benchmark::State& state) {
+  const ConvBenchGeom& c =
+      kResNetMiniConvs[static_cast<std::size_t>(state.range(0))];
+  state.SetLabel(c.name);
   Rng rng(2);
-  auto input = AG::parameter(T::randn({8, 16, 16}, rng));
-  auto weight = AG::parameter(T::randn({16, 8 * 3 * 3}, rng, 0.0f, 0.1f));
-  auto bias = AG::parameter(T::zeros({16}));
+  auto input = AG::parameter(T::randn({c.cin, c.side, c.side}, rng));
+  auto weight = AG::parameter(T::randn({c.cout, c.cin * 3 * 3}, rng, 0.0f, 0.1f));
+  auto bias = AG::parameter(T::zeros({c.cout}));
   for (auto _ : state) {
     input->zero_grad();
     weight->zero_grad();
     bias->zero_grad();
-    auto y = AG::conv2d(input, weight, bias, 3, 3, 1, 1);
+    auto y = AG::conv2d(input, weight, bias, 3, 3, c.stride, 1);
     AG::backward(AG::mean_all(y));
     benchmark::DoNotOptimize(weight->grad());
   }
 }
-BENCHMARK(BM_Conv2dForwardBackward);
+BENCHMARK(BM_Conv2dForwardBackward)->DenseRange(0, 6);
 
 static void BM_PromptNetForward(benchmark::State& state) {
   Rng rng(3);
@@ -230,7 +246,7 @@ BENCHMARK(BM_GraphReplayStep)->Arg(4)->Arg(8);
 // forces every borrow down the allocator path; both variants pay that
 // identically, so the inter-bench delta isolates what the unconditional
 // zero-fill used to cost callers that overwrite every element anyway
-// (im2col columns, matmul outputs).
+// (matmul outputs, conv gradients).
 static void BM_PoolMissNoZero(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

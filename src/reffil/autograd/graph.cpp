@@ -422,4 +422,25 @@ void CapturedGraph::replay() {
   count_graph_metric("ag.graph.replay");
 }
 
+const std::shared_ptr<CapturedGraph>* GraphCache::find(
+    const std::string& key) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  it->second.last_use = ++clock_;
+  return &it->second.graph;
+}
+
+void GraphCache::insert(const std::string& key,
+                        std::shared_ptr<CapturedGraph> graph) {
+  entries_.erase(key);
+  if (capacity_ > 0 && entries_.size() >= capacity_) {
+    const auto lru = std::min_element(
+        entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+          return a.second.last_use < b.second.last_use;
+        });
+    entries_.erase(lru);
+  }
+  entries_.emplace(key, Entry{std::move(graph), ++clock_});
+}
+
 }  // namespace reffil::autograd::graph

@@ -48,8 +48,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "reffil/autograd/variable.hpp"
@@ -104,6 +107,32 @@ class CapturedGraph {
   std::vector<std::size_t> captured_tags_;
   std::size_t inputs_per_sample_ = 0;
   bool tag_sensitive_ = false;
+};
+
+/// One worker's captured graphs, keyed by step signature. At capacity the
+/// least recently used entry is evicted, so a run cycling through more step
+/// shapes than fit recaptures only the shapes it pushed out. A null graph is
+/// a negative-cache entry: capture proved that step unreplayable. Eviction
+/// never changes results — a capture runs the same step a replay would.
+class GraphCache {
+ public:
+  explicit GraphCache(std::size_t capacity) : capacity_(capacity) {}
+
+  /// The entry for `key`, marked most recently used; nullptr when absent.
+  const std::shared_ptr<CapturedGraph>* find(const std::string& key);
+  /// Add `key` (replacing any entry), first evicting the least recently
+  /// used entry when the cache is full.
+  void insert(const std::string& key, std::shared_ptr<CapturedGraph> graph);
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    std::shared_ptr<CapturedGraph> graph;
+    std::uint64_t last_use = 0;
+  };
+  std::map<std::string, Entry> entries_;
+  std::size_t capacity_;
+  std::uint64_t clock_ = 0;
 };
 
 /// RAII capture scope, thread-local: ops built on this thread between

@@ -14,7 +14,7 @@
 // to eager by construction. Closures capture raw Node* (self/parents): in
 // eager mode they die inside record(), and under capture the CapturedGraph
 // keeps every referenced node alive. Forward intermediates that backward
-// also needs (softmax probabilities, im2col columns, layer-norm statistics)
+// also needs (softmax probabilities, layer-norm statistics)
 // live in shared aux buffers allocated once at op-build time and refreshed
 // by the forward closure on every replay.
 #include "reffil/autograd/ops.hpp"
@@ -124,12 +124,7 @@ Var relu(const Var& a) {
       T::Tensor(a->value().shape()), {a},
       [a](const T::Tensor& g) {
         T::pool::Scratch dx(g.shape(), /*zero=*/false);
-        const float* x = a->value().begin();
-        const float* pg = g.begin();
-        float* d = dx->begin();
-        for (std::size_t i = 0; i < g.numel(); ++i) {
-          d[i] = x[i] <= 0.0f ? 0.0f : pg[i];
-        }
+        T::relu_backward_into(a->value(), g, *dx);
         a->accumulate_grad(*dx);
       },
       ps.name(), ps.corr());
@@ -878,11 +873,11 @@ Var cosine_similarity(const Var& a, const Var& b) {
 
 namespace {
 
-// Geometry shared with the dispatch-table conv lowering kernels.
 using ConvGeometry = T::kern::Conv2dGeom;
 
-ConvGeometry conv_geometry(const T::Tensor& input, std::size_t kh, std::size_t kw,
-                           std::size_t stride, std::size_t pad) {
+ConvGeometry conv_geometry(const T::Tensor& input, std::size_t kh,
+                           std::size_t kw, std::size_t stride, std::size_t pad,
+                           std::size_t cout) {
   if (input.rank() != 3) {
     throw ShapeError("conv2d input must be [Cin,H,W], got " +
                      T::shape_to_string(input.shape()));
@@ -896,6 +891,7 @@ ConvGeometry conv_geometry(const T::Tensor& input, std::size_t kh, std::size_t k
   geom.kw = kw;
   geom.stride = stride;
   geom.pad = pad;
+  geom.cout = cout;
   REFFIL_CHECK_MSG(geom.h + 2 * pad >= kh && geom.w + 2 * pad >= kw,
                    "conv2d: kernel larger than padded input");
   geom.hout = (geom.h + 2 * pad - kh) / stride + 1;
@@ -903,57 +899,36 @@ ConvGeometry conv_geometry(const T::Tensor& input, std::size_t kh, std::size_t k
   return geom;
 }
 
-// Unfold input into the [Cin*kh*kw, Hout*Wout] column matrix `col` (every
-// element is written, padding as 0, so `col` need not be zeroed on entry).
-// The lowering itself lives in the dispatch table (kernels_dispatch.hpp);
-// it is pure data movement, bitwise-identical on every ISA target.
-void im2col_into(const T::Tensor& input, const ConvGeometry& g, T::Tensor& col) {
-  prof::Span span("im2col", (input.numel() + col.numel()) * sizeof(float));
-  T::kern::active().im2col(input.begin(), col.begin(), g);
-}
-
-// Scatter a column-matrix gradient back to input layout (adjoint of im2col).
-// `dinput` must be zero-filled: padding-clipped taps contribute nothing.
-void col2im_into(const T::Tensor& dcol, const ConvGeometry& g,
-                 T::Tensor& dinput) {
-  prof::Span span("col2im", (dcol.numel() + dinput.numel()) * sizeof(float));
-  T::kern::active().col2im(dcol.begin(), dinput.begin(), g);
-}
-
 }  // namespace
 
 Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
            std::size_t kw, std::size_t stride, std::size_t pad) {
-  const ConvGeometry geom = conv_geometry(input->value(), kh, kw, stride, pad);
+  const std::size_t cout =
+      weight->value().rank() == 2 ? weight->value().dim(0) : 0;
+  const ConvGeometry geom =
+      conv_geometry(input->value(), kh, kw, stride, pad, cout);
   if (weight->value().rank() != 2 ||
       weight->value().dim(1) != geom.cin * kh * kw) {
     throw ShapeError("conv2d weight must be [Cout, Cin*kh*kw]");
   }
-  const std::size_t cout = weight->value().dim(0);
   if (bias->value().rank() != 1 || bias->value().dim(0) != cout) {
     throw ShapeError("conv2d bias must be [Cout]");
   }
-  const std::size_t hw = geom.hout * geom.wout;
 
   prof::OpSpan ps("ag.conv2d");
-  // The column matrix is the one forward intermediate backward needs, so it
-  // is pool-borrowed with shared ownership: the buffer returns to a free
-  // list when the graph node dies instead of round-tripping the allocator
-  // every forward pass.
-  auto col = std::make_shared<T::pool::Scratch>(
-      T::Shape{geom.cin * kh * kw, hw}, /*zero=*/false);
+  // The direct kernels read taps straight from the input, so the node keeps
+  // nothing but its parents: backward recomputes from the input's value.
   Var out = make_node(
       T::Tensor({cout, geom.hout, geom.wout}), {input, weight, bias},
-      [input, weight, bias, col, geom, cout, hw](const T::Tensor& g) {
-        // g arrives as [Cout, Hout, Wout]; its storage is already the row-
-        // major [Cout, Hout*Wout] matrix, so reinterpret via pooled scratch.
-        T::pool::Scratch g2d({cout, hw}, /*zero=*/false);
-        std::copy(g.begin(), g.end(), g2d->begin());
+      [input, weight, bias, geom](const T::Tensor& g) {
+        // g arrives as [Cout, Hout, Wout], i.e. row-major [Cout, Hout*Wout]:
+        // every kernel reads it in place.
         if (bias->requires_grad()) {
-          T::pool::Scratch db({cout}, /*zero=*/false);
-          const float* pg = g2d->begin();
+          const std::size_t hw = geom.hout * geom.wout;
+          T::pool::Scratch db({geom.cout}, /*zero=*/false);
+          const float* pg = g.begin();
           float* d = db->begin();
-          for (std::size_t c = 0; c < cout; ++c) {
+          for (std::size_t c = 0; c < geom.cout; ++c) {
             double acc = 0.0;
             for (std::size_t p = 0; p < hw; ++p) acc += pg[c * hw + p];
             d[c] = static_cast<float>(acc);
@@ -961,36 +936,21 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
           bias->accumulate_grad(*db);
         }
         if (weight->requires_grad()) {
-          // dW = g2d · colᵀ, fused — the old path materialized colᵀ (the
-          // largest temporary of the whole backward sweep) every step.
           T::pool::Scratch dw(weight->value().shape(), /*zero=*/false);
-          T::matmul_nt_into(*g2d, **col, *dw);
+          T::conv2d_weight_grad_into(input->value(), g, geom, *dw);
           weight->accumulate_grad(*dw);
         }
         if (input->requires_grad()) {
-          // dcol = Wᵀ · g2d, fused likewise.
-          T::pool::Scratch dcol(col->tensor().shape(), /*zero=*/false);
-          T::matmul_tn_into(weight->value(), *g2d, *dcol);
-          T::pool::Scratch dinput(input->value().shape());  // zeroed for col2im
-          col2im_into(*dcol, geom, *dinput);
+          T::pool::Scratch dinput(input->value().shape(), /*zero=*/false);
+          T::conv2d_input_grad_into(weight->value(), g, geom, *dinput);
           input->accumulate_grad(*dinput);
         }
       },
       ps.name(), ps.corr());
   graph::record(out, [self = out.get(), pin = input.get(), pw = weight.get(),
-                      pb = bias.get(), col, geom, cout, hw] {
-    im2col_into(pin->value(), geom, **col);
-    // The [Cout, Hout*Wout] matmul lands directly in the node's [Cout, Hout,
-    // Wout] storage via a rank-2 view — same bytes, no reshape copy.
-    T::Tensor out2d =
-        T::Tensor::view(self->mutable_value().begin(), {cout, hw});
-    T::matmul_into(pw->value(), **col, out2d);
-    const float* pbias = pb->value().begin();
-    float* po = out2d.begin();
-    for (std::size_t c = 0; c < cout; ++c) {
-      const float b = pbias[c];
-      for (std::size_t p = 0; p < hw; ++p) po[c * hw + p] += b;
-    }
+                      pb = bias.get(), geom] {
+    T::conv2d_into(pin->value(), pw->value(), pb->value(), geom,
+                   self->mutable_value());
   });
   return out;
 }

@@ -6,6 +6,7 @@
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/obs.hpp"
+#include "reffil/util/prof.hpp"
 #include "reffil/util/thread_pool.hpp"
 
 namespace reffil::cl {
@@ -64,7 +65,8 @@ void MethodBase::init_workers() {
     util::Rng replica_rng(config_.seed ^ 0xC0FFEEULL);
     workers_.push_back(make_replica(replica_rng));
   }
-  graph_cache_.assign(workers_.size(), {});
+  graph_cache_.assign(workers_.size(),
+                      AG::graph::GraphCache(kMaxGraphsPerSlot));
   sample_folds_ = std::vector<AG::OrderedFold>(workers_.size());
   global_state_ = workers_.front()->snapshot();
 }
@@ -83,8 +85,8 @@ bool MethodBase::train_step_replayed(Replica& rep,
   if (signature.empty()) return false;
   const std::string key = signature + "|b=" + std::to_string(batch.size());
   auto& cache = graph_cache_[slot];
-  const auto it = cache.find(key);
-  if (it == cache.end()) {
+  const auto* cached = cache.find(key);
+  if (cached == nullptr) {
     // First sighting of this step family: capture it. The capture runs the
     // normal eager computation (instrumented), so its gradients are this
     // batch's real training step whether or not the tape freezes.
@@ -94,12 +96,12 @@ bool MethodBase::train_step_replayed(Replica& rep,
     AG::graph::Capture capture;
     AG::Var loss = batch_loss(rep, batch, job, slot);
     AG::backward(loss);
-    auto graph = capture.finish(loss, replay_tags_matter(), std::move(tags));
-    if (cache.size() >= kMaxGraphsPerSlot) cache.clear();
-    cache.emplace(key, std::move(graph));  // null = negative cache
+    // A null graph is stored too: the negative cache.
+    cache.insert(key,
+                 capture.finish(loss, replay_tags_matter(), std::move(tags)));
     return true;
   }
-  const auto& graph = it->second;
+  const auto& graph = *cached;
   if (!graph) return false;  // known unreplayable: stay eager
   std::vector<const T::Tensor*> images;
   std::vector<std::size_t> labels;
@@ -224,10 +226,16 @@ fed::ClientUpdate MethodBase::train_client(
   obs::ScopedTimer timer("cl.train_client_seconds");
   Replica& rep = replica(job.worker_slot);
 
+  // Named spans split the client's own time (decode + load, optimizer
+  // steps, upload encoding) from the op spans of its training steps.
   util::ByteReader reader(broadcast);
-  const fed::ModelState global = fed::deserialize_state_any(reader);
-  rep.load(global);
-  read_broadcast_extras(reader, job.worker_slot);
+  fed::ModelState global;
+  {
+    obs::prof::Span span("cl.load", broadcast.size());
+    global = fed::deserialize_state_any(reader);
+    rep.load(global);
+    read_broadcast_extras(reader, job.worker_slot);
+  }
 
   std::vector<TaggedSample> view = local_view(job);
   obs::count("cl.clients_trained");
@@ -256,12 +264,14 @@ fed::ClientUpdate MethodBase::train_client(
         train_step_eager(rep, batch, job, job.worker_slot);
       }
       post_backward(rep, job, job.worker_slot);
+      obs::prof::Span step_span("cl.step");
       optimizer.step();
     }
   }
 
   on_client_end(rep, job, job.worker_slot);
 
+  obs::prof::Span upload_span("cl.upload");
   fed::ClientUpdate update;
   update.client_id = job.client_id;
   update.num_samples = view.size();
@@ -287,6 +297,7 @@ fed::ClientUpdate MethodBase::train_client(
   }
   write_update_extras(writer, rep, job);
   update.payload = writer.take();
+  upload_span.set_value(update.payload.size());
   return update;
 }
 

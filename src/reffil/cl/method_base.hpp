@@ -208,12 +208,11 @@ class MethodBase : public fed::Method {
                            const std::vector<TaggedSample>& batch,
                            const fed::TrainJob& job, std::size_t slot);
 
-  /// Per-worker captured graphs keyed "<signature>|b=<batch_size>". A null
-  /// entry is a negative cache: capture proved this step unreplayable, so
-  /// the step stays eager without re-capturing every batch.
-  std::vector<
-      std::map<std::string, std::shared_ptr<autograd::graph::CapturedGraph>>>
-      graph_cache_;
+  /// Per-worker captured graphs keyed "<signature>|b=<batch_size>", least
+  /// recently used evicted beyond kMaxGraphsPerSlot. A null entry is a
+  /// negative cache: capture proved this step unreplayable, so the step
+  /// stays eager without re-capturing every batch.
+  std::vector<autograd::graph::GraphCache> graph_cache_;
   static constexpr std::size_t kMaxGraphsPerSlot = 8;
 
   /// Per-worker gradient commit order for parallel_samples steps.

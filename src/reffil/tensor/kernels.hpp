@@ -195,20 +195,34 @@ inline void log_softmax_rows(const float* src, float* dst, std::size_t r0,
   }
 }
 
-// ---- conv2d lowering -------------------------------------------------------
-// Pure data movement — bitwise identical on every target, so every dispatch
-// table points here. The stride==1 interior of each output row is one
-// contiguous input segment, copied (im2col) or accumulated (col2im) without
-// the per-tap bounds test the border pixels need; at stride 1 that turns
-// the dominant inner loop into memcpy / a trivially vectorizable += sweep.
-//
-// Defined out-of-line (kernels_scalar.cpp): every dispatch table takes these
-// functions' addresses, and an inline definition would be ODR-used from TUs
-// built with different ISA flags — one arbitrary copy would win at link
-// time. A single out-of-line definition under baseline flags keeps the
-// "bitwise identical on every target" claim true by construction.
+// ---- ReLU backward ---------------------------------------------------------
+// `x <= 0` is false for NaN, so a NaN input passes the gradient through;
+// masked elements get +0. The SIMD targets select with a compare mask and
+// produce the same bits.
 
-void im2col(const float* in, float* col, const kern::Conv2dGeom& g);
-void col2im(const float* dcol, float* din, const kern::Conv2dGeom& g);
+inline void relu_backward_span(float* dx, const float* x, const float* g,
+                               std::size_t lo, std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) dx[i] = x[i] <= 0.0f ? 0.0f : g[i];
+}
+
+// ---- micro-kernel operand rows ---------------------------------------------
+// Every target's accum_tile micro-kernel reads A(di, dk) = arow(di)[dk]
+// through one of these accessors, so one register-blocked loop serves the
+// matmul family (strided rows) and the direct conv kernels (taps gathered
+// from a plane through an offset table).
+
+/// A row stored with a fixed element stride: p[dk * stride].
+struct StridedRow {
+  const float* p;
+  std::size_t stride;
+  float operator[](std::size_t dk) const { return p[dk * stride]; }
+};
+
+/// A row gathered through an offset table: p[off[dk]].
+struct GatherRow {
+  const float* p;
+  const std::size_t* off;
+  float operator[](std::size_t dk) const { return p[off[dk]]; }
+};
 
 }  // namespace reffil::tensor::detail

@@ -46,6 +46,11 @@ inline float fma1(float a, float b, float acc) {
 inline vfloat vround_nearest(vfloat v) {
   return _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
 }
+// NLE_UQ is true where !(x <= 0), including NaN lanes; and-ing with that
+// mask keeps g there and leaves +0 (all bits clear) elsewhere.
+inline vfloat vpass_unless_le0(vfloat x, vfloat g) {
+  return _mm256_and_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NLE_UQ), g);
+}
 inline vfloat vpow2i(vfloat n) {
   const __m256i e =
       _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127));

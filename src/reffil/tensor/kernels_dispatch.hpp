@@ -1,8 +1,8 @@
 // Runtime CPU-feature-dispatched kernel table (DESIGN.md §12).
 //
 // Every hot inner loop of the tensor layer — the matmul row kernels, the
-// blocked elementwise/axpy sweeps, the row-range softmax pair, and the conv
-// lowering (im2col/col2im) — is reached through one table of function
+// blocked elementwise/axpy sweeps, the row-range softmax pair, and the
+// direct conv2d kernels — is reached through one table of function
 // pointers resolved exactly once at startup. The binary carries every
 // target the toolchain could compile (scalar always; AVX2 on x86-64; NEON
 // on aarch64) and picks the best one the *running* CPU supports, so a
@@ -16,11 +16,13 @@
 //  * The scalar target is bitwise-identical to the pre-dispatch kernels on
 //    finite inputs (it IS those kernels, minus the skip-zero rule, which
 //    never changed a finite result — see kernels.hpp).
-//  * Across targets, matmul and softmax may differ by rounding (FMA
+//  * Across targets, matmul, conv and softmax may differ by rounding (FMA
 //    contraction, polynomial exp); the cross-ISA test suite bounds the
-//    divergence at 1e-5 relative. Elementwise kernels and im2col/col2im
-//    are bitwise-identical across every target (no fused ops, pure data
-//    movement). The q8 codec kernels are bitwise-identical across targets
+//    divergence at 1e-5 relative. Within a target, each conv kernel is
+//    bitwise-identical to lowering through a column matrix and that
+//    target's matmul row kernels (tests/conv_kernels_test.cpp). Elementwise
+//    kernels are bitwise-identical across every target (no fused ops). The
+//    q8 codec kernels are bitwise-identical across targets
 //    on finite inputs too (exact max reduction, shared round-nearest-even,
 //    unfused accumulate — see quant.hpp), which the compressed wire format
 //    relies on for cross-ISA reproducibility.
@@ -39,10 +41,11 @@
 
 namespace reffil::tensor::kern {
 
-/// Conv2d lowering geometry shared by im2col/col2im and the autograd conv
-/// node that drives them.
+/// Conv2d geometry shared by the conv kernels and the autograd conv node
+/// that drives them: input [cin, h, w], weight [cout, cin*kh*kw], output
+/// [cout, hout, wout].
 struct Conv2dGeom {
-  std::size_t cin, h, w, kh, kw, stride, pad, hout, wout;
+  std::size_t cin, h, w, kh, kw, stride, pad, hout, wout, cout;
 };
 
 /// One dispatch target. All pointers are non-null in every registered
@@ -89,12 +92,35 @@ struct Kernels {
   void (*log_softmax_rows)(const float* src, float* dst, std::size_t r0,
                            std::size_t r1, std::size_t n);
 
-  /// Unfold input[cin, h, w] into col[cin*kh*kw, hout*wout] (every element
-  /// written; padding as 0). Pure data movement, bitwise-identical across
-  /// targets.
-  void (*im2col)(const float* in, float* col, const Conv2dGeom& g);
-  /// Adjoint scatter of im2col; `din` must be zero-filled on entry.
-  void (*col2im)(const float* dcol, float* din, const Conv2dGeom& g);
+  /// dx[i] = x[i] <= 0 ? +0 : g[i] over [lo, hi) — ReLU backward. A NaN x
+  /// passes g through. Bitwise-identical across targets.
+  void (*relu_backward)(float* dx, const float* x, const float* g,
+                        std::size_t lo, std::size_t hi);
+
+  // Direct conv2d (DESIGN.md §12). The taps are read straight from the
+  // input; no [cin*kh*kw, hout*wout] column matrix is ever built. Each
+  // kernel is bitwise-identical, per target, to the im2col + matmul_rows_*
+  // lowering it replaced: per element the same multiply-add chain, in the
+  // same order, from +0, with padding taps multiplied as zeros.
+
+  /// Output-channel rows [co0, co1) of out[cout, hout*wout] =
+  /// weight[cout, K] * taps(in) + bias, K = cin*kh*kw. Per element the taps
+  /// run ascending over (ci, ki, kj); the bias is added last.
+  void (*conv2d_forward)(const float* in, const float* weight,
+                         const float* bias, float* out, std::size_t co0,
+                         std::size_t co1, const Conv2dGeom& g);
+  /// Rows [co0, co1) of dweight[cout, K] = gout[cout, hout*wout] *
+  /// taps(in)^T; per element the output pixels run ascending.
+  void (*conv2d_weight_grad)(const float* in, const float* gout,
+                             float* dweight, std::size_t co0, std::size_t co1,
+                             const Conv2dGeom& g);
+  /// Input-channel planes [c0, c1) of dinput[cin, h, w]: each tap value
+  /// (weight^T * gout)[k, p] is a chain ascending over output channels,
+  /// and the values are summed into a +0 plane in ascending (ki, kj) order.
+  /// Overwrites those planes.
+  void (*conv2d_input_grad)(const float* weight, const float* gout,
+                            float* dinput, std::size_t c0, std::size_t c1,
+                            const Conv2dGeom& g);
 
   // Q8 block codec (quant.hpp): int8 blocks of quant::kQ8Block with one f32
   // scale each. Bitwise-identical across targets on finite inputs.

@@ -44,6 +44,12 @@ inline float fma1(float a, float b, float acc) {
   return __builtin_fmaf(a, b, acc);  // single fmadd instruction on aarch64
 }
 inline vfloat vround_nearest(vfloat v) { return vrndnq_f32(v); }
+// vcleq is all-ones where x <= 0 (false for NaN); bic clears those lanes
+// of g to +0 and keeps g elsewhere.
+inline vfloat vpass_unless_le0(vfloat x, vfloat g) {
+  const uint32x4_t le0 = vcleq_f32(x, vdupq_n_f32(0.0f));
+  return vreinterpretq_f32_u32(vbicq_u32(vreinterpretq_u32_f32(g), le0));
+}
 inline vfloat vpow2i(vfloat n) {
   const int32x4_t e = vaddq_s32(vcvtnq_s32_f32(n), vdupq_n_s32(127));
   return vreinterpretq_f32_s32(vshlq_n_s32(e, 23));

@@ -10,6 +10,67 @@
 
 namespace reffil::tensor::kern {
 
+namespace scalar {
+
+/// Without vector registers a short j sweep costs more in loop overhead
+/// than it computes: vectorize the weight gradient over taps, not output
+/// channels (kernels_conv.inl).
+inline constexpr bool kConvWeightGradOverChannels = false;
+/// Whole SSE blocks: the rows of the wide grid stay 16-byte aligned.
+inline constexpr std::size_t kConvGridAlign = 4;
+
+/// o[j] += a * b[j]; the restrict parameters let the sweep vectorize
+/// without a runtime overlap check (`o` never aliases an operand).
+inline void madd_row(float* __restrict o, float a, const float* __restrict b,
+                     std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) o[j] += a * b[j];
+}
+
+/// madd_row for four output rows sharing one b row: each b load feeds four
+/// rows, and every element still gets exactly one multiply-add.
+inline void madd_rows4(float* __restrict o0, float* __restrict o1,
+                       float* __restrict o2, float* __restrict o3, float a0,
+                       float a1, float a2, float a3,
+                       const float* __restrict b, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const float bj = b[j];
+    o0[j] += a0 * bj;
+    o1[j] += a1 * bj;
+    o2[j] += a2 * bj;
+    o3[j] += a3 * bj;
+  }
+}
+
+/// out[di*o_is + dj] += sum_dk arow(di)[dk] * brow(dk)[dj], dk ascending,
+/// unfused — per element the same chain as detail::matmul_rows_*. Kept out
+/// of line: inlined into the conv kernels' larger bodies, its j sweep was
+/// measured spilling loop state to the stack.
+template <class ARow, class BRow>
+[[gnu::noinline]] void accum_tile(ARow arow, BRow brow, float* out,
+                                  std::size_t o_is, std::size_t ib,
+                                  std::size_t jb, std::size_t kb) {
+  std::size_t di = 0;
+  for (; di + 4 <= ib; di += 4) {
+    const auto a0 = arow(di), a1 = arow(di + 1), a2 = arow(di + 2),
+               a3 = arow(di + 3);
+    float* o = out + di * o_is;
+    for (std::size_t dk = 0; dk < kb; ++dk) {
+      madd_rows4(o, o + o_is, o + 2 * o_is, o + 3 * o_is, a0[dk], a1[dk],
+                 a2[dk], a3[dk], brow(dk), jb);
+    }
+  }
+  for (; di < ib; ++di) {
+    const auto a = arow(di);
+    for (std::size_t dk = 0; dk < kb; ++dk) {
+      madd_row(out + di * o_is, a[dk], brow(dk), jb);
+    }
+  }
+}
+
+#include "reffil/tensor/kernels_conv.inl"
+
+}  // namespace scalar
+
 namespace {
 
 constexpr Kernels kScalarTable = {
@@ -22,8 +83,10 @@ constexpr Kernels kScalarTable = {
     &detail::scale_span,
     &detail::softmax_rows,
     &detail::log_softmax_rows,
-    &detail::im2col,
-    &detail::col2im,
+    &detail::relu_backward_span,
+    &scalar::conv2d_forward,
+    &scalar::conv2d_weight_grad,
+    &scalar::conv2d_input_grad,
     &detail::q8_encode,
     &detail::q8_decode,
     &detail::q8_axpy,
@@ -34,99 +97,3 @@ constexpr Kernels kScalarTable = {
 const Kernels* scalar_table() { return &kScalarTable; }
 
 }  // namespace reffil::tensor::kern
-
-// Conv2d lowering — the single shared definition every dispatch table points
-// at (see the declaration comment in kernels.hpp for why it must live
-// out-of-line in exactly one baseline-flags TU).
-namespace reffil::tensor::detail {
-
-void im2col(const float* in, float* col, const kern::Conv2dGeom& g) {
-  const std::size_t hw = g.hout * g.wout;
-  for (std::size_t c = 0; c < g.cin; ++c) {
-    for (std::size_t ki = 0; ki < g.kh; ++ki) {
-      for (std::size_t kj = 0; kj < g.kw; ++kj) {
-        const std::size_t row = (c * g.kh + ki) * g.kw + kj;
-        float* dst = col + row * hw;
-        for (std::size_t oi = 0; oi < g.hout; ++oi) {
-          const std::ptrdiff_t ii =
-              static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
-              static_cast<std::ptrdiff_t>(g.pad);
-          float* drow = dst + oi * g.wout;
-          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(g.h)) {
-            std::fill(drow, drow + g.wout, 0.0f);
-            continue;
-          }
-          const float* irow =
-              in + (c * g.h + static_cast<std::size_t>(ii)) * g.w;
-          if (g.stride == 1) {
-            // jj = oj + kj - pad stays in [0, w) for oj in [lo, hi).
-            const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kj) -
-                                       static_cast<std::ptrdiff_t>(g.pad);
-            const std::size_t lo = std::min(
-                g.wout, static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, -off)));
-            const std::size_t hi = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-                static_cast<std::ptrdiff_t>(g.w) - off, 0,
-                static_cast<std::ptrdiff_t>(g.wout)));
-            std::fill(drow, drow + lo, 0.0f);
-            if (hi > lo) {
-              std::memcpy(drow + lo, irow + static_cast<std::size_t>(off + static_cast<std::ptrdiff_t>(lo)),
-                          (hi - lo) * sizeof(float));
-            }
-            std::fill(drow + std::max(hi, lo), drow + g.wout, 0.0f);
-          } else {
-            for (std::size_t oj = 0; oj < g.wout; ++oj) {
-              const std::ptrdiff_t jj =
-                  static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
-                  static_cast<std::ptrdiff_t>(g.pad);
-              drow[oj] = (jj >= 0 && jj < static_cast<std::ptrdiff_t>(g.w))
-                             ? irow[static_cast<std::size_t>(jj)]
-                             : 0.0f;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-void col2im(const float* dcol, float* din, const kern::Conv2dGeom& g) {
-  const std::size_t hw = g.hout * g.wout;
-  for (std::size_t c = 0; c < g.cin; ++c) {
-    for (std::size_t ki = 0; ki < g.kh; ++ki) {
-      for (std::size_t kj = 0; kj < g.kw; ++kj) {
-        const std::size_t row = (c * g.kh + ki) * g.kw + kj;
-        const float* src = dcol + row * hw;
-        for (std::size_t oi = 0; oi < g.hout; ++oi) {
-          const std::ptrdiff_t ii =
-              static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
-              static_cast<std::ptrdiff_t>(g.pad);
-          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(g.h)) continue;
-          const float* srow = src + oi * g.wout;
-          float* irow = din + (c * g.h + static_cast<std::size_t>(ii)) * g.w;
-          if (g.stride == 1) {
-            const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kj) -
-                                       static_cast<std::ptrdiff_t>(g.pad);
-            const std::size_t lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, -off));
-            const std::size_t hi = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-                static_cast<std::ptrdiff_t>(g.w) - off, 0,
-                static_cast<std::ptrdiff_t>(g.wout)));
-            for (std::size_t oj = lo; oj < hi; ++oj) {
-              irow[static_cast<std::size_t>(off + static_cast<std::ptrdiff_t>(oj))] += srow[oj];
-            }
-          } else {
-            for (std::size_t oj = 0; oj < g.wout; ++oj) {
-              const std::ptrdiff_t jj =
-                  static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
-                  static_cast<std::ptrdiff_t>(g.pad);
-              if (jj >= 0 && jj < static_cast<std::ptrdiff_t>(g.w)) {
-                irow[static_cast<std::size_t>(jj)] += srow[oj];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace reffil::tensor::detail

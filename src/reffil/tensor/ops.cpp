@@ -184,6 +184,17 @@ void copy_into(const Tensor& a, Tensor& out) {
   require_out_numel(a, out, "copy_into");
   std::copy(a.begin(), a.end(), out.begin());
 }
+void relu_backward_into(const Tensor& x, const Tensor& g, Tensor& out) {
+  require_same_shape(x, g, "relu_backward_into");
+  require_out_numel(x, out, "relu_backward_into");
+  const float* px = x.begin();
+  const float* pg = g.begin();
+  float* po = out.begin();
+  const kern::Kernels& k = kern::active();
+  elementwise_blocks(x.numel(), [&](std::size_t lo, std::size_t hi) {
+    k.relu_backward(po, px, pg, lo, hi);
+  });
+}
 
 Tensor exp(const Tensor& a) {
   return map(a, [](float x) { return std::exp(x); });
@@ -357,6 +368,64 @@ void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out) {
   require_out_shape(out, d.m, d.n, "matmul_tn_into");
   std::fill(out.begin(), out.end(), 0.0f);
   matmul_tn_dispatch(a, b, out, d);
+}
+
+namespace {
+
+/// Runs fn(lo, hi) over [0, rows) channel blocks: on the global pool above
+/// the matmul threshold, inline otherwise (templated for the same reason as
+/// elementwise_blocks).
+template <typename Fn>
+void conv_channel_blocks(const kern::Conv2dGeom& g, std::size_t rows,
+                         const Fn& fn) {
+  const std::size_t macs = g.cout * g.cin * g.kh * g.kw * g.hout * g.wout;
+  if (P::should_parallelize(macs, P::kMatmulFlopThreshold)) {
+    P::for_range(rows, 1, fn);
+  } else {
+    fn(0, rows);
+  }
+}
+
+std::uint64_t conv_bytes(const Tensor& a, const Tensor& b, const Tensor& out) {
+  return (a.numel() + b.numel() + out.numel()) * sizeof(float);
+}
+
+}  // namespace
+
+void conv2d_into(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                 const kern::Conv2dGeom& g, Tensor& out) {
+  REFFIL_CHECK_MSG(out.numel() == g.cout * g.hout * g.wout,
+                   "conv2d_into: output numel mismatch");
+  obs::prof::Span span("conv2d", conv_bytes(input, weight, out));
+  const kern::Kernels& k = kern::active();
+  conv_channel_blocks(g, g.cout, [&](std::size_t lo, std::size_t hi) {
+    k.conv2d_forward(input.begin(), weight.begin(), bias.begin(), out.begin(),
+                     lo, hi, g);
+  });
+}
+
+void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
+                             const kern::Conv2dGeom& g, Tensor& dweight) {
+  REFFIL_CHECK_MSG(dweight.numel() == g.cout * g.cin * g.kh * g.kw,
+                   "conv2d_weight_grad_into: output numel mismatch");
+  obs::prof::Span span("conv2d_wgrad", conv_bytes(input, grad_out, dweight));
+  const kern::Kernels& k = kern::active();
+  conv_channel_blocks(g, g.cout, [&](std::size_t lo, std::size_t hi) {
+    k.conv2d_weight_grad(input.begin(), grad_out.begin(), dweight.begin(), lo,
+                         hi, g);
+  });
+}
+
+void conv2d_input_grad_into(const Tensor& weight, const Tensor& grad_out,
+                            const kern::Conv2dGeom& g, Tensor& dinput) {
+  REFFIL_CHECK_MSG(dinput.numel() == g.cin * g.h * g.w,
+                   "conv2d_input_grad_into: output numel mismatch");
+  obs::prof::Span span("conv2d_igrad", conv_bytes(weight, grad_out, dinput));
+  const kern::Kernels& k = kern::active();
+  conv_channel_blocks(g, g.cin, [&](std::size_t lo, std::size_t hi) {
+    k.conv2d_input_grad(weight.begin(), grad_out.begin(), dinput.begin(), lo,
+                        hi, g);
+  });
 }
 
 Tensor transpose2d(const Tensor& a) {

@@ -15,6 +15,7 @@
 
 #include <functional>
 
+#include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/tensor.hpp"
 #include "reffil/util/rng.hpp"
 
@@ -66,6 +67,8 @@ void sigmoid_into(const Tensor& a, Tensor& out);
 void map_into(const Tensor& a, const std::function<float(float)>& f, Tensor& out);
 /// Shape-checked elementwise copy a -> out.
 void copy_into(const Tensor& a, Tensor& out);
+/// ReLU backward: out = x <= 0 ? +0 : g (a NaN x passes g through).
+void relu_backward_into(const Tensor& x, const Tensor& g, Tensor& out);
 
 /// a += b (in place, same shape).
 void add_inplace(Tensor& a, const Tensor& b);
@@ -97,6 +100,22 @@ Tensor transpose2d(const Tensor& a);
 void transpose2d_into(const Tensor& a, Tensor& out);
 /// Matrix-vector product [m,k]x[k] -> [m].
 Tensor matvec(const Tensor& a, const Tensor& x);
+
+// ---- direct convolution -----------------------------------------------------
+// Drivers for the dispatch-table conv kernels (kernels_dispatch.hpp). `g`
+// describes every shape: input [cin,h,w], weight [cout, cin*kh*kw], bias
+// [cout], output [cout, hout, wout]; the caller validates them. Channels fan
+// out on the global pool above parallel::kMatmulFlopThreshold multiply-adds,
+// like the matmul rows these replace, with bitwise-identical results either
+// way. Each call overwrites its output.
+void conv2d_into(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                 const kern::Conv2dGeom& g, Tensor& out);
+/// dweight[cout, cin*kh*kw] from the input and the output gradient.
+void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
+                             const kern::Conv2dGeom& g, Tensor& dweight);
+/// dinput[cin, h, w] from the weight and the output gradient.
+void conv2d_input_grad_into(const Tensor& weight, const Tensor& grad_out,
+                            const kern::Conv2dGeom& g, Tensor& dinput);
 
 // ---- reductions -------------------------------------------------------------
 float sum_all(const Tensor& a);

@@ -31,6 +31,7 @@ struct Buffer {
 struct ThreadCache {
   std::vector<Buffer> buckets[kBucketCount];
   std::size_t retained_floats = 0;
+  std::int64_t borrowed_floats = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 
@@ -80,9 +81,8 @@ void count_metrics(bool hit, std::size_t n) {
   }
 }
 
-Buffer acquire_buffer(std::size_t n, bool zero) {
-  if (n == 0) return {};
-  ThreadCache& c = cache();
+/// A buffer of >= n floats: a free-list hit, else a fresh allocation.
+Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero) {
   if (n <= kMaxPooledFloats) {
     auto& stack = c.buckets[acquire_bucket(n)];
     if (!stack.empty()) {
@@ -114,13 +114,22 @@ Buffer acquire_buffer(std::size_t n, bool zero) {
   return buf;
 }
 
+Buffer acquire_buffer(std::size_t n, bool zero) {
+  if (n == 0) return {};
+  ThreadCache& c = cache();
+  Buffer buf = take_buffer(c, n, zero);
+  c.borrowed_floats += static_cast<std::int64_t>(buf.capacity);
+  return buf;
+}
+
 void release_buffer(Buffer buf) {
   if (buf.data == nullptr) return;
+  ThreadCache& c = cache();
+  c.borrowed_floats -= static_cast<std::int64_t>(buf.capacity);
   if (buf.capacity == 0 || buf.capacity > kMaxPooledFloats) {
     ::operator delete(buf.data);
     return;
   }
-  ThreadCache& c = cache();
   if (c.retained_floats + buf.capacity > kMaxRetainedFloats) {
     ::operator delete(buf.data);  // drop: stay bounded
     return;
@@ -160,7 +169,8 @@ Scratch::Scratch(Scratch&& other) noexcept
 
 ThreadStats thread_stats() {
   const ThreadCache& c = cache();
-  return {c.hits, c.misses, c.retained_floats * sizeof(float)};
+  return {c.hits, c.misses, c.retained_floats * sizeof(float),
+          c.borrowed_floats * static_cast<std::int64_t>(sizeof(float))};
 }
 
 void clear_thread_cache() {

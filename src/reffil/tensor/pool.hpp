@@ -1,8 +1,8 @@
 // Thread-local tensor scratch pool.
 //
 // Training allocates the same handful of intermediate shapes thousands of
-// times per round (backward-pass gradients, im2col columns, softmax
-// scratch). Scratch borrows a raw float buffer from a per-thread
+// times per round (backward-pass gradients, softmax probabilities, layer-norm
+// statistics). Scratch borrows a raw float buffer from a per-thread
 // size-bucketed free list instead of hitting the allocator, wraps it in a
 // non-owning Tensor view for the duration of the scope, and returns it on
 // destruction (RAII).
@@ -68,6 +68,10 @@ struct ThreadStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::size_t retained_bytes = 0;  ///< bytes currently parked in free lists
+  /// Capacity bytes of buffers borrowed on this thread minus those returned
+  /// on it: the bytes live Scratch borrows hold, when borrows end on the
+  /// thread that made them (negative when other threads' borrows end here).
+  std::int64_t borrowed_bytes = 0;
 };
 ThreadStats thread_stats();
 

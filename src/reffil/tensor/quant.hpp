@@ -23,7 +23,7 @@
 // the quantized product is clamped to [-127, 127] before conversion.
 //
 // The f16 codec is pure scalar bit manipulation shared by every target
-// (like im2col: one definition, bitwise everywhere by construction).
+// (one definition, bitwise everywhere by construction).
 #pragma once
 
 #include <cstddef>
@@ -71,11 +71,11 @@ void f16_decode_span(const std::uint16_t* h, float* out, std::size_t n);
 
 namespace detail {
 
-// Scalar reference Q8 kernels. Like im2col/col2im (kernels.hpp), these are
-// defined out-of-line in exactly one baseline-flags TU (quant.cpp) because
-// every dispatch table takes their addresses — an inline definition would
-// let the AVX2 TU instantiate a copy under -mavx2 and hand the dispatcher a
-// pointer to AVX2-encoded "scalar" code.
+// Scalar reference Q8 kernels, defined out-of-line in exactly one
+// baseline-flags TU (quant.cpp) because every dispatch table takes their
+// addresses — an inline definition would let the AVX2 TU instantiate a copy
+// under -mavx2 and hand the dispatcher a pointer to AVX2-encoded "scalar"
+// code.
 
 /// Quantize x[0..n) into int8 blocks of quant::kQ8Block with one f32 scale
 /// per block: scales[b] = amax_b / 127, q[i] = RNE(x[i] * 127/amax_b),

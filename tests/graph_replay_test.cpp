@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -186,6 +187,68 @@ TEST(GraphReplay, SteadyStateReplaysAreAllocationFree) {
   EXPECT_EQ(counter_value("tensor.pool.miss"), misses_before)
       << "steady-state replay must not allocate (pool miss counter moved)";
   EXPECT_EQ(counter_value("ag.graph.replay"), replays_before + 100);
+}
+
+TEST(GraphCache, CyclingNineBatchSizesRecapturesOnlyTheEvictedKey) {
+  // One worker slot, as MethodBase drives it: key "<signature>|b=<size>",
+  // capture on a miss, replay on a hit, 8 graphs at most. Partial batches
+  // of quantity-skewed clients produce more distinct sizes than that; the
+  // cache must then drop one graph — the least recently used — not all.
+  constexpr std::size_t kSizes = 9;
+  util::Rng rng(31), eager_rng(31), data_rng(5);
+  nn::PromptNet net(tiny_net_config(), rng);
+  nn::PromptNet eager_net(tiny_net_config(), eager_rng);
+  std::vector<T::Tensor> images;
+  std::vector<std::size_t> labels;
+  for (std::size_t i = 0; i < kSizes; ++i) {
+    images.push_back(random_image(data_rng));
+    labels.push_back(i % 4);
+  }
+  AG::graph::GraphCache cache(8);
+  std::map<std::size_t, int> captures;
+  const auto step = [&](std::size_t b) {
+    SCOPED_TRACE("batch size " + std::to_string(b));
+    const std::vector<T::Tensor> batch(images.begin(), images.begin() + b);
+    const std::vector<std::size_t> batch_labels(labels.begin(),
+                                                labels.begin() + b);
+    const std::vector<std::size_t> tags(b, 0);
+    const std::string key = "sig|b=" + std::to_string(b);
+    for (auto& p : net.parameters()) p->zero_grad();
+    if (const auto* graph = cache.find(key)) {
+      ASSERT_NE(*graph, nullptr);
+      std::vector<const T::Tensor*> ptrs;
+      for (const auto& im : batch) ptrs.push_back(&im);
+      ASSERT_TRUE((*graph)->bind(ptrs, batch_labels, tags));
+      (*graph)->replay();
+    } else {
+      ++captures[b];
+      AG::graph::Capture capture;
+      AG::Var loss = batch_ce(net, batch, batch_labels);
+      AG::backward(loss);
+      cache.insert(key, capture.finish(loss, false, tags));
+    }
+    EXPECT_LE(cache.size(), 8u);
+    // Captured or replayed, the step's gradients are the eager step's.
+    for (auto& p : eager_net.parameters()) p->zero_grad();
+    AG::backward(batch_ce(eager_net, batch, batch_labels));
+    const auto got = net.parameters();
+    const auto want = eager_net.parameters();
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      ASSERT_EQ(std::memcmp(got[p]->grad().begin(), want[p]->grad().begin(),
+                            got[p]->grad().numel() * sizeof(float)),
+                0)
+          << "parameter " << p;
+    }
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t b = 1; b <= 8; ++b) step(b);  // 8 captures, then hits
+  }
+  step(9);  // full: evicts b=1, the least recently used
+  for (std::size_t b = 2; b <= 9; ++b) step(b);  // all still cached
+  step(1);  // the one evicted key comes back
+  for (std::size_t b = 1; b <= kSizes; ++b) {
+    EXPECT_EQ(captures[b], b == 1 ? 2 : 1) << "batch size " << b;
+  }
 }
 
 TEST(GraphReplay, BindRefusesMismatchedBatches) {

@@ -6,8 +6,8 @@
 //    choice.
 //  * Cross-ISA equivalence — every target the host can run agrees with the
 //    scalar target: matmul/softmax within 1e-5 relative (SIMD targets may
-//    fuse multiply-adds and use a polynomial exp), elementwise and the conv
-//    lowering bitwise.
+//    fuse multiply-adds and use a polynomial exp), elementwise bitwise. The
+//    conv kernels have their own parity suite (conv_kernels_test.cpp).
 //  * IEEE semantics — a zero in `a` no longer masks NaN/Inf in `b` (the
 //    skip-zero bug): 0 * NaN = NaN must reach the output on every target,
 //    because the transport layer's poison quarantine (DESIGN.md §10) relies
@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -247,78 +248,34 @@ TEST(CrossIsa, SoftmaxMatchesScalarWithin1e5) {
   }
 }
 
-TEST(CrossIsa, Im2colSharedAcrossTargetsAndMatchesNaive) {
-  // The conv lowering is pure data movement: every target must produce the
-  // byte-identical column matrix. The scalar body's stride==1 memcpy fast
-  // path is checked against a naive per-tap reference here.
-  for (const std::size_t stride : {1u, 2u}) {
-    for (const std::size_t pad : {0u, 1u, 3u}) {
-      const kern::Conv2dGeom g{/*cin=*/2, /*h=*/5,  /*w=*/6,
-                               /*kh=*/3,  /*kw=*/3, stride,
-                               pad,       (5 + 2 * pad - 3) / stride + 1,
-                               (6 + 2 * pad - 3) / stride + 1};
-      const auto in = random_vec(g.cin * g.h * g.w, stride * 7 + pad);
-      const std::size_t hw = g.hout * g.wout;
-      const std::size_t rows = g.cin * g.kh * g.kw;
-      std::vector<float> naive(rows * hw, -1.0f);
-      for (std::size_t c = 0; c < g.cin; ++c) {
-        for (std::size_t ki = 0; ki < g.kh; ++ki) {
-          for (std::size_t kj = 0; kj < g.kw; ++kj) {
-            for (std::size_t oi = 0; oi < g.hout; ++oi) {
-              for (std::size_t oj = 0; oj < g.wout; ++oj) {
-                const std::ptrdiff_t ii =
-                    static_cast<std::ptrdiff_t>(oi * stride + ki) -
-                    static_cast<std::ptrdiff_t>(pad);
-                const std::ptrdiff_t jj =
-                    static_cast<std::ptrdiff_t>(oj * stride + kj) -
-                    static_cast<std::ptrdiff_t>(pad);
-                float v = 0.0f;
-                if (ii >= 0 && ii < static_cast<std::ptrdiff_t>(g.h) &&
-                    jj >= 0 && jj < static_cast<std::ptrdiff_t>(g.w)) {
-                  v = in[(c * g.h + static_cast<std::size_t>(ii)) * g.w +
-                         static_cast<std::size_t>(jj)];
-                }
-                naive[((c * g.kh + ki) * g.kw + kj) * hw + oi * g.wout + oj] =
-                    v;
-              }
-            }
-          }
-        }
-      }
-      for (const kern::Kernels* t : kern::runnable()) {
-        SCOPED_TRACE(std::string(t->name) + " stride=" +
-                     std::to_string(stride) + " pad=" + std::to_string(pad));
-        std::vector<float> col(rows * hw, -2.0f);
-        t->im2col(in.data(), col.data(), g);
-        expect_bitwise(col, naive, "im2col");
-        // col2im is the adjoint: scattering the lowered matrix back must
-        // accumulate each input pixel once per in-bounds tap covering it.
-        std::vector<float> din(g.cin * g.h * g.w, 0.0f);
-        t->col2im(col.data(), din.data(), g);
-        std::vector<float> dref(g.cin * g.h * g.w, 0.0f);
-        for (std::size_t r = 0; r < rows; ++r) {
-          const std::size_t c = r / (g.kh * g.kw);
-          const std::size_t ki = (r / g.kw) % g.kh;
-          const std::size_t kj = r % g.kw;
-          for (std::size_t oi = 0; oi < g.hout; ++oi) {
-            for (std::size_t oj = 0; oj < g.wout; ++oj) {
-              const std::ptrdiff_t ii =
-                  static_cast<std::ptrdiff_t>(oi * stride + ki) -
-                  static_cast<std::ptrdiff_t>(pad);
-              const std::ptrdiff_t jj =
-                  static_cast<std::ptrdiff_t>(oj * stride + kj) -
-                  static_cast<std::ptrdiff_t>(pad);
-              if (ii >= 0 && ii < static_cast<std::ptrdiff_t>(g.h) &&
-                  jj >= 0 && jj < static_cast<std::ptrdiff_t>(g.w)) {
-                dref[(c * g.h + static_cast<std::size_t>(ii)) * g.w +
-                     static_cast<std::size_t>(jj)] +=
-                    naive[r * hw + oi * g.wout + oj];
-              }
-            }
-          }
-        }
-        expect_bitwise(din, dref, "col2im");
-      }
+TEST(CrossIsa, ReluBackwardBitwiseMatchesScalarLoop) {
+  // The span kernel must give the bits of `x <= 0 ? 0 : g` on every target
+  // and for every block split: masked lanes +0 (also for x = -0), NaN x
+  // passes g through, g's own NaN/Inf/-0 come through untouched.
+  const std::size_t n = 77;
+  auto x = random_vec(n, 91);
+  auto g = random_vec(n, 92);
+  x[1] = 0.0f;
+  x[2] = -0.0f;
+  x[3] = kNaN;
+  x[4] = -kNaN;
+  x[5] = kInf;
+  x[6] = -kInf;
+  x[7] = std::numeric_limits<float>::denorm_min();
+  x[8] = -std::numeric_limits<float>::denorm_min();
+  g[9] = kNaN;
+  g[10] = -0.0f;
+  g[11] = -kInf;
+  for (std::size_t i = 12; i < n; i += 3) x[i] = -x[i - 1];
+  std::vector<float> ref(n);
+  for (std::size_t i = 0; i < n; ++i) ref[i] = x[i] <= 0.0f ? 0.0f : g[i];
+  for (const kern::Kernels* t : kern::runnable()) {
+    SCOPED_TRACE(t->name);
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{5}, n}) {
+      std::vector<float> out(n, -1.0f);
+      t->relu_backward(out.data(), x.data(), g.data(), 0, cut);
+      t->relu_backward(out.data(), x.data(), g.data(), cut, n);
+      ASSERT_EQ(std::memcmp(out.data(), ref.data(), n * sizeof(float)), 0);
     }
   }
 }
