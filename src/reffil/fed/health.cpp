@@ -402,9 +402,6 @@ void RunMonitor::on_round(const RunResult& result, const RoundStats& round,
   o.dropped = round.dropped;
   o.quarantined = round.quarantined;
   o.timed_out = round.timed_out;
-  o.accepted = round.selected >= round.dropped + round.quarantined
-                   ? round.selected - round.dropped - round.quarantined
-                   : 0;
   o.round_seconds = round.train_seconds + round.aggregate_seconds;
   o.sim_time_s = sim_time_s;
   o.norm_count = norms.count;

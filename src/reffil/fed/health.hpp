@@ -94,7 +94,6 @@ struct RoundObservation {
   std::uint32_t round = 0;
   std::uint64_t global_round = 0;
   std::uint32_t selected = 0;
-  std::uint32_t accepted = 0;
   std::uint32_t dropped = 0;
   std::uint32_t quarantined = 0;
   std::uint32_t timed_out = 0;
@@ -231,7 +230,7 @@ class RunMonitor {
   void on_round(const RunResult& result, const RoundStats& round,
                 std::uint64_t global_round, double sim_time_s,
                 const NormAccumulator& norms);
-  /// Mid-wave wall-clock sampling for long DES rounds.
+  /// Wall-clock sampling between the waves of a multi-wave (DES) round.
   void on_wave(double sim_time_s, std::uint64_t global_round);
   void on_eval(std::uint32_t task, double cumulative_accuracy);
   /// Marks the board done and copies the health log + time-series summary

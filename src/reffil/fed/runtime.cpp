@@ -4,8 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <numeric>
 #include <optional>
+#include <string_view>
+#include <variant>
 
 #include "reffil/data/partition.hpp"
 #include "reffil/fed/fedavg.hpp"
@@ -32,6 +33,18 @@ void train_on_slots(util::ThreadPool& pool, std::size_t count,
   pool.parallel_for(std::min(slots, count), [&](std::size_t slot) {
     for (std::size_t i = next++; i < count; i = next++) train(i, slot);
   });
+}
+
+// Keeps, in order, the participants `keep` accepts. `keep` runs exactly once
+// per participant, in plan order, so it may meter and trace.
+template <typename Keep>
+void keep_if(std::vector<ClientAssignment>& participants, Keep&& keep) {
+  std::vector<ClientAssignment> kept;
+  kept.reserve(participants.size());
+  for (const ClientAssignment& a : participants) {
+    if (keep(a)) kept.push_back(a);
+  }
+  participants = std::move(kept);
 }
 
 }  // namespace
@@ -89,7 +102,6 @@ data::Dataset FederatedRunner::train_pool(std::size_t task) const {
 }
 
 RunResult FederatedRunner::run(Method& method) {
-  if (config_.des.enabled()) return run_des(method);
   const auto& spec = config_.spec;
   const auto start_time = std::chrono::steady_clock::now();
 
@@ -101,12 +113,27 @@ RunResult FederatedRunner::run(Method& method) {
   method.configure_compression(config_.compress);
   result.compression = config_.compress.to_string();
 
-  ClientIncrementScheduler scheduler(
-      {.initial_clients = spec.initial_clients,
-       .clients_per_round = spec.clients_per_round,
-       .client_increment = spec.client_increment,
-       .transition_fraction = 0.8},
-      config_.seed);
+  // Dense and discrete-event runs share this round loop and differ in two
+  // inputs: the round plan and the fold policy. The dense scheduler draws
+  // each cohort from the data population with zero upload delays; the DES
+  // scheduler samples a registered population far larger than that on a
+  // virtual clock, gated by availability traces, with per-client upload
+  // delays. Both follow the same growth schedule, which defines the data
+  // shards and the group semantics.
+  const bool des = config_.des.enabled();
+  const SchedulerConfig growth{.initial_clients = spec.initial_clients,
+                               .clients_per_round = spec.clients_per_round,
+                               .client_increment = spec.client_increment,
+                               .transition_fraction = 0.8};
+  using Scheduler = std::variant<ClientIncrementScheduler, DesScheduler>;
+  Scheduler scheduler =
+      des ? Scheduler(std::in_place_type<DesScheduler>, growth, config_.des,
+                      config_.seed)
+          : Scheduler(std::in_place_type<ClientIncrementScheduler>, growth,
+                      config_.seed);
+  const DesScheduler* const des_scheduler =
+      std::get_if<DesScheduler>(&scheduler);
+  const double round_interval_s = des ? config_.des.round_interval_s : 0.0;
 
   util::Rng partition_rng(config_.seed ^ 0x9A27171017ULL);
   util::Rng dropout_rng(config_.seed ^ 0xD20D077ULL);
@@ -122,7 +149,9 @@ RunResult FederatedRunner::run(Method& method) {
   // those structurally too. Either way, trailing undecoded bytes quarantine.
   const UpdateValidator update_validator =
       faults_armed ? method.update_validator() : UpdateValidator();
-  // shards[t][client_id]: client's shard of domain t's training pool.
+  // shards[t][shard]: the spec-sized partition of domain t's training pool.
+  // Clients map onto it via ClientAssignment::shard, so data memory does not
+  // grow with the registered population.
   std::vector<std::vector<data::Dataset>> shards(spec.domains.size());
 
   auto& pool = util::global_thread_pool();
@@ -150,548 +179,75 @@ RunResult FederatedRunner::run(Method& method) {
                           spec.domains.size(), spec.rounds_per_task);
   }
 
-  for (std::size_t task = 0; task < spec.domains.size(); ++task) {
-    method.on_task_start(task);
-
-    // Partition the new domain across the (grown) client population.
-    const std::size_t population = scheduler.clients_at_task(task);
-    shards[task] = data::quantity_shift_partition(
-        train_pool(task), population,
-        {.skew = config_.partition_skew, .min_per_client = 4}, partition_rng);
-
-    for (std::size_t round = 0; round < spec.rounds_per_task; ++round) {
-      RoundPlan plan = scheduler.plan_round(task, round);
-      RoundStats round_stats;
-      round_stats.task = static_cast<std::uint32_t>(task);
-      round_stats.round = static_cast<std::uint32_t>(round);
-      round_stats.selected = static_cast<std::uint32_t>(plan.participants.size());
-      // The server broadcasts to every selected participant before it can
-      // know who will drop, so those bytes are metered against the full
-      // selection — including rounds where every participant is later lost.
-      obs::prof::Span bcast_span("fed.broadcast", round_stats.task,
-                                 round_stats.round);
-      const std::vector<std::uint8_t> broadcast = method.make_broadcast();
-      bcast_span.set_value(broadcast.size());
-      bcast_span.finish();
-      // What the same broadcast would have cost uncompressed (first attempts
-      // only) — equal to broadcast.size() when compression is off.
-      const std::uint64_t bcast_raw = raw_equiv_bytes(broadcast);
-      // Participants whose broadcast delivery failed (armed transport only);
-      // removed from the round after the downlink bytes are metered.
-      std::vector<ClientAssignment> reachable;
-      if (!faults_armed) {
-        round_stats.bytes_down = broadcast.size() * plan.participants.size();
-      } else {
-        obs::prof::Span down_span("fed.transport", round_stats.task,
-                                  round_stats.round);
-        const std::vector<std::uint8_t> framed = Transport::frame(broadcast);
-        for (const auto& assignment : plan.participants) {
-          const Transport::Delivery d = transport->send_broadcast(framed);
-          round_stats.bytes_down += d.bytes_transmitted;
-          round_stats.retries += d.retries;
-          round_stats.bytes_retransmitted += d.bytes_retransmitted;
-          if (tracing && (d.retries != 0 || d.duplicates != 0)) {
-            obs::trace(obs::TraceEvent("fed.retry")
-                           .field("task", task)
-                           .field("round", round)
-                           .field("client", assignment.client_id)
-                           .field("direction", "down")
-                           .field("retries", d.retries)
-                           .field("bytes", d.bytes_retransmitted));
-          }
-          if (d.outcome == Transport::Outcome::kDelivered) {
-            reachable.push_back(assignment);
-          } else {
-            // An unreachable client misses the round whether the broadcast
-            // timed out or exhausted its retry budget — both are straggler
-            // cutoffs from the server's perspective.
-            ++round_stats.timed_out;
-            if (tracing) {
-              obs::trace(obs::TraceEvent("fed.timeout")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", assignment.client_id)
-                             .field("direction", "down")
-                             .field("reason", d.reason));
-            }
-          }
-        }
-        down_span.set_value(round_stats.bytes_down);
-      }
-      result.network.bytes_down += round_stats.bytes_down;
-      result.network.bytes_down_raw_equiv +=
-          bcast_raw * plan.participants.size();
-      result.network.messages += plan.participants.size();
-      if (tracing) {
-        obs::trace(obs::TraceEvent("broadcast")
-                       .field("task", task)
-                       .field("round", round)
-                       .field("participants", plan.participants.size())
-                       .field("payload_bytes", broadcast.size())
-                       .field("bytes_down", round_stats.bytes_down));
-      }
-      if (faults_armed) plan.participants = std::move(reachable);
-      // Straggler/dropout simulation: drop participants before training so
-      // the federation neither waits for nor aggregates their updates.
-      if (config_.dropout_probability > 0.0) {
-        std::vector<ClientAssignment> alive;
-        for (const auto& assignment : plan.participants) {
-          if (dropout_rng.bernoulli(config_.dropout_probability)) {
-            ++result.network.dropped_updates;
-            ++round_stats.dropped;
-            if (tracing) {
-              obs::trace(obs::TraceEvent("dropout")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", assignment.client_id));
-            }
-          } else {
-            alive.push_back(assignment);
-          }
-        }
-        plan.participants = std::move(alive);
-      }
-      // Every exit path below accounts the round: the fed.rounds counter,
-      // the per-round fault counters and result.rounds must agree no matter
-      // how the round ends (the lost-round `continue` used to skip the
-      // counter, so fed.rounds drifted from result.rounds.size()).
-      NormAccumulator norm_acc;  // accepted-update norms, monitor-armed only
-      const auto commit_round = [&](const char* lost_reason) {
-        rounds_counter.add(1);
-        if (lost_reason != nullptr && tracing) {
-          obs::trace(obs::TraceEvent("round_lost")
-                         .field("task", task)
-                         .field("round", round)
-                         .field("selected", round_stats.selected)
-                         .field("dropped", round_stats.dropped)
-                         .field("timed_out", round_stats.timed_out)
-                         .field("quarantined", round_stats.quarantined)
-                         .field("reason", lost_reason));
-        }
-        result.network.quarantined += round_stats.quarantined;
-        result.network.retries += round_stats.retries;
-        result.network.timed_out += round_stats.timed_out;
-        result.network.bytes_retransmitted += round_stats.bytes_retransmitted;
-        result.rounds.push_back(round_stats);
-        if (monitor != nullptr) {
-          monitor->on_round(result, round_stats, result.rounds.size(),
-                            /*sim_time_s=*/0.0, norm_acc);
-        }
-      };
-      if (plan.participants.empty()) {  // whole round lost before training
-        commit_round("no participants survived dropout/transport");
-        continue;
-      }
-
-      std::vector<ClientUpdate> updates(plan.participants.size());
-      std::vector<double> client_seconds(plan.participants.size(), 0.0);
-      std::vector<std::size_t> slots(plan.participants.size());
-      const auto train_start = std::chrono::steady_clock::now();
-      obs::prof::Span round_span("fed.train_round", round_stats.task,
-                                 round_stats.round);
-      train_on_slots(pool, updates.size(), parallelism_,
-                     [&](std::size_t i, std::size_t slot) {
-        slots[i] = slot;
-        const ClientAssignment& assignment = plan.participants[i];
-        TrainJob job;
-        job.worker_slot = slot;
-        job.client_id = assignment.client_id;
-        job.task = task;
-        job.round = round;
-        job.total_rounds = spec.rounds_per_task;
-        job.group = assignment.group;
-        job.local_epochs = spec.local_epochs;
-        job.learning_rate = spec.learning_rate;
-        if (task == 0 || assignment.group != ClientGroup::kOld) {
-          job.new_data = &shards[task][assignment.client_id];
-        }
-        if (task > 0 && assignment.group != ClientGroup::kNew) {
-          job.old_data = &shards[task - 1][assignment.client_id];
-        }
-        const auto client_start = std::chrono::steady_clock::now();
-        {
-          obs::prof::Span client_span("fed.client", round_stats.task,
-                                      round_stats.round);
-          updates[i] = method.train_client(broadcast, job);
-          client_span.set_value(updates[i].payload.size());
-        }
-        updates[i].client_id = assignment.client_id;
-        client_seconds[i] = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - client_start)
-                                .count();
-      });
-      round_span.finish();
-      round_stats.train_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        train_start)
-              .count();
-      train_time.observe(round_stats.train_seconds);
-
-      // Uplink: meter each update — through the fault transport when armed,
-      // collecting only validated survivors for aggregation. The per-client
-      // `client_train` trace carries the metered wire bytes so trace sums
-      // still reconcile exactly with NetworkStats under retries/duplicates.
-      std::vector<ClientUpdate> accepted;
-      if (faults_armed) accepted.reserve(updates.size());
-      {
-        std::optional<obs::prof::Span> up_span;
-        if (faults_armed) {
-          up_span.emplace("fed.transport", round_stats.task, round_stats.round);
-        }
-        for (std::size_t i = 0; i < updates.size(); ++i) {
-          std::uint64_t wire_bytes = updates[i].payload.size();
-          // Raw equivalent BEFORE the transport can damage/replace the
-          // payload — the logical content is what the client produced.
-          result.network.bytes_up_raw_equiv +=
-              raw_equiv_bytes(updates[i].payload);
-          bool delivered = true;
-          if (faults_armed) {
-            Transport::Delivery d =
-                transport->send_update(updates[i].payload, update_validator);
-            wire_bytes = d.bytes_transmitted;
-            round_stats.retries += d.retries;
-            round_stats.bytes_retransmitted += d.bytes_retransmitted;
-            if (tracing && (d.retries != 0 || d.duplicates != 0)) {
-              obs::trace(obs::TraceEvent("fed.retry")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", plan.participants[i].client_id)
-                             .field("direction", "up")
-                             .field("retries", d.retries)
-                             .field("bytes", d.bytes_retransmitted));
-            }
-            switch (d.outcome) {
-              case Transport::Outcome::kDelivered:
-                // A poisoned-at-source payload that still validated is
-                // delivered as the damaged bytes the server actually saw.
-                if (!d.payload.empty()) updates[i].payload = std::move(d.payload);
-                break;
-              case Transport::Outcome::kTimedOut:
-                delivered = false;
-                ++round_stats.timed_out;
-                if (tracing) {
-                  obs::trace(obs::TraceEvent("fed.timeout")
-                                 .field("task", task)
-                                 .field("round", round)
-                                 .field("client", plan.participants[i].client_id)
-                                 .field("direction", "up")
-                                 .field("reason", d.reason));
-                }
-                break;
-              case Transport::Outcome::kQuarantined:
-                delivered = false;
-                ++round_stats.quarantined;
-                if (tracing) {
-                  obs::trace(obs::TraceEvent("fed.quarantine")
-                                 .field("task", task)
-                                 .field("round", round)
-                                 .field("client", plan.participants[i].client_id)
-                                 .field("reason", d.reason));
-                }
-                break;
-            }
-          }
-          round_stats.bytes_up += wire_bytes;
-          ++result.network.messages;
-          if (tracing) {
-            obs::trace(obs::TraceEvent("client_train")
-                           .field("task", task)
-                           .field("round", round)
-                           .field("client", plan.participants[i].client_id)
-                           .field("group", to_string(plan.participants[i].group))
-                           .field("slot", slots[i])
-                           .field("wall_s", client_seconds[i])
-                           .field("samples", updates[i].num_samples)
-                           .field("bytes_up", wire_bytes));
-          }
-          if (monitor != nullptr && delivered) {
-            // Feed the drift detector the norm of what the server will
-            // aggregate (post-transport bytes). Read-only, so the training
-            // path is untouched with or without a monitor.
-            if (const auto norm = update_state_l2_norm(updates[i].payload)) {
-              norm_acc.add(*norm);
-            }
-          }
-          if (faults_armed && delivered) {
-            accepted.push_back(std::move(updates[i]));
-          }
-        }
-      }
-      result.network.bytes_up += round_stats.bytes_up;
-      if (faults_armed && accepted.empty()) {
-        // Every survivor of dropout was then lost in transit: degrade
-        // gracefully by carrying the previous global state into next round.
-        commit_round("every update timed out or was quarantined");
-        continue;
-      }
-      const auto agg_start = std::chrono::steady_clock::now();
-      bool aggregated = true;
-      {
-        obs::prof::Span agg_span("fed.aggregate", round_stats.task,
-                                 round_stats.round);
-        if (!faults_armed) {
-          method.aggregate(updates);
-        } else {
-          // validate_state_prefix certifies the leading ModelState only; a
-          // corrupt method-specific extra can still surface here. Quarantine
-          // the whole batch rather than crash — the global state is simply
-          // carried forward, exactly as for a fully-dropped round.
-          try {
-            method.aggregate(accepted);
-          } catch (const Error& e) {
-            aggregated = false;
-            round_stats.quarantined +=
-                static_cast<std::uint32_t>(accepted.size());
-            if (tracing) {
-              obs::trace(obs::TraceEvent("fed.quarantine")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("updates", accepted.size())
-                             .field("reason", std::string("aggregate failed: ") +
-                                                  e.what()));
-            }
-          }
-        }
-      }
-      round_stats.aggregate_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        agg_start)
-              .count();
-      aggregate_time.observe(round_stats.aggregate_seconds);
-      if (tracing && aggregated) {
-        obs::trace(obs::TraceEvent("aggregate")
-                       .field("task", task)
-                       .field("round", round)
-                       .field("updates", faults_armed ? accepted.size()
-                                                      : updates.size())
-                       .field("wall_s", round_stats.aggregate_seconds));
-      }
-      commit_round(aggregated ? nullptr
-                              : "aggregation rejected the surviving updates");
-    }
-
-    evaluate_task(method, task, result);
-    if (monitor != nullptr) {
-      monitor->on_eval(static_cast<std::uint32_t>(task),
-                       result.tasks.back().cumulative_accuracy);
-    }
-    if (config_.after_task) config_.after_task(method, task);
-    REFFIL_LOG_INFO << spec.name << " / " << method.name() << ": task "
-                    << (task + 1) << "/" << spec.domains.size() << " ("
-                    << spec.domains[task].name << ") step-acc "
-                    << result.tasks.back().cumulative_accuracy;
-  }
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time)
-          .count();
-  obs::count("fed.runs");
-  obs::count("fed.bytes_down", result.network.bytes_down);
-  obs::count("fed.bytes_up", result.network.bytes_up);
-  obs::count("fed.dropped_updates", result.network.dropped_updates);
-  if (result.network.quarantined != 0) {
-    obs::count("fed.quarantined", result.network.quarantined);
-  }
-  if (result.network.retries != 0) {
-    obs::count("fed.retries", result.network.retries);
-  }
-  if (result.network.timed_out != 0) {
-    obs::count("fed.timed_out", result.network.timed_out);
-  }
-  if (tracing) {
-    obs::trace(obs::TraceEvent("run_end")
-                   .field("method", result.method_name)
-                   .field("dataset", result.dataset_name)
-                   .field("bytes_down", result.network.bytes_down)
-                   .field("bytes_up", result.network.bytes_up)
-                   .field("messages", result.network.messages)
-                   .field("dropped_updates", result.network.dropped_updates)
-                   .field("quarantined", result.network.quarantined)
-                   .field("retries", result.network.retries)
-                   .field("timed_out", result.network.timed_out)
-                   .field("bytes_retransmitted",
-                          result.network.bytes_retransmitted)
-                   .field("compression", result.compression)
-                   .field("bytes_down_raw_equiv",
-                          result.network.bytes_down_raw_equiv)
-                   .field("bytes_up_raw_equiv",
-                          result.network.bytes_up_raw_equiv)
-                   .field("avg_accuracy", result.average_accuracy())
-                   .field("last_accuracy", result.last_accuracy())
-                   .field("wall_s", result.wall_seconds));
-    obs::flush_trace();
-  }
-  // Persist the op-level profile (no-op when no profile sink is armed) so a
-  // profiled run yields a loadable trace even without a clean process exit.
-  obs::prof::flush();
-  if (monitor != nullptr) {
-    // One closing sample so the final time-series row carries the run-end
-    // registry totals (fed.bytes_up etc.), then snapshot health into result.
-    monitor->timeseries().sample(0.0, result.rounds.size());
-    monitor->finalize(result);
-  }
-  return result;
-}
-
-RunResult FederatedRunner::run_des(Method& method) {
-  const auto& spec = config_.spec;
-  const auto start_time = std::chrono::steady_clock::now();
-
-  RunResult result;
-  result.method_name = method.name();
-  result.dataset_name = spec.name;
-  method.configure_compression(config_.compress);
-  result.compression = config_.compress.to_string();
-
-  // Same dense growth schedule underneath (it defines the data shards and
-  // group semantics); the DES layer adds the registered population and the
-  // availability traces on top.
-  DesScheduler scheduler({.initial_clients = spec.initial_clients,
-                          .clients_per_round = spec.clients_per_round,
-                          .client_increment = spec.client_increment,
-                          .transition_fraction = 0.8},
-                         config_.des, config_.seed);
-
-  util::Rng partition_rng(config_.seed ^ 0x9A27171017ULL);
-  util::Rng dropout_rng(config_.seed ^ 0xD20D077ULL);
-  const bool faults_armed = config_.faults.enabled();
-  std::optional<Transport> transport;
-  if (faults_armed) {
-    transport.emplace(config_.faults, config_.seed ^ 0x7A2A4F0B7ULL);
-  }
-  const UpdateValidator update_validator =
-      faults_armed ? method.update_validator() : UpdateValidator();
-
-  // shards[t][shard]: the spec-sized data partition; registered clients map
-  // onto it via ClientAssignment::shard, so data memory is independent of
-  // the registered population.
-  std::vector<std::vector<data::Dataset>> shards(spec.domains.size());
-  auto& pool = util::global_thread_pool();
-
-  const bool tracing = obs::trace_enabled();
-  obs::Counter& rounds_counter = obs::counter("fed.rounds");
-  obs::Histogram& train_time = obs::histogram("fed.round_train_seconds");
-  obs::Histogram& aggregate_time = obs::histogram("fed.aggregate_seconds");
-  if (tracing) {
-    obs::trace(obs::TraceEvent("run_start")
-                   .field("method", result.method_name)
-                   .field("dataset", result.dataset_name)
-                   .field("tasks", spec.domains.size())
-                   .field("rounds_per_task", spec.rounds_per_task)
-                   .field("seed", config_.seed)
-                   .field("registered_clients", config_.des.registered_clients)
-                   .field("sample_per_round", scheduler.sample_per_round()));
-  }
-  // Same observation-only contract as the dense loop: every monitor touch is
-  // guarded by this null check and reads already-computed state.
-  RunMonitor* const monitor = config_.monitor.get();
-  if (monitor != nullptr) {
-    monitor->on_run_start(result.method_name, result.dataset_name,
-                          spec.domains.size(), spec.rounds_per_task);
-  }
-
   std::size_t global_round = 0;
   for (std::size_t task = 0; task < spec.domains.size(); ++task) {
     method.on_task_start(task);
 
-    const std::size_t population = scheduler.data_population(task);
+    // Partition the new domain across the (grown) data population.
+    const std::size_t population = std::visit(
+        [&](const auto& s) { return s.data_population(task); }, scheduler);
     shards[task] = data::quantity_shift_partition(
         train_pool(task), population,
         {.skew = config_.partition_skew, .min_per_client = 4}, partition_rng);
 
     for (std::size_t round = 0; round < spec.rounds_per_task; ++round) {
       const double sim_time =
-          config_.des.round_interval_s * static_cast<double>(global_round++);
-      RoundPlan plan = scheduler.plan_round(task, round, sim_time);
+          round_interval_s * static_cast<double>(global_round++);
+      RoundPlan plan = std::visit(
+          [&](auto& s) { return s.plan_round(task, round, sim_time); },
+          scheduler);
       RoundStats round_stats;
       round_stats.task = static_cast<std::uint32_t>(task);
       round_stats.round = static_cast<std::uint32_t>(round);
       round_stats.selected =
           static_cast<std::uint32_t>(plan.participants.size());
 
-      obs::prof::Span bcast_span("fed.broadcast", round_stats.task,
-                                 round_stats.round);
-      const std::vector<std::uint8_t> broadcast = method.make_broadcast();
-      bcast_span.set_value(broadcast.size());
-      bcast_span.finish();
-      const std::uint64_t bcast_raw = raw_equiv_bytes(broadcast);
-      std::vector<ClientAssignment> reachable;
-      if (!faults_armed) {
-        round_stats.bytes_down = broadcast.size() * plan.participants.size();
-      } else {
-        obs::prof::Span down_span("fed.transport", round_stats.task,
-                                  round_stats.round);
-        const std::vector<std::uint8_t> framed = Transport::frame(broadcast);
-        for (const auto& assignment : plan.participants) {
-          const Transport::Delivery d = transport->send_broadcast(framed);
-          round_stats.bytes_down += d.bytes_transmitted;
-          round_stats.retries += d.retries;
-          round_stats.bytes_retransmitted += d.bytes_retransmitted;
-          if (tracing && (d.retries != 0 || d.duplicates != 0)) {
-            obs::trace(obs::TraceEvent("fed.retry")
-                           .field("task", task)
-                           .field("round", round)
-                           .field("client", assignment.client_id)
-                           .field("direction", "down")
-                           .field("retries", d.retries)
-                           .field("bytes", d.bytes_retransmitted));
-          }
-          if (d.outcome == Transport::Outcome::kDelivered) {
-            reachable.push_back(assignment);
-          } else {
-            ++round_stats.timed_out;
-            if (tracing) {
-              obs::trace(obs::TraceEvent("fed.timeout")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", assignment.client_id)
-                             .field("direction", "down")
-                             .field("reason", d.reason));
-            }
-          }
+      // Every trace event of the round leads with its coordinates.
+      const auto round_event = [&](const char* type) {
+        obs::TraceEvent event(type);
+        event.field("task", task).field("round", round);
+        return event;
+      };
+      const auto count_retries = [&](const Transport::Delivery& d,
+                                     std::size_t client,
+                                     const char* direction) {
+        round_stats.retries += d.retries;
+        round_stats.bytes_retransmitted += d.bytes_retransmitted;
+        if (tracing && (d.retries != 0 || d.duplicates != 0)) {
+          obs::trace(round_event("fed.retry")
+                         .field("client", client)
+                         .field("direction", direction)
+                         .field("retries", d.retries)
+                         .field("bytes", d.bytes_retransmitted));
         }
-        down_span.set_value(round_stats.bytes_down);
-      }
-      result.network.bytes_down += round_stats.bytes_down;
-      result.network.bytes_down_raw_equiv +=
-          bcast_raw * plan.participants.size();
-      result.network.messages += plan.participants.size();
-      if (tracing) {
-        obs::trace(obs::TraceEvent("broadcast")
-                       .field("task", task)
-                       .field("round", round)
-                       .field("participants", plan.participants.size())
-                       .field("payload_bytes", broadcast.size())
-                       .field("bytes_down", round_stats.bytes_down)
-                       .field("sim_time_s", sim_time));
-      }
-      if (faults_armed) plan.participants = std::move(reachable);
-      if (config_.dropout_probability > 0.0) {
-        std::vector<ClientAssignment> alive;
-        for (const auto& assignment : plan.participants) {
-          if (dropout_rng.bernoulli(config_.dropout_probability)) {
-            ++result.network.dropped_updates;
-            ++round_stats.dropped;
-            if (tracing) {
-              obs::trace(obs::TraceEvent("dropout")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", assignment.client_id));
-            }
-          } else {
-            alive.push_back(assignment);
-          }
+      };
+      const auto time_out = [&](std::size_t client, const char* direction,
+                                std::string_view reason) {
+        ++round_stats.timed_out;
+        if (tracing) {
+          obs::trace(round_event("fed.timeout")
+                         .field("client", client)
+                         .field("direction", direction)
+                         .field("reason", reason));
         }
-        plan.participants = std::move(alive);
-      }
+      };
+      const auto quarantine = [&](std::size_t client,
+                                  std::string_view reason) {
+        ++round_stats.quarantined;
+        if (tracing) {
+          obs::trace(round_event("fed.quarantine")
+                         .field("client", client)
+                         .field("reason", reason));
+        }
+      };
+      // Every exit path below accounts the round: the fed.rounds counter,
+      // the per-round fault counters and result.rounds must agree no matter
+      // how the round ends.
       NormAccumulator norm_acc;  // accepted-update norms, monitor-armed only
       const auto commit_round = [&](const char* lost_reason) {
         rounds_counter.add(1);
         if (lost_reason != nullptr && tracing) {
-          obs::trace(obs::TraceEvent("round_lost")
-                         .field("task", task)
-                         .field("round", round)
+          obs::trace(round_event("round_lost")
                          .field("selected", round_stats.selected)
                          .field("dropped", round_stats.dropped)
                          .field("timed_out", round_stats.timed_out)
@@ -708,68 +264,107 @@ RunResult FederatedRunner::run_des(Method& method) {
                             sim_time, norm_acc);
         }
       };
-      if (plan.participants.empty()) {
-        commit_round("no participants survived dropout/transport");
-        continue;
-      }
 
-      // Discrete-event core: each surviving participant becomes one upload
-      // event at its simulated compute-completion offset. A client whose
-      // offset already exceeds the round deadline can never deliver, so it
-      // is cut before training — the server would discard the result, and
-      // skipping the work is what lets deadline-heavy configs scale.
-      struct Event {
-        std::size_t idx = 0;     ///< index into plan.participants
-        double delay_s = 0.0;    ///< upload start offset from round start
-      };
-      std::vector<Event> events;
-      events.reserve(plan.participants.size());
-      const double deadline = faults_armed ? config_.faults.deadline_s : 0.0;
-      for (std::size_t i = 0; i < plan.participants.size(); ++i) {
-        const auto& assignment = plan.participants[i];
-        const double delay =
-            scheduler.upload_delay(assignment.client_id, task, round);
-        if (deadline > 0.0 && delay >= deadline) {
-          ++round_stats.timed_out;
+      // The server broadcasts to every selected participant before it can
+      // know who will drop, so those bytes are metered against the full
+      // selection — including rounds where every participant is later lost.
+      obs::prof::Span bcast_span("fed.broadcast", round_stats.task,
+                                 round_stats.round);
+      const std::vector<std::uint8_t> broadcast = method.make_broadcast();
+      bcast_span.set_value(broadcast.size());
+      bcast_span.finish();
+      if (!faults_armed) {
+        round_stats.bytes_down = broadcast.size() * round_stats.selected;
+      } else {
+        obs::prof::Span down_span("fed.transport", round_stats.task,
+                                  round_stats.round);
+        const std::vector<std::uint8_t> framed = Transport::frame(broadcast);
+        // An unreachable client misses the round whether the broadcast timed
+        // out or exhausted its retry budget — both are straggler cutoffs
+        // from the server's perspective.
+        keep_if(plan.participants, [&](const ClientAssignment& a) {
+          const Transport::Delivery d = transport->send_broadcast(framed);
+          round_stats.bytes_down += d.bytes_transmitted;
+          count_retries(d, a.client_id, "down");
+          if (d.outcome == Transport::Outcome::kDelivered) return true;
+          time_out(a.client_id, "down", d.reason);
+          return false;
+        });
+        down_span.set_value(round_stats.bytes_down);
+      }
+      result.network.bytes_down += round_stats.bytes_down;
+      // What the same broadcast would have cost uncompressed (first attempts
+      // only) — equal to broadcast.size() when compression is off.
+      result.network.bytes_down_raw_equiv +=
+          raw_equiv_bytes(broadcast) * round_stats.selected;
+      result.network.messages += round_stats.selected;
+      if (tracing) {
+        obs::trace(round_event("broadcast")
+                       .field("participants", round_stats.selected)
+                       .field("payload_bytes", broadcast.size())
+                       .field("bytes_down", round_stats.bytes_down)
+                       .field("sim_time_s", sim_time));
+      }
+      // Straggler/dropout simulation: drop participants before training so
+      // the federation neither waits for nor aggregates their updates.
+      if (config_.dropout_probability > 0.0) {
+        keep_if(plan.participants, [&](const ClientAssignment& a) {
+          if (!dropout_rng.bernoulli(config_.dropout_probability)) return true;
+          ++result.network.dropped_updates;
+          ++round_stats.dropped;
           if (tracing) {
-            obs::trace(obs::TraceEvent("fed.timeout")
-                           .field("task", task)
-                           .field("round", round)
-                           .field("client", assignment.client_id)
-                           .field("direction", "up")
-                           .field("reason",
-                                  "round closed before local compute finished"));
+            obs::trace(round_event("dropout").field("client", a.client_id));
           }
-          continue;
-        }
-        events.push_back({i, delay});
+          return false;
+        });
       }
-      std::sort(events.begin(), events.end(),
-                [](const Event& a, const Event& b) {
-                  return a.delay_s != b.delay_s ? a.delay_s < b.delay_s
-                                                : a.idx < b.idx;
-                });
-      if (events.empty()) {
-        commit_round("every upload was cut by the round deadline");
+      // Each survivor starts its upload at its simulated compute-completion
+      // offset (0 in dense runs). One whose offset already passes the round
+      // deadline can never deliver, so it is cut before training — the
+      // server would discard the result, and skipping the work is what lets
+      // deadline-heavy configs scale. (A deadline arms the transport.)
+      const double deadline = config_.faults.deadline_s;
+      if (deadline > 0.0) {
+        keep_if(plan.participants, [&](const ClientAssignment& a) {
+          if (a.upload_delay_s < deadline) return true;
+          time_out(a.client_id, "up",
+                   "round closed before local compute finished");
+          return false;
+        });
+      }
+      if (plan.participants.empty()) {  // whole round lost before training
+        commit_round("no participant survived transport, dropout or deadline");
         continue;
       }
+      // Train, upload and fold in simulated arrival order. Ties keep plan
+      // order, so zero delays leave a dense cohort as drawn.
+      std::stable_sort(
+          plan.participants.begin(), plan.participants.end(),
+          [](const ClientAssignment& a, const ClientAssignment& b) {
+            return a.upload_delay_s < b.upload_delay_s;
+          });
 
-      // Streaming aggregation: updates fold into the sharded accumulator as
-      // they arrive and their payloads die with the wave, so peak memory is
-      // O(wave x payload + shards x model) — never O(cohort). Methods
-      // without a sink fall back to buffering (batch aggregate()).
-      std::unique_ptr<AggregationSink> sink =
-          method.begin_streaming_aggregate(config_.des.accumulator_shards);
+      // Fold policy. DES rounds train in waves of 4 x parallelism and stream
+      // each update into a sharded accumulator as it arrives, so payloads
+      // die with their wave and server memory stays O(wave x payload +
+      // shards x model) however large the cohort. Dense rounds train the
+      // whole cohort as one wave and fold it with the buffered aggregate(),
+      // which keeps federated_average's summation order. A method without
+      // a sink buffers in either mode.
+      std::unique_ptr<AggregationSink> sink;
+      if (des) {
+        sink = method.begin_streaming_aggregate(config_.des.accumulator_shards);
+      }
+      const std::size_t cohort = plan.participants.size();
+      const std::size_t wave_size =
+          des ? std::max<std::size_t>(1, parallelism_) * 4 : cohort;
       std::vector<ClientUpdate> buffered;
-
       double aggregate_seconds = 0.0;
       obs::prof::Span round_span("fed.train_round", round_stats.task,
                                  round_stats.round);
-      const std::size_t wave_size =
-          std::max<std::size_t>(1, parallelism_) * 4;
-      for (std::size_t begin = 0; begin < events.size(); begin += wave_size) {
-        const std::size_t end = std::min(events.size(), begin + wave_size);
-        const std::size_t count = end - begin;
+      for (std::size_t begin = 0; begin < cohort; begin += wave_size) {
+        const std::size_t count = std::min(cohort - begin, wave_size);
+        const ClientAssignment* const wave = plan.participants.data() + begin;
         std::vector<ClientUpdate> updates(count);
         std::vector<double> client_seconds(count, 0.0);
         std::vector<std::size_t> slots(count);
@@ -778,8 +373,7 @@ RunResult FederatedRunner::run_des(Method& method) {
         train_on_slots(pool, count, parallelism_,
                        [&](std::size_t i, std::size_t slot) {
           slots[i] = slot;
-          const Event& event = events[begin + i];
-          const ClientAssignment& assignment = plan.participants[event.idx];
+          const ClientAssignment& assignment = wave[i];
           TrainJob job;
           job.worker_slot = slot;
           job.client_id = assignment.client_id;
@@ -812,109 +406,85 @@ RunResult FederatedRunner::run_des(Method& method) {
                                           wave_start)
                 .count();
 
-        // Uplink + fold, in simulated arrival order within the wave.
+        // Uplink: meter each update — through the fault transport when
+        // armed — and fold the survivors. The per-client `client_train` trace
+        // carries the metered wire bytes so trace sums still reconcile
+        // exactly with NetworkStats under retries/duplicates.
         for (std::size_t i = 0; i < count; ++i) {
-          const Event& event = events[begin + i];
-          const ClientAssignment& assignment = plan.participants[event.idx];
+          const ClientAssignment& assignment = wave[i];
           std::uint64_t wire_bytes = updates[i].payload.size();
+          // Raw equivalent BEFORE the transport can damage/replace the
+          // payload — the logical content is what the client produced.
           result.network.bytes_up_raw_equiv +=
               raw_equiv_bytes(updates[i].payload);
           bool delivered = true;
           if (faults_armed) {
-            Transport::Delivery d = transport->send_update(
-                updates[i].payload, update_validator, event.delay_s);
+            Transport::Delivery d =
+                transport->send_update(updates[i].payload, update_validator,
+                                       assignment.upload_delay_s);
             wire_bytes = d.bytes_transmitted;
-            round_stats.retries += d.retries;
-            round_stats.bytes_retransmitted += d.bytes_retransmitted;
-            if (tracing && (d.retries != 0 || d.duplicates != 0)) {
-              obs::trace(obs::TraceEvent("fed.retry")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", assignment.client_id)
-                             .field("direction", "up")
-                             .field("retries", d.retries)
-                             .field("bytes", d.bytes_retransmitted));
-            }
+            count_retries(d, assignment.client_id, "up");
             switch (d.outcome) {
               case Transport::Outcome::kDelivered:
+                // A poisoned-at-source payload that still validated is
+                // delivered as the damaged bytes the server actually saw.
                 if (!d.payload.empty()) {
                   updates[i].payload = std::move(d.payload);
                 }
                 break;
               case Transport::Outcome::kTimedOut:
                 delivered = false;
-                ++round_stats.timed_out;
-                if (tracing) {
-                  obs::trace(obs::TraceEvent("fed.timeout")
-                                 .field("task", task)
-                                 .field("round", round)
-                                 .field("client", assignment.client_id)
-                                 .field("direction", "up")
-                                 .field("reason", d.reason));
-                }
+                time_out(assignment.client_id, "up", d.reason);
                 break;
               case Transport::Outcome::kQuarantined:
                 delivered = false;
-                ++round_stats.quarantined;
-                if (tracing) {
-                  obs::trace(obs::TraceEvent("fed.quarantine")
-                                 .field("task", task)
-                                 .field("round", round)
-                                 .field("client", assignment.client_id)
-                                 .field("reason", d.reason));
-                }
+                quarantine(assignment.client_id, d.reason);
                 break;
             }
           }
           round_stats.bytes_up += wire_bytes;
           ++result.network.messages;
           if (tracing) {
-            obs::trace(obs::TraceEvent("client_train")
-                           .field("task", task)
-                           .field("round", round)
+            obs::trace(round_event("client_train")
                            .field("client", assignment.client_id)
                            .field("shard", assignment.shard)
                            .field("group", to_string(assignment.group))
                            .field("slot", slots[i])
                            .field("wall_s", client_seconds[i])
-                           .field("sim_start_s", event.delay_s)
+                           .field("sim_start_s", assignment.upload_delay_s)
                            .field("samples", updates[i].num_samples)
                            .field("bytes_up", wire_bytes));
           }
           if (!delivered) continue;
           if (monitor != nullptr) {
+            // Feed the drift detector the norm of what the server will
+            // aggregate (post-transport bytes). Read-only, so the training
+            // path is untouched with or without a monitor.
             if (const auto norm = update_state_l2_norm(updates[i].payload)) {
               norm_acc.add(*norm);
             }
           }
-          if (sink) {
-            const auto add_start = std::chrono::steady_clock::now();
-            try {
-              sink->add(updates[i]);
-            } catch (const Error& e) {
-              // A validated frame can still carry extras the streaming
-              // decode rejects; quarantine that single update, not the
-              // round.
-              ++round_stats.quarantined;
-              if (tracing) {
-                obs::trace(obs::TraceEvent("fed.quarantine")
-                               .field("task", task)
-                               .field("round", round)
-                               .field("client", assignment.client_id)
-                               .field("reason",
-                                      std::string("aggregation rejected: ") +
-                                          e.what()));
-              }
-            }
-            aggregate_seconds +=
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - add_start)
-                    .count();
-          } else {
+          if (!sink) {
             buffered.push_back(std::move(updates[i]));
+            continue;
           }
+          const auto add_start = std::chrono::steady_clock::now();
+          try {
+            sink->add(updates[i]);
+          } catch (const Error& e) {
+            // Only the armed transport delivers bytes the server did not
+            // produce. Such a frame can validate and still carry extras the
+            // streaming decode rejects: quarantine that update, not the
+            // round.
+            if (!faults_armed) throw;
+            quarantine(assignment.client_id,
+                       std::string("aggregation rejected: ") + e.what());
+          }
+          aggregate_seconds += std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - add_start)
+                                   .count();
         }
-        if (monitor != nullptr) {
+        if (monitor != nullptr && begin + count < cohort) {
           // Long rounds over huge cohorts would otherwise leave the live
           // view stale between round boundaries; sample on a wall-clock
           // cadence while waves drain (no-op within the interval).
@@ -925,8 +495,10 @@ RunResult FederatedRunner::run_des(Method& method) {
       train_time.observe(round_stats.train_seconds);
       result.network.bytes_up += round_stats.bytes_up;
 
-      const std::size_t accepted_count = sink ? sink->count() : buffered.size();
-      if (accepted_count == 0) {
+      const std::size_t accepted = sink ? sink->count() : buffered.size();
+      if (accepted == 0) {
+        // Every survivor of dropout was then lost in transit: degrade
+        // gracefully by carrying the previous global state into next round.
         commit_round("every update timed out or was quarantined");
         continue;
       }
@@ -942,13 +514,17 @@ RunResult FederatedRunner::run_des(Method& method) {
             method.aggregate(buffered);
           }
         } catch (const Error& e) {
+          // validate_state_prefix certifies the leading ModelState only; a
+          // corrupt method-specific extra can still surface here. Under the
+          // armed transport, quarantine the whole batch rather than crash —
+          // the global state is carried forward, exactly as for a
+          // fully-dropped round.
+          if (!faults_armed) throw;
           aggregated = false;
-          round_stats.quarantined += static_cast<std::uint32_t>(accepted_count);
+          round_stats.quarantined += static_cast<std::uint32_t>(accepted);
           if (tracing) {
-            obs::trace(obs::TraceEvent("fed.quarantine")
-                           .field("task", task)
-                           .field("round", round)
-                           .field("updates", accepted_count)
+            obs::trace(round_event("fed.quarantine")
+                           .field("updates", accepted)
                            .field("reason", std::string("aggregate failed: ") +
                                                 e.what()));
           }
@@ -961,10 +537,8 @@ RunResult FederatedRunner::run_des(Method& method) {
       round_stats.aggregate_seconds = aggregate_seconds;
       aggregate_time.observe(round_stats.aggregate_seconds);
       if (tracing && aggregated) {
-        obs::trace(obs::TraceEvent("aggregate")
-                       .field("task", task)
-                       .field("round", round)
-                       .field("updates", accepted_count)
+        obs::trace(round_event("aggregate")
+                       .field("updates", accepted)
                        .field("wall_s", round_stats.aggregate_seconds));
       }
       commit_round(aggregated ? nullptr
@@ -991,11 +565,6 @@ RunResult FederatedRunner::run_des(Method& method) {
   obs::count("fed.bytes_down", result.network.bytes_down);
   obs::count("fed.bytes_up", result.network.bytes_up);
   obs::count("fed.dropped_updates", result.network.dropped_updates);
-  obs::count("des.participations", scheduler.total_participations());
-  obs::count("des.unique_participants", scheduler.unique_participants());
-  if (scheduler.forced_rounds() != 0) {
-    obs::count("des.forced_rounds", scheduler.forced_rounds());
-  }
   if (result.network.quarantined != 0) {
     obs::count("fed.quarantined", result.network.quarantined);
   }
@@ -1005,14 +574,24 @@ RunResult FederatedRunner::run_des(Method& method) {
   if (result.network.timed_out != 0) {
     obs::count("fed.timed_out", result.network.timed_out);
   }
+  if (des_scheduler != nullptr) {
+    obs::count("des.participations", des_scheduler->total_participations());
+    obs::count("des.unique_participants", des_scheduler->unique_participants());
+    if (des_scheduler->forced_rounds() != 0) {
+      obs::count("des.forced_rounds", des_scheduler->forced_rounds());
+    }
+    if (tracing) {
+      obs::trace(
+          obs::TraceEvent("des_summary")
+              .field("registered_clients", config_.des.registered_clients)
+              .field("sample_per_round", des_scheduler->sample_per_round())
+              .field("participations", des_scheduler->total_participations())
+              .field("unique_participants",
+                     des_scheduler->unique_participants())
+              .field("forced_rounds", des_scheduler->forced_rounds()));
+    }
+  }
   if (tracing) {
-    obs::trace(obs::TraceEvent("des_summary")
-                   .field("registered_clients", config_.des.registered_clients)
-                   .field("sample_per_round", scheduler.sample_per_round())
-                   .field("participations", scheduler.total_participations())
-                   .field("unique_participants",
-                          scheduler.unique_participants())
-                   .field("forced_rounds", scheduler.forced_rounds()));
     obs::trace(obs::TraceEvent("run_end")
                    .field("method", result.method_name)
                    .field("dataset", result.dataset_name)
@@ -1035,10 +614,14 @@ RunResult FederatedRunner::run_des(Method& method) {
                    .field("wall_s", result.wall_seconds));
     obs::flush_trace();
   }
+  // Persist the op-level profile (no-op when no profile sink is armed) so a
+  // profiled run yields a loadable trace even without a clean process exit.
   obs::prof::flush();
   if (monitor != nullptr) {
+    // One closing sample so the final time-series row carries the run-end
+    // registry totals (fed.bytes_up etc.), then snapshot health into result.
     monitor->timeseries().sample(
-        config_.des.round_interval_s * static_cast<double>(global_round),
+        round_interval_s * static_cast<double>(global_round),
         result.rounds.size());
     monitor->finalize(result);
   }

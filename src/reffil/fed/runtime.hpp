@@ -51,9 +51,10 @@ struct RunConfig {
   /// from `seed`, so armed runs are exactly reproducible too.
   FaultProfile faults;
   /// Discrete-event federation (see fed/scheduler.hpp). Disabled by default:
-  /// the dense every-client-every-round loop runs unchanged. When enabled,
-  /// rounds are simulated on a virtual clock — participants are sampled from
-  /// a registered population far larger than the data population, gated by
+  /// cohorts are then drawn from the data population with zero upload
+  /// delays and folded with the buffered aggregate(). When enabled, the same
+  /// round loop runs on a virtual clock — participants are sampled from a
+  /// registered population far larger than the data population, gated by
   /// availability traces, trained in bounded waves ordered by simulated
   /// arrival, and streamed into a sharded FedAvg accumulator so server
   /// memory stays flat no matter how many clients a round samples.
@@ -157,7 +158,9 @@ class FederatedRunner {
  public:
   explicit FederatedRunner(RunConfig config);
 
-  /// Run the full T-task curriculum with the given method.
+  /// Run the full T-task curriculum with the given method. Dense and
+  /// discrete-event runs (RunConfig::des) share this one round loop; only
+  /// the round plan and the fold policy differ.
   RunResult run(Method& method);
 
   /// Test split for a domain (cached) — exposed for analysis/benches.
@@ -166,10 +169,6 @@ class FederatedRunner {
   const RunConfig& config() const { return config_; }
 
  private:
-  /// The discrete-event round loop (RunConfig::des enabled). Same curriculum,
-  /// metering, and trace-event shapes as the dense loop; only participation,
-  /// timing, and aggregation memory behavior differ.
-  RunResult run_des(Method& method);
   void evaluate_task(Method& method, std::size_t task, RunResult& result);
   data::Dataset train_pool(std::size_t task) const;
 

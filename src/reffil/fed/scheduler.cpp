@@ -30,7 +30,7 @@ ClientIncrementScheduler::ClientIncrementScheduler(SchedulerConfig config,
       "scheduler: transition fraction must be in [0,1]");
 }
 
-std::size_t ClientIncrementScheduler::clients_at_task(std::size_t task) const {
+std::size_t ClientIncrementScheduler::data_population(std::size_t task) const {
   return config_.initial_clients + task * config_.client_increment;
 }
 
@@ -43,8 +43,9 @@ std::size_t ClientIncrementScheduler::join_task(std::size_t client_id) const {
 }
 
 RoundPlan ClientIncrementScheduler::plan_round(std::size_t task,
-                                               std::size_t round) {
-  const std::size_t population = clients_at_task(task);
+                                               std::size_t round,
+                                               double /*sim_time_s*/) {
+  const std::size_t population = data_population(task);
   // The constructor only checked against initial_clients; a shrinking or
   // misconfigured schedule could still present a task whose population is
   // smaller than the cohort, so validate against the population actually
@@ -296,6 +297,7 @@ RoundPlan DesScheduler::plan_round(std::size_t task, std::size_t round,
     ClientAssignment assignment;
     assignment.client_id = client_id;
     assignment.shard = client_id % shards;
+    assignment.upload_delay_s = upload_delay(client_id, task, round);
     // Group draw is a pure hash of (client, task, round) so it matches the
     // dense semantics (redrawn each round, transition_fraction of old
     // clients move on) while staying history-independent.

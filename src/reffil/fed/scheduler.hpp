@@ -32,6 +32,11 @@ struct ClientAssignment {
   /// scheduler folds a registered population far larger than the data
   /// population onto the spec's shards (client_id mod shards-at-task).
   std::size_t shard = 0;
+  /// Simulated seconds from receiving the broadcast to starting the upload
+  /// (compute time, jitter, straggler penalty). The runner trains, uploads
+  /// and folds a round in this order and cuts clients whose delay passes
+  /// the round deadline. Always 0 from the dense scheduler.
+  double upload_delay_s = 0.0;
 };
 
 struct RoundPlan {
@@ -51,14 +56,18 @@ class ClientIncrementScheduler {
  public:
   ClientIncrementScheduler(SchedulerConfig config, std::uint64_t seed);
 
-  /// Total clients present during task t (0-based).
-  std::size_t clients_at_task(std::size_t task) const;
+  /// Total clients present during task t (0-based); each holds one data
+  /// shard.
+  std::size_t data_population(std::size_t task) const;
 
   /// The task at which a client joined the federation (0-based).
   std::size_t join_task(std::size_t client_id) const;
 
-  /// Draw the participant set and group assignment for one round.
-  RoundPlan plan_round(std::size_t task, std::size_t round);
+  /// Draw the participant set and group assignment for one round. The dense
+  /// federation has no virtual clock, so `sim_time_s` is ignored; it is
+  /// there so both schedulers take the same calls.
+  RoundPlan plan_round(std::size_t task, std::size_t round,
+                       double sim_time_s = 0.0);
 
  private:
   SchedulerConfig config_;
@@ -68,10 +77,13 @@ class ClientIncrementScheduler {
 /// Knobs of the discrete-event federation. A registered population far larger
 /// than the data population is sampled per round; availability traces
 /// (diurnal cycles, churn, stragglers) gate who can be drawn and how late
-/// their uploads land. The default-constructed config is disabled: the dense
-/// every-client-every-round loop remains the runner's default path.
+/// their uploads land. The default-constructed config is disabled: the runner
+/// then plans rounds with the dense ClientIncrementScheduler. Either way the
+/// runner drives the same round loop; only the round plan (this scheduler
+/// or the dense one) and the fold policy (streaming sink or buffered
+/// aggregate) change.
 struct DesConfig {
-  /// Size of the registered population; 0 disables the DES path entirely.
+  /// Size of the registered population; 0 disables discrete-event federation.
   std::size_t registered_clients = 0;
   /// Participants drawn per round; 0 means "use spec.clients_per_round".
   std::size_t sample_per_round = 0;
@@ -153,7 +165,8 @@ class DesScheduler {
   /// simulated time `sim_time_s`. Rejection-samples without replacement and
   /// falls back to a deterministic scan when availability is sparse; if
   /// nobody at all is available the draw ignores availability rather than
-  /// stalling the round (counted in forced_rounds()).
+  /// stalling the round (counted in forced_rounds()). Each participant's
+  /// upload_delay_s is filled from upload_delay().
   RoundPlan plan_round(std::size_t task, std::size_t round, double sim_time_s);
 
   /// Number of distinct registered clients that have participated so far.

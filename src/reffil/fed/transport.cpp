@@ -180,8 +180,8 @@ void Transport::poison_floats(std::vector<std::uint8_t>& payload) {
 }
 
 Transport::Delivery Transport::send_broadcast(
-    const std::vector<std::uint8_t>& framed, double start_s) {
-  return deliver(framed, nullptr, start_s);
+    const std::vector<std::uint8_t>& framed) {
+  return deliver(framed, nullptr, 0.0);
 }
 
 Transport::Delivery Transport::send_update(

@@ -127,16 +127,16 @@ class Transport {
 
   /// Deliver a pre-framed broadcast to one client (wire faults only; the
   /// caller frames once and fans out, so per-client attempts reuse the same
-  /// bytes). `start_s` is the simulated clock offset at which transmission
-  /// begins, counted against the round deadline — the discrete-event runner
-  /// passes each client's availability/compute delay here; the dense runner
-  /// leaves it at 0, keeping its behavior bitwise-identical.
-  Delivery send_broadcast(const std::vector<std::uint8_t>& framed,
-                          double start_s = 0.0);
+  /// bytes). Broadcasts go out at the start of the round, so transmission
+  /// starts at simulated time 0 and every attempt counts against the round
+  /// deadline from there.
+  Delivery send_broadcast(const std::vector<std::uint8_t>& framed);
 
   /// Deliver one client update to the server: optional source poisoning,
   /// framing, wire faults, then `validator` on the received payload.
-  /// `start_s` as in send_broadcast.
+  /// `start_s` is the simulated clock offset at which transmission begins,
+  /// counted against the round deadline: the runner passes the client's
+  /// upload delay (ClientAssignment::upload_delay_s, 0 in dense runs).
   Delivery send_update(const std::vector<std::uint8_t>& payload,
                        const Validator& validator, double start_s = 0.0);
 

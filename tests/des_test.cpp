@@ -405,8 +405,17 @@ TEST(DesRuntime, SameSeedReproducesTheRunExactly) {
 TEST(DesRuntime, SampleEqualToPopulationMatchesTheDenseRun) {
   // With the registered population equal to the data population, everyone
   // available, and the sample covering the whole fleet, the DES run trains
-  // the same client set on the same shards as the dense loop; accuracies
-  // agree up to aggregation summation order.
+  // the same client set on the same shards as the dense run. Accuracies
+  // still cannot match exactly while the dense fold keeps its bits, for two
+  // reasons:
+  //  * the dense run folds its cohort in Fisher-Yates draw order
+  //    (Rng::sample_without_replacement), while DES sorts its cohort by
+  //    client id (DesScheduler::plan_round);
+  //  * federated_average scales each term by w/total before summing, while
+  //    ShardedFedAvg sums w*x and scales once at the end.
+  // Float addition is not associative, so both change the low bits of the
+  // global model. Matching them would change the dense fold and with it the
+  // committed benchmark reference, so the bound stays at 0.1 pt.
   const auto spec = tiny_spec();
   harness::ExperimentConfig config;
   config.parallelism = 1;

@@ -60,9 +60,9 @@ TEST(Scheduler, PopulationGrowsWithTasks) {
   F::ClientIncrementScheduler scheduler(
       {.initial_clients = 20, .clients_per_round = 10, .client_increment = 2},
       1);
-  EXPECT_EQ(scheduler.clients_at_task(0), 20u);
-  EXPECT_EQ(scheduler.clients_at_task(1), 22u);
-  EXPECT_EQ(scheduler.clients_at_task(4), 28u);
+  EXPECT_EQ(scheduler.data_population(0), 20u);
+  EXPECT_EQ(scheduler.data_population(1), 22u);
+  EXPECT_EQ(scheduler.data_population(4), 28u);
 }
 
 TEST(Scheduler, JoinTaskInverseOfGrowth) {
@@ -93,7 +93,7 @@ TEST(Scheduler, SelectionIsWithoutReplacementAndInRange) {
     const auto plan = scheduler.plan_round(task, 0);
     std::set<std::size_t> ids;
     for (const auto& p : plan.participants) {
-      EXPECT_LT(p.client_id, scheduler.clients_at_task(task));
+      EXPECT_LT(p.client_id, scheduler.data_population(task));
       ids.insert(p.client_id);
     }
     EXPECT_EQ(ids.size(), plan.participants.size());

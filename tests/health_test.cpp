@@ -33,7 +33,6 @@ fed::RoundObservation round_obs(std::uint64_t global_round) {
   o.round = static_cast<std::uint32_t>(global_round - 1);
   o.global_round = global_round;
   o.selected = 10;
-  o.accepted = 10;
   return o;
 }
 

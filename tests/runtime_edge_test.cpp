@@ -1,9 +1,13 @@
 // Edge-path tests for the federated runtime and logging: total-dropout
-// rounds, single-client federations, and the log-level plumbing.
+// rounds, single-client federations, the aggregation-error policy, and the
+// log-level plumbing.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "reffil/fed/runtime.hpp"
 #include "reffil/harness/experiment.hpp"
+#include "reffil/util/error.hpp"
 #include "reffil/util/logging.hpp"
 
 using namespace reffil;
@@ -28,7 +32,92 @@ data::DatasetSpec one_domain_spec() {
   spec.learning_rate = 0.03f;
   return spec;
 }
+
+/// Forwards to a real method, except that the server-side fold rejects every
+/// update: aggregate() and the streaming sink's add() throw.
+class RejectingFold : public fed::Method {
+ public:
+  explicit RejectingFold(std::unique_ptr<fed::Method> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void on_task_start(std::size_t task) override { inner_->on_task_start(task); }
+  std::vector<std::uint8_t> make_broadcast() override {
+    return inner_->make_broadcast();
+  }
+  fed::ClientUpdate train_client(const std::vector<std::uint8_t>& broadcast,
+                                 const fed::TrainJob& job) override {
+    return inner_->train_client(broadcast, job);
+  }
+  void aggregate(const std::vector<fed::ClientUpdate>&) override {
+    throw SerializationError("rejected by the fold");
+  }
+  fed::UpdateValidator update_validator() const override {
+    return inner_->update_validator();
+  }
+  std::unique_ptr<fed::AggregationSink> begin_streaming_aggregate(
+      std::size_t) override {
+    struct Sink : fed::AggregationSink {
+      void add(const fed::ClientUpdate&) override {
+        throw SerializationError("rejected by the fold");
+      }
+      std::size_t count() const override { return 0; }
+      void finish() override {}
+    };
+    return std::make_unique<Sink>();
+  }
+  void prepare_eval() override { inner_->prepare_eval(); }
+  std::size_t predict(std::size_t slot, const tensor::Tensor& image) override {
+    return inner_->predict(slot, image);
+  }
+  tensor::Tensor eval_feature(std::size_t slot,
+                              const tensor::Tensor& image) override {
+    return inner_->eval_feature(slot, image);
+  }
+
+ private:
+  std::unique_ptr<fed::Method> inner_;
+};
+
+fed::RunResult run_rejecting(const fed::FaultProfile& faults,
+                             const fed::DesConfig& des) {
+  const auto spec = one_domain_spec();
+  harness::ExperimentConfig config;
+  config.parallelism = 1;
+  RejectingFold method(
+      harness::make_method(harness::MethodKind::kFinetune, spec, config));
+  fed::RunConfig run;
+  run.spec = spec;
+  run.parallelism = 1;
+  run.seed = 5;
+  run.faults = faults;
+  run.des = des;
+  fed::FederatedRunner runner(std::move(run));
+  return runner.run(method);
+}
 }  // namespace
+
+TEST(RuntimeEdge, AggregationErrorsAreQuarantinedOnlyUnderAnArmedTransport) {
+  // Only the armed transport delivers bytes the server did not produce, so
+  // only then is a fold error the payload's fault: quarantine and carry the
+  // global state forward. Without it the error is a bug and must surface —
+  // in dense (buffered aggregate) and DES (streaming sink) runs alike.
+  const auto armed = fed::FaultProfile::parse("deadline=1e9");
+  const auto des = fed::DesConfig::parse("registered=50,sample=3");
+  const auto spec = one_domain_spec();
+
+  const auto dense = run_rejecting(armed, {});
+  // aggregate() threw: the whole batch of each round is quarantined.
+  EXPECT_EQ(dense.network.quarantined,
+            spec.rounds_per_task * spec.clients_per_round);
+  const auto sampled = run_rejecting(armed, des);
+  // sink->add() threw: each update is quarantined on its own.
+  EXPECT_EQ(sampled.network.quarantined, spec.rounds_per_task * 3);
+  ASSERT_EQ(sampled.tasks.size(), 1u);
+
+  EXPECT_THROW(run_rejecting({}, {}), SerializationError);
+  EXPECT_THROW(run_rejecting({}, des), SerializationError);
+}
 
 TEST(RuntimeEdge, TotalDropoutSkipsEveryRoundButStillEvaluates) {
   const auto spec = one_domain_spec();
