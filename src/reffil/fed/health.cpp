@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "reffil/fed/runtime.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/obs.hpp"
 
@@ -89,23 +88,17 @@ HealthMonitor::HealthMonitor(MonitorConfig config)
 void HealthMonitor::fire(const RoundObservation& o, std::string detector,
                          double value, double threshold, std::string detail,
                          std::vector<HealthEvent>& out) {
-  HealthEvent event;
-  event.task = o.task;
-  event.round = o.round;
-  event.global_round = o.global_round;
-  event.detector = std::move(detector);
-  event.value = value;
-  event.threshold = threshold;
-  event.detail = std::move(detail);
+  HealthEvent event{.task = o.task,
+                    .round = o.round,
+                    .global_round = o.global_round,
+                    .detector = std::move(detector),
+                    .value = value,
+                    .threshold = threshold,
+                    .detail = std::move(detail)};
   if (obs::trace_enabled()) {
-    obs::trace(obs::TraceEvent("health")
-                   .field("detector", event.detector)
-                   .field("task", event.task)
-                   .field("round", event.round)
-                   .field("global_round", event.global_round)
-                   .field("value", event.value)
-                   .field("threshold", event.threshold)
-                   .field("detail", event.detail));
+    obs::TraceEvent trace_event("health");
+    util::json_members(trace_event.writer(), event);
+    obs::trace(trace_event);
   }
   reason_ = event.detector + ": " + event.detail;
   last_fire_seen_ = rounds_seen_;
@@ -231,129 +224,39 @@ std::vector<HealthEvent> HealthMonitor::events() const {
 
 // ---- ProgressSnapshot / ProgressBoard --------------------------------------
 
-namespace {
-
-void json_kv(std::string& out, const char* key, std::uint64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void json_kv(std::string& out, const char* key, double v) {
-  char buf[48];
-  if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "null");
-  }
-  out += '"';
-  out += key;
-  out += "\":";
-  out += buf;
-}
-
-void json_kv(std::string& out, const char* key, const std::string& v) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  obs::json_escape(out, v);
-  out += '"';
-}
-
-void json_kv(std::string& out, const char* key, bool v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += v ? "true" : "false";
-}
-
-}  // namespace
-
 std::string ProgressSnapshot::render_json() const {
-  std::string out = "{";
-  json_kv(out, "method", method);
-  out += ',';
-  json_kv(out, "dataset", dataset);
-  out += ',';
-  json_kv(out, "tasks_total", tasks_total);
-  out += ',';
-  json_kv(out, "rounds_per_task", rounds_per_task);
-  out += ',';
-  json_kv(out, "task", task);
-  out += ',';
-  json_kv(out, "round_in_task", round_in_task);
-  out += ',';
-  json_kv(out, "rounds_done", rounds_done);
-  out += ',';
-  json_kv(out, "rounds_total", rounds_total);
-  out += ',';
-  json_kv(out, "participants", participants);
-  out += ',';
-  json_kv(out, "bytes_down", bytes_down);
-  out += ',';
-  json_kv(out, "bytes_up", bytes_up);
-  out += ',';
-  json_kv(out, "bytes_down_raw_equiv", bytes_down_raw_equiv);
-  out += ',';
-  json_kv(out, "bytes_up_raw_equiv", bytes_up_raw_equiv);
-  out += ',';
-  json_kv(out, "messages", messages);
-  out += ',';
-  json_kv(out, "dropped", dropped);
-  out += ',';
-  json_kv(out, "quarantined", quarantined);
-  out += ',';
-  json_kv(out, "retries", retries);
-  out += ',';
-  json_kv(out, "timed_out", timed_out);
-  out += ',';
-  json_kv(out, "bytes_retransmitted", bytes_retransmitted);
-  out += ',';
-  json_kv(out, "round_p50_s", round_p50_s);
-  out += ',';
-  json_kv(out, "round_p95_s", round_p95_s);
-  out += ',';
-  json_kv(out, "round_p99_s", round_p99_s);
-  out += ",\"task_accuracy\":[";
-  for (std::size_t i = 0; i < task_accuracy.size(); ++i) {
-    if (i != 0) out += ',';
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", task_accuracy[i]);
-    out += buf;
-  }
-  out += "],";
-  json_kv(out, "sim_time_s", sim_time_s);
-  out += ',';
-  json_kv(out, "wall_seconds", wall_seconds);
-  out += ',';
-  json_kv(out, "done", done);
-  out += ',';
-  json_kv(out, "healthy", healthy);
-  out += ',';
-  json_kv(out, "health_reason", health_reason);
-  out += ",\"alerts\":[";
-  for (std::size_t i = 0; i < alerts.size(); ++i) {
-    if (i != 0) out += ',';
-    const HealthEvent& e = alerts[i];
-    out += '{';
-    json_kv(out, "detector", e.detector);
-    out += ',';
-    json_kv(out, "task", static_cast<std::uint64_t>(e.task));
-    out += ',';
-    json_kv(out, "round", static_cast<std::uint64_t>(e.round));
-    out += ',';
-    json_kv(out, "global_round", e.global_round);
-    out += ',';
-    json_kv(out, "value", e.value);
-    out += ',';
-    json_kv(out, "threshold", e.threshold);
-    out += ',';
-    json_kv(out, "detail", e.detail);
-    out += '}';
-  }
-  out += "]}";
-  return out;
+  obs::JsonWriter w;
+  util::json_value(w, *this);
+  return w.str();
+}
+
+std::vector<obs::expo::ExtraMetric> run_extras(const ProgressSnapshot& p) {
+  std::vector<obs::expo::ExtraMetric> extras;
+  const auto add = [&](std::string name, std::string help, const char* type,
+                       double v) {
+    extras.push_back({"reffil_run_" + name, std::move(help), type, {}, v});
+  };
+  extras.push_back({"reffil_run_info",
+                    "run identity",
+                    "gauge",
+                    {{"method", p.method}, {"dataset", p.dataset}},
+                    1.0});
+  add("rounds", "committed rounds this run", "counter",
+      static_cast<double>(p.rounds_done));
+  add("participants", "cumulative selected participants", "counter",
+      static_cast<double>(p.participants));
+  util::for_each_field(p.network, [&](const char* name, std::uint64_t v) {
+    add(name, std::string("RunResult::network.") + name, "counter",
+        static_cast<double>(v));
+  });
+  add("alerts", "health detector firings", "counter",
+      static_cast<double>(p.alerts.size()));
+  add("task", "current task index", "gauge", static_cast<double>(p.task));
+  add("round_p95_seconds", "p95 round train+aggregate seconds", "gauge",
+      p.round_p95_s);
+  add("healthy", "1 while /healthz is ok", "gauge", p.healthy ? 1.0 : 0.0);
+  add("done", "1 once the run finished", "gauge", p.done ? 1.0 : 0.0);
+  return extras;
 }
 
 void ProgressBoard::update(ProgressSnapshot snap) {
@@ -394,20 +297,15 @@ void RunMonitor::on_round(const RunResult& result, const RoundStats& round,
   global_round_ = global_round;
   round_latency_.observe(round.train_seconds + round.aggregate_seconds);
 
-  RoundObservation o;
-  o.task = round.task;
-  o.round = round.round;
-  o.global_round = global_round;
-  o.selected = round.selected;
-  o.dropped = round.dropped;
-  o.quarantined = round.quarantined;
-  o.timed_out = round.timed_out;
-  o.round_seconds = round.train_seconds + round.aggregate_seconds;
-  o.sim_time_s = sim_time_s;
-  o.norm_count = norms.count;
-  o.norm_mean = norms.mean;
-  o.norm_m2 = norms.m2;
-  health_.observe_round(o);
+  health_.observe_round(
+      {.task = round.task,
+       .round = round.round,
+       .global_round = global_round,
+       .selected = round.selected,
+       .quarantined = round.quarantined,
+       .round_seconds = round.train_seconds + round.aggregate_seconds,
+       .norm_count = norms.count,
+       .norm_mean = norms.mean});
 
   timeseries_.sample(sim_time_s, global_round);
   refresh_board(result, &round, sim_time_s);
@@ -431,41 +329,21 @@ void RunMonitor::finalize(RunResult& result) {
   result.monitor.samples_capacity = ts.capacity;
   result.monitor.alerts = result.health.size();
   result.monitor.healthy_at_end = health_.healthy();
-
-  ProgressSnapshot snap = board_.get();
-  snap.done = true;
-  snap.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  snap.healthy = health_.healthy();
-  snap.health_reason = health_.reason();
-  snap.task_accuracy.clear();
-  for (const auto& t : result.tasks) {
-    snap.task_accuracy.push_back(t.cumulative_accuracy);
-  }
-  board_.update(std::move(snap));
+  refresh_board(result, nullptr, board_.get().sim_time_s, /*done=*/true);
 }
 
 void RunMonitor::refresh_board(const RunResult& result,
-                               const RoundStats* round, double sim_time_s) {
+                               const RoundStats* round, double sim_time_s,
+                               bool done) {
   ProgressSnapshot snap = board_.get();
+  snap.done = done;
   if (round != nullptr) {
     snap.task = round->task;
     snap.round_in_task = static_cast<std::uint64_t>(round->round) + 1;
     ++snap.rounds_done;
     snap.participants += round->selected;
   }
-  const NetworkStats& net = result.network;
-  snap.bytes_down = net.bytes_down;
-  snap.bytes_up = net.bytes_up;
-  snap.bytes_down_raw_equiv = net.bytes_down_raw_equiv;
-  snap.bytes_up_raw_equiv = net.bytes_up_raw_equiv;
-  snap.messages = net.messages;
-  snap.dropped = net.dropped_updates;
-  snap.quarantined = net.quarantined;
-  snap.retries = net.retries;
-  snap.timed_out = net.timed_out;
-  snap.bytes_retransmitted = net.bytes_retransmitted;
+  snap.network = result.network;
   const auto lat = round_latency_.snapshot();
   snap.round_p50_s = lat.quantile(0.5);
   snap.round_p95_s = lat.quantile(0.95);

@@ -7,7 +7,7 @@
 //   * a TimeSeries store (util/timeseries.hpp) sampling the metrics registry,
 //   * a HealthMonitor evaluating pluggable per-round detectors,
 //   * a ProgressBoard the exposition server (util/expo.hpp) renders as
-//     /progress JSON and /metrics extras.
+//     /progress JSON and /metrics extras (run_extras).
 //
 // Detectors (each disabled by setting its knob <= 0):
 //   norm_z          |z| of the round's mean accepted-update L2 norm against a
@@ -22,10 +22,10 @@
 //   accuracy_drop   per-task cumulative accuracy more than this many points
 //                   below the mean of previously completed tasks
 //
-// A firing appends a HealthEvent to the run log, emits a structured `health`
-// trace event, and flips the /healthz status to degraded with the reason;
-// the status recovers after recovery_rounds consecutive clean rounds. All of
-// this is observation only: detectors never touch payloads, never draw
+// A firing appends a HealthEvent to the run log, emits a `health` trace
+// event carrying the HealthEvent's fields (fed/result.hpp), and flips the
+// /healthz status to degraded with the reason; the status recovers after
+// recovery_rounds consecutive clean rounds. All of this is observation only: detectors never touch payloads, never draw
 // randomness, and never change control flow, so an armed monitor leaves run
 // results bitwise-identical (tested) and a missing monitor costs the hot
 // path nothing but one null-pointer check per round.
@@ -40,6 +40,8 @@
 #include <utility>
 #include <vector>
 
+#include "reffil/fed/result.hpp"
+#include "reffil/util/expo.hpp"
 #include "reffil/util/timeseries.hpp"
 
 namespace reffil::fed {
@@ -63,29 +65,6 @@ struct MonitorConfig {
   static MonitorConfig parse(const std::string& spec);
 };
 
-/// One detector firing. Stored on the RunResult (and in the cache), emitted
-/// as a `health` trace event, listed by /progress and reffil_report.
-struct HealthEvent {
-  std::uint32_t task = 0;
-  std::uint32_t round = 0;          ///< round within the task
-  std::uint64_t global_round = 0;   ///< curriculum-order round index
-  std::string detector;             ///< "norm_z" | "quarantine_rate" | ...
-  double value = 0.0;               ///< observed statistic
-  double threshold = 0.0;           ///< configured limit it crossed
-  std::string detail;               ///< human-readable cause
-};
-
-/// Compact monitor accounting carried on the RunResult (and the cache) so
-/// post-hoc tools know a run was monitored and how much history survived.
-struct MonitorSummary {
-  bool enabled = false;
-  std::uint64_t samples_taken = 0;     ///< time-series rows ever recorded
-  std::uint64_t samples_retained = 0;  ///< of which still in the ring
-  std::uint64_t samples_capacity = 0;
-  std::uint64_t alerts = 0;            ///< detector firings over the run
-  bool healthy_at_end = true;
-};
-
 /// Everything the detectors consume about one committed round. The runner
 /// fills it from RoundStats plus the per-update norm accumulation it already
 /// did during the uplink sweep.
@@ -94,15 +73,11 @@ struct RoundObservation {
   std::uint32_t round = 0;
   std::uint64_t global_round = 0;
   std::uint32_t selected = 0;
-  std::uint32_t dropped = 0;
   std::uint32_t quarantined = 0;
-  std::uint32_t timed_out = 0;
   double round_seconds = 0.0;  ///< train + aggregate wall time
-  double sim_time_s = 0.0;
-  // Moments of the accepted updates' model-state L2 norms (Welford):
+  // Accepted updates' model-state L2 norms (count and Welford mean):
   std::uint32_t norm_count = 0;
   double norm_mean = 0.0;
-  double norm_m2 = 0.0;  ///< sum of squared deviations from norm_mean
 };
 
 class HealthMonitor {
@@ -143,8 +118,9 @@ class HealthMonitor {
 };
 
 /// Live progress shared between the runner (sole writer) and the exposition
-/// server / monitor CLI (readers). Plain data; render_json() is the
-/// /progress body.
+/// server / monitor CLI (readers). Plain data with a field list: /progress
+/// is its JSON walk, so the network counters render flat under the same
+/// names as in run_end and `reffil_run --json`.
 struct ProgressSnapshot {
   std::string method;
   std::string dataset;
@@ -155,16 +131,7 @@ struct ProgressSnapshot {
   std::uint64_t rounds_done = 0;     ///< rounds committed overall
   std::uint64_t rounds_total = 0;
   std::uint64_t participants = 0;    ///< cumulative selected
-  std::uint64_t bytes_down = 0;
-  std::uint64_t bytes_up = 0;
-  std::uint64_t bytes_down_raw_equiv = 0;
-  std::uint64_t bytes_up_raw_equiv = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t bytes_retransmitted = 0;
+  NetworkStats network;              ///< the run-so-far RunResult::network
   double round_p50_s = 0.0;  ///< round train-time quantiles, this run only
   double round_p95_s = 0.0;
   double round_p99_s = 0.0;
@@ -176,8 +143,40 @@ struct ProgressSnapshot {
   std::string health_reason;
   std::vector<HealthEvent> alerts;  ///< most recent firings (bounded)
 
+  template <class Self, class F>
+  static constexpr void fields(Self& s, F&& f) {
+    f("method", s.method);
+    f("dataset", s.dataset);
+    f("tasks_total", s.tasks_total);
+    f("rounds_per_task", s.rounds_per_task);
+    f("task", s.task);
+    f("round_in_task", s.round_in_task);
+    f("rounds_done", s.rounds_done);
+    f("rounds_total", s.rounds_total);
+    f("participants", s.participants);
+    f("network", s.network);
+    f("round_p50_s", s.round_p50_s);
+    f("round_p95_s", s.round_p95_s);
+    f("round_p99_s", s.round_p99_s);
+    f("task_accuracy", s.task_accuracy);
+    f("sim_time_s", s.sim_time_s);
+    f("wall_seconds", s.wall_seconds);
+    f("done", s.done);
+    f("healthy", s.healthy);
+    f("health_reason", s.health_reason);
+    f("alerts", s.alerts);
+  }
+
+  /// The /progress body.
   std::string render_json() const;
 };
+static_assert(util::fields_match_members<ProgressSnapshot>());
+
+/// The /metrics extras a monitored run exposes beyond the process registry:
+/// run-scoped `reffil_run_*` series from the progress board. Every
+/// NetworkStats field is a counter, so the final values reconcile exactly
+/// with RunResult::network and the `--json` output.
+std::vector<obs::expo::ExtraMetric> run_extras(const ProgressSnapshot& p);
 
 class ProgressBoard {
  public:
@@ -189,23 +188,15 @@ class ProgressBoard {
   ProgressSnapshot snap_;
 };
 
-// Forward declarations so this header stays includable from runtime.hpp
-// (which defines these types) without a cycle.
-struct RunResult;
-struct RoundStats;
-
-/// Welford accumulator the runner's uplink sweep feeds with per-update
+/// Running (Welford) mean the runner's uplink sweep feeds with per-update
 /// model-state L2 norms (fed::update_state_l2_norm).
 struct NormAccumulator {
   std::uint32_t count = 0;
   double mean = 0.0;
-  double m2 = 0.0;
 
   void add(double x) {
     ++count;
-    const double d = x - mean;
-    mean += d / static_cast<double>(count);
-    m2 += d * (x - mean);
+    mean += (x - mean) / static_cast<double>(count);
   }
 };
 
@@ -239,7 +230,7 @@ class RunMonitor {
 
  private:
   void refresh_board(const RunResult& result, const RoundStats* round,
-                     double sim_time_s);
+                     double sim_time_s, bool done = false);
 
   MonitorConfig config_;
   obs::TimeSeries timeseries_;

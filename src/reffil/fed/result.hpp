@@ -1,0 +1,223 @@
+// The result records of a federated run and their field lists.
+//
+// RunResult carries the per-domain accuracy matrix (TaskResult), network
+// accounting (NetworkStats), per-round breakdowns (RoundStats), and the
+// health log (HealthEvent, MonitorSummary). Each struct names its members
+// once in a static fields() list (util/fields.hpp); the cache encoding, the
+// run_end trace event, `reffil_run --json`, /progress and the /metrics
+// extras are all walks over these lists, so the channels cannot disagree.
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "reffil/util/fields.hpp"
+
+namespace reffil::fed {
+
+/// One detector firing. Stored on the RunResult (and in the cache), emitted
+/// as a `health` trace event, listed by /progress and reffil_report.
+struct HealthEvent {
+  std::uint32_t task = 0;
+  std::uint32_t round = 0;          ///< round within the task
+  std::uint64_t global_round = 0;   ///< curriculum-order round index
+  std::string detector;             ///< "norm_z" | "quarantine_rate" | ...
+  double value = 0.0;               ///< observed statistic
+  double threshold = 0.0;           ///< configured limit it crossed
+  std::string detail;               ///< human-readable cause
+
+  bool operator==(const HealthEvent&) const = default;
+  template <class Self, class F>
+  static constexpr void fields(Self& s, F&& f) {
+    f("task", s.task);
+    f("round", s.round);
+    f("global_round", s.global_round);
+    f("detector", s.detector);
+    f("value", s.value);
+    f("threshold", s.threshold);
+    f("detail", s.detail);
+  }
+};
+static_assert(util::fields_match_members<HealthEvent>());
+
+/// Compact monitor accounting carried on the RunResult (and the cache) so
+/// post-hoc tools know a run was monitored and how much history survived.
+struct MonitorSummary {
+  bool enabled = false;
+  std::uint64_t samples_taken = 0;     ///< time-series rows ever recorded
+  std::uint64_t samples_retained = 0;  ///< of which still in the ring
+  std::uint64_t samples_capacity = 0;
+  std::uint64_t alerts = 0;            ///< detector firings over the run
+  bool healthy_at_end = true;
+
+  bool operator==(const MonitorSummary&) const = default;
+  template <class Self, class F>
+  static constexpr void fields(Self& s, F&& f) {
+    f("enabled", s.enabled);
+    f("samples_taken", s.samples_taken);
+    f("samples_retained", s.samples_retained);
+    f("samples_capacity", s.samples_capacity);
+    f("alerts", s.alerts);
+    f("healthy_at_end", s.healthy_at_end);
+  }
+};
+static_assert(util::fields_match_members<MonitorSummary>());
+
+/// Evaluation after finishing one task.
+struct TaskResult {
+  std::size_t task = 0;
+  std::string domain_name;                ///< the domain learned in this task
+  std::vector<double> per_domain_accuracy;  ///< on each seen domain's test set
+  double cumulative_accuracy = 0.0;  ///< over the union of seen test sets —
+                                     ///< the paper's per-step accuracy
+  double eval_seconds = 0.0;  ///< wall time of this task's evaluation sweep
+
+  bool operator==(const TaskResult&) const = default;
+  template <class Self, class F>
+  static constexpr void fields(Self& s, F&& f) {
+    f("task", s.task);
+    f("domain_name", s.domain_name);
+    f("per_domain_accuracy", s.per_domain_accuracy);
+    f("cumulative_accuracy", s.cumulative_accuracy);
+    f("eval_seconds", s.eval_seconds);
+  }
+};
+static_assert(util::fields_match_members<TaskResult>());
+
+struct NetworkStats {
+  std::uint64_t bytes_down = 0;  ///< server -> clients (all delivery attempts)
+  std::uint64_t bytes_up = 0;    ///< clients -> server (all delivery attempts)
+  std::uint64_t messages = 0;    ///< logical messages (retries are not new ones)
+  std::uint64_t dropped_updates = 0;  ///< client dropouts (see RunConfig)
+  // Transport-fault accounting — all zero unless RunConfig::faults is armed.
+  std::uint64_t quarantined = 0;  ///< inbound updates rejected by validation
+  std::uint64_t retries = 0;      ///< retransmissions, both directions
+  std::uint64_t timed_out = 0;    ///< deliveries lost to the round deadline
+  std::uint64_t bytes_retransmitted = 0;  ///< wire bytes beyond first attempts
+  // Compression accounting: the f32-serialized bytes the same logical
+  // payloads would have cost uncompressed (first attempts only — retries do
+  // not inflate the raw equivalent). Equal to bytes_down/bytes_up when
+  // compression is off and the transport is inert; the ratio
+  // raw_equiv / bytes is the wire compression factor.
+  std::uint64_t bytes_down_raw_equiv = 0;
+  std::uint64_t bytes_up_raw_equiv = 0;
+
+  bool operator==(const NetworkStats&) const = default;
+  template <class Self, class F>
+  static constexpr void fields(Self& s, F&& f) {
+    f("bytes_down", s.bytes_down);
+    f("bytes_up", s.bytes_up);
+    f("messages", s.messages);
+    f("dropped_updates", s.dropped_updates);
+    f("quarantined", s.quarantined);
+    f("retries", s.retries);
+    f("timed_out", s.timed_out);
+    f("bytes_retransmitted", s.bytes_retransmitted);
+    f("bytes_down_raw_equiv", s.bytes_down_raw_equiv);
+    f("bytes_up_raw_equiv", s.bytes_up_raw_equiv);
+  }
+};
+static_assert(util::fields_match_members<NetworkStats>());
+
+/// Timing / traffic breakdown of one communication round. The sums over all
+/// rounds reconcile exactly with RunResult::network (bytes, drops) — the
+/// REFFIL_TRACE JSONL stream carries the same numbers per event.
+struct RoundStats {
+  std::uint32_t task = 0;
+  std::uint32_t round = 0;
+  std::uint32_t selected = 0;  ///< participants chosen (before dropout)
+  std::uint32_t dropped = 0;   ///< of which lost to the dropout simulation
+  std::uint64_t bytes_down = 0;
+  std::uint64_t bytes_up = 0;
+  double train_seconds = 0.0;      ///< wall time of the parallel client block
+  double aggregate_seconds = 0.0;  ///< server-side aggregation wall time
+  // Transport-fault accounting (see NetworkStats; sums over rounds reconcile
+  // exactly with the run totals).
+  std::uint32_t quarantined = 0;
+  std::uint32_t retries = 0;
+  std::uint32_t timed_out = 0;
+  std::uint64_t bytes_retransmitted = 0;
+
+  bool operator==(const RoundStats&) const = default;
+  template <class Self, class F>
+  static constexpr void fields(Self& s, F&& f) {
+    f("task", s.task);
+    f("round", s.round);
+    f("selected", s.selected);
+    f("dropped", s.dropped);
+    f("bytes_down", s.bytes_down);
+    f("bytes_up", s.bytes_up);
+    f("train_seconds", s.train_seconds);
+    f("aggregate_seconds", s.aggregate_seconds);
+    f("quarantined", s.quarantined);
+    f("retries", s.retries);
+    f("timed_out", s.timed_out);
+    f("bytes_retransmitted", s.bytes_retransmitted);
+  }
+};
+static_assert(util::fields_match_members<RoundStats>());
+
+/// Everything a run reports. Its field list is the one schema behind the
+/// cache encoding (harness/cache.hpp), the run_end trace event and the
+/// `reffil_run --json` document (write_run_summary / write_run_json below).
+struct RunResult {
+  std::string method_name;
+  std::string dataset_name;
+  /// Canonical CompressionConfig::to_string() of the run ("none", "q8,..."),
+  /// so cached cells and JSON output are self-describing.
+  std::string compression = "none";
+  std::vector<TaskResult> tasks;
+  NetworkStats network;
+  double wall_seconds = 0.0;
+  std::vector<RoundStats> rounds;  ///< one entry per round, curriculum order
+  /// Health-detector firings, in firing order (empty for unmonitored runs —
+  /// and for healthy monitored ones). Cached with the run and surfaced by
+  /// reffil_run --json ("health" block) and reffil_report's alerts column.
+  std::vector<HealthEvent> health;
+  MonitorSummary monitor;  ///< enabled=false when the run was unmonitored
+
+  bool operator==(const RunResult&) const = default;
+  template <class Self, class F>
+  static constexpr void fields(Self& s, F&& f) {
+    f("method_name", s.method_name);
+    f("dataset_name", s.dataset_name);
+    f("compression", s.compression);
+    f("tasks", s.tasks);
+    f("network", s.network);
+    f("wall_seconds", s.wall_seconds);
+    f("rounds", s.rounds);
+    f("health", s.health);
+    f("monitor", s.monitor);
+  }
+
+  /// iCaRL-style Average: mean of the per-step cumulative accuracies.
+  double average_accuracy() const;
+  /// Final-step cumulative accuracy (the paper's "Last").
+  double last_accuracy() const;
+  /// Sums over rounds / tasks (0 when breakdowns are absent).
+  double train_seconds() const;
+  double aggregate_seconds() const;
+  double eval_seconds() const;
+  /// Participants selected over all rounds. Under DES this counts sampled
+  /// cohort members; dense runs count clients_per_round per round.
+  std::uint64_t participants() const;
+  /// Raw-equivalent over wire bytes (1 when nothing was sent).
+  double compression_ratio_down() const;
+  double compression_ratio_up() const;
+};
+static_assert(util::fields_match_members<RunResult>());
+
+/// The run summary the run_end trace event carries: RunResult's scalar
+/// fields, its network counters (flat), and the derived avg, last,
+/// participants, compression ratios and phase seconds.
+void write_run_summary(obs::JsonWriter& w, const RunResult& result);
+
+/// The members of the `reffil_run --json` document: write_run_summary, then
+/// "tasks" (each task's domain, cumulative and per_domain accuracy — the
+/// accuracy matrix) and a "health" object (monitored, healthy, the
+/// MonitorSummary fields and the HealthEvent list as "events"). The caller
+/// opens and closes the object.
+void write_run_json(obs::JsonWriter& w, const RunResult& result);
+
+}  // namespace reffil::fed

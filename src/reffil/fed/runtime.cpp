@@ -47,6 +47,11 @@ void keep_if(std::vector<ClientAssignment>& participants, Keep&& keep) {
   participants = std::move(kept);
 }
 
+double byte_ratio(std::uint64_t raw_equiv, std::uint64_t wire) {
+  return wire > 0 ? static_cast<double>(raw_equiv) / static_cast<double>(wire)
+                  : 1.0;
+}
+
 }  // namespace
 
 double RunResult::average_accuracy() const {
@@ -77,6 +82,57 @@ double RunResult::eval_seconds() const {
   double total = 0.0;
   for (const auto& t : tasks) total += t.eval_seconds;
   return total;
+}
+
+std::uint64_t RunResult::participants() const {
+  std::uint64_t total = 0;
+  for (const auto& r : rounds) total += r.selected;
+  return total;
+}
+
+double RunResult::compression_ratio_down() const {
+  return byte_ratio(network.bytes_down_raw_equiv, network.bytes_down);
+}
+
+double RunResult::compression_ratio_up() const {
+  return byte_ratio(network.bytes_up_raw_equiv, network.bytes_up);
+}
+
+void write_run_summary(obs::JsonWriter& w, const RunResult& result) {
+  util::json_scalars(w, result);
+  util::json_members(w, result.network);
+  w.field("avg", result.average_accuracy())
+      .field("last", result.last_accuracy())
+      .field("participants", result.participants())
+      .field("compression_ratio_down", result.compression_ratio_down())
+      .field("compression_ratio_up", result.compression_ratio_up())
+      .field("train_seconds", result.train_seconds())
+      .field("aggregate_seconds", result.aggregate_seconds())
+      .field("eval_seconds", result.eval_seconds());
+}
+
+void write_run_json(obs::JsonWriter& w, const RunResult& result) {
+  write_run_summary(w, result);
+  w.key("tasks").begin_array();
+  for (const TaskResult& task : result.tasks) {
+    w.begin_object()
+        .field("domain", task.domain_name)
+        .field("cumulative", task.cumulative_accuracy)
+        .key("per_domain");
+    util::json_value(w, task.per_domain_accuracy);
+    w.end_object();
+  }
+  w.end_array();
+  // Present for every run (monitored=false for plain ones), so consumers
+  // never branch on key existence.
+  w.key("health")
+      .begin_object()
+      .field("monitored", result.monitor.enabled)
+      .field("healthy", result.monitor.healthy_at_end);
+  util::json_members(w, result.monitor);
+  w.key("events");
+  util::json_value(w, result.health);
+  w.end_object();
 }
 
 FederatedRunner::FederatedRunner(RunConfig config)
@@ -562,18 +618,9 @@ RunResult FederatedRunner::run(Method& method) {
                                     start_time)
           .count();
   obs::count("fed.runs");
-  obs::count("fed.bytes_down", result.network.bytes_down);
-  obs::count("fed.bytes_up", result.network.bytes_up);
-  obs::count("fed.dropped_updates", result.network.dropped_updates);
-  if (result.network.quarantined != 0) {
-    obs::count("fed.quarantined", result.network.quarantined);
-  }
-  if (result.network.retries != 0) {
-    obs::count("fed.retries", result.network.retries);
-  }
-  if (result.network.timed_out != 0) {
-    obs::count("fed.timed_out", result.network.timed_out);
-  }
+  util::for_each_field(result.network, [](const char* name, std::uint64_t v) {
+    obs::count(std::string("fed.") + name, v);
+  });
   if (des_scheduler != nullptr) {
     obs::count("des.participations", des_scheduler->total_participations());
     obs::count("des.unique_participants", des_scheduler->unique_participants());
@@ -592,26 +639,9 @@ RunResult FederatedRunner::run(Method& method) {
     }
   }
   if (tracing) {
-    obs::trace(obs::TraceEvent("run_end")
-                   .field("method", result.method_name)
-                   .field("dataset", result.dataset_name)
-                   .field("bytes_down", result.network.bytes_down)
-                   .field("bytes_up", result.network.bytes_up)
-                   .field("messages", result.network.messages)
-                   .field("dropped_updates", result.network.dropped_updates)
-                   .field("quarantined", result.network.quarantined)
-                   .field("retries", result.network.retries)
-                   .field("timed_out", result.network.timed_out)
-                   .field("bytes_retransmitted",
-                          result.network.bytes_retransmitted)
-                   .field("compression", result.compression)
-                   .field("bytes_down_raw_equiv",
-                          result.network.bytes_down_raw_equiv)
-                   .field("bytes_up_raw_equiv",
-                          result.network.bytes_up_raw_equiv)
-                   .field("avg_accuracy", result.average_accuracy())
-                   .field("last_accuracy", result.last_accuracy())
-                   .field("wall_s", result.wall_seconds));
+    obs::TraceEvent run_end("run_end");
+    write_run_summary(run_end.writer(), result);
+    obs::trace(run_end);
     obs::flush_trace();
   }
   // Persist the op-level profile (no-op when no profile sink is armed) so a

@@ -20,6 +20,7 @@
 #include "reffil/fed/health.hpp"
 #include "reffil/fed/method.hpp"
 #include "reffil/fed/scheduler.hpp"
+#include "reffil/fed/result.hpp"
 #include "reffil/fed/transport.hpp"
 
 namespace reffil::fed {
@@ -77,81 +78,6 @@ struct RunConfig {
   /// training path bitwise-identical — the only cost is a null check at
   /// round cadence. Observation only: a monitor never alters a run.
   std::shared_ptr<RunMonitor> monitor;
-};
-
-/// Evaluation after finishing one task.
-struct TaskResult {
-  std::size_t task = 0;
-  std::string domain_name;                ///< the domain learned in this task
-  std::vector<double> per_domain_accuracy;  ///< on each seen domain's test set
-  double cumulative_accuracy = 0.0;  ///< over the union of seen test sets —
-                                     ///< the paper's per-step accuracy
-  double eval_seconds = 0.0;  ///< wall time of this task's evaluation sweep
-};
-
-struct NetworkStats {
-  std::uint64_t bytes_down = 0;  ///< server -> clients (all delivery attempts)
-  std::uint64_t bytes_up = 0;    ///< clients -> server (all delivery attempts)
-  std::uint64_t messages = 0;    ///< logical messages (retries are not new ones)
-  std::uint64_t dropped_updates = 0;  ///< client dropouts (see RunConfig)
-  // Transport-fault accounting — all zero unless RunConfig::faults is armed.
-  std::uint64_t quarantined = 0;  ///< inbound updates rejected by validation
-  std::uint64_t retries = 0;      ///< retransmissions, both directions
-  std::uint64_t timed_out = 0;    ///< deliveries lost to the round deadline
-  std::uint64_t bytes_retransmitted = 0;  ///< wire bytes beyond first attempts
-  // Compression accounting: the f32-serialized bytes the same logical
-  // payloads would have cost uncompressed (first attempts only — retries do
-  // not inflate the raw equivalent). Equal to bytes_down/bytes_up when
-  // compression is off and the transport is inert; the ratio
-  // raw_equiv / bytes is the wire compression factor.
-  std::uint64_t bytes_down_raw_equiv = 0;
-  std::uint64_t bytes_up_raw_equiv = 0;
-};
-
-/// Timing / traffic breakdown of one communication round. The sums over all
-/// rounds reconcile exactly with RunResult::network (bytes, drops) — the
-/// REFFIL_TRACE JSONL stream carries the same numbers per event.
-struct RoundStats {
-  std::uint32_t task = 0;
-  std::uint32_t round = 0;
-  std::uint32_t selected = 0;  ///< participants chosen (before dropout)
-  std::uint32_t dropped = 0;   ///< of which lost to the dropout simulation
-  std::uint64_t bytes_down = 0;
-  std::uint64_t bytes_up = 0;
-  double train_seconds = 0.0;      ///< wall time of the parallel client block
-  double aggregate_seconds = 0.0;  ///< server-side aggregation wall time
-  // Transport-fault accounting (see NetworkStats; sums over rounds reconcile
-  // exactly with the run totals).
-  std::uint32_t quarantined = 0;
-  std::uint32_t retries = 0;
-  std::uint32_t timed_out = 0;
-  std::uint64_t bytes_retransmitted = 0;
-};
-
-struct RunResult {
-  std::string method_name;
-  std::string dataset_name;
-  /// Canonical CompressionConfig::to_string() of the run ("none", "q8,..."),
-  /// so cached cells and JSON output are self-describing.
-  std::string compression = "none";
-  std::vector<TaskResult> tasks;
-  NetworkStats network;
-  double wall_seconds = 0.0;
-  std::vector<RoundStats> rounds;  ///< one entry per round, curriculum order
-  /// Health-detector firings, in firing order (empty for unmonitored runs —
-  /// and for healthy monitored ones). Cached with the run and surfaced by
-  /// reffil_run --json ("health" block) and reffil_report's alerts column.
-  std::vector<HealthEvent> health;
-  MonitorSummary monitor;  ///< enabled=false when the run was unmonitored
-
-  /// iCaRL-style Average: mean of the per-step cumulative accuracies.
-  double average_accuracy() const;
-  /// Final-step cumulative accuracy (the paper's "Last").
-  double last_accuracy() const;
-  /// Sums over rounds / tasks (0 when breakdowns are absent).
-  double train_seconds() const;
-  double aggregate_seconds() const;
-  double eval_seconds() const;
 };
 
 class FederatedRunner {

@@ -48,71 +48,75 @@ std::string cache_key(const std::string& dataset_name,
   return std::string(buffer) + ".cell";
 }
 
+namespace {
+
+// The cache encoding is a walk over RunResult's field list: each listed
+// member in order, little-endian; bools as one byte (0/1), strings and
+// vectors as a u64 length then their contents, nested structs inline.
+struct Encoder {
+  util::ByteWriter& out;
+
+  template <class T>
+  void operator()(const char*, const T& v) {
+    put(v);
+  }
+  template <class T>
+  void put(const T& v) {
+    if constexpr (util::HasFields<T>) {
+      T::fields(v, *this);
+    } else if constexpr (util::kIsVector<T>) {
+      out.write_u64(v.size());
+      for (const auto& e : v) put(e);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out.write_string(v);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      out.write_pod<std::uint8_t>(v ? 1 : 0);
+    } else {
+      out.write_pod(v);
+    }
+  }
+};
+
+struct Decoder {
+  util::ByteReader& in;
+
+  template <class T>
+  void operator()(const char*, T& v) {
+    get(v);
+  }
+  template <class T>
+  void get(T& v) {
+    if constexpr (util::HasFields<T>) {
+      T::fields(v, *this);
+    } else if constexpr (util::kIsVector<T>) {
+      // Every element encodes to at least one byte, so a count beyond the
+      // remaining bytes is corrupt; growing one element at a time keeps a
+      // truncated entry from allocating more than it decodes.
+      const std::uint64_t n = in.read_u64();
+      if (n > in.remaining()) {
+        throw SerializationError("implausible element count " +
+                                 std::to_string(n));
+      }
+      v.clear();
+      for (std::uint64_t i = 0; i < n; ++i) get(v.emplace_back());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = in.read_string();
+    } else if constexpr (std::is_same_v<T, bool>) {
+      const auto byte = in.read_pod<std::uint8_t>();
+      if (byte > 1) throw SerializationError("corrupt bool field");
+      v = byte == 1;
+    } else {
+      v = in.read_pod<T>();
+    }
+  }
+};
+
+}  // namespace
+
 void serialize_run_result(const fed::RunResult& result, util::ByteWriter& writer) {
   writer.write_u32(kCacheMagic);
   writer.write_u32(kCacheVersion);
-  writer.write_string(result.method_name);
-  writer.write_string(result.dataset_name);
-  writer.write_u64(result.tasks.size());
-  for (const auto& task : result.tasks) {
-    writer.write_u64(task.task);
-    writer.write_string(task.domain_name);
-    writer.write_u64(task.per_domain_accuracy.size());
-    for (double a : task.per_domain_accuracy) writer.write_f64(a);
-    writer.write_f64(task.cumulative_accuracy);
-    writer.write_f64(task.eval_seconds);
-  }
-  writer.write_u64(result.network.bytes_down);
-  writer.write_u64(result.network.bytes_up);
-  writer.write_u64(result.network.messages);
-  // v1 stopped here: dropped_updates was never written, so cache hits
-  // silently zeroed the dropout statistic on the way back out.
-  writer.write_u64(result.network.dropped_updates);
-  // v2 stopped here: a cache hit zeroed every transport-fault counter, so an
-  // armed run replayed from cache looked indistinguishable from a clean one.
-  writer.write_u64(result.network.quarantined);
-  writer.write_u64(result.network.retries);
-  writer.write_u64(result.network.timed_out);
-  writer.write_u64(result.network.bytes_retransmitted);
-  // v3 stopped here: compressed cells replayed from cache would forget they
-  // were compressed and report zero raw-equivalent traffic.
-  writer.write_string(result.compression);
-  writer.write_u64(result.network.bytes_down_raw_equiv);
-  writer.write_u64(result.network.bytes_up_raw_equiv);
-  writer.write_f64(result.wall_seconds);
-  writer.write_u64(result.rounds.size());
-  for (const auto& round : result.rounds) {
-    writer.write_u32(round.task);
-    writer.write_u32(round.round);
-    writer.write_u32(round.selected);
-    writer.write_u32(round.dropped);
-    writer.write_u64(round.bytes_down);
-    writer.write_u64(round.bytes_up);
-    writer.write_f64(round.train_seconds);
-    writer.write_f64(round.aggregate_seconds);
-    writer.write_u32(round.quarantined);
-    writer.write_u32(round.retries);
-    writer.write_u32(round.timed_out);
-    writer.write_u64(round.bytes_retransmitted);
-  }
-  // v4 stopped here: monitored runs replayed from cache lost their health
-  // log, so reffil_report's alerts column went blank on every cache hit.
-  writer.write_u64(result.health.size());
-  for (const auto& event : result.health) {
-    writer.write_u32(event.task);
-    writer.write_u32(event.round);
-    writer.write_u64(event.global_round);
-    writer.write_string(event.detector);
-    writer.write_f64(event.value);
-    writer.write_f64(event.threshold);
-    writer.write_string(event.detail);
-  }
-  writer.write_u32(result.monitor.enabled ? 1 : 0);
-  writer.write_u64(result.monitor.samples_taken);
-  writer.write_u64(result.monitor.samples_retained);
-  writer.write_u64(result.monitor.samples_capacity);
-  writer.write_u64(result.monitor.alerts);
-  writer.write_u32(result.monitor.healthy_at_end ? 1 : 0);
+  Encoder{writer}.put(result);
 }
 
 fed::RunResult deserialize_run_result(util::ByteReader& reader) {
@@ -127,78 +131,7 @@ fed::RunResult deserialize_run_result(util::ByteReader& reader) {
                              std::to_string(kCacheVersion) + ")");
   }
   fed::RunResult result;
-  result.method_name = reader.read_string();
-  result.dataset_name = reader.read_string();
-  const auto num_tasks = reader.read_u64();
-  if (num_tasks > 1000) throw SerializationError("implausible task count");
-  result.tasks.reserve(num_tasks);
-  for (std::uint64_t t = 0; t < num_tasks; ++t) {
-    fed::TaskResult task;
-    task.task = reader.read_u64();
-    task.domain_name = reader.read_string();
-    const auto domains = reader.read_u64();
-    if (domains > 1000) throw SerializationError("implausible domain count");
-    task.per_domain_accuracy.reserve(domains);
-    for (std::uint64_t d = 0; d < domains; ++d) {
-      task.per_domain_accuracy.push_back(reader.read_f64());
-    }
-    task.cumulative_accuracy = reader.read_f64();
-    task.eval_seconds = reader.read_f64();
-    result.tasks.push_back(std::move(task));
-  }
-  result.network.bytes_down = reader.read_u64();
-  result.network.bytes_up = reader.read_u64();
-  result.network.messages = reader.read_u64();
-  result.network.dropped_updates = reader.read_u64();
-  result.network.quarantined = reader.read_u64();
-  result.network.retries = reader.read_u64();
-  result.network.timed_out = reader.read_u64();
-  result.network.bytes_retransmitted = reader.read_u64();
-  result.compression = reader.read_string();
-  result.network.bytes_down_raw_equiv = reader.read_u64();
-  result.network.bytes_up_raw_equiv = reader.read_u64();
-  result.wall_seconds = reader.read_f64();
-  const auto num_rounds = reader.read_u64();
-  if (num_rounds > 1000000) throw SerializationError("implausible round count");
-  result.rounds.reserve(num_rounds);
-  for (std::uint64_t r = 0; r < num_rounds; ++r) {
-    fed::RoundStats round;
-    round.task = reader.read_u32();
-    round.round = reader.read_u32();
-    round.selected = reader.read_u32();
-    round.dropped = reader.read_u32();
-    round.bytes_down = reader.read_u64();
-    round.bytes_up = reader.read_u64();
-    round.train_seconds = reader.read_f64();
-    round.aggregate_seconds = reader.read_f64();
-    round.quarantined = reader.read_u32();
-    round.retries = reader.read_u32();
-    round.timed_out = reader.read_u32();
-    round.bytes_retransmitted = reader.read_u64();
-    result.rounds.push_back(round);
-  }
-  const auto num_health = reader.read_u64();
-  if (num_health > 1000000) {
-    throw SerializationError("implausible health-event count");
-  }
-  result.health.reserve(num_health);
-  for (std::uint64_t h = 0; h < num_health; ++h) {
-    fed::HealthEvent event;
-    event.task = reader.read_u32();
-    event.round = reader.read_u32();
-    event.global_round = reader.read_u64();
-    event.detector = reader.read_string();
-    event.value = reader.read_f64();
-    event.threshold = reader.read_f64();
-    event.detail = reader.read_string();
-    result.health.push_back(std::move(event));
-  }
-  result.monitor.enabled = reader.read_u32() != 0;
-  result.monitor.samples_taken = reader.read_u64();
-  result.monitor.samples_retained = reader.read_u64();
-  result.monitor.samples_capacity = reader.read_u64();
-  result.monitor.alerts = reader.read_u64();
-  result.monitor.healthy_at_end = reader.read_u32() != 0;
+  Decoder{reader}.get(result);
   return result;
 }
 

@@ -23,16 +23,14 @@ bool cache_enabled();
 /// Cache file header: every `.cell` entry starts with kCacheMagic then
 /// kCacheVersion (little-endian u32 each). Foreign files fail the magic;
 /// entries from other format revisions fail the version — both are rejected
-/// (and deleted by cache_load) instead of being decoded field-by-field into
-/// garbage. Bump kCacheVersion whenever the RunResult encoding changes.
-/// History: v1 (headerless) lost network.dropped_updates on every cache hit;
-/// v2 added the header, dropped_updates, per-task eval_seconds and the
-/// per-round stats vector; v3 added the transport-fault counters
-/// (quarantined/retries/timed_out/bytes_retransmitted at both granularities);
-/// v4 added the compression string and the raw-equivalent byte counters
-/// (bytes_down_raw_equiv/bytes_up_raw_equiv).
+/// (and deleted by cache_load) instead of being decoded into garbage. The
+/// body is a walk over RunResult's field list (fed/result.hpp): the list is
+/// the encoding, so a member added to a listed struct is cached without any
+/// serializer edit, and changes the layout — bump kCacheVersion with it.
+/// v1–v5 were hand-written encodings that each fixed a forgotten field; v6
+/// is the field-list walk.
 inline constexpr std::uint32_t kCacheMagic = 0x4C464652u;  // "RFFL"
-inline constexpr std::uint32_t kCacheVersion = 5;
+inline constexpr std::uint32_t kCacheVersion = 6;
 
 /// Stable key for one experiment cell. `fault_tag` is the canonical
 /// FaultProfile::tag() of the run, with DesConfig::tag() appended when the

@@ -69,33 +69,25 @@ std::vector<std::vector<double>> CellResult::accuracy_matrix() const {
 
 CommsSummary CellResult::comms() const {
   REFFIL_CHECK_MSG(!runs.empty(), "empty cell");
-  CommsSummary mean;
-  mean.compression = runs.front().compression;
-  for (const auto& run : runs) {
-    mean.bytes_down += static_cast<double>(run.network.bytes_down);
-    mean.bytes_up += static_cast<double>(run.network.bytes_up);
-    mean.messages += static_cast<double>(run.network.messages);
-    mean.dropped_updates += static_cast<double>(run.network.dropped_updates);
-    mean.wall_seconds += run.wall_seconds;
-    mean.train_seconds += run.train_seconds();
-    mean.aggregate_seconds += run.aggregate_seconds();
-    mean.eval_seconds += run.eval_seconds();
-    mean.bytes_down_raw +=
-        static_cast<double>(run.network.bytes_down_raw_equiv);
-    mean.bytes_up_raw += static_cast<double>(run.network.bytes_up_raw_equiv);
-  }
-  const auto n = static_cast<double>(runs.size());
-  mean.bytes_down /= n;
-  mean.bytes_up /= n;
-  mean.messages /= n;
-  mean.dropped_updates /= n;
-  mean.wall_seconds /= n;
-  mean.train_seconds /= n;
-  mean.aggregate_seconds /= n;
-  mean.eval_seconds /= n;
-  mean.bytes_down_raw /= n;
-  mean.bytes_up_raw /= n;
-  return mean;
+  const auto mean = [this](auto of) {
+    double sum = 0.0;
+    for (const fed::RunResult& run : runs) sum += static_cast<double>(of(run));
+    return sum / static_cast<double>(runs.size());
+  };
+  using R = const fed::RunResult&;
+  CommsSummary c;
+  c.compression = runs.front().compression;
+  c.bytes_down = mean([](R r) { return r.network.bytes_down; });
+  c.bytes_up = mean([](R r) { return r.network.bytes_up; });
+  c.messages = mean([](R r) { return r.network.messages; });
+  c.dropped_updates = mean([](R r) { return r.network.dropped_updates; });
+  c.wall_seconds = mean([](R r) { return r.wall_seconds; });
+  c.train_seconds = mean([](R r) { return r.train_seconds(); });
+  c.aggregate_seconds = mean([](R r) { return r.aggregate_seconds(); });
+  c.eval_seconds = mean([](R r) { return r.eval_seconds(); });
+  c.bytes_down_raw = mean([](R r) { return r.network.bytes_down_raw_equiv; });
+  c.bytes_up_raw = mean([](R r) { return r.network.bytes_up_raw_equiv; });
+  return c;
 }
 
 CellResult run_cell(const data::DatasetSpec& spec, const std::string& order_tag,

@@ -256,12 +256,6 @@ bool utf8_seq_valid(std::string_view s, std::size_t i, std::size_t len) {
   return cp >= 0x10000 && cp <= 0x10FFFF;
 }
 
-void append_key(std::string& out, std::string_view key) {
-  out += ",\"";
-  json_escape(out, key);
-  out += "\":";
-}
-
 struct TraceSink {
   std::mutex mutex;
   std::ofstream stream;  // guarded by mutex
@@ -366,44 +360,25 @@ void install_crash_flush_handlers() {
   }
 }
 
-TraceEvent::TraceEvent(std::string_view type) {
-  body_ = "{\"event\":\"";
-  json_escape(body_, type);
-  body_ += '"';
-}
-
-TraceEvent& TraceEvent::field(std::string_view key, std::uint64_t v) {
-  append_key(body_, key);
-  body_ += std::to_string(v);
+JsonWriter& JsonWriter::key(std::string_view k) {
+  value(k);
+  out_ += ':';
+  comma_ = false;
   return *this;
 }
 
-TraceEvent& TraceEvent::field(std::string_view key, std::int64_t v) {
-  append_key(body_, key);
-  body_ += std::to_string(v);
-  return *this;
-}
-
-TraceEvent& TraceEvent::field(std::string_view key, double v) {
-  append_key(body_, key);
+JsonWriter& JsonWriter::value(double v) {
   char buf[32];
-  // %.9g is compact, round-trips floats, and never produces JSON-invalid
-  // inf/nan (clamped below).
-  if (!std::isfinite(v)) v = 0.0;
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  body_ += buf;
-  return *this;
+  std::snprintf(buf, sizeof(buf), "%.9g", std::isfinite(v) ? v : 0.0);
+  return token(buf);
 }
 
-TraceEvent& TraceEvent::field(std::string_view key, std::string_view v) {
-  append_key(body_, key);
-  body_ += '"';
-  json_escape(body_, v);
-  body_ += '"';
+JsonWriter& JsonWriter::value(std::string_view v) {
+  token("\"");
+  json_escape(out_, v);
+  out_ += '"';
   return *this;
 }
-
-std::string TraceEvent::json() const { return body_ + "}"; }
 
 bool trace_enabled() {
   std::call_once(g_trace_env_once, init_trace_from_env);

@@ -20,11 +20,13 @@
 #include <atomic>
 #include <cstdint>
 #include <chrono>
+#include <concepts>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace reffil::obs {
@@ -176,32 +178,84 @@ class ScopedTimer {
 
 // ---- trace -----------------------------------------------------------------
 
-/// One JSONL trace line under construction. Fields render in insertion
-/// order; string values are JSON-escaped. The first field is always
-/// "event": <type>.
-class TraceEvent {
+/// Streaming JSON writer: the one format every JSON document the library
+/// emits shares (trace lines, `reffil_run --json`, /progress). Integers
+/// print exactly; doubles as %.9g, with non-finite values written as 0 so
+/// the output always parses; strings through json_escape. Commas between
+/// members and elements are placed automatically.
+class JsonWriter {
  public:
-  explicit TraceEvent(std::string_view type);
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+  JsonWriter& key(std::string_view k);
 
-  TraceEvent& field(std::string_view key, std::uint64_t v);
-  TraceEvent& field(std::string_view key, std::int64_t v);
-  TraceEvent& field(std::string_view key, std::uint32_t v) {
-    return field(key, static_cast<std::uint64_t>(v));
+  template <std::integral T>
+  JsonWriter& value(T v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return token(v ? "true" : "false");
+    } else if constexpr (std::is_signed_v<T>) {
+      return token(std::to_string(static_cast<long long>(v)));
+    } else {
+      return token(std::to_string(static_cast<unsigned long long>(v)));
+    }
   }
-  TraceEvent& field(std::string_view key, int v) {
-    return field(key, static_cast<std::int64_t>(v));
-  }
-  TraceEvent& field(std::string_view key, double v);
-  TraceEvent& field(std::string_view key, std::string_view v);
-  TraceEvent& field(std::string_view key, const char* v) {
-    return field(key, std::string_view(v));
+  JsonWriter& value(double v);
+  JsonWriter& value(std::string_view v);
+  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
+
+  template <class T>
+  JsonWriter& field(std::string_view k, const T& v) {
+    key(k);
+    return value(v);
   }
 
-  /// The finished JSON object (idempotent).
-  std::string json() const;
+  const std::string& str() const { return out_; }
 
  private:
-  std::string body_;  ///< "{...fields" without the closing brace
+  JsonWriter& token(std::string_view t) {
+    if (comma_) out_ += ',';
+    out_ += t;
+    comma_ = true;
+    return *this;
+  }
+  JsonWriter& open(char c) {
+    token(std::string_view(&c, 1));
+    comma_ = false;
+    return *this;
+  }
+  JsonWriter& close(char c) {
+    comma_ = false;
+    return token(std::string_view(&c, 1));
+  }
+
+  std::string out_;
+  bool comma_ = false;  ///< the next member or element needs a leading ','
+};
+
+/// One JSONL trace line under construction. Fields render in insertion
+/// order through a JsonWriter. The first field is always "event": <type>.
+class TraceEvent {
+ public:
+  explicit TraceEvent(std::string_view type) {
+    writer_.begin_object().field("event", type);
+  }
+
+  template <class T>
+  TraceEvent& field(std::string_view key, const T& v) {
+    writer_.field(key, v);
+    return *this;
+  }
+
+  /// The open object, for callers that write whole field lists into it.
+  JsonWriter& writer() { return writer_; }
+
+  /// The finished JSON object (idempotent).
+  std::string json() const { return writer_.str() + "}"; }
+
+ private:
+  JsonWriter writer_;  ///< "{...fields" without the closing brace
 };
 
 /// True when a trace sink is open. First call initialises the sink from the

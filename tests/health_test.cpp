@@ -2,17 +2,22 @@
 // detector's firing and non-firing sides, /healthz recovery after clean
 // rounds, the /progress JSON render, and the two end-to-end contracts the
 // design leans on — a monitored run reports its accounting on the
-// RunResult, and arming a monitor leaves the run bitwise-identical to an
-// unmonitored one.
+// RunResult, arming a monitor leaves the run bitwise-identical to an
+// unmonitored one, and the run_end trace event, the --json document,
+// /progress and the /metrics extras agree on every shared field.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <memory>
+#include <optional>
 
 #include "reffil/fed/health.hpp"
 #include "reffil/fed/runtime.hpp"
 #include "reffil/harness/experiment.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/json.hpp"
+#include "reffil/util/obs.hpp"
 
 using namespace reffil;
 
@@ -218,7 +223,7 @@ TEST(Progress, RenderJsonParsesAndRoundTrips) {
   snap.dataset = "PACS";
   snap.rounds_done = 7;
   snap.rounds_total = 40;
-  snap.bytes_up = 12345;
+  snap.network.bytes_up = 12345;
   snap.task_accuracy = {81.25, 79.5};
   snap.healthy = false;
   snap.health_reason = "norm_z: drift";
@@ -267,9 +272,7 @@ TEST(RunMonitorEndToEnd, MonitoredRunReportsAccountingOnTheResult) {
   EXPECT_TRUE(board.done);
   EXPECT_EQ(board.rounds_done, result.rounds.size());
   EXPECT_EQ(board.rounds_total, spec.rounds_per_task * spec.domains.size());
-  EXPECT_EQ(board.bytes_up, result.network.bytes_up);
-  EXPECT_EQ(board.bytes_down, result.network.bytes_down);
-  EXPECT_EQ(board.messages, result.network.messages);
+  EXPECT_EQ(board.network, result.network);
   ASSERT_EQ(board.task_accuracy.size(), result.tasks.size());
   EXPECT_DOUBLE_EQ(board.task_accuracy[0], result.tasks[0].cumulative_accuracy);
   // The time series saw the live registry at every round boundary.
@@ -311,4 +314,104 @@ TEST(RunMonitorEndToEnd, ArmedMonitorLeavesRunBitwiseIdentical) {
   // The unmonitored run reports an inert monitor summary.
   EXPECT_FALSE(plain.monitor.enabled);
   EXPECT_TRUE(monitored.monitor.enabled);
+}
+
+namespace {
+bool same_value(const util::json::Value& a, const util::json::Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.is_number()) return a.as_number() == b.as_number();
+  if (a.is_string()) return a.as_string() == b.as_string();
+  return a.is_bool() && a.as_bool() == b.as_bool();
+}
+}  // namespace
+
+// The channels a run reports through are walks over the same field lists,
+// so they must agree key for key and digit for digit. norm_z=1e-6 makes the
+// drift detector fire on every round after its 3-round baseline, with
+// z-scores that need all nine significant digits.
+TEST(CrossChannel, RunEndJsonProgressAndMetricsAgree) {
+  const std::string path = "/tmp/reffil_cross_channel_test.jsonl";
+  const auto spec = harness::apply_scale(data::digits_five_spec(),
+                                         harness::Scale::kSmoke);
+  harness::ExperimentConfig config;
+  config.parallelism = 2;
+  auto method =
+      harness::make_method(harness::MethodKind::kFinetune, spec, config);
+  auto monitor = std::make_shared<fed::RunMonitor>(
+      fed::MonitorConfig::parse("norm_z=0.000001,quarantine_rate=0.1"));
+  fed::FederatedRunner runner(
+      {.spec = spec,
+       .parallelism = 2,
+       .seed = 7,
+       .dropout_probability = 0.2,
+       .faults = fed::FaultProfile::parse("poison=0.3,corrupt=0.2,retries=1"),
+       .monitor = monitor});
+  obs::set_trace_path(path);
+  const fed::RunResult result = runner.run(*method);
+  obs::set_trace_path("");
+  ASSERT_GE(result.health.size(), 2u);
+  ASSERT_GT(result.network.quarantined, 0u);
+  ASSERT_GT(result.network.bytes_retransmitted, 0u);
+
+  std::ifstream trace(path);
+  std::optional<util::json::Value> run_end;
+  std::vector<util::json::Value> traced_health;
+  for (std::string line; std::getline(trace, line);) {
+    auto event = util::json::parse(line);
+    const std::string type = event.string_or("event", "");
+    if (type == "run_end") run_end = std::move(event);
+    if (type == "health") traced_health.push_back(std::move(event));
+  }
+  ASSERT_TRUE(run_end.has_value());
+  const util::json::Value& end = *run_end;
+  obs::JsonWriter w;
+  w.begin_object();
+  fed::write_run_json(w, result);
+  w.end_object();
+  const auto json = util::json::parse(w.str());
+  const fed::ProgressSnapshot board = monitor->board().get();
+  const auto progress = util::json::parse(board.render_json());
+  const auto extras = fed::run_extras(board);
+
+  std::size_t checked = 0;
+  util::for_each_field(result.network, [&](const char* name,
+                                           std::uint64_t value) {
+    for (const auto* doc : {&end, &json, &progress}) {
+      const auto* got = doc->find(name);
+      ASSERT_NE(got, nullptr) << name;
+      EXPECT_EQ(got->as_number(), static_cast<double>(value)) << name;
+    }
+    const auto metric = std::find_if(
+        extras.begin(), extras.end(), [&](const obs::expo::ExtraMetric& m) {
+          return m.name == std::string("reffil_run_") + name;
+        });
+    ASSERT_NE(metric, extras.end()) << name;
+    EXPECT_EQ(metric->type, "counter") << name;
+    EXPECT_EQ(metric->value, static_cast<double>(value)) << name;
+    ++checked;
+  });
+  EXPECT_EQ(checked, util::field_count<fed::NetworkStats>());
+
+  // Every firing matches across the --json events and the health trace
+  // events; /progress keeps the most recent ones, which must match too.
+  const auto& events = json.find("health")->find("events")->as_array();
+  const auto& alerts = progress.find("alerts")->as_array();
+  ASSERT_EQ(events.size(), result.health.size());
+  ASSERT_EQ(traced_health.size(), events.size());
+  ASSERT_FALSE(alerts.empty());
+  ASSERT_LE(alerts.size(), events.size());
+  const std::size_t offset = events.size() - alerts.size();
+  const auto expect_same = [](const util::json::Value& a,
+                              const util::json::Value& b) {
+    util::for_each_field(fed::HealthEvent{}, [&](const char* name,
+                                                 const auto&) {
+      ASSERT_NE(a.find(name), nullptr) << name;
+      ASSERT_NE(b.find(name), nullptr) << name;
+      EXPECT_TRUE(same_value(*a.find(name), *b.find(name))) << name;
+    });
+  };
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    expect_same(events[i], traced_health[i]);
+    if (i >= offset) expect_same(events[i], alerts[i - offset]);
+  }
 }

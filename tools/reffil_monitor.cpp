@@ -152,8 +152,9 @@ void render(const Value& p, bool clear) {
               p.number_or("messages", 0));
   std::printf("  faults   dropped %.0f  quarantined %.0f  retries %.0f  "
               "timed_out %.0f\n",
-              p.number_or("dropped", 0), p.number_or("quarantined", 0),
-              p.number_or("retries", 0), p.number_or("timed_out", 0));
+              p.number_or("dropped_updates", 0),
+              p.number_or("quarantined", 0), p.number_or("retries", 0),
+              p.number_or("timed_out", 0));
   std::printf("  latency  p50 %.3fs  p95 %.3fs  p99 %.3fs  participants %.0f\n",
               p.number_or("round_p50_s", 0), p.number_or("round_p95_s", 0),
               p.number_or("round_p99_s", 0), p.number_or("participants", 0));

@@ -96,182 +96,52 @@ std::optional<harness::MethodKind> parse_method(const std::string& name) {
   return std::nullopt;
 }
 
-// Sum of per-round selected participants — under --des this counts sampled
-// cohort members (the nonzero-participation signal the CI smoke asserts on);
-// dense runs count clients_per_round per round.
-std::uint64_t total_participants(const fed::RunResult& result) {
-  std::uint64_t total = 0;
-  for (const auto& round : result.rounds) total += round.selected;
-  return total;
-}
-
+// The --json document: the library's run document (fed::write_run_json)
+// plus what only this process knows — the kernel target, phase quantiles
+// from the metrics registry, and graph-replay accounting.
 void print_json(const fed::RunResult& result) {
-  std::printf("{\"method\":\"%s\",\"dataset\":\"%s\",\"isa\":\"%s\","
-              "\"avg\":%.4f,\"last\":%.4f,\"tasks\":[",
-              result.method_name.c_str(), result.dataset_name.c_str(),
-              tensor::kern::active_name(), result.average_accuracy(),
-              result.last_accuracy());
-  for (std::size_t t = 0; t < result.tasks.size(); ++t) {
-    const auto& task = result.tasks[t];
-    std::printf("%s{\"domain\":\"%s\",\"cumulative\":%.4f,\"per_domain\":[",
-                t == 0 ? "" : ",", task.domain_name.c_str(),
-                task.cumulative_accuracy);
-    for (std::size_t d = 0; d < task.per_domain_accuracy.size(); ++d) {
-      std::printf("%s%.4f", d == 0 ? "" : ",", task.per_domain_accuracy[d]);
-    }
-    std::printf("]}");
-  }
-  // Compression ratios: raw-equivalent over wire bytes (1 when the run is
-  // uncompressed, so the fields are always present and always comparable).
-  const double down_ratio =
-      result.network.bytes_down > 0
-          ? static_cast<double>(result.network.bytes_down_raw_equiv) /
-                static_cast<double>(result.network.bytes_down)
-          : 1.0;
-  const double up_ratio =
-      result.network.bytes_up > 0
-          ? static_cast<double>(result.network.bytes_up_raw_equiv) /
-                static_cast<double>(result.network.bytes_up)
-          : 1.0;
-  std::printf("],\"participants\":%llu,"
-              "\"bytes_down\":%llu,\"bytes_up\":%llu,\"messages\":%llu,"
-              "\"dropped\":%llu,\"quarantined\":%llu,\"retries\":%llu,"
-              "\"timed_out\":%llu,\"bytes_retransmitted\":%llu,"
-              "\"compression\":\"%s\","
-              "\"bytes_down_raw_equiv\":%llu,\"bytes_up_raw_equiv\":%llu,"
-              "\"compression_ratio_down\":%.4f,\"compression_ratio_up\":%.4f,"
-              "\"wall_seconds\":%.3f,\"train_seconds\":%.3f,"
-              "\"aggregate_seconds\":%.3f,\"eval_seconds\":%.3f",
-              static_cast<unsigned long long>(total_participants(result)),
-              static_cast<unsigned long long>(result.network.bytes_down),
-              static_cast<unsigned long long>(result.network.bytes_up),
-              static_cast<unsigned long long>(result.network.messages),
-              static_cast<unsigned long long>(result.network.dropped_updates),
-              static_cast<unsigned long long>(result.network.quarantined),
-              static_cast<unsigned long long>(result.network.retries),
-              static_cast<unsigned long long>(result.network.timed_out),
-              static_cast<unsigned long long>(
-                  result.network.bytes_retransmitted),
-              result.compression.c_str(),
-              static_cast<unsigned long long>(
-                  result.network.bytes_down_raw_equiv),
-              static_cast<unsigned long long>(
-                  result.network.bytes_up_raw_equiv),
-              down_ratio, up_ratio, result.wall_seconds,
-              result.train_seconds(), result.aggregate_seconds(),
-              result.eval_seconds());
+  obs::JsonWriter w;
+  w.begin_object();
+  fed::write_run_json(w, result);
+  w.field("isa", tensor::kern::active_name());
 
-  // Bucket-estimated quantiles for the phase histograms the runner feeds
-  // (satellite: Registry::Snapshot now carries the buckets).
+  // Bucket-estimated quantiles for the phase histograms the runner feeds.
   const auto snap = obs::Registry::instance().snapshot();
-  std::printf(",\"quantiles\":{");
-  bool first = true;
+  w.key("quantiles").begin_object();
   for (const char* name : {"fed.round_train_seconds", "fed.aggregate_seconds",
                            "fed.eval_seconds", "pool.task_wait_seconds"}) {
     const auto it = snap.histograms.find(name);
     if (it == snap.histograms.end() || it->second.stats.count == 0) continue;
-    std::printf("%s\"%s\":{\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f}",
-                first ? "" : ",", name, it->second.quantile(0.50),
-                it->second.quantile(0.95), it->second.quantile(0.99));
-    first = false;
+    w.key(name)
+        .begin_object()
+        .field("p50", it->second.quantile(0.50))
+        .field("p95", it->second.quantile(0.95))
+        .field("p99", it->second.quantile(0.99))
+        .end_object();
   }
-  std::printf("}");
+  w.end_object();
 
   // Graph-replay accounting (all zero for eager runs, so the block is
   // always present). arena_bytes is the largest planned arena this process
   // captured — deterministic for a fixed (method, dataset, scale, seed).
-  const auto counter_of = [&](const char* name) -> unsigned long long {
+  const auto counter_of = [&](const char* name) -> std::uint64_t {
     const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0ULL
-                                     : static_cast<unsigned long long>(
-                                           it->second);
+    return it == snap.counters.end() ? 0 : it->second;
   };
   const auto gauge_it = snap.gauges.find("ag.graph.arena_bytes");
-  const unsigned long long arena_bytes =
-      gauge_it == snap.gauges.end()
-          ? 0ULL
-          : static_cast<unsigned long long>(gauge_it->second);
-  std::printf(",\"graph\":{\"captures\":%llu,\"capture_rejects\":%llu,"
-              "\"replays\":%llu,\"fallbacks\":%llu,\"arena_bytes\":%llu,"
-              "\"pool_misses\":%llu}",
-              counter_of("ag.graph.capture"),
-              counter_of("ag.graph.capture_reject"),
-              counter_of("ag.graph.replay"), counter_of("ag.graph.fallback"),
-              arena_bytes, counter_of("tensor.pool.miss"));
-
-  // Health block: detector firings with round coordinates. Present for every
-  // run (monitored=false for plain ones) so consumers never branch on key
-  // existence.
-  std::string health = ",\"health\":{\"monitored\":";
-  health += result.monitor.enabled ? "true" : "false";
-  health += ",\"healthy\":";
-  health += result.monitor.healthy_at_end ? "true" : "false";
-  health += ",\"alerts\":" + std::to_string(result.health.size());
-  health += ",\"samples_taken\":" +
-            std::to_string(result.monitor.samples_taken);
-  health += ",\"samples_retained\":" +
-            std::to_string(result.monitor.samples_retained);
-  health += ",\"events\":[";
-  for (std::size_t i = 0; i < result.health.size(); ++i) {
-    const auto& e = result.health[i];
-    if (i != 0) health += ',';
-    health += "{\"detector\":\"";
-    obs::json_escape(health, e.detector);
-    health += "\",\"task\":" + std::to_string(e.task);
-    health += ",\"round\":" + std::to_string(e.round);
-    health += ",\"global_round\":" + std::to_string(e.global_round);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ",\"value\":%.6g,\"threshold\":%.6g",
-                  e.value, e.threshold);
-    health += buf;
-    health += ",\"detail\":\"";
-    obs::json_escape(health, e.detail);
-    health += "\"}";
-  }
-  health += "]}";
-  std::printf("%s}\n", health.c_str());
-}
-
-/// The /metrics extras a monitored run exposes beyond the process registry:
-/// run-scoped series fed from the progress board at round cadence, whose
-/// final values reconcile exactly with RunResult::network (the CI
-/// monitored-smoke asserts this byte-for-byte).
-std::vector<obs::expo::ExtraMetric> run_extras(const fed::ProgressSnapshot& p) {
-  std::vector<obs::expo::ExtraMetric> extras;
-  const auto counter = [&](const char* name, const char* help,
-                           std::uint64_t v) {
-    extras.push_back({std::string("reffil_run_") + name, help, "counter", {},
-                      static_cast<double>(v)});
-  };
-  const auto gauge = [&](const char* name, const char* help, double v) {
-    extras.push_back(
-        {std::string("reffil_run_") + name, help, "gauge", {}, v});
-  };
-  extras.push_back({"reffil_run_info",
-                    "run identity",
-                    "gauge",
-                    {{"method", p.method}, {"dataset", p.dataset}},
-                    1.0});
-  counter("rounds", "committed rounds this run", p.rounds_done);
-  counter("participants", "cumulative selected participants", p.participants);
-  counter("bytes_down", "server->client wire bytes", p.bytes_down);
-  counter("bytes_up", "client->server wire bytes", p.bytes_up);
-  counter("bytes_down_raw_equiv", "uncompressed-equivalent downlink bytes",
-          p.bytes_down_raw_equiv);
-  counter("bytes_up_raw_equiv", "uncompressed-equivalent uplink bytes",
-          p.bytes_up_raw_equiv);
-  counter("messages", "logical messages", p.messages);
-  counter("dropped", "client dropouts", p.dropped);
-  counter("quarantined", "quarantined updates", p.quarantined);
-  counter("retries", "retransmissions", p.retries);
-  counter("timed_out", "deadline-cut deliveries", p.timed_out);
-  counter("alerts", "health detector firings", p.alerts.size());
-  gauge("task", "current task index", static_cast<double>(p.task));
-  gauge("round_p95_seconds", "p95 round train+aggregate seconds",
-        p.round_p95_s);
-  gauge("healthy", "1 while /healthz is ok", p.healthy ? 1.0 : 0.0);
-  gauge("done", "1 once the run finished", p.done ? 1.0 : 0.0);
-  return extras;
+  const auto arena_bytes = static_cast<std::uint64_t>(
+      gauge_it == snap.gauges.end() ? 0.0 : gauge_it->second);
+  w.key("graph")
+      .begin_object()
+      .field("captures", counter_of("ag.graph.capture"))
+      .field("capture_rejects", counter_of("ag.graph.capture_reject"))
+      .field("replays", counter_of("ag.graph.replay"))
+      .field("fallbacks", counter_of("ag.graph.fallback"))
+      .field("arena_bytes", arena_bytes)
+      .field("pool_misses", counter_of("tensor.pool.miss"))
+      .end_object();
+  w.end_object();
+  std::printf("%s\n", w.str().c_str());
 }
 
 }  // namespace
@@ -469,7 +339,7 @@ int main(int argc, char** argv) {
         [monitor] {
           return obs::expo::render_openmetrics(
               obs::Registry::instance().snapshot(),
-              run_extras(monitor->board().get()));
+              fed::run_extras(monitor->board().get()));
         },
         [monitor] { return monitor->board().get().render_json(); },
         [monitor] {
@@ -540,24 +410,16 @@ int main(int argc, char** argv) {
     }
     if (!des_spec.empty()) {
       std::printf("  %llu participants sampled across %zu rounds\n",
-                  static_cast<unsigned long long>(total_participants(result)),
+                  static_cast<unsigned long long>(result.participants()),
                   result.rounds.size());
     }
     std::string compress_note;
     if (result.compression != "none") {
-      const double down_ratio =
-          result.network.bytes_down > 0
-              ? static_cast<double>(result.network.bytes_down_raw_equiv) /
-                    static_cast<double>(result.network.bytes_down)
-              : 1.0;
-      const double up_ratio =
-          result.network.bytes_up > 0
-              ? static_cast<double>(result.network.bytes_up_raw_equiv) /
-                    static_cast<double>(result.network.bytes_up)
-              : 1.0;
       char buf[128];
       std::snprintf(buf, sizeof(buf), "  [%s: %.1fx down, %.1fx up]",
-                    result.compression.c_str(), down_ratio, up_ratio);
+                    result.compression.c_str(),
+                    result.compression_ratio_down(),
+                    result.compression_ratio_up());
       compress_note = buf;
     }
     std::printf("Avg %.2f%%  Last %.2f%%  traffic %.1f MiB down / %.1f MiB up"
