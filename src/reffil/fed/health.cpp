@@ -53,11 +53,7 @@ MonitorConfig MonitorConfig::parse(const std::string& spec) {
       }
       return static_cast<std::size_t>(value);
     };
-    if (key == "capacity" || key == "timeseries_capacity") {
-      config.timeseries_capacity = as_size("capacity");
-    } else if (key == "interval" || key == "wallclock_interval") {
-      config.wallclock_interval_s = value;
-    } else if (key == "norm_z") {
+    if (key == "norm_z") {
       config.norm_z = value;
     } else if (key == "norm_window") {
       config.norm_window = as_size("norm_window");
@@ -250,7 +246,7 @@ std::vector<obs::expo::ExtraMetric> run_extras(const ProgressSnapshot& p) {
         static_cast<double>(v));
   });
   add("alerts", "health detector firings", "counter",
-      static_cast<double>(p.alerts.size()));
+      static_cast<double>(p.alerts_fired));
   add("task", "current task index", "gauge", static_cast<double>(p.task));
   add("round_p95_seconds", "p95 round train+aggregate seconds", "gauge",
       p.round_p95_s);
@@ -272,9 +268,7 @@ ProgressSnapshot ProgressBoard::get() const {
 // ---- RunMonitor ------------------------------------------------------------
 
 RunMonitor::RunMonitor(MonitorConfig config)
-    : config_(config),
-      timeseries_(config.timeseries_capacity),
-      health_(config),
+    : health_(std::move(config)),
       start_(std::chrono::steady_clock::now()) {}
 
 void RunMonitor::on_run_start(const std::string& method,
@@ -307,13 +301,7 @@ void RunMonitor::on_round(const RunResult& result, const RoundStats& round,
        .norm_count = norms.count,
        .norm_mean = norms.mean});
 
-  timeseries_.sample(sim_time_s, global_round);
   refresh_board(result, &round, sim_time_s);
-}
-
-void RunMonitor::on_wave(double sim_time_s, std::uint64_t global_round) {
-  timeseries_.maybe_sample(config_.wallclock_interval_s, sim_time_s,
-                           global_round);
 }
 
 void RunMonitor::on_eval(std::uint32_t task, double cumulative_accuracy) {
@@ -322,11 +310,7 @@ void RunMonitor::on_eval(std::uint32_t task, double cumulative_accuracy) {
 
 void RunMonitor::finalize(RunResult& result) {
   result.health = health_.events();
-  const auto ts = timeseries_.summary();
   result.monitor.enabled = true;
-  result.monitor.samples_taken = ts.taken;
-  result.monitor.samples_retained = ts.retained;
-  result.monitor.samples_capacity = ts.capacity;
   result.monitor.alerts = result.health.size();
   result.monitor.healthy_at_end = health_.healthy();
   refresh_board(result, nullptr, board_.get().sim_time_s, /*done=*/true);
@@ -359,6 +343,7 @@ void RunMonitor::refresh_board(const RunResult& result,
   snap.healthy = health_.healthy();
   snap.health_reason = health_.reason();
   auto events = health_.events();
+  snap.alerts_fired = events.size();
   constexpr std::size_t kMaxAlerts = 16;  // /progress stays single-screen
   if (events.size() > kMaxAlerts) {
     events.erase(events.begin(),

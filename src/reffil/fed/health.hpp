@@ -1,10 +1,9 @@
 // Live health & anomaly monitoring for a federated run.
 //
 // Post-mortem traces tell you a run went wrong; a health monitor tells you
-// *while it is still running*. A RunMonitor bundles the three live views the
+// *while it is still running*. A RunMonitor bundles the two live views the
 // runner feeds at round boundaries:
 //
-//   * a TimeSeries store (util/timeseries.hpp) sampling the metrics registry,
 //   * a HealthMonitor evaluating pluggable per-round detectors,
 //   * a ProgressBoard the exposition server (util/expo.hpp) renders as
 //     /progress JSON and /metrics extras (run_extras).
@@ -42,13 +41,11 @@
 
 #include "reffil/fed/result.hpp"
 #include "reffil/util/expo.hpp"
-#include "reffil/util/timeseries.hpp"
+#include "reffil/util/obs.hpp"
 
 namespace reffil::fed {
 
 struct MonitorConfig {
-  std::size_t timeseries_capacity = 512;  ///< retained TimePoint rows
-  double wallclock_interval_s = 5.0;      ///< mid-round DES sampling cadence
   // Detector knobs; a non-positive value disables that detector.
   double norm_z = 4.0;             ///< z-score threshold for norm drift
   std::size_t norm_window = 8;     ///< trailing rounds in the norm baseline
@@ -141,6 +138,7 @@ struct ProgressSnapshot {
   bool done = false;
   bool healthy = true;
   std::string health_reason;
+  std::uint64_t alerts_fired = 0;   ///< detector firings over the run
   std::vector<HealthEvent> alerts;  ///< most recent firings (bounded)
 
   template <class Self, class F>
@@ -164,6 +162,7 @@ struct ProgressSnapshot {
     f("done", s.done);
     f("healthy", s.healthy);
     f("health_reason", s.health_reason);
+    f("alerts_fired", s.alerts_fired);
     f("alerts", s.alerts);
   }
 
@@ -200,18 +199,16 @@ struct NormAccumulator {
   }
 };
 
-/// The bundle a monitored run carries: time series + health + progress.
-/// Created by the driver (reffil_run --serve-metrics), handed to the runner
-/// via RunConfig::monitor, read by the exposition server. All hooks are
-/// cheap (mutex + map copy at round cadence) and rng-free.
+/// The bundle a monitored run carries: health + progress. Created by the
+/// driver (reffil_run --serve-metrics), handed to the runner via
+/// RunConfig::monitor, read by the exposition server. All hooks are cheap
+/// (a mutex and a board copy at round cadence) and rng-free.
 class RunMonitor {
  public:
   explicit RunMonitor(MonitorConfig config);
 
-  obs::TimeSeries& timeseries() { return timeseries_; }
   HealthMonitor& health() { return health_; }
   ProgressBoard& board() { return board_; }
-  const MonitorConfig& config() const { return config_; }
 
   // -- runner hooks ----------------------------------------------------------
   void on_run_start(const std::string& method, const std::string& dataset,
@@ -221,19 +218,15 @@ class RunMonitor {
   void on_round(const RunResult& result, const RoundStats& round,
                 std::uint64_t global_round, double sim_time_s,
                 const NormAccumulator& norms);
-  /// Wall-clock sampling between the waves of a multi-wave (DES) round.
-  void on_wave(double sim_time_s, std::uint64_t global_round);
   void on_eval(std::uint32_t task, double cumulative_accuracy);
-  /// Marks the board done and copies the health log + time-series summary
-  /// into the result (RunResult::health / RunResult::monitor).
+  /// Marks the board done and copies the health log and its summary into
+  /// the result (RunResult::health / RunResult::monitor).
   void finalize(RunResult& result);
 
  private:
   void refresh_board(const RunResult& result, const RoundStats* round,
                      double sim_time_s, bool done = false);
 
-  MonitorConfig config_;
-  obs::TimeSeries timeseries_;
   HealthMonitor health_;
   ProgressBoard board_;
   obs::Histogram round_latency_;  ///< this run's per-round train+agg seconds

@@ -42,22 +42,16 @@ struct HealthEvent {
 static_assert(util::fields_match_members<HealthEvent>());
 
 /// Compact monitor accounting carried on the RunResult (and the cache) so
-/// post-hoc tools know a run was monitored and how much history survived.
+/// post-hoc tools know a run was monitored and how it ended.
 struct MonitorSummary {
   bool enabled = false;
-  std::uint64_t samples_taken = 0;     ///< time-series rows ever recorded
-  std::uint64_t samples_retained = 0;  ///< of which still in the ring
-  std::uint64_t samples_capacity = 0;
-  std::uint64_t alerts = 0;            ///< detector firings over the run
+  std::uint64_t alerts = 0;  ///< detector firings over the run
   bool healthy_at_end = true;
 
   bool operator==(const MonitorSummary&) const = default;
   template <class Self, class F>
   static constexpr void fields(Self& s, F&& f) {
     f("enabled", s.enabled);
-    f("samples_taken", s.samples_taken);
-    f("samples_retained", s.samples_retained);
-    f("samples_capacity", s.samples_capacity);
     f("alerts", s.alerts);
     f("healthy_at_end", s.healthy_at_end);
   }
@@ -214,10 +208,9 @@ static_assert(util::fields_match_members<RunResult>());
 void write_run_summary(obs::JsonWriter& w, const RunResult& result);
 
 /// The members of the `reffil_run --json` document: write_run_summary, then
-/// "tasks" (each task's domain, cumulative and per_domain accuracy — the
-/// accuracy matrix) and a "health" object (monitored, healthy, the
-/// MonitorSummary fields and the HealthEvent list as "events"). The caller
-/// opens and closes the object.
+/// "tasks" (the TaskResult list — the accuracy matrix) and a "health" object
+/// (the MonitorSummary fields and the HealthEvent list as "events"). The
+/// caller opens and closes the object.
 void write_run_json(obs::JsonWriter& w, const RunResult& result);
 
 }  // namespace reffil::fed

@@ -113,22 +113,11 @@ void write_run_summary(obs::JsonWriter& w, const RunResult& result) {
 
 void write_run_json(obs::JsonWriter& w, const RunResult& result) {
   write_run_summary(w, result);
-  w.key("tasks").begin_array();
-  for (const TaskResult& task : result.tasks) {
-    w.begin_object()
-        .field("domain", task.domain_name)
-        .field("cumulative", task.cumulative_accuracy)
-        .key("per_domain");
-    util::json_value(w, task.per_domain_accuracy);
-    w.end_object();
-  }
-  w.end_array();
-  // Present for every run (monitored=false for plain ones), so consumers
+  w.key("tasks");
+  util::json_value(w, result.tasks);
+  // Present for every run (enabled=false for plain ones), so consumers
   // never branch on key existence.
-  w.key("health")
-      .begin_object()
-      .field("monitored", result.monitor.enabled)
-      .field("healthy", result.monitor.healthy_at_end);
+  w.key("health").begin_object();
   util::json_members(w, result.monitor);
   w.key("events");
   util::json_value(w, result.health);
@@ -540,12 +529,6 @@ RunResult FederatedRunner::run(Method& method) {
                                    std::chrono::steady_clock::now() - add_start)
                                    .count();
         }
-        if (monitor != nullptr && begin + count < cohort) {
-          // Long rounds over huge cohorts would otherwise leave the live
-          // view stale between round boundaries; sample on a wall-clock
-          // cadence while waves drain (no-op within the interval).
-          monitor->on_wave(sim_time, result.rounds.size());
-        }
       }
       round_span.finish();
       train_time.observe(round_stats.train_seconds);
@@ -647,14 +630,7 @@ RunResult FederatedRunner::run(Method& method) {
   // Persist the op-level profile (no-op when no profile sink is armed) so a
   // profiled run yields a loadable trace even without a clean process exit.
   obs::prof::flush();
-  if (monitor != nullptr) {
-    // One closing sample so the final time-series row carries the run-end
-    // registry totals (fed.bytes_up etc.), then snapshot health into result.
-    monitor->timeseries().sample(
-        round_interval_s * static_cast<double>(global_round),
-        result.rounds.size());
-    monitor->finalize(result);
-  }
+  if (monitor != nullptr) monitor->finalize(result);
   return result;
 }
 

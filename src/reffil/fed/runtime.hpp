@@ -72,11 +72,11 @@ struct RunConfig {
   /// Optional data-source override; when null, data comes from the spec's
   /// synthetic domain generator (the paper's setting).
   std::shared_ptr<const TaskSource> source;
-  /// Live telemetry (fed/health.hpp): when set, the runner feeds per-round
-  /// time-series samples, health detectors, and the /progress board, and
-  /// copies the health log into the RunResult. Null (the default) keeps the
-  /// training path bitwise-identical — the only cost is a null check at
-  /// round cadence. Observation only: a monitor never alters a run.
+  /// Live telemetry (fed/health.hpp): when set, the runner feeds the
+  /// per-round health detectors and the /progress board, and copies the
+  /// health log into the RunResult. Null (the default) keeps the training
+  /// path bitwise-identical — the only cost is a null check at round
+  /// cadence. Observation only: a monitor never alters a run.
   std::shared_ptr<RunMonitor> monitor;
 };
 

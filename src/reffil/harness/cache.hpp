@@ -28,9 +28,10 @@ bool cache_enabled();
 /// the encoding, so a member added to a listed struct is cached without any
 /// serializer edit, and changes the layout — bump kCacheVersion with it.
 /// v1–v5 were hand-written encodings that each fixed a forgotten field; v6
-/// is the field-list walk.
+/// is the field-list walk; v7 drops MonitorSummary's three time-series
+/// sample counts.
 inline constexpr std::uint32_t kCacheMagic = 0x4C464652u;  // "RFFL"
-inline constexpr std::uint32_t kCacheVersion = 6;
+inline constexpr std::uint32_t kCacheVersion = 7;
 
 /// Stable key for one experiment cell. `fault_tag` is the canonical
 /// FaultProfile::tag() of the run, with DesConfig::tag() appended when the

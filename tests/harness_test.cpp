@@ -121,9 +121,6 @@ fed::RunResult sample_result() {
   event.detail = "4/10 updates quarantined in round 2";
   result.health.push_back(event);
   result.monitor.enabled = true;
-  result.monitor.samples_taken = 9;
-  result.monitor.samples_retained = 8;
-  result.monitor.samples_capacity = 8;
   result.monitor.alerts = 1;
   result.monitor.healthy_at_end = false;
   return result;
@@ -157,7 +154,10 @@ namespace {
 template <class T, class F>
 void for_each_member(T& s, F&& f) {
   constexpr std::size_t n = util::aggregate_arity<T>();
-  if constexpr (n == 5) {
+  if constexpr (n == 3) {
+    auto& [a, b, c] = s;
+    f(a), f(b), f(c);
+  } else if constexpr (n == 5) {
     auto& [a, b, c, d, e] = s;
     f(a), f(b), f(c), f(d), f(e);
   } else if constexpr (n == 6) {
@@ -251,7 +251,7 @@ TEST(RunResultSerialization, LegacyV1FormatLosesDropoutsAndIsRejected) {
 }
 
 TEST(RunResultSerialization, WrongVersionIsRejected) {
-  // The previous format (v5) and a future one are both refused by header.
+  // The previous format (v6) and a future one are both refused by header.
   for (const std::uint32_t version :
        {harness::kCacheVersion - 1, harness::kCacheVersion + 1}) {
     util::ByteWriter writer;

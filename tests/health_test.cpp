@@ -1,10 +1,11 @@
 // Health-monitor tests (fed/health.hpp): MonitorConfig spec parsing, each
 // detector's firing and non-firing sides, /healthz recovery after clean
-// rounds, the /progress JSON render, and the two end-to-end contracts the
-// design leans on — a monitored run reports its accounting on the
-// RunResult, arming a monitor leaves the run bitwise-identical to an
-// unmonitored one, and the run_end trace event, the --json document,
-// /progress and the /metrics extras agree on every shared field.
+// rounds, the /progress JSON render, the /metrics alert counter past the
+// bounded /progress alert list, and the end-to-end contracts the design
+// leans on — a monitored run reports its accounting on the RunResult,
+// arming a monitor leaves the run bitwise-identical to an unmonitored one,
+// and the run_end trace event, the --json document, /progress and the
+// /metrics extras agree on every shared field.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,7 +66,6 @@ data::DatasetSpec one_domain_spec() {
 
 TEST(MonitorConfig, ParseEmptySpecYieldsDefaults) {
   const auto config = fed::MonitorConfig::parse("");
-  EXPECT_EQ(config.timeseries_capacity, 512u);
   EXPECT_DOUBLE_EQ(config.norm_z, 4.0);
   EXPECT_DOUBLE_EQ(config.quarantine_rate, 0.25);
   EXPECT_DOUBLE_EQ(config.latency_slo_s, 0.0);
@@ -74,11 +74,8 @@ TEST(MonitorConfig, ParseEmptySpecYieldsDefaults) {
 
 TEST(MonitorConfig, ParseSetsEveryKnob) {
   const auto config = fed::MonitorConfig::parse(
-      "capacity=64,interval=1.5,norm_z=3,norm_window=4,quarantine_rate=0.1,"
-      "latency_slo=2.5,slo_burn=0.25,slo_window=5,accuracy_drop=1,"
-      "recovery_rounds=2");
-  EXPECT_EQ(config.timeseries_capacity, 64u);
-  EXPECT_DOUBLE_EQ(config.wallclock_interval_s, 1.5);
+      "norm_z=3,norm_window=4,quarantine_rate=0.1,latency_slo=2.5,"
+      "slo_burn=0.25,slo_window=5,accuracy_drop=1,recovery_rounds=2");
   EXPECT_DOUBLE_EQ(config.norm_z, 3.0);
   EXPECT_EQ(config.norm_window, 4u);
   EXPECT_DOUBLE_EQ(config.quarantine_rate, 0.1);
@@ -91,6 +88,8 @@ TEST(MonitorConfig, ParseSetsEveryKnob) {
 
 TEST(MonitorConfig, ParseRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(fed::MonitorConfig::parse("nope=1"), ConfigError);
+  EXPECT_THROW(fed::MonitorConfig::parse("capacity=8"), ConfigError);
+  EXPECT_THROW(fed::MonitorConfig::parse("interval=1"), ConfigError);
   EXPECT_THROW(fed::MonitorConfig::parse("norm_z=abc"), ConfigError);
   EXPECT_THROW(fed::MonitorConfig::parse("norm_z"), ConfigError);
   EXPECT_THROW(fed::MonitorConfig::parse("norm_window=-1"), ConfigError);
@@ -252,6 +251,37 @@ TEST(Progress, RenderJsonParsesAndRoundTrips) {
   EXPECT_DOUBLE_EQ(alerts[0].number_or("global_round", 0), 6.0);
 }
 
+// /progress lists only the most recent firings; the /metrics alerts counter
+// must keep counting every one of them, like the --json health block.
+TEST(RunMonitor, MetricsAlertCounterCountsEveryFiring) {
+  auto config = quiet();
+  config.quarantine_rate = 0.25;
+  fed::RunMonitor monitor(config);
+  constexpr std::uint32_t kRounds = 24;
+  monitor.on_run_start("Finetune", "HealthEdge", 1, kRounds);
+  fed::RunResult result;
+  for (std::uint32_t r = 0; r < kRounds; ++r) {
+    fed::RoundStats round;
+    round.round = r;
+    round.selected = 10;
+    round.quarantined = 5;  // 0.5 > 0.25: fires every round
+    result.rounds.push_back(round);
+    monitor.on_round(result, round, r + 1, 0.0, fed::NormAccumulator{});
+  }
+  monitor.finalize(result);
+  const auto events = monitor.health().events();
+  ASSERT_EQ(events.size(), kRounds);
+  EXPECT_EQ(result.monitor.alerts, events.size());
+
+  const auto board = monitor.board().get();
+  EXPECT_LT(board.alerts.size(), events.size());  // the list is bounded
+  const std::string metrics =
+      obs::expo::render_openmetrics({}, fed::run_extras(board));
+  const std::string line =
+      "\nreffil_run_alerts_total " + std::to_string(events.size()) + "\n";
+  EXPECT_NE(metrics.find(line), std::string::npos) << metrics;
+}
+
 TEST(RunMonitorEndToEnd, MonitoredRunReportsAccountingOnTheResult) {
   const auto spec = one_domain_spec();
   harness::ExperimentConfig config;
@@ -263,9 +293,6 @@ TEST(RunMonitorEndToEnd, MonitoredRunReportsAccountingOnTheResult) {
   const auto result = runner.run(*method);
 
   EXPECT_TRUE(result.monitor.enabled);
-  // One sample per committed round plus the final end-of-run sample.
-  EXPECT_EQ(result.monitor.samples_taken, result.rounds.size() + 1);
-  EXPECT_EQ(result.monitor.samples_retained, result.monitor.samples_taken);
   EXPECT_EQ(result.monitor.alerts, result.health.size());
 
   const auto board = monitor->board().get();
@@ -275,9 +302,6 @@ TEST(RunMonitorEndToEnd, MonitoredRunReportsAccountingOnTheResult) {
   EXPECT_EQ(board.network, result.network);
   ASSERT_EQ(board.task_accuracy.size(), result.tasks.size());
   EXPECT_DOUBLE_EQ(board.task_accuracy[0], result.tasks[0].cumulative_accuracy);
-  // The time series saw the live registry at every round boundary.
-  EXPECT_EQ(monitor->timeseries().summary().taken,
-            result.monitor.samples_taken);
 }
 
 TEST(RunMonitorEndToEnd, ArmedMonitorLeavesRunBitwiseIdentical) {

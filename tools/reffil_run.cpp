@@ -42,8 +42,8 @@
 //                     long after the run so a scraper can read the final
 //                     state (GET /quitquitquit ends the linger early).
 //   --monitor SPEC    arm live telemetry without the HTTP server; SPEC is a
-//                     comma-separated key=value list (capacity=N,interval=S,
-//                     norm_z=Z,norm_window=N,quarantine_rate=P,latency_slo=S,
+//                     comma-separated key=value list (norm_z=Z,
+//                     norm_window=N,quarantine_rate=P,latency_slo=S,
 //                     slo_burn=P,slo_window=N,accuracy_drop=PTS,
 //                     recovery_rounds=N) — see fed/health.hpp. Empty SPEC ("")
 //                     uses the defaults.
