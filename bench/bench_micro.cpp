@@ -6,6 +6,7 @@
 
 #include "reffil/autograd/graph.hpp"
 #include "reffil/autograd/ops.hpp"
+#include "reffil/cl/method_base.hpp"
 #include "reffil/core/cdap.hpp"
 #include "reffil/core/finch.hpp"
 #include "reffil/data/generator.hpp"
@@ -191,6 +192,83 @@ static void BM_TrainStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * batch);
 }
 BENCHMARK(BM_TrainStep)->Arg(4)->Arg(8);
+
+// One Finetune step (zero grads, forward, backward, SGD) on the two eager
+// paths MethodBase::train_step_eager has taken under parallel_samples, both
+// swept on the calling thread plus idle pool workers: each sample on its
+// own graph (the path before batched steps), or runs of samples as one
+// graph each, split by MethodBase::batched_runs. Both leave
+// bitwise-identical gradients (tests/batched_step_test.cpp).
+struct TrainStepData {
+  explicit TrainStepData(std::size_t n) : rng(11), net(config, rng) {
+    images = T::randn({n, config.image_channels, 16, 16}, rng);
+    const std::size_t size = images.numel() / n;
+    for (std::size_t i = 0; i < n; ++i) {
+      samples.emplace_back(
+          T::Shape{config.image_channels, 16, 16},
+          std::vector<float>(images.begin() + i * size,
+                             images.begin() + (i + 1) * size));
+      labels.push_back(i % config.num_classes);
+    }
+  }
+  Rng rng;
+  reffil::nn::PromptNetConfig config;
+  reffil::nn::PromptNet net;
+  T::Tensor images;
+  std::vector<T::Tensor> samples;
+  std::vector<std::size_t> labels;
+};
+
+static void BM_TrainStepPerSample(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  TrainStepData step(n);
+  reffil::nn::SgdOptimizer optimizer(step.net.parameters(),
+                                     {.learning_rate = 0.01f, .momentum = 0.9f});
+  AG::OrderedFold fold;
+  const float scale = 1.0f / static_cast<float>(n);
+  for (auto _ : state) {
+    optimizer.zero_grad();
+    fold.sweep_runs(reffil::util::global_thread_pool(), n, n,
+                    [&](std::size_t i, std::size_t) {
+                      const auto out = step.net.forward(step.samples[i]);
+                      AG::backward(AG::mul_scalar(
+                          AG::cross_entropy_logits(out.logits, {step.labels[i]}),
+                          scale));
+                    });
+    optimizer.step();
+    benchmark::DoNotOptimize(step.net.parameters().front()->grad());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_TrainStepPerSample)->Arg(1)->Arg(9)->Arg(16)->UseRealTime();
+
+static void BM_TrainStepBatched(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  TrainStepData step(n);
+  reffil::nn::SgdOptimizer optimizer(step.net.parameters(),
+                                     {.learning_rate = 0.01f, .momentum = 0.9f});
+  auto& pool = reffil::util::global_thread_pool();
+  AG::OrderedFold fold;
+  const std::size_t size = step.images.numel() / n;
+  for (auto _ : state) {
+    optimizer.zero_grad();
+    fold.sweep_runs(
+        pool, n, reffil::cl::MethodBase::batched_runs(n, pool.spare_workers()),
+        [&](std::size_t lo, std::size_t hi) {
+          const T::Tensor run({hi - lo, step.config.image_channels, 16, 16},
+                              std::vector<float>(step.images.begin() + lo * size,
+                                                 step.images.begin() + hi * size));
+          const std::vector<std::size_t> labels(step.labels.begin() + lo,
+                                                step.labels.begin() + hi);
+          AG::backward(AG::cross_entropy_logits(step.net.forward(run).logits,
+                                                labels, n));
+        });
+    optimizer.step();
+    benchmark::DoNotOptimize(step.net.parameters().front()->grad());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_TrainStepBatched)->Arg(1)->Arg(9)->Arg(16)->UseRealTime();
 
 // The same client step through capture-and-replay (autograd/graph.hpp): one
 // capture outside the loop, then bind+replay+SGD per iteration. Compare

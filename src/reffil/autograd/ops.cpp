@@ -44,10 +44,22 @@ void require_rank2(const Var& v, const char* op) {
   }
 }
 
+/// Rows per sample of a rank-2 value holding `samples` equal row blocks.
+std::size_t rows_per_sample(const Var& v, std::size_t samples, const char* op) {
+  require_rank2(v, op);
+  if (samples == 0 || v->value().dim(0) % samples != 0) {
+    throw ShapeError(std::string(op) + ": " +
+                     T::shape_to_string(v->value().shape()) +
+                     " does not split into " + std::to_string(samples) +
+                     " samples");
+  }
+  return v->value().dim(0) / samples;
+}
+
 }  // namespace
 
 Var add(const Var& a, const Var& b) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a, b},
+  Var out = make_node(a->value().shape(), {a, b},
                       [a, b](const T::Tensor& g) {
                         if (a->requires_grad()) a->accumulate_grad(g);
                         if (b->requires_grad()) b->accumulate_grad(g);
@@ -59,7 +71,7 @@ Var add(const Var& a, const Var& b) {
 }
 
 Var sub(const Var& a, const Var& b) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a, b},
+  Var out = make_node(a->value().shape(), {a, b},
                       [a, b](const T::Tensor& g) {
                         if (a->requires_grad()) a->accumulate_grad(g);
                         if (b->requires_grad()) {
@@ -75,7 +87,7 @@ Var sub(const Var& a, const Var& b) {
 }
 
 Var mul(const Var& a, const Var& b) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a, b},
+  Var out = make_node(a->value().shape(), {a, b},
                       [a, b](const T::Tensor& g) {
                         if (a->requires_grad()) {
                           T::pool::Scratch da(g.shape(), /*zero=*/false);
@@ -95,7 +107,7 @@ Var mul(const Var& a, const Var& b) {
 }
 
 Var add_scalar(const Var& a, float s) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a},
+  Var out = make_node(a->value().shape(), {a},
                       [a](const T::Tensor& g) { a->accumulate_grad(g); });
   graph::record(out, [self = out.get(), pa = a.get(), s] {
     T::add_scalar_into(pa->value(), s, self->mutable_value());
@@ -104,7 +116,7 @@ Var add_scalar(const Var& a, float s) {
 }
 
 Var mul_scalar(const Var& a, float s) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a},
+  Var out = make_node(a->value().shape(), {a},
                       [a, s](const T::Tensor& g) {
                         T::pool::Scratch da(g.shape(), /*zero=*/false);
                         T::mul_scalar_into(g, s, *da);
@@ -121,7 +133,7 @@ Var neg(const Var& a) { return mul_scalar(a, -1.0f); }
 Var relu(const Var& a) {
   prof::OpSpan ps("ag.relu");
   Var out = make_node(
-      T::Tensor(a->value().shape()), {a},
+      a->value().shape(), {a},
       [a](const T::Tensor& g) {
         T::pool::Scratch dx(g.shape(), /*zero=*/false);
         T::relu_backward_into(a->value(), g, *dx);
@@ -135,7 +147,7 @@ Var relu(const Var& a) {
 }
 
 Var tanh(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {});
+  Var out = make_node(a->value().shape(), {a}, {});
   if (out->requires_grad()) {
     // Reads y from the node's own value, which the forward closure refreshes
     // on every replay — never a stale captured copy.
@@ -157,7 +169,7 @@ Var tanh(const Var& a) {
 }
 
 Var sigmoid(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {});
+  Var out = make_node(a->value().shape(), {a}, {});
   if (out->requires_grad()) {
     out->set_backward([a, self = out.get()](const T::Tensor& g) {
       T::pool::Scratch dx(g.shape(), /*zero=*/false);
@@ -177,7 +189,7 @@ Var sigmoid(const Var& a) {
 }
 
 Var exp(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {});
+  Var out = make_node(a->value().shape(), {a}, {});
   if (out->requires_grad()) {
     out->set_backward([a, self = out.get()](const T::Tensor& g) {
       T::pool::Scratch dx(g.shape(), /*zero=*/false);
@@ -192,7 +204,7 @@ Var exp(const Var& a) {
 }
 
 Var log(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a},
+  Var out = make_node(a->value().shape(), {a},
                       [a](const T::Tensor& g) {
                         T::pool::Scratch dx(g.shape(), /*zero=*/false);
                         T::div_into(g, a->value(), *dx);
@@ -218,8 +230,8 @@ Var detach(const Var& a) {
   return out;
 }
 
-Var matmul(const Var& a, const Var& b) {
-  require_rank2(a, "matmul(a)");
+Var matmul(const Var& a, const Var& b, std::size_t samples) {
+  rows_per_sample(a, samples, "matmul(a)");
   require_rank2(b, "matmul(b)");
   if (a->value().dim(1) != b->value().dim(0)) {
     throw ShapeError("matmul: " + T::shape_to_string(a->value().shape()) +
@@ -227,20 +239,22 @@ Var matmul(const Var& a, const Var& b) {
   }
   prof::OpSpan ps("ag.matmul");
   Var out = make_node(
-      T::Tensor({a->value().dim(0), b->value().dim(1)}), {a, b},
-      [a, b](const T::Tensor& g) {
+      {a->value().dim(0), b->value().dim(1)}, {a, b},
+      [a, b, samples](const T::Tensor& g) {
         // dA = g·Bᵀ, dB = Aᵀ·g — fused kernels read the transposed operand in
         // place; the products land in pooled scratch that dies with the
-        // closure.
+        // closure. Every sample shares b, so dB is one Aᵀ·g partial per
+        // sample (its own rows), folded in the per-sample graphs' order.
         if (a->requires_grad()) {
           T::pool::Scratch da(a->value().shape(), /*zero=*/false);
           T::matmul_nt_into(g, b->value(), *da);
           a->accumulate_grad(*da);
         }
         if (b->requires_grad()) {
-          T::pool::Scratch db(b->value().shape(), /*zero=*/false);
-          T::matmul_tn_into(a->value(), g, *db);
-          b->accumulate_grad(*db);
+          const std::size_t k = b->value().dim(0), n = b->value().dim(1);
+          T::pool::Scratch db({samples * k, n}, /*zero=*/false);
+          T::matmul_tn_into(a->value(), g, *db, samples);
+          fold_sample_grads(*b, *db, samples);
         }
       },
       ps.name(), ps.corr());
@@ -250,39 +264,72 @@ Var matmul(const Var& a, const Var& b) {
   return out;
 }
 
-Var matmul_nt(const Var& a, const Var& b) {
-  require_rank2(a, "matmul_nt(a)");
-  require_rank2(b, "matmul_nt(b)");
+Var matmul_nt(const Var& a, const Var& b, std::size_t samples) {
+  rows_per_sample(a, samples, "matmul_nt(a)");
+  rows_per_sample(b, samples, "matmul_nt(b)");
   if (a->value().dim(1) != b->value().dim(1)) {
     throw ShapeError("matmul_nt: " + T::shape_to_string(a->value().shape()) +
                      " x " + T::shape_to_string(b->value().shape()) + "ᵀ");
   }
   prof::OpSpan ps("ag.matmul_nt");
   Var out = make_node(
-      T::Tensor({a->value().dim(0), b->value().dim(0)}), {a, b},
-      [a, b](const T::Tensor& g) {
-        // C = A·Bᵀ, so dA = g·B and dB = gᵀ·A — again no transposed copies.
+      {a->value().dim(0), b->value().dim(0) / samples}, {a, b},
+      [a, b, samples](const T::Tensor& g) {
+        // C_s = A_s·B_sᵀ, so dA_s = g_s·B_s and dB_s = g_sᵀ·A_s — again no
+        // transposed copies. No element of dA or dB mixes samples.
         if (a->requires_grad()) {
           T::pool::Scratch da(a->value().shape(), /*zero=*/false);
-          T::matmul_into(g, b->value(), *da);
+          T::matmul_into(g, b->value(), *da, samples);
           a->accumulate_grad(*da);
         }
         if (b->requires_grad()) {
           T::pool::Scratch db(b->value().shape(), /*zero=*/false);
-          T::matmul_tn_into(g, a->value(), *db);
+          T::matmul_tn_into(g, a->value(), *db, samples);
           b->accumulate_grad(*db);
         }
       },
       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
-    T::matmul_nt_into(pa->value(), pb->value(), self->mutable_value());
+  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), samples] {
+    T::matmul_nt_into(pa->value(), pb->value(), self->mutable_value(), samples);
+  });
+  return out;
+}
+
+Var matmul_per_sample(const Var& a, const Var& b, std::size_t samples) {
+  rows_per_sample(a, samples, "matmul_per_sample(a)");
+  const std::size_t k = rows_per_sample(b, samples, "matmul_per_sample(b)");
+  if (a->value().dim(1) != k) {
+    throw ShapeError("matmul_per_sample: " +
+                     T::shape_to_string(a->value().shape()) + " x " +
+                     T::shape_to_string(b->value().shape()) + " over " +
+                     std::to_string(samples) + " samples");
+  }
+  prof::OpSpan ps("ag.matmul_per_sample");
+  Var out = make_node(
+      {a->value().dim(0), b->value().dim(1)}, {a, b},
+      [a, b, samples](const T::Tensor& g) {
+        // C_s = A_s·B_s: dA_s = g_s·B_sᵀ, dB_s = A_sᵀ·g_s.
+        if (a->requires_grad()) {
+          T::pool::Scratch da(a->value().shape(), /*zero=*/false);
+          T::matmul_nt_into(g, b->value(), *da, samples);
+          a->accumulate_grad(*da);
+        }
+        if (b->requires_grad()) {
+          T::pool::Scratch db(b->value().shape(), /*zero=*/false);
+          T::matmul_tn_into(a->value(), g, *db, samples);
+          b->accumulate_grad(*db);
+        }
+      },
+      ps.name(), ps.corr());
+  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), samples] {
+    T::matmul_into(pa->value(), pb->value(), self->mutable_value(), samples);
   });
   return out;
 }
 
 Var transpose(const Var& a) {
   require_rank2(a, "transpose");
-  Var out = make_node(T::Tensor({a->value().dim(1), a->value().dim(0)}), {a},
+  Var out = make_node({a->value().dim(1), a->value().dim(0)}, {a},
                       [a](const T::Tensor& g) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         T::transpose2d_into(g, *da);
@@ -294,8 +341,8 @@ Var transpose(const Var& a) {
   return out;
 }
 
-Var add_rowvec(const Var& x, const Var& b) {
-  require_rank2(x, "add_rowvec");
+Var add_rowvec(const Var& x, const Var& b, std::size_t samples) {
+  const std::size_t rows = rows_per_sample(x, samples, "add_rowvec");
   if (b->value().rank() != 1 || b->value().dim(0) != x->value().dim(1)) {
     throw ShapeError("add_rowvec: bias " + T::shape_to_string(b->value().shape()) +
                      " vs matrix " + T::shape_to_string(x->value().shape()));
@@ -303,13 +350,19 @@ Var add_rowvec(const Var& x, const Var& b) {
   const std::size_t m = x->value().dim(0), n = x->value().dim(1);
   prof::OpSpan ps("ag.add_rowvec");
   Var out = make_node(
-      T::Tensor({m, n}), {x, b},
-      [x, b, n](const T::Tensor& g) {
+      {m, n}, {x, b},
+      [x, b, n, rows, samples](const T::Tensor& g) {
         if (x->requires_grad()) x->accumulate_grad(g);
         if (b->requires_grad()) {
-          T::pool::Scratch db({n}, /*zero=*/false);
-          T::sum_rows_into(g, *db);
-          b->accumulate_grad(*db);
+          // One column-sum partial per sample, over that sample's rows.
+          T::pool::Scratch db({samples, n}, /*zero=*/false);
+          for (std::size_t s = 0; s < samples; ++s) {
+            const T::Tensor gs = T::Tensor::view(
+                const_cast<float*>(g.begin()) + s * rows * n, {rows, n});
+            T::Tensor part = T::Tensor::view(db->begin() + s * n, {n});
+            T::sum_rows_into(gs, part);
+          }
+          fold_sample_grads(*b, *db, samples);
         }
       },
       ps.name(), ps.corr());
@@ -338,7 +391,7 @@ Var rowwise_affine(const Var& x, const Var& alpha, const Var& lambda) {
   check_vec(lambda, "lambda");
 
   prof::OpSpan ps("ag.rowwise_affine");
-  Var out = make_node(T::Tensor({m, n}), {x, alpha, lambda},
+  Var out = make_node({m, n}, {x, alpha, lambda},
                       [x, alpha, lambda, m, n](const T::Tensor& g) {
                         const float* pg = g.begin();
                         const float* pa = alpha->value().begin();
@@ -402,7 +455,7 @@ Var reshape(const Var& a, tensor::Shape shape) {
   const tensor::Shape original = a->value().shape();
   REFFIL_CHECK_MSG(T::shape_numel(shape) == a->value().numel(),
                    "reshape: numel mismatch");
-  Var out = make_node(T::Tensor(std::move(shape)), {a},
+  Var out = make_node(std::move(shape), {a},
                       [a, original](const T::Tensor& g) {
                         T::pool::Scratch da(original, /*zero=*/false);
                         T::copy_into(g, *da);
@@ -425,7 +478,7 @@ Var concat_rows(const Var& a, const Var& b) {
   const std::size_t ma = a->value().dim(0);
   const std::size_t mb = b->value().dim(0);
   const std::size_t n = a->value().dim(1);
-  Var out = make_node(T::Tensor({ma + mb, n}), {a, b},
+  Var out = make_node({ma + mb, n}, {a, b},
                       [a, b, ma, mb, n](const T::Tensor& g) {
                         const float* pg = g.begin();
                         if (a->requires_grad()) {
@@ -458,7 +511,7 @@ Var concat_cols(const Var& a, const Var& b) {
   const std::size_t na = a->value().dim(1);
   const std::size_t nb = b->value().dim(1);
   const std::size_t m = a->value().dim(0);
-  Var out = make_node(T::Tensor({m, na + nb}), {a, b},
+  Var out = make_node({m, na + nb}, {a, b},
                       [a, b, m, na, nb](const T::Tensor& g) {
                         const float* pg = g.begin();
                         if (a->requires_grad()) {
@@ -496,7 +549,7 @@ Var slice_rows(const Var& a, std::size_t begin, std::size_t end) {
   require_rank2(a, "slice_rows");
   const std::size_t m = a->value().dim(0), n = a->value().dim(1);
   REFFIL_CHECK_MSG(begin <= end && end <= m, "slice_rows: bad range");
-  Var out = make_node(T::Tensor({end - begin, n}), {a},
+  Var out = make_node({end - begin, n}, {a},
                       [a, begin, end, m, n](const T::Tensor& g) {
                         T::pool::Scratch da({m, n});  // zeroed: only [begin, end) rows are written
                         const float* pg = g.begin();
@@ -519,7 +572,7 @@ Var slice_cols(const Var& a, std::size_t begin, std::size_t end) {
   const std::size_t m = a->value().dim(0), n = a->value().dim(1);
   REFFIL_CHECK_MSG(begin <= end && end <= n, "slice_cols: bad range");
   const std::size_t w = end - begin;
-  Var out = make_node(T::Tensor({m, w}), {a},
+  Var out = make_node({m, w}, {a},
                       [a, begin, m, n, w](const T::Tensor& g) {
                         T::pool::Scratch da({m, n});  // zeroed: only the sliced columns are written
                         const float* pg = g.begin();
@@ -543,7 +596,7 @@ Var select_row(const Var& table, std::size_t index) {
   require_rank2(table, "select_row");
   const std::size_t m = table->value().dim(0), n = table->value().dim(1);
   REFFIL_CHECK_MSG(index < m, "select_row: index out of range");
-  Var out = make_node(T::Tensor({1, n}), {table},
+  Var out = make_node({1, n}, {table},
                       [table, index, m, n](const T::Tensor& g) {
                         T::pool::Scratch dt({m, n});  // zeroed: only row `index` is written
                         std::copy(g.begin(), g.begin() + n, dt->begin() + index * n);
@@ -557,8 +610,134 @@ Var select_row(const Var& table, std::size_t index) {
   return out;
 }
 
+Var prepend_rows(const Var& head, const Var& x, std::size_t samples) {
+  require_rank2(head, "prepend_rows(head)");
+  const std::size_t m = rows_per_sample(x, samples, "prepend_rows(x)");
+  const std::size_t h = head->value().dim(0), n = head->value().dim(1);
+  if (x->value().dim(1) != n) {
+    throw ShapeError("prepend_rows: column mismatch " +
+                     T::shape_to_string(head->value().shape()) + " vs " +
+                     T::shape_to_string(x->value().shape()));
+  }
+  prof::OpSpan ps("ag.prepend_rows");
+  const std::size_t block = (h + m) * n;  // one sample's output
+  Var out = make_node(
+      {samples * (h + m), n}, {head, x},
+      [head, x, samples, h, m, n, block](const T::Tensor& g) {
+        const float* pg = g.begin();
+        // Every sample shares the head: one partial per sample, folded.
+        if (head->requires_grad()) {
+          T::pool::Scratch dh({samples * h, n}, /*zero=*/false);
+          for (std::size_t s = 0; s < samples; ++s) {
+            std::copy(pg + s * block, pg + s * block + h * n,
+                      dh->begin() + s * h * n);
+          }
+          fold_sample_grads(*head, *dh, samples);
+        }
+        if (x->requires_grad()) {
+          T::pool::Scratch dx(x->value().shape(), /*zero=*/false);
+          for (std::size_t s = 0; s < samples; ++s) {
+            std::copy(pg + s * block + h * n, pg + (s + 1) * block,
+                      dx->begin() + s * m * n);
+          }
+          x->accumulate_grad(*dx);
+        }
+      },
+      ps.name(), ps.corr());
+  graph::record(out, [self = out.get(), ph = head.get(), px = x.get(), samples,
+                      m, n] {
+    float* pv = self->mutable_value().begin();
+    const float* xs = px->value().begin();
+    for (std::size_t s = 0; s < samples; ++s, xs += m * n) {
+      pv = std::copy(ph->value().begin(), ph->value().end(), pv);
+      pv = std::copy(xs, xs + m * n, pv);
+    }
+  });
+  return out;
+}
+
+Var sample_row(const Var& x, std::size_t row, std::size_t samples) {
+  const std::size_t m = rows_per_sample(x, samples, "sample_row");
+  const std::size_t n = x->value().dim(1);
+  REFFIL_CHECK_MSG(row < m, "sample_row: row out of range");
+  prof::OpSpan ps("ag.sample_row");
+  Var out = make_node(
+      {samples, n}, {x},
+      [x, row, samples, m, n](const T::Tensor& g) {
+        T::pool::Scratch dx(x->value().shape());  // zeroed: only the picked rows are written
+        for (std::size_t s = 0; s < samples; ++s) {
+          std::copy(g.begin() + s * n, g.begin() + (s + 1) * n,
+                    dx->begin() + (s * m + row) * n);
+        }
+        x->accumulate_grad(*dx);
+      },
+      ps.name(), ps.corr());
+  graph::record(out, [self = out.get(), px = x.get(), row, samples, m, n] {
+    for (std::size_t s = 0; s < samples; ++s) {
+      const float* src = px->value().begin() + (s * m + row) * n;
+      std::copy(src, src + n, self->mutable_value().begin() + s * n);
+    }
+  });
+  return out;
+}
+
+Var patchify(const Var& feature_map, std::size_t patch) {
+  const T::Tensor& f = feature_map->value();
+  if ((f.rank() != 3 && f.rank() != 4) || patch == 0 ||
+      f.dim(f.rank() - 1) != f.dim(f.rank() - 2) ||
+      f.dim(f.rank() - 1) % patch != 0) {
+    throw ShapeError("patchify: feature map must be [C,S,S] or [N,C,S,S] with "
+                     "S divisible by the patch, got " +
+                     T::shape_to_string(f.shape()));
+  }
+  const std::size_t samples = f.rank() == 4 ? f.dim(0) : 1;
+  const std::size_t c = f.dim(f.rank() - 3), side = f.dim(f.rank() - 1);
+  const std::size_t per_side = side / patch;
+  const std::size_t tokens = per_side * per_side;
+  const std::size_t width = c * patch * patch;
+  // Token (ti, tj) of sample s is row s*tokens + ti*per_side + tj; its column
+  // (ci, pi, pj) holds F[s, ci, ti*patch + pi, tj*patch + pj]. Every element
+  // of F lands in exactly one token, so the op is a permutation: `visit`
+  // walks it in token order, handing each (token element, F element) pair.
+  const auto visit = [samples, c, side, patch, per_side, width, tokens](
+                         auto&& fn) {
+    for (std::size_t s = 0; s < samples; ++s) {
+      for (std::size_t t = 0; t < tokens; ++t) {
+        const std::size_t y0 = (t / per_side) * patch, x0 = (t % per_side) * patch;
+        std::size_t col = (s * tokens + t) * width;
+        for (std::size_t ci = 0; ci < c; ++ci) {
+          for (std::size_t pi = 0; pi < patch; ++pi) {
+            const std::size_t src = ((s * c + ci) * side + y0 + pi) * side + x0;
+            for (std::size_t pj = 0; pj < patch; ++pj) fn(col++, src + pj);
+          }
+        }
+      }
+    }
+  };
+  prof::OpSpan ps("ag.patchify");
+  Var out = make_node(
+      {samples * tokens, width}, {feature_map},
+      [feature_map, visit](const T::Tensor& g) {
+        T::pool::Scratch df(feature_map->value().shape(), /*zero=*/false);
+        const float* pg = g.begin();
+        float* d = df->begin();
+        // + 0.0f turns a -0 gradient into +0, as summing each element with
+        // the zeros of the other patches' zero-padded gradients would; the
+        // recorded reference runs keep that sign.
+        visit([&](std::size_t tok, std::size_t src) { d[src] = pg[tok] + 0.0f; });
+        feature_map->accumulate_grad(*df);
+      },
+      ps.name(), ps.corr());
+  graph::record(out, [self = out.get(), pf = feature_map.get(), visit] {
+    const float* src = pf->value().begin();
+    float* dst = self->mutable_value().begin();
+    visit([&](std::size_t tok, std::size_t at) { dst[tok] = src[at]; });
+  });
+  return out;
+}
+
 Var sum_all(const Var& a) {
-  Var out = make_node(T::Tensor::scalar(0.0f), {a},
+  Var out = make_node(T::Shape{}, {a},
                       [a](const T::Tensor& g) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         std::fill(da->begin(), da->end(), g.item());
@@ -572,7 +751,7 @@ Var sum_all(const Var& a) {
 
 Var mean_all(const Var& a) {
   const float inv = 1.0f / static_cast<float>(a->value().numel());
-  Var out = make_node(T::Tensor::scalar(0.0f), {a},
+  Var out = make_node(T::Shape{}, {a},
                       [a, inv](const T::Tensor& g) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         std::fill(da->begin(), da->end(), g.item() * inv);
@@ -588,7 +767,7 @@ Var mean_rows(const Var& a) {
   require_rank2(a, "mean_rows");
   const std::size_t m = a->value().dim(0), n = a->value().dim(1);
   REFFIL_CHECK(m > 0);
-  Var out = make_node(T::Tensor({1, n}), {a},
+  Var out = make_node({1, n}, {a},
                       [a, m, n](const T::Tensor& g) {
                         const float inv = 1.0f / static_cast<float>(m);
                         T::pool::Scratch da({m, n}, /*zero=*/false);
@@ -606,8 +785,9 @@ Var mean_rows(const Var& a) {
   return out;
 }
 
-Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
-  require_rank2(x, "layer_norm");
+Var layer_norm(const Var& x, const Var& gain, const Var& bias,
+               std::size_t samples, float eps) {
+  const std::size_t rows = rows_per_sample(x, samples, "layer_norm");
   const std::size_t m = x->value().dim(0), n = x->value().dim(1);
   if (gain->value().rank() != 1 || gain->value().dim(0) != n ||
       bias->value().rank() != 1 || bias->value().dim(0) != n) {
@@ -618,24 +798,33 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
   // aux buffers, allocated once here and refreshed by the forward closure.
   auto xhat = std::make_shared<T::Tensor>(T::Shape{m, n});
   auto inv_std = std::make_shared<std::vector<float>>(m);
-  Var out = make_node(T::Tensor({m, n}), {x, gain, bias},
-                      [x, gain, bias, xhat, inv_std, m, n](const T::Tensor& g) {
+  Var out = make_node({m, n}, {x, gain, bias},
+                      [x, gain, bias, xhat, inv_std, m, n, rows,
+                       samples](const T::Tensor& g) {
                         const float* pg = g.begin();
                         const float* ph = xhat->begin();
+                        // Gain and bias take one partial per sample, each
+                        // summed over that sample's rows in row order.
                         if (gain->requires_grad()) {
-                          T::pool::Scratch dg({n});  // zeroed: accumulates over rows
+                          T::pool::Scratch dg({samples, n});  // zeroed: accumulates over rows
                           float* d = dg->begin();
                           for (std::size_t i = 0; i < m; ++i) {
+                            float* ds = d + (i / rows) * n;
                             for (std::size_t j = 0; j < n; ++j) {
-                              d[j] += pg[i * n + j] * ph[i * n + j];
+                              ds[j] += pg[i * n + j] * ph[i * n + j];
                             }
                           }
-                          gain->accumulate_grad(*dg);
+                          fold_sample_grads(*gain, *dg, samples);
                         }
                         if (bias->requires_grad()) {
-                          T::pool::Scratch db({n}, /*zero=*/false);
-                          T::sum_rows_into(g, *db);
-                          bias->accumulate_grad(*db);
+                          T::pool::Scratch db({samples, n}, /*zero=*/false);
+                          for (std::size_t s = 0; s < samples; ++s) {
+                            const T::Tensor gs = T::Tensor::view(
+                                const_cast<float*>(pg) + s * rows * n, {rows, n});
+                            T::Tensor part = T::Tensor::view(db->begin() + s * n, {n});
+                            T::sum_rows_into(gs, part);
+                          }
+                          fold_sample_grads(*bias, *db, samples);
                         }
                         if (x->requires_grad()) {
                           T::pool::Scratch dx({m, n}, /*zero=*/false);
@@ -696,7 +885,7 @@ Var softmax_rows(const Var& logits) {
   require_rank2(logits, "softmax_rows");
   prof::OpSpan op("ag.softmax_rows");
   const std::size_t m = logits->value().dim(0), n = logits->value().dim(1);
-  Var out = make_node(T::Tensor({m, n}), {logits}, {}, op.name(), op.corr());
+  Var out = make_node({m, n}, {logits}, {}, op.name(), op.corr());
   if (out->requires_grad()) {
     // s is the node's own value — refreshed by the forward closure, so the
     // backward never sees a stale softmax under replay.
@@ -725,9 +914,11 @@ Var softmax_rows(const Var& logits) {
   return out;
 }
 
-Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels) {
+Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels,
+                         std::size_t batch) {
   require_rank2(logits, "cross_entropy_logits");
   const std::size_t m = logits->value().dim(0), k = logits->value().dim(1);
+  const std::size_t denom = batch == 0 ? m : batch;
   REFFIL_CHECK_MSG(labels.size() == m, "cross_entropy_logits: label count");
   for (std::size_t label : labels) REFFIL_CHECK_MSG(label < k, "label out of range");
 
@@ -737,9 +928,9 @@ Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labe
   // Softmax probabilities feed backward; the forward closure recomputes them
   // (and the log-softmax the loss reads) into this shared aux on each run.
   auto probs = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
-  Var out = make_node(T::Tensor::scalar(0.0f), {logits},
-                      [logits, probs, labels_copy, m, k](const T::Tensor& g) {
-                        const float scale = g.item() / static_cast<float>(m);
+  Var out = make_node(T::Shape{}, {logits},
+                      [logits, probs, labels_copy, m, k, denom](const T::Tensor& g) {
+                        const float scale = g.item() / static_cast<float>(denom);
                         T::pool::Scratch dx({m, k}, /*zero=*/false);
                         const float* pp = probs->tensor().begin();
                         float* d = dx->begin();
@@ -752,13 +943,13 @@ Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labe
                       },
                       ps.name(), ps.corr());
   graph::record(out, [self = out.get(), pl = logits.get(), probs, labels_copy,
-                      m, k] {
+                      m, k, denom] {
     T::pool::Scratch log_probs({m, k}, /*zero=*/false);
     T::log_softmax_rows_into(pl->value(), *log_probs);
     const float* plp = log_probs->begin();
     double loss = 0.0;
     for (std::size_t i = 0; i < m; ++i) loss -= plp[i * k + (*labels_copy)[i]];
-    loss /= static_cast<double>(m);
+    loss /= static_cast<double>(denom);
     T::softmax_rows_into(pl->value(), probs->tensor());
     self->mutable_value().begin()[0] = static_cast<float>(loss);
   });
@@ -780,7 +971,7 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
   // student softmax q, which backward reads and forward refreshes.
   auto teacher = std::make_shared<T::Tensor>(teacher_probs);
   auto q = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
-  Var out = make_node(T::Tensor::scalar(0.0f), {student_logits},
+  Var out = make_node(T::Shape{}, {student_logits},
                       [student_logits, q, teacher, temperature, m](const T::Tensor& g) {
                         // d/dz = (q - p) / (m * T)
                         const float scale =
@@ -820,8 +1011,7 @@ Var cosine_similarity(const Var& a, const Var& b) {
   // aux = {cos, norm_a, norm_b}: backward needs all three, and the forward
   // closure recomputes them from the live parent values on every run.
   auto aux = std::make_shared<std::array<double, 3>>();
-  Var out = make_node(
-      T::Tensor::scalar(0.0f), {a, b},
+  Var out = make_node(T::Shape{}, {a, b},
       [a, b, aux](const T::Tensor& g) {
         const double cos = (*aux)[0], norm_a = (*aux)[1], norm_b = (*aux)[2];
         const double gs = g.item();
@@ -878,15 +1068,17 @@ using ConvGeometry = T::kern::Conv2dGeom;
 ConvGeometry conv_geometry(const T::Tensor& input, std::size_t kh,
                            std::size_t kw, std::size_t stride, std::size_t pad,
                            std::size_t cout) {
-  if (input.rank() != 3) {
-    throw ShapeError("conv2d input must be [Cin,H,W], got " +
+  if (input.rank() != 3 && input.rank() != 4) {
+    throw ShapeError("conv2d input must be [Cin,H,W] or [N,Cin,H,W], got " +
                      T::shape_to_string(input.shape()));
   }
   REFFIL_CHECK_MSG(stride > 0, "conv2d: stride must be > 0");
+  const std::size_t axis = input.rank() - 3;  // first non-sample axis
   ConvGeometry geom{};
-  geom.cin = input.dim(0);
-  geom.h = input.dim(1);
-  geom.w = input.dim(2);
+  geom.n = axis == 0 ? 1 : input.dim(0);
+  geom.cin = input.dim(axis);
+  geom.h = input.dim(axis + 1);
+  geom.w = input.dim(axis + 2);
   geom.kh = kh;
   geom.kw = kw;
   geom.stride = stride;
@@ -914,31 +1106,54 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
   if (bias->value().rank() != 1 || bias->value().dim(0) != cout) {
     throw ShapeError("conv2d bias must be [Cout]");
   }
+  T::Shape out_shape{cout, geom.hout, geom.wout};
+  if (input->value().rank() == 4) out_shape.insert(out_shape.begin(), geom.n);
 
   prof::OpSpan ps("ag.conv2d");
   // The direct kernels read taps straight from the input, so the node keeps
   // nothing but its parents: backward recomputes from the input's value.
   Var out = make_node(
-      T::Tensor({cout, geom.hout, geom.wout}), {input, weight, bias},
+      std::move(out_shape), {input, weight, bias},
       [input, weight, bias, geom](const T::Tensor& g) {
-        // g arrives as [Cout, Hout, Wout], i.e. row-major [Cout, Hout*Wout]:
-        // every kernel reads it in place.
+        // g arrives as [N, Cout, Hout, Wout], i.e. row-major N blocks of
+        // [Cout, Hout*Wout]: every kernel reads it in place. The weight and
+        // bias are shared by every sample, so each takes one partial per
+        // sample, folded in the per-sample graphs' order.
         if (bias->requires_grad()) {
           const std::size_t hw = geom.hout * geom.wout;
-          T::pool::Scratch db({geom.cout}, /*zero=*/false);
+          const std::size_t rows = geom.n * geom.cout;
+          T::pool::Scratch db({geom.n, geom.cout}, /*zero=*/false);
           const float* pg = g.begin();
           float* d = db->begin();
-          for (std::size_t c = 0; c < geom.cout; ++c) {
+          // One double chain per (sample, channel), pixels ascending; four
+          // chains run side by side so their adds overlap.
+          std::size_t c = 0;
+          for (; c + 4 <= rows; c += 4) {
+            const float* r = pg + c * hw;
+            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+            for (std::size_t p = 0; p < hw; ++p) {
+              a0 += r[p];
+              a1 += r[hw + p];
+              a2 += r[2 * hw + p];
+              a3 += r[3 * hw + p];
+            }
+            d[c] = static_cast<float>(a0);
+            d[c + 1] = static_cast<float>(a1);
+            d[c + 2] = static_cast<float>(a2);
+            d[c + 3] = static_cast<float>(a3);
+          }
+          for (; c < rows; ++c) {
             double acc = 0.0;
             for (std::size_t p = 0; p < hw; ++p) acc += pg[c * hw + p];
             d[c] = static_cast<float>(acc);
           }
-          bias->accumulate_grad(*db);
+          fold_sample_grads(*bias, *db, geom.n);
         }
         if (weight->requires_grad()) {
-          T::pool::Scratch dw(weight->value().shape(), /*zero=*/false);
+          const auto& ws = weight->value().shape();
+          T::pool::Scratch dw({geom.n, ws[0], ws[1]}, /*zero=*/false);
           T::conv2d_weight_grad_into(input->value(), g, geom, *dw);
-          weight->accumulate_grad(*dw);
+          fold_sample_grads(*weight, *dw, geom.n);
         }
         if (input->requires_grad()) {
           T::pool::Scratch dinput(input->value().shape(), /*zero=*/false);

@@ -35,16 +35,26 @@ Var log(const Var& a);
 Var detach(const Var& a);
 
 // ---- linear algebra ------------------------------------------------------------
-/// [m,k] x [k,n] -> [m,n].
-Var matmul(const Var& a, const Var& b);
-/// Fused a·bᵀ: [m,k] x [n,k] -> [m,n]. Equivalent to
-/// matmul(a, transpose(b)) but neither the forward nor the backward pass
-/// materializes a transposed copy (attention uses this for q·kᵀ scores).
-Var matmul_nt(const Var& a, const Var& b);
+// Batched ops take `samples`: their rank-2 operands hold that many equal row
+// blocks, one per sample, and sample s's rows get bitwise the values and
+// gradients a one-sample call on its block gives. Where every sample shares
+// an operand (a weight, a bias, a head row), its gradient is the fold of one
+// partial per sample (fold_sample_grads). samples = 1 is the plain op.
+
+/// [m,k] x [k,n] -> [m,n]; b is shared by a's `samples` row blocks.
+Var matmul(const Var& a, const Var& b, std::size_t samples = 1);
+/// Fused a·bᵀ per sample: a [samples·m, k] x b [samples·n, k] ->
+/// [samples·m, n], block s = a_s·b_sᵀ. Neither the forward nor the backward
+/// pass materializes a transposed copy (attention uses this for q·kᵀ
+/// scores); samples = 1 is matmul(a, transpose(b)).
+Var matmul_nt(const Var& a, const Var& b, std::size_t samples = 1);
+/// Per-sample product a [samples·m, k] x b [samples·k, n] -> [samples·m, n],
+/// block s = a_s·b_s (attention's weights · values).
+Var matmul_per_sample(const Var& a, const Var& b, std::size_t samples);
 /// 2-D transpose.
 Var transpose(const Var& a);
-/// X [m,n] + broadcast row vector b [n].
-Var add_rowvec(const Var& x, const Var& b);
+/// X [m,n] + broadcast row vector b [n], shared by x's `samples` blocks.
+Var add_rowvec(const Var& x, const Var& b, std::size_t samples = 1);
 /// Row-wise FiLM affine: out[i,j] = alpha[i] * (x[i,j] + lambda[i]).
 /// This is Eq. (1)'s linear-transformation layer LT.
 Var rowwise_affine(const Var& x, const Var& alpha, const Var& lambda);
@@ -62,6 +72,17 @@ Var slice_cols(const Var& a, std::size_t begin, std::size_t end);
 /// Row `index` of a 2-D tensor as a [1,n] matrix (differentiable gather —
 /// used for embedding lookup).
 Var select_row(const Var& table, std::size_t index);
+/// [head; x_s] for each of x's `samples` row blocks: head [h, n], x
+/// [samples·m, n] -> [samples·(h+m), n]. The head (the class token) is shared.
+/// samples = 1 is concat_rows(head, x).
+Var prepend_rows(const Var& head, const Var& x, std::size_t samples);
+/// Row `row` of each of x's `samples` row blocks: [samples·m, n] ->
+/// [samples, n]. samples = 1 is slice_rows(x, row, row + 1).
+Var sample_row(const Var& x, std::size_t row, std::size_t samples);
+/// ViT patch gather: a [C,S,S] or [N,C,S,S] feature map -> [N·(S/p)², C·p·p]
+/// rows, token (ti, tj) of sample s at row s·(S/p)² + ti·(S/p) + tj, its
+/// columns ordered (channel, row in patch, column in patch).
+Var patchify(const Var& feature_map, std::size_t patch);
 
 // ---- reductions -------------------------------------------------------------------
 Var sum_all(const Var& a);
@@ -70,15 +91,21 @@ Var mean_all(const Var& a);
 Var mean_rows(const Var& a);
 
 // ---- normalization / attention ------------------------------------------------------
-/// Row-wise layer normalization with learned gain/bias (both [n]).
-Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps = 1e-5f);
+/// Row-wise layer normalization with learned gain/bias (both [n], shared by
+/// x's `samples` row blocks).
+Var layer_norm(const Var& x, const Var& gain, const Var& bias,
+               std::size_t samples = 1, float eps = 1e-5f);
 /// Numerically-stable row-wise softmax of a 2-D tensor.
 Var softmax_rows(const Var& logits);
 
 // ---- losses ----------------------------------------------------------------------------
 /// Mean cross-entropy of row-logits vs integer labels (Eq. 9 / Eq. 10 use
-/// this with global- and local-prompted logits respectively).
-Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels);
+/// this with global- and local-prompted logits respectively). A non-zero
+/// `batch` divides the summed loss by that sample count instead of the row
+/// count: the rows' share of a batch mean, seeding each row's gradient with
+/// exactly (p - y) * (1/batch).
+Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels,
+                         std::size_t batch = 0);
 /// Mean KL(teacher_probs || softmax(logits / T)) distillation term used by
 /// FedLwF; teacher probabilities are constants.
 Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_probs,
@@ -90,11 +117,13 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
 Var cosine_similarity(const Var& a, const Var& b);
 
 // ---- convolution ---------------------------------------------------------------------------
-/// Single-sample 2-D convolution.
-///   input  [Cin, H, W]
+/// 2-D convolution over one sample or a batch.
+///   input  [Cin, H, W] or [N, Cin, H, W]
 ///   weight [Cout, Cin*kh*kw]   (pre-flattened filter bank)
 ///   bias   [Cout]
-/// Returns [Cout, Hout, Wout] with Hout = (H + 2*pad - kh)/stride + 1.
+/// Returns [Cout, Hout, Wout] (or [N, Cout, Hout, Wout]) with
+/// Hout = (H + 2*pad - kh)/stride + 1. Weight and bias gradients fold one
+/// partial per sample.
 Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
            std::size_t kw, std::size_t stride, std::size_t pad);
 

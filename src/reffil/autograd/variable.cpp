@@ -7,6 +7,7 @@
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/prof.hpp"
+#include "reffil/util/thread_pool.hpp"
 
 namespace reffil::autograd {
 
@@ -16,10 +17,11 @@ class OrderedFold::Tape {
  public:
   void clear() { used_ = 0; }
 
-  void record(Node* parameter, const tensor::Tensor& g) {
+  void record(Node* parameter, const tensor::Tensor& g, std::size_t samples) {
     if (used_ == entries_.size()) entries_.emplace_back();
     Entry& entry = entries_[used_++];
     entry.parameter = parameter;
+    entry.samples = samples;
     if (entry.grad.shape() == g.shape()) {
       std::copy(g.begin(), g.end(), entry.grad.begin());
     } else {
@@ -29,7 +31,8 @@ class OrderedFold::Tape {
 
   void fold() const {
     for (std::size_t i = 0; i < used_; ++i) {
-      entries_[i].parameter->accumulate_grad(entries_[i].grad);
+      entries_[i].parameter->accumulate_grad(entries_[i].grad,
+                                             entries_[i].samples);
     }
   }
 
@@ -37,6 +40,7 @@ class OrderedFold::Tape {
   struct Entry {
     Node* parameter = nullptr;
     tensor::Tensor grad;
+    std::size_t samples = 1;
   };
   std::vector<Entry> entries_;  ///< [0, used_) live; the rest keep storage
   std::size_t used_ = 0;
@@ -47,9 +51,10 @@ thread_local OrderedFold::Tape* OrderedFold::armed_ = nullptr;
 OrderedFold::OrderedFold() = default;
 OrderedFold::~OrderedFold() = default;
 
-bool OrderedFold::divert(Node* parameter, const tensor::Tensor& g) {
+bool OrderedFold::divert(Node* parameter, const tensor::Tensor& g,
+                         std::size_t samples) {
   if (armed_ == nullptr) return false;
-  armed_->record(parameter, g);
+  armed_->record(parameter, g, samples);
   return true;
 }
 
@@ -102,32 +107,84 @@ void OrderedFold::sweep(std::size_t k, const std::function<void()>& run) {
   }
 }
 
-void Node::accumulate_grad(const tensor::Tensor& g) {
-  if (g.shape() != value_.shape()) {
+void OrderedFold::sweep_runs(
+    util::ThreadPool& pool, std::size_t n, std::size_t runs,
+    const std::function<void(std::size_t, std::size_t)>& sweep_run,
+    const char* wait_span) {
+  REFFIL_CHECK_MSG(runs > 0 && runs <= n, "sweep_runs: need 1..n runs");
+  begin(runs);
+  // fan_out claims indices in commit order, so with no idle worker every
+  // sweep is next in line and writes the gradients directly.
+  pool.fan_out(
+      runs,
+      [&](std::size_t k) {
+        const std::size_t r = runs - 1 - k;
+        sweep(k, [&] { sweep_run(r * n / runs, (r + 1) * n / runs); });
+      },
+      wait_span);
+}
+
+void Node::accumulate_grad(const tensor::Tensor& g, std::size_t samples) {
+  if (samples == 1 ? g.shape() != value_.shape()
+                   : g.numel() != samples * value_.numel()) {
     throw ShapeError("gradient shape " + tensor::shape_to_string(g.shape()) +
-                     " does not match value shape " +
+                     " does not hold " + std::to_string(samples) +
+                     " gradients of value shape " +
                      tensor::shape_to_string(value_.shape()));
   }
-  if (parameter_ && OrderedFold::divert(this, g)) return;
+  if (parameter_ && OrderedFold::divert(this, g, samples)) return;
   if (!grad_initialized_) {
-    if (grad_.shape() == value_.shape()) {
-      // Reuse the existing storage (owning buffer or arena view): a plain
-      // element copy is bitwise-identical to assigning a fresh copy of g,
-      // and it is what keeps replayed steps allocation-free.
-      std::copy(g.begin(), g.end(), grad_.begin());
-    } else {
-      grad_ = g;
+    // The first gradient is copied, not added to zero. Reusing the existing
+    // storage (owning buffer or arena view) is bitwise-identical to
+    // assigning a fresh copy, and it keeps replayed steps allocation-free.
+    if (grad_.shape() != value_.shape()) {
+      // Pooled like the value when the value is; a parameter's gradient is
+      // allocated once and lives across steps.
+      if (value_storage_) {
+        grad_storage_.emplace(value_.shape(), /*zero=*/false,
+                              tensor::pool::Lifetime::kGraph);
+        grad_ = std::move(grad_storage_->tensor());
+      } else {
+        grad_ = tensor::Tensor(value_.shape());
+      }
     }
+    const float* last = g.begin() + (samples - 1) * value_.numel();
+    std::copy(last, last + value_.numel(), grad_.begin());
     grad_initialized_ = true;
-  } else {
-    tensor::add_inplace(grad_, g);
+    --samples;
   }
+  if (samples > 0) tensor::fold_add_inplace(grad_, g.begin(), samples);
+}
+
+namespace {
+// Nodes that took an n > 1 sample fold during this thread's current
+// backward() sweep; backward() clears it on entry.
+thread_local std::vector<const Node*> tls_sample_folded;
+}  // namespace
+
+void fold_sample_grads(Node& node, const tensor::Tensor& partials,
+                       std::size_t n) {
+  if (n == 1) {
+    // One sample: the partials are the gradient, whatever their stacking.
+    node.accumulate_grad(tensor::Tensor::view(
+        const_cast<float*>(partials.begin()), node.value().shape()));
+    return;
+  }
+  // A second fold would commit (use 1: n-1..0) then (use 2: n-1..0), but the
+  // per-sample graphs interleave the uses sample by sample.
+  REFFIL_CHECK_MSG(std::find(tls_sample_folded.begin(), tls_sample_folded.end(),
+                             &node) == tls_sample_folded.end(),
+                   "batched step feeds one node twice per sample; its "
+                   "gradient fold would not match the per-sample graphs");
+  tls_sample_folded.push_back(&node);
+  node.accumulate_grad(partials, n);
 }
 
 void Node::adopt_grad_storage(tensor::Tensor storage) {
   REFFIL_CHECK_MSG(storage.shape() == value_.shape(),
                    "adopt_grad_storage: shape mismatch");
   grad_ = std::move(storage);
+  grad_storage_.reset();
   grad_initialized_ = false;
 }
 
@@ -142,12 +199,21 @@ Var parameter(tensor::Tensor value) {
   return node;
 }
 
-Var make_node(tensor::Tensor value, std::vector<Var> parents,
+Node::Node(tensor::Shape shape, bool requires_grad)
+    : value_storage_(std::in_place, std::move(shape), /*zero=*/false,
+                     tensor::pool::Lifetime::kGraph),
+      value_(std::move(value_storage_->tensor())),
+      requires_grad_(requires_grad) {}
+
+Var make_node(tensor::Shape shape, std::vector<Var> parents,
               std::function<void(const tensor::Tensor&)> backward_fn,
               const char* op_name, std::uint64_t corr) {
   bool needs_grad = false;
   for (const auto& p : parents) needs_grad = needs_grad || p->requires_grad();
-  auto node = std::make_shared<Node>(std::move(value), needs_grad);
+  auto node = graph::detail::capture_active()
+                  ? std::make_shared<Node>(tensor::Tensor(std::move(shape)),
+                                           needs_grad)
+                  : std::make_shared<Node>(std::move(shape), needs_grad);
   // The capture context keeps its own copy of the parent edges: when
   // needs_grad is false they are dropped from the node below, but replay
   // still has to keep every upstream value alive for the forward closures.
@@ -198,6 +264,7 @@ void backward(const Var& root) {
         "re-seed the root with ones and double-accumulate every gradient");
   }
   root->mark_swept();
+  tls_sample_folded.clear();
 
   std::vector<Node*> order;
   topo_sort(root, order);

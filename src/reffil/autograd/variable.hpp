@@ -16,9 +16,15 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
+#include "reffil/tensor/pool.hpp"
 #include "reffil/tensor/tensor.hpp"
+
+namespace reffil::util {
+class ThreadPool;
+}  // namespace reffil::util
 
 namespace reffil::autograd {
 
@@ -29,6 +35,15 @@ class Node {
  public:
   Node(tensor::Tensor value, bool requires_grad)
       : value_(std::move(value)), requires_grad_(requires_grad) {}
+
+  /// A value of `shape` with unspecified contents, for an op whose forward
+  /// overwrites every element. Its storage, and later the gradient's, is
+  /// borrowed from the calling thread's graph-storage free list
+  /// (tensor/pool.hpp, Lifetime::kGraph) for the node's lifetime. Graph
+  /// nodes are rebuilt every step, and a batched step's activations are
+  /// large enough that allocating them fresh each time page-faults them in
+  /// again.
+  Node(tensor::Shape shape, bool requires_grad);
 
   const tensor::Tensor& value() const { return value_; }
   tensor::Tensor& mutable_value() { return value_; }
@@ -50,13 +65,17 @@ class Node {
       std::fill(grad_.begin(), grad_.end(), 0.0f);
       grad_initialized_ = true;
     } else {
+      grad_storage_.reset();
       grad_ = tensor::Tensor(value_.shape());
       grad_initialized_ = false;
     }
   }
 
-  /// Add g into the stored gradient (lazily shaped on first call).
-  void accumulate_grad(const tensor::Tensor& g);
+  /// Add g into the stored gradient (lazily shaped on first call). With
+  /// samples > 1, g holds that many gradients of the value's size, added in
+  /// order samples-1 ... 0, each rounded on its own: bitwise that many
+  /// one-gradient calls (see fold_sample_grads).
+  void accumulate_grad(const tensor::Tensor& g, std::size_t samples = 1);
 
   /// Forget the accumulated gradient but keep its storage (arena view or
   /// owning buffer): the next accumulate_grad copies into the existing
@@ -99,7 +118,11 @@ class Node {
   std::uint64_t corr() const { return corr_; }
 
  private:
+  // Pool borrows behind value_ / grad_ when those are views of them; each
+  // is declared before the view it backs, so the view dies first.
+  std::optional<tensor::pool::Scratch> value_storage_;
   tensor::Tensor value_;
+  std::optional<tensor::pool::Scratch> grad_storage_;
   tensor::Tensor grad_;  // empty-shape scalar until first accumulation
   bool grad_initialized_ = false;
   bool swept_ = false;
@@ -123,6 +146,16 @@ Var parameter(tensor::Tensor value);
 /// would re-seed the root with ones and double-accumulate every gradient.
 void backward(const Var& root);
 
+/// Commit a batched op's per-sample gradient partials into `node` the way
+/// one graph of `n` one-sample subgraphs adds them (DESIGN.md §16): sample
+/// n-1's partial first and sample 0's last, each rounded on its own
+/// (accumulate_grad(partials, n)). `partials` holds n blocks of the node's
+/// value shape. That order is only right if the node takes one such fold
+/// per sweep, so for n > 1 a second fold into the same node within one
+/// backward() throws.
+void fold_sample_grads(Node& node, const tensor::Tensor& partials,
+                       std::size_t n);
+
 /// Runs n backward sweeps over shared parameters, concurrently, and leaves
 /// the parameters' gradients bitwise as if one thread had run sweeps 0..n-1
 /// back to back. Float addition does not reassociate, so the contributions
@@ -142,12 +175,25 @@ class OrderedFold {
   /// backward(); only nodes made by parameter() are diverted.
   void sweep(std::size_t k, const std::function<void()>& run);
 
+  /// One round over samples [0, n) split into `runs` contiguous runs, swept
+  /// on the calling thread plus `pool`'s idle workers (ThreadPool::fan_out,
+  /// whose optional `wait_span` names the final wait). Sweep k is run
+  /// runs-1-k: `sweep_run(lo, hi)` performs one backward() over samples
+  /// [lo, hi) that adds each parameter's contributions sample hi-1 first
+  /// (one-sample runs, or batched ops' fold_sample_grads). Every parameter
+  /// then gets sample n-1's contributions first and sample 0's last,
+  /// whatever `runs` is.
+  void sweep_runs(util::ThreadPool& pool, std::size_t n, std::size_t runs,
+                  const std::function<void(std::size_t, std::size_t)>& sweep_run,
+                  const char* wait_span = nullptr);
+
  private:
   class Tape;
   friend class Node;
   /// Called by Node::accumulate_grad for parameters: true when a tape is
-  /// armed on this thread and took the contribution.
-  static bool divert(Node* parameter, const tensor::Tensor& g);
+  /// armed on this thread and took the contribution (`samples` gradients).
+  static bool divert(Node* parameter, const tensor::Tensor& g,
+                     std::size_t samples);
   /// The tape this thread's sweep diverts onto; null = accumulate directly.
   static thread_local Tape* armed_;
 
@@ -158,11 +204,13 @@ class OrderedFold {
   std::vector<Tape*> free_;
 };
 
-/// Helper used by ops: create an interior node whose requires_grad is the OR
-/// of its parents'. `op_name` must have static storage duration (it is the
+/// Helper used by ops: create an interior node with a value of `shape`
+/// that the op's forward closure overwrites in full (pooled storage with
+/// unspecified contents, except under graph capture, whose planner rebinds
+/// values to its arena) whose requires_grad is the OR of its parents'. `op_name` must have static storage duration (it is the
 /// profiler label for the backward span); `corr` ties the backward span to
 /// the forward OpSpan that minted it.
-Var make_node(tensor::Tensor value, std::vector<Var> parents,
+Var make_node(tensor::Shape shape, std::vector<Var> parents,
               std::function<void(const tensor::Tensor&)> backward_fn,
               const char* op_name = "ag.op", std::uint64_t corr = 0);
 

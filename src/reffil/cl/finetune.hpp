@@ -14,6 +14,8 @@ class FinetuneMethod : public MethodBase {
   }
 
  protected:
+  bool default_sample_loss() const override { return true; }
+
   /// Plain per-batch cross-entropy: one static graph per batch size.
   std::string replay_signature(const Replica&, const fed::TrainJob&,
                                std::size_t) const override {

@@ -256,10 +256,16 @@ fed::ClientUpdate MethodBase::train_client(
     for (std::size_t begin = 0; begin < view.size();
          begin += config_.batch_size) {
       const std::size_t end = std::min(view.size(), begin + config_.batch_size);
-      const std::vector<TaggedSample> batch(
-          view.begin() + static_cast<std::ptrdiff_t>(begin),
-          view.begin() + static_cast<std::ptrdiff_t>(end));
-      optimizer.zero_grad();
+      std::vector<TaggedSample> batch;
+      {
+        obs::prof::Span span("cl.batch");
+        batch.assign(view.begin() + static_cast<std::ptrdiff_t>(begin),
+                     view.begin() + static_cast<std::ptrdiff_t>(end));
+      }
+      {
+        obs::prof::Span span("cl.zero_grad");
+        optimizer.zero_grad();
+      }
       if (!train_step_replayed(rep, batch, job, job.worker_slot)) {
         train_step_eager(rep, batch, job, job.worker_slot);
       }
@@ -503,6 +509,36 @@ autograd::Var MethodBase::batch_loss(Replica& rep,
   return AG::mul_scalar(total, 1.0f / static_cast<float>(batch.size()));
 }
 
+std::size_t MethodBase::batched_runs(std::size_t n, std::size_t spare) {
+  return std::max(
+      std::min(1 + spare, std::max<std::size_t>(1, n / kMinRunSamples)),
+      (n + kMaxRunSamples - 1) / kMaxRunSamples);
+}
+
+AG::Var MethodBase::batched_loss(Replica& rep,
+                                 const std::vector<TaggedSample>& batch,
+                                 std::size_t lo, std::size_t hi) {
+  T::Tensor images;
+  std::vector<std::size_t> labels;
+  {
+    obs::prof::Span span("cl.batch");
+    T::Shape shape = batch.front().sample->image.shape();
+    shape.insert(shape.begin(), hi - lo);
+    images = T::Tensor(std::move(shape));
+    float* dst = images.begin();
+    labels.reserve(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const T::Tensor& image = batch[i].sample->image;
+      dst = std::copy(image.begin(), image.end(), dst);
+      labels.push_back(batch[i].sample->label);
+    }
+  }
+  // Dividing by the batch size seeds each sample's logit row with
+  // (p - y) * (1/N): the bits batch_loss's mul_scalar(sum, 1/N) seeds it with.
+  return AG::cross_entropy_logits(rep.net.forward(images).logits, labels,
+                                  batch.size());
+}
+
 void MethodBase::train_step_eager(Replica& rep,
                                   const std::vector<TaggedSample>& batch,
                                   const fed::TrainJob& job, std::size_t slot) {
@@ -511,22 +547,34 @@ void MethodBase::train_step_eager(Replica& rep,
     AG::backward(batch_loss(rep, batch, job, slot));
     return;
   }
+  AG::OrderedFold& fold = sample_folds_[slot];
+  util::ThreadPool& pool = util::global_thread_pool();
+  if (default_sample_loss()) {
+    // Batched graphs over contiguous runs of the batch. A run's graph folds
+    // shared-parameter gradients last sample first, and the runs commit last
+    // run first, so every parameter gets sample n-1's partial first and
+    // sample 0's last, as batch_loss's sweep adds them (DESIGN.md §16,
+    // "Batched steps").
+    fold.sweep_runs(pool, n, batched_runs(n, pool.spare_workers()),
+                    [&](std::size_t lo, std::size_t hi) {
+                      AG::backward(batched_loss(rep, batch, lo, hi));
+                    },
+                    "cl.join");
+    return;
+  }
   // batch_loss's left-to-right add chain makes its backward sweep reach the
   // LAST sample first: each parameter's gradient is the sum of sample n-1's
   // contributions, then n-2's, ..., then sample 0's. Every sample gets its
   // own graph scaled by the same 1/n (so its interior gradients are bitwise
-  // the batch graph's), and the fold commits sweep k = sample n-1-k, which
-  // replays exactly that addition order. fan_out claims indices in commit
-  // order, so with no idle worker every sweep writes the gradients directly.
+  // the batch graph's), as a one-sample run of the fold, which commits the
+  // runs last sample first: exactly that addition order.
   const float scale = 1.0f / static_cast<float>(n);
-  AG::OrderedFold& fold = sample_folds_[slot];
-  fold.begin(n);
-  util::global_thread_pool().fan_out(n, [&](std::size_t k) {
-    fold.sweep(k, [&] {
-      AG::backward(
-          AG::mul_scalar(sample_loss(rep, batch[n - 1 - k], job, slot), scale));
-    });
-  });
+  fold.sweep_runs(pool, n, n,
+                  [&](std::size_t lo, std::size_t) {
+                    AG::backward(AG::mul_scalar(
+                        sample_loss(rep, batch[lo], job, slot), scale));
+                  },
+                  "cl.join");
 }
 
 void MethodBase::post_backward(Replica&, const fed::TrainJob&, std::size_t) {}

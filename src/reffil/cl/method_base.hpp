@@ -35,10 +35,12 @@ struct MethodConfig {
   /// planner on later batches (methods opt in per step through
   /// replay_signature). Replayed steps are bitwise-identical to eager.
   bool graph_replay = false;
-  /// Train an eager batch's samples on the client's thread plus whichever
-  /// pool workers are idle, each sample on its own graph, and commit their
-  /// parameter gradients in the order the one-graph batch sweep adds them —
-  /// bitwise-identical to parallel_samples = false.
+  /// Train an eager batch on the client's thread plus whichever pool workers
+  /// are idle — as multi-sample graphs over runs of the batch (methods on
+  /// the default sample_loss) or with each sample on its own graph (the
+  /// rest) — committing parameter gradients in the order the one-graph
+  /// batch sweep adds them: bitwise-identical to parallel_samples = false,
+  /// which is that sweep.
   bool parallel_samples = true;
 };
 
@@ -88,6 +90,12 @@ class MethodBase : public fed::Method {
   /// residual (tests assert these drain to zero when compression turns off).
   std::size_t residual_count() const;
 
+  /// How many runs a batched step of n samples is split into when `spare`
+  /// pool workers are idle: one per thread free to build a run graph, as
+  /// long as each run keeps kMinRunSamples, and never more than
+  /// kMaxRunSamples samples per run.
+  static std::size_t batched_runs(std::size_t n, std::size_t spare);
+
  protected:
   /// Subclasses with extended replicas override this factory. Called from
   /// init_workers(), which subclass constructors must invoke.
@@ -132,6 +140,12 @@ class MethodBase : public fed::Method {
   /// never write them.
   virtual autograd::Var sample_loss(Replica& replica, const TaggedSample& sample,
                                     const fed::TrainJob& job, std::size_t slot);
+
+  /// True when the method trains on the default sample_loss (plain
+  /// cross-entropy, no prompts): its eager steps then build multi-sample
+  /// graphs over runs of each batch (DESIGN.md §16, "Batched steps"). A
+  /// method overriding sample_loss must leave this false.
+  virtual bool default_sample_loss() const { return false; }
 
   /// Called after backward() and before the optimizer step (e.g. to add the
   /// EWC penalty gradient). Runs eagerly even on replayed steps.
@@ -193,8 +207,15 @@ class MethodBase : public fed::Method {
                            const std::vector<TaggedSample>& batch,
                            const fed::TrainJob& job, std::size_t slot);
 
-  /// Accumulate one batch's gradients eagerly: through batch_loss, or one
-  /// graph per sample under parallel_samples.
+  /// default_sample_loss's loss over batch[lo, hi) as one graph: the
+  /// cross-entropy of that run's multi-sample forward, summed and divided by
+  /// the whole batch's size (the run's share of the batch mean).
+  autograd::Var batched_loss(Replica& replica,
+                             const std::vector<TaggedSample>& batch,
+                             std::size_t lo, std::size_t hi);
+
+  /// Accumulate one batch's gradients eagerly: through batch_loss, or under
+  /// parallel_samples through batched_loss or one graph per sample.
   void train_step_eager(Replica& replica, const std::vector<TaggedSample>& batch,
                         const fed::TrainJob& job, std::size_t slot);
 
@@ -217,6 +238,15 @@ class MethodBase : public fed::Method {
 
   /// Per-worker gradient commit order for parallel_samples steps.
   std::vector<autograd::OrderedFold> sample_folds_;
+
+  /// Samples per batched run (batched_runs). A batch is split for idle
+  /// workers only into runs of at least kMinRunSamples — smaller runs give
+  /// back most of what one graph per batch saves, and their graphs multiply
+  /// the profile's spans — and never into runs of more than kMaxRunSamples:
+  /// a run's graph holds all its samples' activations at once, which sets
+  /// the step's peak memory.
+  static constexpr std::size_t kMinRunSamples = 4;
+  static constexpr std::size_t kMaxRunSamples = 8;
 
   /// Fold the stored residual for `client_id` into `delta` (and spend it);
   /// a residual whose structure no longer matches is dropped instead.

@@ -24,13 +24,14 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t dim, std::size_t head
   register_submodule(*wo_);
 }
 
-AG::Var MultiHeadSelfAttention::forward(const AG::Var& tokens) const {
+AG::Var MultiHeadSelfAttention::forward(const AG::Var& tokens,
+                                        std::size_t samples) const {
   REFFIL_CHECK_MSG(tokens->value().rank() == 2 && tokens->value().dim(1) == dim_,
                    "MHSA expects [T, dim] tokens");
   obs::prof::Span span("nn.attention");
-  const AG::Var q = wq_->forward(tokens);
-  const AG::Var k = wk_->forward(tokens);
-  const AG::Var v = wv_->forward(tokens);
+  const AG::Var q = wq_->forward(tokens, samples);
+  const AG::Var k = wk_->forward(tokens, samples);
+  const AG::Var v = wv_->forward(tokens, samples);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
   AG::Var merged;  // concat of per-head outputs along columns
@@ -45,12 +46,14 @@ AG::Var MultiHeadSelfAttention::forward(const AG::Var& tokens) const {
     const AG::Var vh = AG::slice_cols(v, lo, hi);
     // Fused q·kᵀ: no transposed key copy is materialized in forward or
     // backward (AG::matmul_nt routes both through the _nt/_tn kernels).
-    const AG::Var scores = AG::mul_scalar(AG::matmul_nt(qh, kh), scale);
+    // Each sample attends over its own T tokens: [samples·T, T] scores.
+    const AG::Var scores =
+        AG::mul_scalar(AG::matmul_nt(qh, kh, samples), scale);
     const AG::Var attn = AG::softmax_rows(scores);
-    const AG::Var out_h = AG::matmul(attn, vh);
+    const AG::Var out_h = AG::matmul_per_sample(attn, vh, samples);
     merged = (h == 0) ? out_h : AG::concat_cols(merged, out_h);
   }
-  return wo_->forward(merged);
+  return wo_->forward(merged, samples);
 }
 
 AttentionBlock::AttentionBlock(std::size_t dim, std::size_t heads,
@@ -65,11 +68,13 @@ AttentionBlock::AttentionBlock(std::size_t dim, std::size_t heads,
   register_submodule(*norm_out_);
 }
 
-AG::Var AttentionBlock::forward(const AG::Var& tokens) const {
+AG::Var AttentionBlock::forward(const AG::Var& tokens,
+                                std::size_t samples) const {
   // Eq. (13): I' = LN(MHSA(I)); I'' = MLP(I'); I_{b+1} = LN(I' + I'').
-  const AG::Var i_prime = norm_attn_->forward(mhsa_->forward(tokens));
-  const AG::Var i_second = mlp_->forward(i_prime);
-  return norm_out_->forward(AG::add(i_prime, i_second));
+  const AG::Var i_prime =
+      norm_attn_->forward(mhsa_->forward(tokens, samples), samples);
+  const AG::Var i_second = mlp_->forward(i_prime, samples);
+  return norm_out_->forward(AG::add(i_prime, i_second), samples);
 }
 
 }  // namespace reffil::nn

@@ -13,12 +13,15 @@
 
 namespace reffil::nn {
 
-/// Multi-head self-attention over a [T, d] token sequence.
+/// Multi-head self-attention over a [T, d] token sequence, or over `samples`
+/// sequences stacked as [samples·T, d]: projections run on all rows at once,
+/// scores and softmax per sample.
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(std::size_t dim, std::size_t heads, util::Rng& rng);
 
-  autograd::Var forward(const autograd::Var& tokens) const;
+  autograd::Var forward(const autograd::Var& tokens,
+                        std::size_t samples = 1) const;
 
   std::size_t heads() const { return heads_; }
 
@@ -33,7 +36,9 @@ class AttentionBlock : public Module {
   AttentionBlock(std::size_t dim, std::size_t heads, std::size_t mlp_hidden,
                  util::Rng& rng);
 
-  autograd::Var forward(const autograd::Var& tokens) const;
+  /// tokens: [samples·T, d], one T-token sequence per sample.
+  autograd::Var forward(const autograd::Var& tokens,
+                        std::size_t samples = 1) const;
 
  private:
   std::unique_ptr<MultiHeadSelfAttention> mhsa_;

@@ -65,41 +65,15 @@ PatchEmbed::PatchEmbed(std::size_t channels, std::size_t map_size,
 
 AG::Var PatchEmbed::forward(const AG::Var& feature_map) const {
   const auto& shape = feature_map->value().shape();
-  if (shape != T::Shape{channels_, map_size_, map_size_}) {
+  if ((shape.size() != 3 && shape.size() != 4) ||
+      T::Shape(shape.end() - 3, shape.end()) !=
+          T::Shape{channels_, map_size_, map_size_}) {
     throw ShapeError("PatchEmbed expects [" + std::to_string(channels_) + "," +
-                     std::to_string(map_size_) + "," + std::to_string(map_size_) +
-                     "], got " + T::shape_to_string(shape));
+                     std::to_string(map_size_) + "," +
+                     std::to_string(map_size_) + "] per sample, got " +
+                     T::shape_to_string(shape));
   }
-  // Rearrange [C,S,S] into [n, C*patch*patch] patch rows; gradient flows via
-  // slice/concat-free reconstruction: we gather using differentiable reshape
-  // and matmul after building a permutation with slice ops would be wasteful,
-  // so we instead express the gather as a constant permutation matrix P:
-  // tokens = P * flat(F). P is [n*patch_dim, C*S*S] but sparse; to stay dense
-  // and cheap we implement the gather manually with a custom op-free path:
-  // flatten -> per-token slices would need strided slicing. Simplest correct
-  // differentiable route: reshape to [C, S*S] then build each token by
-  // concatenating column slices.
-  const std::size_t per_side = map_size_ / patch_;
-  const AG::Var flat = AG::reshape(feature_map, {channels_, map_size_ * map_size_});
-  AG::Var tokens;  // [n, patch_dim]
-  for (std::size_t ti = 0; ti < per_side; ++ti) {
-    for (std::size_t tj = 0; tj < per_side; ++tj) {
-      // Gather the patch rows: for each row inside the patch, take a
-      // contiguous column span of `flat`, transpose-free by slicing columns.
-      AG::Var patch_cols;  // [C, patch*patch]
-      for (std::size_t pi = 0; pi < patch_; ++pi) {
-        const std::size_t row = ti * patch_ + pi;
-        const std::size_t lo = row * map_size_ + tj * patch_;
-        const AG::Var span = AG::slice_cols(flat, lo, lo + patch_);  // [C, patch]
-        patch_cols = (pi == 0) ? span : AG::concat_cols(patch_cols, span);
-      }
-      // [C, patch*patch] -> [1, C*patch*patch]
-      const AG::Var token_row =
-          AG::reshape(patch_cols, {1, channels_ * patch_ * patch_});
-      tokens = (ti == 0 && tj == 0) ? token_row : AG::concat_rows(tokens, token_row);
-    }
-  }
-  return AG::matmul(tokens, projection_);  // [n, token_dim]
+  return AG::matmul(AG::patchify(feature_map, patch_), projection_);
 }
 
 PromptNet::PromptNet(const PromptNetConfig& config, util::Rng& rng)
@@ -119,26 +93,32 @@ PromptNet::PromptNet(const PromptNetConfig& config, util::Rng& rng)
   register_submodule(*classifier_);
 }
 
-AG::Var PromptNet::tokenize(const T::Tensor& image) const {
-  if (image.shape() !=
-      T::Shape{config_.image_channels, config_.image_size, config_.image_size}) {
+AG::Var PromptNet::tokenize(const T::Tensor& images) const {
+  const auto& shape = images.shape();
+  const bool batch = shape.size() == 4;
+  if ((shape.size() != 3 && !batch) ||
+      T::Shape(shape.end() - 3, shape.end()) !=
+          T::Shape{config_.image_channels, config_.image_size,
+                   config_.image_size}) {
     throw ShapeError("PromptNet expects [" + std::to_string(config_.image_channels) +
-                     ",16,16] image, got " + T::shape_to_string(image.shape()));
+                     ",16,16] images, got " + T::shape_to_string(shape));
   }
   // graph::input is autograd::constant outside capture; under capture the
   // node becomes a rebindable per-sample image slot of the replayed graph.
-  const AG::Var feats = features_->forward(AG::graph::input(image));
-  const AG::Var patches = patch_embed_->forward(feats);  // [n, d]
-  return AG::concat_rows(cls_token_, patches);           // Eq. (12)
+  const AG::Var feats = features_->forward(AG::graph::input(images));
+  const AG::Var patches = patch_embed_->forward(feats);  // [N·n, d]
+  return AG::prepend_rows(cls_token_, patches, batch ? shape[0] : 1);  // Eq. (12)
 }
 
-PromptNetOutput PromptNet::forward(const T::Tensor& image,
+PromptNetOutput PromptNet::forward(const T::Tensor& images,
                                    const std::optional<AG::Var>& prompts) const {
-  return forward_tokens(tokenize(image), prompts);
+  const std::size_t samples = images.rank() == 4 ? images.dim(0) : 1;
+  return forward_tokens(tokenize(images), prompts, samples);
 }
 
 PromptNetOutput PromptNet::forward_tokens(const AG::Var& tokens,
-                                          const std::optional<AG::Var>& prompts) const {
+                                          const std::optional<AG::Var>& prompts,
+                                          std::size_t samples) const {
   obs::prof::Span span("nn.forward");
   std::size_t cls_index = 0;
   AG::Var seq = tokens;
@@ -148,12 +128,13 @@ PromptNetOutput PromptNet::forward_tokens(const AG::Var& tokens,
       throw ShapeError("prompts must be [p, token_dim], got " +
                        T::shape_to_string(pv.shape()));
     }
+    REFFIL_CHECK_MSG(samples == 1, "prompts need a single-sample forward");
     seq = AG::concat_rows(*prompts, tokens);
     cls_index = pv.dim(0);
   }
-  const AG::Var out = block_->forward(seq);
-  const AG::Var cls = AG::slice_rows(out, cls_index, cls_index + 1);  // [1, d]
-  const AG::Var logits = classifier_->forward(cls);                   // Eq. (14)
+  const AG::Var out = block_->forward(seq, samples);
+  const AG::Var cls = AG::sample_row(out, cls_index, samples);     // [N, d]
+  const AG::Var logits = classifier_->forward(cls, samples);       // Eq. (14)
   return PromptNetOutput{logits, cls, tokens};
 }
 

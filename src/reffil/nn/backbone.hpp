@@ -34,7 +34,8 @@ class ResidualBlock : public Module {
   std::unique_ptr<Conv2d> conv1_, conv2_;
 };
 
-/// Small residual CNN feature extractor: [C,16,16] -> [feat_channels,4,4].
+/// Small residual CNN feature extractor: [C,16,16] -> [feat_channels,4,4]
+/// per sample, for one [C,16,16] image or an [N,C,16,16] batch.
 class ResNetMini : public Module {
  public:
   ResNetMini(std::size_t in_channels, util::Rng& rng);
@@ -52,16 +53,18 @@ class ResNetMini : public Module {
   std::unique_ptr<Conv2d> down2_;
 };
 
-/// Frozen ViT-style tokenizer: splits the [C,S,S] feature map into
-/// (S/patch)^2 patches and projects each to token_dim with a fixed random
-/// matrix. Not a Module — it owns no trainable parameters; every participant
-/// builds an identical tokenizer from the same seed.
+/// Frozen ViT-style tokenizer: gathers the [C,S,S] feature map's
+/// (S/patch)^2 patches into rows (AG::patchify) and projects each to
+/// token_dim with a fixed random matrix. Not a Module — it owns no trainable
+/// parameters; every participant builds an identical tokenizer from the same
+/// seed.
 class PatchEmbed {
  public:
   PatchEmbed(std::size_t channels, std::size_t map_size, std::size_t patch,
              std::size_t token_dim, std::uint64_t frozen_seed);
 
-  /// [C,S,S] feature map Var -> [n, token_dim] patch tokens.
+  /// [C,S,S] feature map Var -> [n, token_dim] patch tokens; an [N,C,S,S]
+  /// batch gives [N·n, token_dim], sample by sample.
   autograd::Var forward(const autograd::Var& feature_map) const;
 
   std::size_t num_tokens() const { return num_tokens_; }
@@ -83,11 +86,11 @@ struct PromptNetConfig {
   std::uint64_t frozen_seed = 0xF0F0F0F0ULL;  ///< patch-embed seed (shared)
 };
 
-/// Output of one forward pass.
+/// Output of one forward pass over N samples (N = 1 for a single image).
 struct PromptNetOutput {
-  autograd::Var logits;  ///< [1, K]
-  autograd::Var cls;     ///< [1, d] — post-attention class token
-  autograd::Var tokens;  ///< [n+1, d] — pre-attention input tokens I (Eq. 12)
+  autograd::Var logits;  ///< [N, K]
+  autograd::Var cls;     ///< [N, d] — post-attention class tokens
+  autograd::Var tokens;  ///< [N·(n+1), d] — pre-attention input tokens I (Eq. 12)
 };
 
 /// The full prompt-conditioned classifier.
@@ -95,20 +98,23 @@ class PromptNet : public Module {
  public:
   PromptNet(const PromptNetConfig& config, util::Rng& rng);
 
-  /// Forward a single [C,H,W] image. If `prompts` is provided it must be a
-  /// [p, d] Var and is prepended to the token sequence before attention.
-  PromptNetOutput forward(const tensor::Tensor& image,
+  /// Forward a single [C,H,W] image, or an [N,C,H,W] batch as one graph of
+  /// N samples whose values and gradients are bitwise those of N one-image
+  /// graphs. If `prompts` is provided it must be a [p, d] Var and is
+  /// prepended to the token sequence before attention (single image only).
+  PromptNetOutput forward(const tensor::Tensor& images,
                           const std::optional<autograd::Var>& prompts = {}) const;
 
-  /// Forward from pre-computed tokens (Eq. 12's I). Lets callers run the CNN
-  /// once and attach several prompt sets (RefFiL computes xi_l and xi_g from
-  /// one shared token graph).
+  /// Forward from pre-computed tokens (Eq. 12's I) of `samples` images. Lets
+  /// callers run the CNN once and attach several prompt sets (RefFiL
+  /// computes xi_l and xi_g from one shared token graph).
   PromptNetOutput forward_tokens(const autograd::Var& tokens,
-                                 const std::optional<autograd::Var>& prompts = {}) const;
+                                 const std::optional<autograd::Var>& prompts = {},
+                                 std::size_t samples = 1) const;
 
-  /// Tokenize only (Eq. 12): returns I = [CLS; PT...] without attention —
-  /// this is the CDAP generator's input.
-  autograd::Var tokenize(const tensor::Tensor& image) const;
+  /// Tokenize only (Eq. 12): returns I = [CLS; PT...] per image without
+  /// attention — this is the CDAP generator's input.
+  autograd::Var tokenize(const tensor::Tensor& images) const;
 
   const PromptNetConfig& config() const { return config_; }
   std::size_t num_tokens() const { return patch_embed_->num_tokens() + 1; }

@@ -19,12 +19,12 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng
   bias_ = add_parameter(T::zeros({out_features}));
 }
 
-AG::Var Linear::forward(const AG::Var& x) const {
+AG::Var Linear::forward(const AG::Var& x, std::size_t samples) const {
   // The forward/backward matmuls dispatch to the row-parallel kernel above
   // the flop threshold (tensor/parallel.hpp); inside a federated client's
   // training task they inline on the worker's chunk, so batch-level and
   // client-level parallelism compose without oversubscription.
-  return AG::add_rowvec(AG::matmul(x, weight_), bias_);
+  return AG::add_rowvec(AG::matmul(x, weight_, samples), bias_, samples);
 }
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, util::Rng& rng) {
@@ -35,10 +35,10 @@ Mlp::Mlp(const std::vector<std::size_t>& dims, util::Rng& rng) {
   }
 }
 
-AG::Var Mlp::forward(const AG::Var& x) const {
+AG::Var Mlp::forward(const AG::Var& x, std::size_t samples) const {
   AG::Var h = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->forward(h);
+    h = layers_[i]->forward(h, samples);
     if (i + 1 < layers_.size()) h = AG::relu(h);
   }
   return h;
@@ -50,8 +50,8 @@ LayerNorm::LayerNorm(std::size_t dim) {
   bias_ = add_parameter(T::zeros({dim}));
 }
 
-AG::Var LayerNorm::forward(const AG::Var& x) const {
-  return AG::layer_norm(x, gain_, bias_);
+AG::Var LayerNorm::forward(const AG::Var& x, std::size_t samples) const {
+  return AG::layer_norm(x, gain_, bias_, samples);
 }
 
 Embedding::Embedding(std::size_t count, std::size_t dim, util::Rng& rng)

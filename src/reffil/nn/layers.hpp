@@ -14,12 +14,15 @@
 
 namespace reffil::nn {
 
-/// Fully connected layer: y = x W + b with x [m, in] -> y [m, out].
+/// Fully connected layer: y = x W + b with x [m, in] -> y [m, out]. The
+/// `samples` argument of a layer's forward says how many equal row blocks
+/// (samples) x holds; the weights' gradients fold one partial per sample
+/// (autograd/ops.hpp).
 class Linear : public Module {
  public:
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng);
 
-  autograd::Var forward(const autograd::Var& x) const;
+  autograd::Var forward(const autograd::Var& x, std::size_t samples = 1) const;
 
   std::size_t in_features() const { return in_features_; }
   std::size_t out_features() const { return out_features_; }
@@ -36,7 +39,7 @@ class Mlp : public Module {
   /// dims = {in, hidden..., out}; at least {in, out}.
   Mlp(const std::vector<std::size_t>& dims, util::Rng& rng);
 
-  autograd::Var forward(const autograd::Var& x) const;
+  autograd::Var forward(const autograd::Var& x, std::size_t samples = 1) const;
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
@@ -47,7 +50,7 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(std::size_t dim);
 
-  autograd::Var forward(const autograd::Var& x) const;
+  autograd::Var forward(const autograd::Var& x, std::size_t samples = 1) const;
 
  private:
   autograd::Var gain_;  // [dim], init 1
@@ -73,7 +76,7 @@ class Embedding : public Module {
   autograd::Var table_;  // [count, dim]
 };
 
-/// 2-D convolution over a single [Cin, H, W] sample.
+/// 2-D convolution over a [Cin, H, W] sample or an [N, Cin, H, W] batch.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,

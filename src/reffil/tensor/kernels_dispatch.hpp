@@ -42,10 +42,12 @@
 namespace reffil::tensor::kern {
 
 /// Conv2d geometry shared by the conv kernels and the autograd conv node
-/// that drives them: input [cin, h, w], weight [cout, cin*kh*kw], output
-/// [cout, hout, wout].
+/// that drives them: input [n, cin, h, w], weight [cout, cin*kh*kw], output
+/// [n, cout, hout, wout]. Samples are independent: sample s reads and writes
+/// its own plane block s, so a one-sample call is the n = 1 case.
 struct Conv2dGeom {
   std::size_t cin, h, w, kh, kw, stride, pad, hout, wout, cout;
+  std::size_t n = 1;  ///< samples
 };
 
 /// One dispatch target. All pointers are non-null in every registered
@@ -101,21 +103,24 @@ struct Kernels {
   // input; no [cin*kh*kw, hout*wout] column matrix is ever built. Each
   // kernel is bitwise-identical, per target, to the im2col + matmul_rows_*
   // lowering it replaced: per element the same multiply-add chain, in the
-  // same order, from +0, with padding taps multiplied as zeros.
+  // same order, from +0, with padding taps multiplied as zeros. Each runs
+  // over all g.n samples, sample by sample, with the one-sample chains.
 
-  /// Output-channel rows [co0, co1) of out[cout, hout*wout] =
-  /// weight[cout, K] * taps(in) + bias, K = cin*kh*kw. Per element the taps
-  /// run ascending over (ci, ki, kj); the bias is added last.
+  /// Output-channel rows [co0, co1) of out[s, cout, hout*wout] =
+  /// weight[cout, K] * taps(in[s]) + bias, K = cin*kh*kw. Per element the
+  /// taps run ascending over (ci, ki, kj); the bias is added last.
   void (*conv2d_forward)(const float* in, const float* weight,
                          const float* bias, float* out, std::size_t co0,
                          std::size_t co1, const Conv2dGeom& g);
-  /// Rows [co0, co1) of dweight[cout, K] = gout[cout, hout*wout] *
-  /// taps(in)^T; per element the output pixels run ascending.
+  /// Rows [co0, co1) of each sample's partial dweight[s, cout, K] =
+  /// gout[s, cout, hout*wout] * taps(in[s])^T; per element the output
+  /// pixels run ascending. The partials are not summed over samples: the
+  /// caller folds them in the order its gradient contract fixes.
   void (*conv2d_weight_grad)(const float* in, const float* gout,
                              float* dweight, std::size_t co0, std::size_t co1,
                              const Conv2dGeom& g);
-  /// Input-channel planes [c0, c1) of dinput[cin, h, w]: each tap value
-  /// (weight^T * gout)[k, p] is a chain ascending over output channels,
+  /// Input-channel planes [c0, c1) of dinput[s, cin, h, w]: each tap value
+  /// (weight^T * gout[s])[k, p] is a chain ascending over output channels,
   /// and the values are summed into a +0 plane in ascending (ki, kj) order.
   /// Overwrites those planes.
   void (*conv2d_input_grad)(const float* weight, const float* gout,

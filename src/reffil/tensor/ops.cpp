@@ -235,6 +235,33 @@ void add_inplace(Tensor& a, const Tensor& b) {
   });
 }
 
+void fold_add_inplace(Tensor& a, const float* blocks, std::size_t n) {
+  const std::size_t size = a.numel();
+  float* pa = a.begin();
+  const kern::Kernels& k = kern::active();
+  // Per element the same adds, in the same order, as n add_inplace calls.
+  elementwise_blocks(size, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t s = n; s-- > 0;) k.add(pa, blocks + s * size, lo, hi);
+  });
+}
+
+void momentum_step_inplace(Tensor& param, Tensor& velocity,
+                           const Tensor& grad, float momentum, float lr) {
+  require_same_shape(param, velocity, "momentum_step_inplace");
+  require_same_shape(param, grad, "momentum_step_inplace");
+  float* pp = param.begin();
+  float* pv = velocity.begin();
+  const float* pg = grad.begin();
+  const kern::Kernels& k = kern::active();
+  // Each pass is element-independent, so running all three per block gives
+  // every element the bits of three full passes.
+  elementwise_blocks(param.numel(), [&](std::size_t lo, std::size_t hi) {
+    k.scale(pv, momentum, lo, hi);
+    k.add(pv, pg, lo, hi);
+    k.axpy(pp, -lr, pv, lo, hi);
+  });
+}
+
 void axpy_inplace(Tensor& a, float s, const Tensor& b) {
   require_same_shape(a, b, "axpy_inplace");
   float* pa = a.begin();
@@ -255,19 +282,27 @@ void scale_inplace(Tensor& a, float s) {
 
 namespace {
 
-// Shape validation for the matmul family; returns {m, k, n} of the product.
+// Shape validation for the matmul family; returns {m, k, n} of one sample's
+// product. a and b hold `samples` equal row blocks.
 struct MatmulDims {
   std::size_t m, k, n;
 };
 
 MatmulDims matmul_dims(const Tensor& a, const Tensor& b, const char* op,
-                       bool transpose_a, bool transpose_b) {
+                       bool transpose_a, bool transpose_b,
+                       std::size_t samples = 1) {
   require_rank2(a, op);
   require_rank2(b, op);
-  const std::size_t m = transpose_a ? a.dim(1) : a.dim(0);
-  const std::size_t k = transpose_a ? a.dim(0) : a.dim(1);
-  const std::size_t bk = transpose_b ? b.dim(1) : b.dim(0);
-  const std::size_t n = transpose_b ? b.dim(0) : b.dim(1);
+  if (samples == 0 || a.dim(0) % samples != 0 || b.dim(0) % samples != 0) {
+    throw ShapeError(std::string(op) + ": " + shape_to_string(a.shape()) +
+                     " and " + shape_to_string(b.shape()) + " do not split into " +
+                     std::to_string(samples) + " samples");
+  }
+  const std::size_t a0 = a.dim(0) / samples, b0 = b.dim(0) / samples;
+  const std::size_t m = transpose_a ? a.dim(1) : a0;
+  const std::size_t k = transpose_a ? a0 : a.dim(1);
+  const std::size_t bk = transpose_b ? b.dim(1) : b0;
+  const std::size_t n = transpose_b ? b0 : b.dim(1);
   if (bk != k) {
     throw ShapeError(std::string(op) + ": " + shape_to_string(a.shape()) +
                      " x " + shape_to_string(b.shape()));
@@ -284,97 +319,109 @@ void require_out_shape(const Tensor& out, std::size_t m, std::size_t n,
   }
 }
 
-// Dispatch helpers assume `out` is already zero-filled; the public *_into
-// wrappers zero it first, while matmul/matmul_nt/matmul_tn construct a fresh
-// zeroed tensor. All paths run the same kernels.hpp row kernels.
 /// Bytes touched by an m*k x k*n product (both inputs plus the output).
 std::uint64_t matmul_bytes(const MatmulDims& d) {
   return static_cast<std::uint64_t>(d.m * d.k + d.k * d.n + d.m * d.n) *
          sizeof(float);
 }
 
+enum class Layout { kNN, kNT, kTN };
+
+// Runs one product per sample block of a, b and out (out already
+// zero-filled): the row-parallel layer above the matmul threshold, the
+// active target's row kernel below it, both the kernels.hpp rows. The
+// allocating forms and the *_into wrappers (which zero `out` first) all land
+// here, so a sample block is bitwise its one-block product.
 void matmul_dispatch(const Tensor& a, const Tensor& b, Tensor& out,
-                     const MatmulDims& d) {
-  obs::prof::Span span("matmul", matmul_bytes(d));
-  if (P::should_parallelize(d.m * d.n * d.k, P::kMatmulFlopThreshold)) {
-    P::matmul_into(a, b, out);
-  } else {
-    kern::active().matmul_rows_nn(a.begin(), b.begin(), out.begin(), 0, d.m,
-                                  d.k, d.n);
+                     const MatmulDims& d, Layout layout,
+                     std::size_t samples = 1) {
+  static constexpr const char* kNames[] = {"matmul", "matmul_nt", "matmul_tn"};
+  obs::prof::Span span(kNames[static_cast<int>(layout)],
+                       matmul_bytes(d) * samples);
+  const kern::Kernels& kt = kern::active();
+  const bool parallel =
+      P::should_parallelize(d.m * d.n * d.k, P::kMatmulFlopThreshold);
+  const std::size_t a_rows = layout == Layout::kTN ? d.k : d.m;
+  const std::size_t b_rows = layout == Layout::kNT ? d.n : d.k;
+  for (std::size_t s = 0; s < samples; ++s) {
+    const float* pa = a.begin() + s * a_rows * a.dim(1);
+    const float* pb = b.begin() + s * b_rows * b.dim(1);
+    float* po = out.begin() + s * d.m * d.n;
+    if (parallel) {
+      // Views of the sample's blocks (read-only for a and b).
+      const Tensor av = Tensor::view(const_cast<float*>(pa), {a_rows, a.dim(1)});
+      const Tensor bv = Tensor::view(const_cast<float*>(pb), {b_rows, b.dim(1)});
+      Tensor ov = Tensor::view(po, {d.m, d.n});
+      switch (layout) {
+        case Layout::kNN: P::matmul_into(av, bv, ov); break;
+        case Layout::kNT: P::matmul_nt_into(av, bv, ov); break;
+        case Layout::kTN: P::matmul_tn_into(av, bv, ov); break;
+      }
+      continue;
+    }
+    switch (layout) {
+      case Layout::kNN: kt.matmul_rows_nn(pa, pb, po, 0, d.m, d.k, d.n); break;
+      case Layout::kNT: kt.matmul_rows_nt(pa, pb, po, 0, d.m, d.k, d.n); break;
+      case Layout::kTN:
+        kt.matmul_rows_tn(pa, pb, po, 0, d.m, d.k, d.m, d.n);
+        break;
+    }
   }
 }
 
-void matmul_nt_dispatch(const Tensor& a, const Tensor& b, Tensor& out,
-                        const MatmulDims& d) {
-  obs::prof::Span span("matmul_nt", matmul_bytes(d));
-  if (P::should_parallelize(d.m * d.n * d.k, P::kMatmulFlopThreshold)) {
-    P::matmul_nt_into(a, b, out);
-  } else {
-    kern::active().matmul_rows_nt(a.begin(), b.begin(), out.begin(), 0, d.m,
-                                  d.k, d.n);
-  }
+Tensor matmul_alloc(const Tensor& a, const Tensor& b, const char* op,
+                    Layout layout) {
+  const MatmulDims d = matmul_dims(a, b, op, layout == Layout::kTN,
+                                   layout == Layout::kNT);
+  Tensor out({d.m, d.n});
+  matmul_dispatch(a, b, out, d, layout);
+  return out;
 }
 
-void matmul_tn_dispatch(const Tensor& a, const Tensor& b, Tensor& out,
-                        const MatmulDims& d) {
-  obs::prof::Span span("matmul_tn", matmul_bytes(d));
-  if (P::should_parallelize(d.m * d.n * d.k, P::kMatmulFlopThreshold)) {
-    P::matmul_tn_into(a, b, out);
-  } else {
-    kern::active().matmul_rows_tn(a.begin(), b.begin(), out.begin(), 0, d.m,
-                                  d.k, d.m, d.n);
-  }
+void matmul_blocks_into(const Tensor& a, const Tensor& b, Tensor& out,
+                        std::size_t samples, const char* op, Layout layout) {
+  const MatmulDims d = matmul_dims(a, b, op, layout == Layout::kTN,
+                                   layout == Layout::kNT, samples);
+  require_out_shape(out, samples * d.m, d.n, op);
+  std::fill(out.begin(), out.end(), 0.0f);
+  matmul_dispatch(a, b, out, d, layout, samples);
 }
 
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  const MatmulDims d = matmul_dims(a, b, "matmul", false, false);
-  Tensor out({d.m, d.n});
-  matmul_dispatch(a, b, out, d);
-  return out;
+  return matmul_alloc(a, b, "matmul", Layout::kNN);
 }
 
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  const MatmulDims d = matmul_dims(a, b, "matmul_into", false, false);
-  require_out_shape(out, d.m, d.n, "matmul_into");
-  std::fill(out.begin(), out.end(), 0.0f);
-  matmul_dispatch(a, b, out, d);
+void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
+                 std::size_t samples) {
+  matmul_blocks_into(a, b, out, samples, "matmul_into", Layout::kNN);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  const MatmulDims d = matmul_dims(a, b, "matmul_nt", false, true);
-  Tensor out({d.m, d.n});
-  matmul_nt_dispatch(a, b, out, d);
-  return out;
+  return matmul_alloc(a, b, "matmul_nt", Layout::kNT);
 }
 
-void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  const MatmulDims d = matmul_dims(a, b, "matmul_nt_into", false, true);
-  require_out_shape(out, d.m, d.n, "matmul_nt_into");
-  std::fill(out.begin(), out.end(), 0.0f);
-  matmul_nt_dispatch(a, b, out, d);
+void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out,
+                    std::size_t samples) {
+  matmul_blocks_into(a, b, out, samples, "matmul_nt_into", Layout::kNT);
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  const MatmulDims d = matmul_dims(a, b, "matmul_tn", true, false);
-  Tensor out({d.m, d.n});
-  matmul_tn_dispatch(a, b, out, d);
-  return out;
+  return matmul_alloc(a, b, "matmul_tn", Layout::kTN);
 }
 
-void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  const MatmulDims d = matmul_dims(a, b, "matmul_tn_into", true, false);
-  require_out_shape(out, d.m, d.n, "matmul_tn_into");
-  std::fill(out.begin(), out.end(), 0.0f);
-  matmul_tn_dispatch(a, b, out, d);
+void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out,
+                    std::size_t samples) {
+  matmul_blocks_into(a, b, out, samples, "matmul_tn_into", Layout::kTN);
 }
 
 namespace {
 
 /// Runs fn(lo, hi) over [0, rows) channel blocks: on the global pool above
-/// the matmul threshold, inline otherwise (templated for the same reason as
-/// elementwise_blocks).
+/// the matmul threshold (counted per sample), inline otherwise (templated
+/// for the same reason as elementwise_blocks). Every block covers all
+/// samples.
 template <typename Fn>
 void conv_channel_blocks(const kern::Conv2dGeom& g, std::size_t rows,
                          const Fn& fn) {
@@ -394,7 +441,7 @@ std::uint64_t conv_bytes(const Tensor& a, const Tensor& b, const Tensor& out) {
 
 void conv2d_into(const Tensor& input, const Tensor& weight, const Tensor& bias,
                  const kern::Conv2dGeom& g, Tensor& out) {
-  REFFIL_CHECK_MSG(out.numel() == g.cout * g.hout * g.wout,
+  REFFIL_CHECK_MSG(out.numel() == g.n * g.cout * g.hout * g.wout,
                    "conv2d_into: output numel mismatch");
   obs::prof::Span span("conv2d", conv_bytes(input, weight, out));
   const kern::Kernels& k = kern::active();
@@ -406,7 +453,7 @@ void conv2d_into(const Tensor& input, const Tensor& weight, const Tensor& bias,
 
 void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
                              const kern::Conv2dGeom& g, Tensor& dweight) {
-  REFFIL_CHECK_MSG(dweight.numel() == g.cout * g.cin * g.kh * g.kw,
+  REFFIL_CHECK_MSG(dweight.numel() == g.n * g.cout * g.cin * g.kh * g.kw,
                    "conv2d_weight_grad_into: output numel mismatch");
   obs::prof::Span span("conv2d_wgrad", conv_bytes(input, grad_out, dweight));
   const kern::Kernels& k = kern::active();
@@ -418,7 +465,7 @@ void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
 
 void conv2d_input_grad_into(const Tensor& weight, const Tensor& grad_out,
                             const kern::Conv2dGeom& g, Tensor& dinput) {
-  REFFIL_CHECK_MSG(dinput.numel() == g.cin * g.h * g.w,
+  REFFIL_CHECK_MSG(dinput.numel() == g.n * g.cin * g.h * g.w,
                    "conv2d_input_grad_into: output numel mismatch");
   obs::prof::Span span("conv2d_igrad", conv_bytes(weight, grad_out, dinput));
   const kern::Kernels& k = kern::active();

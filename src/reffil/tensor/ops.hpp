@@ -72,6 +72,15 @@ void relu_backward_into(const Tensor& x, const Tensor& g, Tensor& out);
 
 /// a += b (in place, same shape).
 void add_inplace(Tensor& a, const Tensor& b);
+/// a += blocks[n-1]; a += blocks[n-2]; ...; a += blocks[0], where `blocks`
+/// holds n runs of a.numel() floats: bitwise those n add_inplace calls, in
+/// one sweep (the ordered fold of per-sample gradient partials).
+void fold_add_inplace(Tensor& a, const float* blocks, std::size_t n);
+/// SGD with momentum in one sweep: velocity = momentum * velocity + grad,
+/// then param += -lr * velocity — bitwise scale_inplace, add_inplace and
+/// axpy_inplace run one after the other.
+void momentum_step_inplace(Tensor& param, Tensor& velocity,
+                           const Tensor& grad, float momentum, float lr);
 /// a += s * b (axpy, same shape).
 void axpy_inplace(Tensor& a, float s, const Tensor& b);
 /// a *= s.
@@ -85,16 +94,21 @@ void scale_inplace(Tensor& a, float s);
 // matmul(a, transpose2d(b)) and matmul_tn(a, b) == matmul(transpose2d(a), b)
 // bitwise, with no transposed temporary ever materialized. The *_into forms
 // overwrite a preallocated output (for pool::Scratch reuse on the autograd
-// backward path).
+// backward path). With samples > 1 the operands of an *_into form are
+// `samples` equal row blocks and block s of `out` is block s's product —
+// bitwise the one-block call on that block — under one profiler span.
 /// 2-D matrix product [m,k]x[k,n] -> [m,n].
 Tensor matmul(const Tensor& a, const Tensor& b);
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
+void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
+                 std::size_t samples = 1);
 /// Fused a·bᵀ: [m,k]x[n,k] -> [m,n].
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
-void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out);
+void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out,
+                    std::size_t samples = 1);
 /// Fused aᵀ·b: [k,m]x[k,n] -> [m,n].
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
-void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out);
+void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out,
+                    std::size_t samples = 1);
 /// 2-D transpose (parallel above parallel::kElementwiseThreshold).
 Tensor transpose2d(const Tensor& a);
 void transpose2d_into(const Tensor& a, Tensor& out);
@@ -103,17 +117,18 @@ Tensor matvec(const Tensor& a, const Tensor& x);
 
 // ---- direct convolution -----------------------------------------------------
 // Drivers for the dispatch-table conv kernels (kernels_dispatch.hpp). `g`
-// describes every shape: input [cin,h,w], weight [cout, cin*kh*kw], bias
-// [cout], output [cout, hout, wout]; the caller validates them. Channels fan
-// out on the global pool above parallel::kMatmulFlopThreshold multiply-adds,
-// like the matmul rows these replace, with bitwise-identical results either
-// way. Each call overwrites its output.
+// describes every shape: input [n,cin,h,w], weight [cout, cin*kh*kw], bias
+// [cout], output [n,cout,hout,wout]; the caller validates them. Channels fan
+// out on the global pool above parallel::kMatmulFlopThreshold multiply-adds
+// per sample, like the matmul rows these replace, with bitwise-identical
+// results either way. Each call overwrites its output.
 void conv2d_into(const Tensor& input, const Tensor& weight, const Tensor& bias,
                  const kern::Conv2dGeom& g, Tensor& out);
-/// dweight[cout, cin*kh*kw] from the input and the output gradient.
+/// Per-sample weight-gradient partials dweight[n, cout, cin*kh*kw] from the
+/// input and the output gradient (not summed over samples).
 void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
                              const kern::Conv2dGeom& g, Tensor& dweight);
-/// dinput[cin, h, w] from the weight and the output gradient.
+/// dinput[n, cin, h, w] from the weight and the output gradient.
 void conv2d_input_grad_into(const Tensor& weight, const Tensor& grad_out,
                             const kern::Conv2dGeom& g, Tensor& dinput);
 

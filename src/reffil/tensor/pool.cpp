@@ -42,9 +42,10 @@ struct ThreadCache {
   }
 };
 
-ThreadCache& cache() {
-  thread_local ThreadCache t_cache;
-  return t_cache;
+ThreadCache& cache(Lifetime lifetime = Lifetime::kScratch) {
+  thread_local ThreadCache t_scratch;
+  thread_local ThreadCache t_graph;
+  return lifetime == Lifetime::kScratch ? t_scratch : t_graph;
 }
 
 std::size_t floor_log2(std::size_t v) {
@@ -82,7 +83,7 @@ void count_metrics(bool hit, std::size_t n) {
 }
 
 /// A buffer of >= n floats: a free-list hit, else a fresh allocation.
-Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero) {
+Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero, bool metered) {
   if (n <= kMaxPooledFloats) {
     auto& stack = c.buckets[acquire_bucket(n)];
     if (!stack.empty()) {
@@ -90,7 +91,7 @@ Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero) {
       stack.pop_back();
       c.retained_floats -= buf.capacity;
       ++c.hits;
-      count_metrics(/*hit=*/true, n);
+      if (metered) count_metrics(/*hit=*/true, n);
       // Capacity >= n by the bucket invariant; contents beyond the zeroed
       // prefix are whatever the previous borrow left.
       if (zero) std::fill(buf.data, buf.data + n, 0.0f);
@@ -98,7 +99,7 @@ Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero) {
     }
   }
   ++c.misses;
-  count_metrics(/*hit=*/false, n);
+  if (metered) count_metrics(/*hit=*/false, n);
   // Round the fresh allocation up to its acquire bucket's size so release()
   // parks it exactly where the next same-size request looks. Capacity `n`
   // itself would land in floor_log2(n) — one bucket below a non-power-of-two
@@ -114,17 +115,17 @@ Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero) {
   return buf;
 }
 
-Buffer acquire_buffer(std::size_t n, bool zero) {
+Buffer acquire_buffer(std::size_t n, bool zero, Lifetime lifetime) {
   if (n == 0) return {};
-  ThreadCache& c = cache();
-  Buffer buf = take_buffer(c, n, zero);
+  ThreadCache& c = cache(lifetime);
+  Buffer buf = take_buffer(c, n, zero, lifetime == Lifetime::kScratch);
   c.borrowed_floats += static_cast<std::int64_t>(buf.capacity);
   return buf;
 }
 
-void release_buffer(Buffer buf) {
+void release_buffer(Buffer buf, Lifetime lifetime) {
   if (buf.data == nullptr) return;
-  ThreadCache& c = cache();
+  ThreadCache& c = cache(lifetime);
   c.borrowed_floats -= static_cast<std::int64_t>(buf.capacity);
   if (buf.capacity == 0 || buf.capacity > kMaxPooledFloats) {
     ::operator delete(buf.data);
@@ -140,9 +141,10 @@ void release_buffer(Buffer buf) {
 
 }  // namespace
 
-Scratch::Scratch(Shape shape, bool zero) {
+Scratch::Scratch(Shape shape, bool zero, Lifetime lifetime)
+    : lifetime_(lifetime) {
   const std::size_t n = shape_numel(shape);
-  const Buffer buf = acquire_buffer(n, zero);
+  const Buffer buf = acquire_buffer(n, zero, lifetime);
   buffer_ = buf.data;
   capacity_ = buf.capacity;
   if (n == 0) {
@@ -156,12 +158,13 @@ Scratch::~Scratch() {
   // The buffer's lifetime is tied to the Scratch, not to tensor_: even if
   // user code moved the view out (or assigned over tensor_), the underlying
   // allocation is returned exactly once, and never as an empty husk.
-  release_buffer(Buffer{buffer_, capacity_});
+  release_buffer(Buffer{buffer_, capacity_}, lifetime_);
 }
 
 Scratch::Scratch(Scratch&& other) noexcept
     : buffer_(other.buffer_),
       capacity_(other.capacity_),
+      lifetime_(other.lifetime_),
       tensor_(std::move(other.tensor_)) {
   other.buffer_ = nullptr;
   other.capacity_ = 0;

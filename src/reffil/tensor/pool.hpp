@@ -33,6 +33,12 @@
 
 namespace reffil::tensor::pool {
 
+/// Which per-thread free list a borrow comes from. Scratch is closure-long
+/// (backward temporaries); graph storage — autograd node values and
+/// gradients — lives as long as its graph. The two are kept apart so
+/// ThreadStats and the tensor.pool.* counters describe scratch alone.
+enum class Lifetime { kScratch, kGraph };
+
 /// RAII borrow: a Tensor of `shape` whose storage comes from the calling
 /// thread's free list (or the allocator on a miss). `zero` == true gives the
 /// usual zero-filled tensor; pass false when every element is about to be
@@ -41,7 +47,8 @@ namespace reffil::tensor::pool {
 /// left behind).
 class Scratch {
  public:
-  explicit Scratch(Shape shape, bool zero = true);
+  explicit Scratch(Shape shape, bool zero = true,
+                   Lifetime lifetime = Lifetime::kScratch);
   ~Scratch();
 
   Scratch(Scratch&& other) noexcept;
@@ -59,11 +66,12 @@ class Scratch {
  private:
   float* buffer_ = nullptr;       ///< null when moved-from or numel == 0
   std::size_t capacity_ = 0;      ///< floats the allocation can hold
+  Lifetime lifetime_;             ///< the free list the buffer returns to
   Tensor tensor_;                 ///< view over buffer_ (owning empty if n==0)
 };
 
-/// Per-thread pool statistics (this thread's free list only; the obs
-/// counters aggregate across threads).
+/// Per-thread pool statistics (this thread's scratch free list only; the obs
+/// counters aggregate scratch across threads).
 struct ThreadStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -75,8 +83,8 @@ struct ThreadStats {
 };
 ThreadStats thread_stats();
 
-/// Drop every buffer parked in the calling thread's free lists (tests /
-/// benchmarks that want a cold pool).
+/// Drop every buffer parked in the calling thread's scratch free lists
+/// (tests / benchmarks that want a cold pool).
 void clear_thread_cache();
 
 }  // namespace reffil::tensor::pool

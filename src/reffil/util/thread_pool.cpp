@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "reffil/util/obs.hpp"
@@ -160,18 +161,28 @@ void ThreadPool::parallel_for(std::size_t n,
   join(*fj);
 }
 
+std::size_t ThreadPool::spare_locked() const {
+  return idle_ > queue_.size() ? idle_ - queue_.size() : 0;
+}
+
+std::size_t ThreadPool::spare_workers() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return spare_locked();
+}
+
 void ThreadPool::fan_out(std::size_t n,
-                         const std::function<void(std::size_t)>& body) {
+                         const std::function<void(std::size_t)>& body,
+                         const char* wait_span) {
   if (n == 0) return;
   std::shared_ptr<ForkJoin> fj;
+  std::size_t helpers = 0;
   if (n > 1) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) throw std::runtime_error("ThreadPool: fan_out after stop");
     // Only workers that are parked now — and not already spoken for by a
     // queued task — get a helper: fan_out borrows spare capacity, it never
     // queues work behind busy workers.
-    const std::size_t spare = idle_ > queue_.size() ? idle_ - queue_.size() : 0;
-    const std::size_t helpers = std::min(spare, n - 1);
+    helpers = std::min(spare_locked(), n - 1);
     if (helpers > 0) {
       fj = std::make_shared<ForkJoin>();
       fj->n = n;
@@ -189,13 +200,16 @@ void ThreadPool::fan_out(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  cv_.notify_all();
-  join(*fj);
+  // Wake only as many parked workers as there are helper tasks.
+  for (std::size_t i = 0; i < helpers; ++i) cv_.notify_one();
+  join(*fj, wait_span);
 }
 
-void ThreadPool::join(ForkJoin& fj) {
+void ThreadPool::join(ForkJoin& fj, const char* wait_span) {
   run_chunks(fj);  // the caller claims chunks alongside the workers
 
+  std::optional<obs::prof::Span> span;
+  if (wait_span != nullptr) span.emplace(wait_span);
   std::unique_lock<std::mutex> lock(fj.m);
   fj.done_cv.wait(lock, [&] {
     return fj.done_chunks.load(std::memory_order_acquire) == fj.chunks;

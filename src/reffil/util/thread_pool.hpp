@@ -46,6 +46,11 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  /// Workers parked right now and not yet spoken for by a queued task: the
+  /// helpers a fan_out issued now would get. A snapshot — it may change
+  /// before the caller acts on it.
+  std::size_t spare_workers();
+
   /// True while the current thread is executing a pool task or a
   /// parallel_for chunk (of any pool). Nested parallel_for calls observe
   /// this and run inline instead of re-entering the queue.
@@ -79,7 +84,10 @@ class ThreadPool {
   /// a busy task puts the pool's spare workers to work on its own inner loop.
   /// With no idle worker the range runs inline, in index order. Which thread
   /// runs which index is unspecified; rethrows the first body exception.
-  void fan_out(std::size_t n, const std::function<void(std::size_t)>& body);
+  /// A non-null `wait_span` names a profiler span over the caller's wait for
+  /// the helpers once it has no index left to claim.
+  void fan_out(std::size_t n, const std::function<void(std::size_t)>& body,
+               const char* wait_span = nullptr);
 
  private:
   /// Queue entry: the callable plus its enqueue time, so the dequeuing
@@ -105,10 +113,13 @@ class ThreadPool {
   };
 
   void run_chunks(ForkJoin& fj);
+  /// Parked workers not spoken for by a queued task (mutex_ held).
+  std::size_t spare_locked() const;
   void worker_loop(std::size_t index);
   /// Claim fj's chunks on the caller alongside its already-enqueued helper
-  /// tasks, wait for the last chunk, rethrow the first body error.
-  void join(ForkJoin& fj);
+  /// tasks, wait for the last chunk (under `wait_span` when non-null),
+  /// rethrow the first body error.
+  void join(ForkJoin& fj, const char* wait_span = nullptr);
 
   std::vector<std::thread> workers_;
   std::queue<QueuedTask> queue_;
