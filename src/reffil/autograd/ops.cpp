@@ -1125,24 +1125,8 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
           T::pool::Scratch db({geom.n, geom.cout}, /*zero=*/false);
           const float* pg = g.begin();
           float* d = db->begin();
-          // One double chain per (sample, channel), pixels ascending; four
-          // chains run side by side so their adds overlap.
-          std::size_t c = 0;
-          for (; c + 4 <= rows; c += 4) {
-            const float* r = pg + c * hw;
-            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-            for (std::size_t p = 0; p < hw; ++p) {
-              a0 += r[p];
-              a1 += r[hw + p];
-              a2 += r[2 * hw + p];
-              a3 += r[3 * hw + p];
-            }
-            d[c] = static_cast<float>(a0);
-            d[c + 1] = static_cast<float>(a1);
-            d[c + 2] = static_cast<float>(a2);
-            d[c + 3] = static_cast<float>(a3);
-          }
-          for (; c < rows; ++c) {
+          // One double chain per (sample, channel), pixels ascending.
+          for (std::size_t c = 0; c < rows; ++c) {
             double acc = 0.0;
             for (std::size_t p = 0; p < hw; ++p) acc += pg[c * hw + p];
             d[c] = static_cast<float>(acc);

@@ -510,9 +510,8 @@ autograd::Var MethodBase::batch_loss(Replica& rep,
 }
 
 std::size_t MethodBase::batched_runs(std::size_t n, std::size_t spare) {
-  return std::max(
-      std::min(1 + spare, std::max<std::size_t>(1, n / kMinRunSamples)),
-      (n + kMaxRunSamples - 1) / kMaxRunSamples);
+  return std::max(std::min(n, 1 + spare),
+                  (n + kMaxRunSamples - 1) / kMaxRunSamples);
 }
 
 AG::Var MethodBase::batched_loss(Replica& rep,

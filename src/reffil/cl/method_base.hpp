@@ -91,9 +91,8 @@ class MethodBase : public fed::Method {
   std::size_t residual_count() const;
 
   /// How many runs a batched step of n samples is split into when `spare`
-  /// pool workers are idle: one per thread free to build a run graph, as
-  /// long as each run keeps kMinRunSamples, and never more than
-  /// kMaxRunSamples samples per run.
+  /// pool workers are idle: one per thread free to build a run graph (at
+  /// most n), and never more than kMaxRunSamples samples per run.
   static std::size_t batched_runs(std::size_t n, std::size_t spare);
 
  protected:
@@ -239,13 +238,9 @@ class MethodBase : public fed::Method {
   /// Per-worker gradient commit order for parallel_samples steps.
   std::vector<autograd::OrderedFold> sample_folds_;
 
-  /// Samples per batched run (batched_runs). A batch is split for idle
-  /// workers only into runs of at least kMinRunSamples — smaller runs give
-  /// back most of what one graph per batch saves, and their graphs multiply
-  /// the profile's spans — and never into runs of more than kMaxRunSamples:
-  /// a run's graph holds all its samples' activations at once, which sets
-  /// the step's peak memory.
-  static constexpr std::size_t kMinRunSamples = 4;
+  /// Most samples in one batched run (batched_runs): a run's graph holds
+  /// all its samples' activations at once, which sets the step's peak
+  /// memory.
   static constexpr std::size_t kMaxRunSamples = 8;
 
   /// Fold the stored residual for `client_id` into `delta` (and spend it);

@@ -48,8 +48,10 @@ void SgdOptimizer::step() {
     }
     const auto apply = [&](const T::Tensor& grad) {
       if (config_.momentum > 0.0f) {
-        T::momentum_step_inplace(p->mutable_value(), velocity_[i], grad,
-                                 config_.momentum, config_.learning_rate);
+        T::scale_inplace(velocity_[i], config_.momentum);
+        T::add_inplace(velocity_[i], grad);
+        T::axpy_inplace(p->mutable_value(), -config_.learning_rate,
+                        velocity_[i]);
       } else {
         T::axpy_inplace(p->mutable_value(), -config_.learning_rate, grad);
       }

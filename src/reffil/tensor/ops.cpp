@@ -68,8 +68,11 @@ Tensor zip(const Tensor& a, const Tensor& b, const char* op,
   return out;
 }
 
-void scalar_op_into(const Tensor& a, const char* op, float s,
-                    float (*f)(float, float), Tensor& out) {
+// F is a template parameter, not a function pointer, so the loop inlines it
+// (relu compiles to branch-free max instead of a call per element).
+template <typename F>
+void scalar_op_into(const Tensor& a, const char* op, float s, F f,
+                    Tensor& out) {
   require_out_numel(a, out, op);
   const float* pa = a.begin();
   float* po = out.begin();
@@ -242,23 +245,6 @@ void fold_add_inplace(Tensor& a, const float* blocks, std::size_t n) {
   // Per element the same adds, in the same order, as n add_inplace calls.
   elementwise_blocks(size, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = n; s-- > 0;) k.add(pa, blocks + s * size, lo, hi);
-  });
-}
-
-void momentum_step_inplace(Tensor& param, Tensor& velocity,
-                           const Tensor& grad, float momentum, float lr) {
-  require_same_shape(param, velocity, "momentum_step_inplace");
-  require_same_shape(param, grad, "momentum_step_inplace");
-  float* pp = param.begin();
-  float* pv = velocity.begin();
-  const float* pg = grad.begin();
-  const kern::Kernels& k = kern::active();
-  // Each pass is element-independent, so running all three per block gives
-  // every element the bits of three full passes.
-  elementwise_blocks(param.numel(), [&](std::size_t lo, std::size_t hi) {
-    k.scale(pv, momentum, lo, hi);
-    k.add(pv, pg, lo, hi);
-    k.axpy(pp, -lr, pv, lo, hi);
   });
 }
 

@@ -76,11 +76,6 @@ void add_inplace(Tensor& a, const Tensor& b);
 /// holds n runs of a.numel() floats: bitwise those n add_inplace calls, in
 /// one sweep (the ordered fold of per-sample gradient partials).
 void fold_add_inplace(Tensor& a, const float* blocks, std::size_t n);
-/// SGD with momentum in one sweep: velocity = momentum * velocity + grad,
-/// then param += -lr * velocity — bitwise scale_inplace, add_inplace and
-/// axpy_inplace run one after the other.
-void momentum_step_inplace(Tensor& param, Tensor& velocity,
-                           const Tensor& grad, float momentum, float lr);
 /// a += s * b (axpy, same shape).
 void axpy_inplace(Tensor& a, float s, const Tensor& b);
 /// a *= s.

@@ -83,7 +83,7 @@ void count_metrics(bool hit, std::size_t n) {
 }
 
 /// A buffer of >= n floats: a free-list hit, else a fresh allocation.
-Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero, bool metered) {
+Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero) {
   if (n <= kMaxPooledFloats) {
     auto& stack = c.buckets[acquire_bucket(n)];
     if (!stack.empty()) {
@@ -91,7 +91,7 @@ Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero, bool metered) {
       stack.pop_back();
       c.retained_floats -= buf.capacity;
       ++c.hits;
-      if (metered) count_metrics(/*hit=*/true, n);
+      count_metrics(/*hit=*/true, n);
       // Capacity >= n by the bucket invariant; contents beyond the zeroed
       // prefix are whatever the previous borrow left.
       if (zero) std::fill(buf.data, buf.data + n, 0.0f);
@@ -99,7 +99,7 @@ Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero, bool metered) {
     }
   }
   ++c.misses;
-  if (metered) count_metrics(/*hit=*/false, n);
+  count_metrics(/*hit=*/false, n);
   // Round the fresh allocation up to its acquire bucket's size so release()
   // parks it exactly where the next same-size request looks. Capacity `n`
   // itself would land in floor_log2(n) — one bucket below a non-power-of-two
@@ -118,7 +118,7 @@ Buffer take_buffer(ThreadCache& c, std::size_t n, bool zero, bool metered) {
 Buffer acquire_buffer(std::size_t n, bool zero, Lifetime lifetime) {
   if (n == 0) return {};
   ThreadCache& c = cache(lifetime);
-  Buffer buf = take_buffer(c, n, zero, lifetime == Lifetime::kScratch);
+  Buffer buf = take_buffer(c, n, zero);
   c.borrowed_floats += static_cast<std::int64_t>(buf.capacity);
   return buf;
 }

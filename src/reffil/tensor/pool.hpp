@@ -35,8 +35,9 @@ namespace reffil::tensor::pool {
 
 /// Which per-thread free list a borrow comes from. Scratch is closure-long
 /// (backward temporaries); graph storage — autograd node values and
-/// gradients — lives as long as its graph. The two are kept apart so
-/// ThreadStats and the tensor.pool.* counters describe scratch alone.
+/// gradients — lives as long as its graph. The two are kept apart so that
+/// ThreadStats' borrowed bytes show what a live graph holds beyond its node
+/// values (a conv node keeping its column matrix, say).
 enum class Lifetime { kScratch, kGraph };
 
 /// RAII borrow: a Tensor of `shape` whose storage comes from the calling
@@ -71,7 +72,7 @@ class Scratch {
 };
 
 /// Per-thread pool statistics (this thread's scratch free list only; the obs
-/// counters aggregate scratch across threads).
+/// counters aggregate both lists across threads).
 struct ThreadStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

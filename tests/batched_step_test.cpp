@@ -373,6 +373,17 @@ TEST(BatchedStep, PromptNetStepMatchesTheOneGraphBatchForAnyRunSplit) {
   }
 }
 
+TEST(BatchedStep, RunSplitIsOneRunPerFreeThreadOfAtMostEightSamples) {
+  using cl::MethodBase;
+  EXPECT_EQ(MethodBase::batched_runs(1, 4), 1u);   // never more runs than samples
+  EXPECT_EQ(MethodBase::batched_runs(2, 4), 2u);
+  EXPECT_EQ(MethodBase::batched_runs(9, 3), 4u);   // caller + 3 idle workers
+  EXPECT_EQ(MethodBase::batched_runs(8, 0), 1u);   // no idle worker: one graph
+  EXPECT_EQ(MethodBase::batched_runs(9, 0), 2u);   // ...of at most 8 samples
+  EXPECT_EQ(MethodBase::batched_runs(16, 1), 2u);
+  EXPECT_EQ(MethodBase::batched_runs(17, 1), 3u);
+}
+
 TEST(BatchedStep, OneWorkerAndFourWorkerPoolsGiveTheSameBits) {
   const std::size_t n = 9;
   Step step(n);
