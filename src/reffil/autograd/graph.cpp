@@ -415,7 +415,7 @@ void CapturedGraph::replay() {
   root_->accumulate_grad(ones_);
   for (Node* n : sweep_) {
     if (n->backward_fn()) {
-      obs::prof::Span bw(n->op_name(), 0, n->corr(), obs::prof::Kind::kBackward);
+      obs::prof::Span bw(obs::prof::Backward{n->op_name()});
       n->backward_fn()(n->grad());
     }
   }

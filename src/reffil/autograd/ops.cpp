@@ -63,7 +63,8 @@ Var add(const Var& a, const Var& b) {
                       [a, b](const T::Tensor& g) {
                         if (a->requires_grad()) a->accumulate_grad(g);
                         if (b->requires_grad()) b->accumulate_grad(g);
-                      });
+                      },
+                      "ag.add");
   graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
     T::add_into(pa->value(), pb->value(), self->mutable_value());
   });
@@ -79,7 +80,8 @@ Var sub(const Var& a, const Var& b) {
                           T::neg_into(g, *db);
                           b->accumulate_grad(*db);
                         }
-                      });
+                      },
+                      "ag.sub");
   graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
     T::sub_into(pa->value(), pb->value(), self->mutable_value());
   });
@@ -99,7 +101,8 @@ Var mul(const Var& a, const Var& b) {
                           T::mul_into(g, a->value(), *db);
                           b->accumulate_grad(*db);
                         }
-                      });
+                      },
+                      "ag.mul");
   graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
     T::mul_into(pa->value(), pb->value(), self->mutable_value());
   });
@@ -108,7 +111,8 @@ Var mul(const Var& a, const Var& b) {
 
 Var add_scalar(const Var& a, float s) {
   Var out = make_node(a->value().shape(), {a},
-                      [a](const T::Tensor& g) { a->accumulate_grad(g); });
+                      [a](const T::Tensor& g) { a->accumulate_grad(g); },
+                      "ag.add_scalar");
   graph::record(out, [self = out.get(), pa = a.get(), s] {
     T::add_scalar_into(pa->value(), s, self->mutable_value());
   });
@@ -121,7 +125,8 @@ Var mul_scalar(const Var& a, float s) {
                         T::pool::Scratch da(g.shape(), /*zero=*/false);
                         T::mul_scalar_into(g, s, *da);
                         a->accumulate_grad(*da);
-                      });
+                      },
+                      "ag.mul_scalar");
   graph::record(out, [self = out.get(), pa = a.get(), s] {
     T::mul_scalar_into(pa->value(), s, self->mutable_value());
   });
@@ -131,7 +136,7 @@ Var mul_scalar(const Var& a, float s) {
 Var neg(const Var& a) { return mul_scalar(a, -1.0f); }
 
 Var relu(const Var& a) {
-  prof::OpSpan ps("ag.relu");
+  prof::Span ps("ag.relu");
   Var out = make_node(
       a->value().shape(), {a},
       [a](const T::Tensor& g) {
@@ -139,7 +144,7 @@ Var relu(const Var& a) {
         T::relu_backward_into(a->value(), g, *dx);
         a->accumulate_grad(*dx);
       },
-      ps.name(), ps.corr());
+      "ag.relu");
   graph::record(out, [self = out.get(), pa = a.get()] {
     T::relu_into(pa->value(), self->mutable_value());
   });
@@ -147,7 +152,7 @@ Var relu(const Var& a) {
 }
 
 Var tanh(const Var& a) {
-  Var out = make_node(a->value().shape(), {a}, {});
+  Var out = make_node(a->value().shape(), {a}, {}, "ag.tanh");
   if (out->requires_grad()) {
     // Reads y from the node's own value, which the forward closure refreshes
     // on every replay — never a stale captured copy.
@@ -169,7 +174,7 @@ Var tanh(const Var& a) {
 }
 
 Var sigmoid(const Var& a) {
-  Var out = make_node(a->value().shape(), {a}, {});
+  Var out = make_node(a->value().shape(), {a}, {}, "ag.sigmoid");
   if (out->requires_grad()) {
     out->set_backward([a, self = out.get()](const T::Tensor& g) {
       T::pool::Scratch dx(g.shape(), /*zero=*/false);
@@ -189,7 +194,7 @@ Var sigmoid(const Var& a) {
 }
 
 Var exp(const Var& a) {
-  Var out = make_node(a->value().shape(), {a}, {});
+  Var out = make_node(a->value().shape(), {a}, {}, "ag.exp");
   if (out->requires_grad()) {
     out->set_backward([a, self = out.get()](const T::Tensor& g) {
       T::pool::Scratch dx(g.shape(), /*zero=*/false);
@@ -209,7 +214,8 @@ Var log(const Var& a) {
                         T::pool::Scratch dx(g.shape(), /*zero=*/false);
                         T::div_into(g, a->value(), *dx);
                         a->accumulate_grad(*dx);
-                      });
+                      },
+                      "ag.log");
   graph::record(out, [self = out.get(), pa = a.get()] {
     T::log_into(pa->value(), self->mutable_value());
   });
@@ -237,7 +243,7 @@ Var matmul(const Var& a, const Var& b, std::size_t samples) {
     throw ShapeError("matmul: " + T::shape_to_string(a->value().shape()) +
                      " x " + T::shape_to_string(b->value().shape()));
   }
-  prof::OpSpan ps("ag.matmul");
+  prof::Span ps("ag.matmul");
   Var out = make_node(
       {a->value().dim(0), b->value().dim(1)}, {a, b},
       [a, b, samples](const T::Tensor& g) {
@@ -257,7 +263,7 @@ Var matmul(const Var& a, const Var& b, std::size_t samples) {
           fold_sample_grads(*b, *db, samples);
         }
       },
-      ps.name(), ps.corr());
+      "ag.matmul");
   graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
     T::matmul_into(pa->value(), pb->value(), self->mutable_value());
   });
@@ -271,7 +277,7 @@ Var matmul_nt(const Var& a, const Var& b, std::size_t samples) {
     throw ShapeError("matmul_nt: " + T::shape_to_string(a->value().shape()) +
                      " x " + T::shape_to_string(b->value().shape()) + "ᵀ");
   }
-  prof::OpSpan ps("ag.matmul_nt");
+  prof::Span ps("ag.matmul_nt");
   Var out = make_node(
       {a->value().dim(0), b->value().dim(0) / samples}, {a, b},
       [a, b, samples](const T::Tensor& g) {
@@ -288,7 +294,7 @@ Var matmul_nt(const Var& a, const Var& b, std::size_t samples) {
           b->accumulate_grad(*db);
         }
       },
-      ps.name(), ps.corr());
+      "ag.matmul_nt");
   graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), samples] {
     T::matmul_nt_into(pa->value(), pb->value(), self->mutable_value(), samples);
   });
@@ -304,7 +310,7 @@ Var matmul_per_sample(const Var& a, const Var& b, std::size_t samples) {
                      T::shape_to_string(b->value().shape()) + " over " +
                      std::to_string(samples) + " samples");
   }
-  prof::OpSpan ps("ag.matmul_per_sample");
+  prof::Span ps("ag.matmul_per_sample");
   Var out = make_node(
       {a->value().dim(0), b->value().dim(1)}, {a, b},
       [a, b, samples](const T::Tensor& g) {
@@ -320,7 +326,7 @@ Var matmul_per_sample(const Var& a, const Var& b, std::size_t samples) {
           b->accumulate_grad(*db);
         }
       },
-      ps.name(), ps.corr());
+      "ag.matmul_per_sample");
   graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), samples] {
     T::matmul_into(pa->value(), pb->value(), self->mutable_value(), samples);
   });
@@ -334,7 +340,8 @@ Var transpose(const Var& a) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         T::transpose2d_into(g, *da);
                         a->accumulate_grad(*da);
-                      });
+                      },
+                      "ag.transpose");
   graph::record(out, [self = out.get(), pa = a.get()] {
     T::transpose2d_into(pa->value(), self->mutable_value());
   });
@@ -348,7 +355,7 @@ Var add_rowvec(const Var& x, const Var& b, std::size_t samples) {
                      " vs matrix " + T::shape_to_string(x->value().shape()));
   }
   const std::size_t m = x->value().dim(0), n = x->value().dim(1);
-  prof::OpSpan ps("ag.add_rowvec");
+  prof::Span ps("ag.add_rowvec");
   Var out = make_node(
       {m, n}, {x, b},
       [x, b, n, rows, samples](const T::Tensor& g) {
@@ -365,7 +372,7 @@ Var add_rowvec(const Var& x, const Var& b, std::size_t samples) {
           fold_sample_grads(*b, *db, samples);
         }
       },
-      ps.name(), ps.corr());
+      "ag.add_rowvec");
   graph::record(out, [self = out.get(), px = x.get(), pb = b.get(), m, n] {
     const float* pxv = px->value().begin();
     const float* pbv = pb->value().begin();
@@ -390,7 +397,7 @@ Var rowwise_affine(const Var& x, const Var& alpha, const Var& lambda) {
   check_vec(alpha, "alpha");
   check_vec(lambda, "lambda");
 
-  prof::OpSpan ps("ag.rowwise_affine");
+  prof::Span ps("ag.rowwise_affine");
   Var out = make_node({m, n}, {x, alpha, lambda},
                       [x, alpha, lambda, m, n](const T::Tensor& g) {
                         const float* pg = g.begin();
@@ -435,7 +442,7 @@ Var rowwise_affine(const Var& x, const Var& alpha, const Var& lambda) {
                           lambda->accumulate_grad(*dl);
                         }
                       },
-                      ps.name(), ps.corr());
+                      "ag.rowwise_affine");
   graph::record(out, [self = out.get(), px = x.get(), pa = alpha.get(),
                       pl = lambda.get(), m, n] {
     const float* pxv = px->value().begin();
@@ -460,7 +467,8 @@ Var reshape(const Var& a, tensor::Shape shape) {
                         T::pool::Scratch da(original, /*zero=*/false);
                         T::copy_into(g, *da);
                         a->accumulate_grad(*da);
-                      });
+                      },
+                      "ag.reshape");
   graph::record(out, [self = out.get(), pa = a.get()] {
     T::copy_into(pa->value(), self->mutable_value());
   });
@@ -491,7 +499,8 @@ Var concat_rows(const Var& a, const Var& b) {
                           std::copy(pg + ma * n, pg + (ma + mb) * n, db->begin());
                           b->accumulate_grad(*db);
                         }
-                      });
+                      },
+                      "ag.concat_rows");
   graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
     float* pv = self->mutable_value().begin();
     pv = std::copy(pa->value().begin(), pa->value().end(), pv);
@@ -532,7 +541,8 @@ Var concat_cols(const Var& a, const Var& b) {
                           }
                           b->accumulate_grad(*db);
                         }
-                      });
+                      },
+                      "ag.concat_cols");
   graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), m, na, nb] {
     const float* pav = pa->value().begin();
     const float* pbv = pb->value().begin();
@@ -559,7 +569,8 @@ Var slice_rows(const Var& a, std::size_t begin, std::size_t end) {
                                     d + i * n);
                         }
                         a->accumulate_grad(*da);
-                      });
+                      },
+                      "ag.slice_rows");
   graph::record(out, [self = out.get(), pa = a.get(), begin, end, n] {
     std::copy(pa->value().begin() + begin * n, pa->value().begin() + end * n,
               self->mutable_value().begin());
@@ -581,7 +592,8 @@ Var slice_cols(const Var& a, std::size_t begin, std::size_t end) {
                           std::copy(pg + i * w, pg + (i + 1) * w, d + i * n + begin);
                         }
                         a->accumulate_grad(*da);
-                      });
+                      },
+                      "ag.slice_cols");
   graph::record(out, [self = out.get(), pa = a.get(), begin, end, m, n, w] {
     const float* pav = pa->value().begin();
     float* pv = self->mutable_value().begin();
@@ -601,7 +613,8 @@ Var select_row(const Var& table, std::size_t index) {
                         T::pool::Scratch dt({m, n});  // zeroed: only row `index` is written
                         std::copy(g.begin(), g.begin() + n, dt->begin() + index * n);
                         table->accumulate_grad(*dt);
-                      });
+                      },
+                      "ag.select_row");
   graph::record(out, [self = out.get(), pt = table.get(), index, n] {
     std::copy(pt->value().begin() + index * n,
               pt->value().begin() + (index + 1) * n,
@@ -619,7 +632,7 @@ Var prepend_rows(const Var& head, const Var& x, std::size_t samples) {
                      T::shape_to_string(head->value().shape()) + " vs " +
                      T::shape_to_string(x->value().shape()));
   }
-  prof::OpSpan ps("ag.prepend_rows");
+  prof::Span ps("ag.prepend_rows");
   const std::size_t block = (h + m) * n;  // one sample's output
   Var out = make_node(
       {samples * (h + m), n}, {head, x},
@@ -643,7 +656,7 @@ Var prepend_rows(const Var& head, const Var& x, std::size_t samples) {
           x->accumulate_grad(*dx);
         }
       },
-      ps.name(), ps.corr());
+      "ag.prepend_rows");
   graph::record(out, [self = out.get(), ph = head.get(), px = x.get(), samples,
                       m, n] {
     float* pv = self->mutable_value().begin();
@@ -660,7 +673,7 @@ Var sample_row(const Var& x, std::size_t row, std::size_t samples) {
   const std::size_t m = rows_per_sample(x, samples, "sample_row");
   const std::size_t n = x->value().dim(1);
   REFFIL_CHECK_MSG(row < m, "sample_row: row out of range");
-  prof::OpSpan ps("ag.sample_row");
+  prof::Span ps("ag.sample_row");
   Var out = make_node(
       {samples, n}, {x},
       [x, row, samples, m, n](const T::Tensor& g) {
@@ -671,7 +684,7 @@ Var sample_row(const Var& x, std::size_t row, std::size_t samples) {
         }
         x->accumulate_grad(*dx);
       },
-      ps.name(), ps.corr());
+      "ag.sample_row");
   graph::record(out, [self = out.get(), px = x.get(), row, samples, m, n] {
     for (std::size_t s = 0; s < samples; ++s) {
       const float* src = px->value().begin() + (s * m + row) * n;
@@ -714,7 +727,7 @@ Var patchify(const Var& feature_map, std::size_t patch) {
       }
     }
   };
-  prof::OpSpan ps("ag.patchify");
+  prof::Span ps("ag.patchify");
   Var out = make_node(
       {samples * tokens, width}, {feature_map},
       [feature_map, visit](const T::Tensor& g) {
@@ -727,7 +740,7 @@ Var patchify(const Var& feature_map, std::size_t patch) {
         visit([&](std::size_t tok, std::size_t src) { d[src] = pg[tok] + 0.0f; });
         feature_map->accumulate_grad(*df);
       },
-      ps.name(), ps.corr());
+      "ag.patchify");
   graph::record(out, [self = out.get(), pf = feature_map.get(), visit] {
     const float* src = pf->value().begin();
     float* dst = self->mutable_value().begin();
@@ -742,7 +755,8 @@ Var sum_all(const Var& a) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         std::fill(da->begin(), da->end(), g.item());
                         a->accumulate_grad(*da);
-                      });
+                      },
+                      "ag.sum_all");
   graph::record(out, [self = out.get(), pa = a.get()] {
     self->mutable_value().begin()[0] = T::sum_all(pa->value());
   });
@@ -756,7 +770,8 @@ Var mean_all(const Var& a) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         std::fill(da->begin(), da->end(), g.item() * inv);
                         a->accumulate_grad(*da);
-                      });
+                      },
+                      "ag.mean_all");
   graph::record(out, [self = out.get(), pa = a.get()] {
     self->mutable_value().begin()[0] = T::mean_all(pa->value());
   });
@@ -777,7 +792,8 @@ Var mean_rows(const Var& a) {
                           for (std::size_t j = 0; j < n; ++j) d[i * n + j] = pg[j] * inv;
                         }
                         a->accumulate_grad(*da);
-                      });
+                      },
+                      "ag.mean_rows");
   graph::record(out, [self = out.get(), pa = a.get(), m] {
     T::sum_rows_into(pa->value(), self->mutable_value());
     T::scale_inplace(self->mutable_value(), 1.0f / static_cast<float>(m));
@@ -793,7 +809,7 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias,
       bias->value().rank() != 1 || bias->value().dim(0) != n) {
     throw ShapeError("layer_norm: gain/bias must be [n]");
   }
-  prof::OpSpan ps("ag.layer_norm");
+  prof::Span ps("ag.layer_norm");
   // Per-row inv-std and normalized values, needed again by backward: shared
   // aux buffers, allocated once here and refreshed by the forward closure.
   auto xhat = std::make_shared<T::Tensor>(T::Shape{m, n});
@@ -851,7 +867,7 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias,
                           x->accumulate_grad(*dx);
                         }
                       },
-                      ps.name(), ps.corr());
+                      "ag.layer_norm");
   graph::record(out, [self = out.get(), px = x.get(), pgain_n = gain.get(),
                       pbias_n = bias.get(), xhat, inv_std, m, n, eps] {
     const float* pgain = pgain_n->value().begin();
@@ -883,9 +899,9 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias,
 
 Var softmax_rows(const Var& logits) {
   require_rank2(logits, "softmax_rows");
-  prof::OpSpan op("ag.softmax_rows");
+  prof::Span op("ag.softmax_rows");
   const std::size_t m = logits->value().dim(0), n = logits->value().dim(1);
-  Var out = make_node({m, n}, {logits}, {}, op.name(), op.corr());
+  Var out = make_node({m, n}, {logits}, {}, "ag.softmax_rows");
   if (out->requires_grad()) {
     // s is the node's own value — refreshed by the forward closure, so the
     // backward never sees a stale softmax under replay.
@@ -922,7 +938,7 @@ Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labe
   REFFIL_CHECK_MSG(labels.size() == m, "cross_entropy_logits: label count");
   for (std::size_t label : labels) REFFIL_CHECK_MSG(label < k, "label out of range");
 
-  prof::OpSpan ps("ag.cross_entropy");
+  prof::Span ps("ag.cross_entropy");
   auto labels_copy = std::make_shared<std::vector<std::size_t>>(labels);
   graph::record_labels(labels_copy, k);
   // Softmax probabilities feed backward; the forward closure recomputes them
@@ -941,7 +957,7 @@ Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labe
                         T::scale_inplace(*dx, scale);
                         logits->accumulate_grad(*dx);
                       },
-                      ps.name(), ps.corr());
+                      "ag.cross_entropy");
   graph::record(out, [self = out.get(), pl = logits.get(), probs, labels_copy,
                       m, k, denom] {
     T::pool::Scratch log_probs({m, k}, /*zero=*/false);
@@ -966,7 +982,7 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
   const std::size_t m = student_logits->value().dim(0);
   const std::size_t k = student_logits->value().dim(1);
 
-  prof::OpSpan ps("ag.distill");
+  prof::Span ps("ag.distill");
   // One shared copy of the teacher distribution (it is a constant) plus the
   // student softmax q, which backward reads and forward refreshes.
   auto teacher = std::make_shared<T::Tensor>(teacher_probs);
@@ -985,7 +1001,7 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
                         }
                         student_logits->accumulate_grad(*dx);
                       },
-                      ps.name(), ps.corr());
+                      "ag.distill");
   graph::record(out, [self = out.get(), pstu = student_logits.get(), q, teacher,
                       temperature, m, k] {
     T::pool::Scratch scaled({m, k}, /*zero=*/false);
@@ -1007,7 +1023,7 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
 Var cosine_similarity(const Var& a, const Var& b) {
   REFFIL_CHECK_MSG(a->value().numel() == b->value().numel(),
                    "cosine_similarity: size mismatch");
-  prof::OpSpan ps("ag.cosine");
+  prof::Span ps("ag.cosine");
   // aux = {cos, norm_a, norm_b}: backward needs all three, and the forward
   // closure recomputes them from the live parent values on every run.
   auto aux = std::make_shared<std::array<double, 3>>();
@@ -1038,7 +1054,7 @@ Var cosine_similarity(const Var& a, const Var& b) {
           b->accumulate_grad(*db);
         }
       },
-      ps.name(), ps.corr());
+      "ag.cosine");
   graph::record(out, [self = out.get(), pa_n = a.get(), pb_n = b.get(), aux] {
     const float* pa = pa_n->value().begin();
     const float* pb = pb_n->value().begin();
@@ -1109,7 +1125,7 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
   T::Shape out_shape{cout, geom.hout, geom.wout};
   if (input->value().rank() == 4) out_shape.insert(out_shape.begin(), geom.n);
 
-  prof::OpSpan ps("ag.conv2d");
+  prof::Span ps("ag.conv2d");
   // The direct kernels read taps straight from the input, so the node keeps
   // nothing but its parents: backward recomputes from the input's value.
   Var out = make_node(
@@ -1145,7 +1161,7 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
           input->accumulate_grad(*dinput);
         }
       },
-      ps.name(), ps.corr());
+      "ag.conv2d");
   graph::record(out, [self = out.get(), pin = input.get(), pw = weight.get(),
                       pb = bias.get(), geom] {
     T::conv2d_into(pin->value(), pw->value(), pb->value(), geom,

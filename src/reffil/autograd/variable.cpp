@@ -207,7 +207,7 @@ Node::Node(tensor::Shape shape, bool requires_grad)
 
 Var make_node(tensor::Shape shape, std::vector<Var> parents,
               std::function<void(const tensor::Tensor&)> backward_fn,
-              const char* op_name, std::uint64_t corr) {
+              const char* op_name) {
   bool needs_grad = false;
   for (const auto& p : parents) needs_grad = needs_grad || p->requires_grad();
   auto node = graph::detail::capture_active()
@@ -221,7 +221,7 @@ Var make_node(tensor::Shape shape, std::vector<Var> parents,
   if (needs_grad) {
     node->set_parents(std::move(parents));
     node->set_backward(std::move(backward_fn));
-    node->set_op(op_name, corr);
+    node->set_op(op_name);
   }
   return node;
 }
@@ -266,19 +266,18 @@ void backward(const Var& root) {
   root->mark_swept();
   tls_sample_folded.clear();
 
+  obs::prof::Span sweep_span("ag.backward");
   std::vector<Node*> order;
   topo_sort(root, order);
   if (graph::detail::capture_active()) graph::detail::on_backward(root, order);
 
   root->accumulate_grad(tensor::ones(root->value().shape()));
   // order is post-order (root last); sweep from the root backwards. Each
-  // closure runs under a bw: span carrying the forward op's correlation id,
-  // so a trace viewer can pair every backward slice with its forward twin.
+  // closure runs under a bw:<op> span named after the op that built it.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* node = *it;
     if (node->backward_fn()) {
-      obs::prof::Span span(node->op_name(), 0, node->corr(),
-                           obs::prof::Kind::kBackward);
+      obs::prof::Span span(obs::prof::Backward{node->op_name()});
       node->backward_fn()(node->grad());
     }
   }

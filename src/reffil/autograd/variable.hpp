@@ -106,16 +106,11 @@ class Node {
     return backward_fn_;
   }
 
-  /// Profiler identity of the forward op that built this node: a static
-  /// string name and the correlation id its OpSpan minted (0 = unprofiled).
-  /// The backward sweep emits a bw: span with the same id so the closure's
-  /// cost attributes to this op.
-  void set_op(const char* name, std::uint64_t corr) {
-    op_name_ = name;
-    corr_ = corr;
-  }
+  /// Profiler name of the forward op that built this node (static storage).
+  /// The backward sweep runs the closure under a bw:<name> span, which
+  /// reffil_prof joins to the forward op's row by name.
+  void set_op(const char* name) { op_name_ = name; }
   const char* op_name() const { return op_name_; }
-  std::uint64_t corr() const { return corr_; }
 
  private:
   // Pool borrows behind value_ / grad_ when those are views of them; each
@@ -130,8 +125,7 @@ class Node {
   bool requires_grad_;
   std::vector<Var> parents_;
   std::function<void(const tensor::Tensor&)> backward_fn_;
-  const char* op_name_ = "ag.op";
-  std::uint64_t corr_ = 0;
+  const char* op_name_ = nullptr;
 };
 
 /// Wrap a tensor as a graph leaf.
@@ -207,11 +201,11 @@ class OrderedFold {
 /// Helper used by ops: create an interior node with a value of `shape`
 /// that the op's forward closure overwrites in full (pooled storage with
 /// unspecified contents, except under graph capture, whose planner rebinds
-/// values to its arena) whose requires_grad is the OR of its parents'. `op_name` must have static storage duration (it is the
-/// profiler label for the backward span); `corr` ties the backward span to
-/// the forward OpSpan that minted it.
+/// values to its arena) whose requires_grad is the OR of its parents'.
+/// `op_name` must have static storage duration (it is the profiler label
+/// for the backward span).
 Var make_node(tensor::Shape shape, std::vector<Var> parents,
               std::function<void(const tensor::Tensor&)> backward_fn,
-              const char* op_name = "ag.op", std::uint64_t corr = 0);
+              const char* op_name);
 
 }  // namespace reffil::autograd

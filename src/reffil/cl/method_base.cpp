@@ -556,6 +556,7 @@ void MethodBase::train_step_eager(Replica& rep,
     // "Batched steps").
     fold.sweep_runs(pool, n, batched_runs(n, pool.spare_workers()),
                     [&](std::size_t lo, std::size_t hi) {
+                      obs::prof::Span span("cl.run");
                       AG::backward(batched_loss(rep, batch, lo, hi));
                     },
                     "cl.join");
@@ -570,6 +571,7 @@ void MethodBase::train_step_eager(Replica& rep,
   const float scale = 1.0f / static_cast<float>(n);
   fold.sweep_runs(pool, n, n,
                   [&](std::size_t lo, std::size_t) {
+                    obs::prof::Span span("cl.run");
                     AG::backward(AG::mul_scalar(
                         sample_loss(rep, batch[lo], job, slot), scale));
                   },

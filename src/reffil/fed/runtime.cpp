@@ -313,16 +313,16 @@ RunResult FederatedRunner::run(Method& method) {
       // The server broadcasts to every selected participant before it can
       // know who will drop, so those bytes are metered against the full
       // selection — including rounds where every participant is later lost.
-      obs::prof::Span bcast_span("fed.broadcast", round_stats.task,
-                                 round_stats.round);
+      obs::prof::Span bcast_span("fed.broadcast",
+                                 obs::prof::Task{round_stats.task});
       const std::vector<std::uint8_t> broadcast = method.make_broadcast();
       bcast_span.set_value(broadcast.size());
       bcast_span.finish();
       if (!faults_armed) {
         round_stats.bytes_down = broadcast.size() * round_stats.selected;
       } else {
-        obs::prof::Span down_span("fed.transport", round_stats.task,
-                                  round_stats.round);
+        obs::prof::Span down_span("fed.transport",
+                                  obs::prof::Task{round_stats.task});
         const std::vector<std::uint8_t> framed = Transport::frame(broadcast);
         // An unreachable client misses the round whether the broadcast timed
         // out or exhausted its retry budget — both are straggler cutoffs
@@ -405,8 +405,8 @@ RunResult FederatedRunner::run(Method& method) {
           des ? std::max<std::size_t>(1, parallelism_) * 4 : cohort;
       std::vector<ClientUpdate> buffered;
       double aggregate_seconds = 0.0;
-      obs::prof::Span round_span("fed.train_round", round_stats.task,
-                                 round_stats.round);
+      obs::prof::Span round_span("fed.train_round",
+                                 obs::prof::Task{round_stats.task});
       for (std::size_t begin = 0; begin < cohort; begin += wave_size) {
         const std::size_t count = std::min(cohort - begin, wave_size);
         const ClientAssignment* const wave = plan.participants.data() + begin;
@@ -436,8 +436,8 @@ RunResult FederatedRunner::run(Method& method) {
           }
           const auto client_start = std::chrono::steady_clock::now();
           {
-            obs::prof::Span client_span("fed.client", round_stats.task,
-                                        round_stats.round);
+            obs::prof::Span client_span("fed.client",
+                                        obs::prof::Task{round_stats.task});
             updates[i] = method.train_client(broadcast, job);
             client_span.set_value(updates[i].payload.size());
           }
@@ -543,8 +543,8 @@ RunResult FederatedRunner::run(Method& method) {
       }
       bool aggregated = true;
       {
-        obs::prof::Span agg_span("fed.aggregate", round_stats.task,
-                                 round_stats.round);
+        obs::prof::Span agg_span("fed.aggregate",
+                                 obs::prof::Task{round_stats.task});
         const auto agg_start = std::chrono::steady_clock::now();
         try {
           if (sink) {
@@ -628,7 +628,7 @@ RunResult FederatedRunner::run(Method& method) {
     obs::flush_trace();
   }
   // Persist the op-level profile (no-op when no profile sink is armed) so a
-  // profiled run yields a loadable trace even without a clean process exit.
+  // profiled run yields a document even without a clean process exit.
   obs::prof::flush();
   if (monitor != nullptr) monitor->finalize(result);
   return result;
@@ -643,10 +643,8 @@ void FederatedRunner::evaluate_task(Method& method, std::size_t task,
 
   const bool tracing = obs::trace_enabled();
   obs::Histogram& eval_time = obs::histogram("fed.eval_seconds");
-  // Eval happens once per task after its last round, so the round coordinate
-  // is the domain count evaluated so far rather than a training round.
-  obs::prof::Span eval_span("fed.eval", static_cast<std::uint32_t>(task),
-                            static_cast<std::uint32_t>(task + 1));
+  obs::prof::Span eval_span("fed.eval",
+                            obs::prof::Task{static_cast<std::uint32_t>(task)});
   const auto eval_start = std::chrono::steady_clock::now();
 
   std::size_t total_correct = 0, total_count = 0;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "reffil/util/obs.hpp"
-#include "reffil/util/prof.hpp"
 
 namespace reffil::tensor::pool {
 
@@ -63,11 +62,6 @@ std::size_t acquire_bucket(std::size_t n) {
 }
 
 void count_metrics(bool hit, std::size_t n) {
-  if (obs::prof::enabled()) {
-    // Scratch reuse shows up on the op timeline: a run of pool.miss instants
-    // inside a hot span means the pool is being bypassed there.
-    obs::prof::emit_instant(hit ? "pool.hit" : "pool.miss", n * sizeof(float));
-  }
   if (!obs::metrics_enabled()) return;
   // Registry references are stable for the process lifetime (obs.hpp), so
   // the mutex-guarded lookup happens once.

@@ -1,14 +1,14 @@
 // Minimal strict JSON parser (RFC 8259).
 //
-// Exists for two consumers: tools/reffil_prof, which ingests the profiler's
-// Chrome trace-event output, and the escaping fuzz tests, which need an
+// Exists for two consumers: tools/reffil_prof, which reads the profiler's
+// document, and the escaping fuzz tests, which need an
 // *unforgiving* validator — any control character, bad escape, trailing
 // comma, or invalid UTF-8 that the writer lets through must fail here rather
 // than round-trip silently. Strictness is therefore a feature: no comments,
 // no NaN/Infinity, no lone surrogates.
 //
-// The value model is deliberately small: every number is a double (the trace
-// format never needs 64-bit-exact integers bigger than 2^53).
+// The value model is deliberately small: every number is a double (the
+// profile's ns totals stay far below 2^53, so they read back exactly).
 #pragma once
 
 #include <cstddef>

@@ -273,7 +273,7 @@ void trace(const TraceEvent& event);
 void flush_trace();
 
 /// Flush every observability sink: the JSONL trace stream and, when armed,
-/// the op-level profiler's Chrome trace (prof.hpp). Registered with
+/// the op-level profiler's document (prof.hpp). Registered with
 /// std::atexit at sink init and called from tool error paths, so traces
 /// survive early exits and thrown exceptions.
 void flush_all();

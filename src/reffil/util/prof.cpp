@@ -1,10 +1,16 @@
 #include "reffil/util/prof.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "reffil/util/obs.hpp"
@@ -17,18 +23,42 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 16;
+struct Row {
+  std::uint64_t calls = 0;
+  std::uint64_t total_ns = 0;
+  std::uint64_t self_ns = 0;
+  std::uint64_t bytes = 0;
 
-std::atomic<std::size_t> g_ring_capacity{kDefaultRingCapacity};
+  void add(const Row& o) {
+    calls += o.calls;
+    total_ns += o.total_ns;
+    self_ns += o.self_ns;
+    bytes += o.bytes;
+  }
+};
 
-/// One thread's span ring. Writer (the owning thread) and drainer both take
-/// the spinlock; it is uncontended except during a drain, so the record
-/// path stays effectively private. Held by shared_ptr from both the owning
-/// thread's TLS and the global registry so a drain after thread exit still
-/// sees the records.
-struct ThreadBuffer {
-  explicit ThreadBuffer(std::size_t capacity, std::uint32_t tid_)
-      : ring(std::max<std::size_t>(1, capacity)), tid(tid_) {}
+/// A row's key within one thread. Names are string literals, so the key
+/// holds the pointer; write() merges pointers that spell the same name.
+struct Key {
+  const char* name;
+  std::uint32_t task;
+  bool backward;
+  bool operator==(const Key&) const = default;
+};
+
+struct KeyHash {
+  std::size_t operator()(const Key& k) const {
+    return std::hash<const void*>{}(k.name) ^ (std::size_t{k.task} << 1) ^
+           std::size_t{k.backward};
+  }
+};
+
+/// One thread's table. The owning thread updates it and a write reads it,
+/// both under the spinlock, which is uncontended except during a write.
+/// Held by shared_ptr from both the owning thread's TLS and the global
+/// registry, so a write after thread exit still sees the rows.
+struct ThreadTable {
+  explicit ThreadTable(std::uint32_t tid_) : tid(tid_) { clear(); }
 
   void lock() {
     while (flag.test_and_set(std::memory_order_acquire)) {
@@ -36,22 +66,37 @@ struct ThreadBuffer {
   }
   void unlock() { flag.clear(std::memory_order_release); }
 
-  std::vector<Record> ring;
-  std::uint64_t head = 0;  ///< records ever written (guarded by flag)
-  std::uint64_t reported_dropped = 0;  ///< guarded by flag
-  std::string name;                    ///< guarded by flag
+  void clear() {
+    rows.clear();
+    busy_ns = 0;
+    first_ns = std::numeric_limits<std::uint64_t>::max();
+    last_ns = 0;
+  }
+
+  // Guarded by flag.
+  std::unordered_map<Key, Row, KeyHash> rows;
+  std::uint64_t busy_ns = 0;   ///< summed durations of top-level spans
+  std::uint64_t first_ns = 0;  ///< earliest span start
+  std::uint64_t last_ns = 0;   ///< latest span end
+  std::string name;
   const std::uint32_t tid;
   std::atomic_flag flag = ATOMIC_FLAG_INIT;
 };
 
-struct BufferRegistry {
+struct TableRegistry {
   std::mutex mutex;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;  // guarded by mutex
+  std::vector<std::shared_ptr<ThreadTable>> tables;  // guarded by mutex
 };
 
-BufferRegistry& registry() {
-  static BufferRegistry* r = new BufferRegistry();  // never destroyed, like
-  return *r;                                        // the obs registry
+TableRegistry& registry() {
+  static TableRegistry* r = new TableRegistry();  // never destroyed, like
+  return *r;                                      // the obs registry
+}
+
+std::vector<std::shared_ptr<ThreadTable>> all_tables() {
+  TableRegistry& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  return reg.tables;
 }
 
 struct OutputState {
@@ -64,105 +109,38 @@ OutputState& output_state() {
   return *s;
 }
 
-std::chrono::steady_clock::time_point anchor() {
-  static const std::chrono::steady_clock::time_point t0 =
-      std::chrono::steady_clock::now();
-  return t0;
-}
-
-std::uint64_t to_ns(std::chrono::steady_clock::time_point t) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t - anchor())
-          .count());
-}
-
-ThreadBuffer* tls_buffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    BufferRegistry& reg = registry();
+ThreadTable& thread_table() {
+  thread_local std::shared_ptr<ThreadTable> table = [] {
+    TableRegistry& reg = registry();
     std::lock_guard lock(reg.mutex);
-    auto buf = std::make_shared<ThreadBuffer>(
-        g_ring_capacity.load(std::memory_order_relaxed),
-        static_cast<std::uint32_t>(reg.buffers.size() + 1));
-    reg.buffers.push_back(buf);
-    return buf;
+    auto t = std::make_shared<ThreadTable>(
+        static_cast<std::uint32_t>(reg.tables.size() + 1));
+    reg.tables.push_back(t);
+    return t;
   }();
-  return buffer.get();
+  return *table;
 }
 
-void record(const Record& rec) {
-  ThreadBuffer* buf = tls_buffer();
-  buf->lock();
-  buf->ring[buf->head % buf->ring.size()] = rec;
-  ++buf->head;
-  buf->unlock();
-}
+/// Innermost open armed span on this thread.
+thread_local Span* t_top = nullptr;
 
-void append_args_open(std::string& out, bool& first) {
-  out += first ? ",\"args\":{" : ",";
-  first = false;
-}
-
-/// One trace event as a JSON object (no trailing separator).
-void append_event(std::string& out, const Record& rec, std::uint32_t tid) {
-  out += "{\"name\":\"";
-  if (rec.kind == Kind::kBackward) out += "bw:";
-  json_escape(out, rec.name != nullptr ? rec.name : "?");
-  out += "\",\"cat\":\"reffil\",\"ph\":\"";
-  switch (rec.kind) {
-    case Kind::kSpan:
-    case Kind::kBackward: out += 'X'; break;
-    case Kind::kCounter: out += 'C'; break;
-    case Kind::kInstant: out += 'i'; break;
-  }
-  out += "\",\"pid\":1,\"tid\":";
-  out += std::to_string(tid);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f",
-                static_cast<double>(rec.start_ns) / 1000.0);
-  out += buf;
-  if (rec.kind == Kind::kSpan || rec.kind == Kind::kBackward) {
-    std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f",
-                  static_cast<double>(rec.dur_ns) / 1000.0);
-    out += buf;
-  }
-  if (rec.kind == Kind::kInstant) out += ",\"s\":\"t\"";
-  bool first = true;
-  if (rec.kind == Kind::kCounter) {
-    append_args_open(out, first);
-    out += "\"value\":" + std::to_string(rec.value);
-  } else if (rec.value != 0) {
-    append_args_open(out, first);
-    out += "\"bytes\":" + std::to_string(rec.value);
-  }
-  if (rec.corr != 0) {
-    append_args_open(out, first);
-    out += "\"corr\":" + std::to_string(rec.corr);
-  }
-  if (rec.task_round != kNoTaskRound) {
-    append_args_open(out, first);
-    out += "\"task\":" + std::to_string(rec.task_round >> 32) +
-           ",\"round\":" + std::to_string(rec.task_round & 0xFFFFFFFFULL);
-  }
-  if (!first) out += '}';
-  out += '}';
+std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 void env_init();
 
-/// Static-init hook: latch REFFIL_PROFILE / REFFIL_PROFILE_RING before any
-/// span can run, and register the atexit flush so early exits still get a
-/// trace (plus the trace sink's own tail — see obs::flush_all).
+/// Static-init hook: latch REFFIL_PROFILE before any span can run, and
+/// register the atexit flush so early exits still get a profile (plus the
+/// trace sink's own tail — see obs::flush_all).
 struct EnvInit {
   EnvInit() { env_init(); }
 } g_env_init;
 
 void env_init() {
-  if (const char* cap = std::getenv("REFFIL_PROFILE_RING");
-      cap != nullptr && cap[0] != '\0') {
-    const unsigned long long n = std::strtoull(cap, nullptr, 10);
-    if (n > 0) g_ring_capacity.store(n, std::memory_order_relaxed);
-  }
-  (void)anchor();  // pin t=0 to process start, not first span
   std::atexit([] { flush_all(); });
   if (const char* path = std::getenv("REFFIL_PROFILE");
       path != nullptr && path[0] != '\0') {
@@ -177,6 +155,11 @@ void start(const std::string& path) {
     OutputState& out = output_state();
     std::lock_guard lock(out.mutex);
     out.path = path;
+  }
+  for (const auto& table : all_tables()) {
+    table->lock();
+    table->clear();
+    table->unlock();
   }
   detail::g_enabled.store(!path.empty(), std::memory_order_relaxed);
 }
@@ -194,121 +177,108 @@ void flush() {
     path = out.path;
   }
   if (path.empty()) return;
-  write_chrome_trace(path);
+  write(path);
 }
 
-bool write_chrome_trace(const std::string& path) {
+bool write(const std::string& path) {
+  struct ThreadSummary {
+    std::uint32_t tid;
+    std::string name;
+    std::uint64_t busy_ns;
+    std::uint64_t spans;
+  };
+  // Rows merged across threads by spelled name ("bw:" prefix included) and
+  // task; -1 stands for no task.
+  std::map<std::pair<std::string, std::int64_t>, Row> rows;
+  std::vector<ThreadSummary> threads;
+  std::uint64_t first_ns = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t last_ns = 0;
+  for (const auto& table : all_tables()) {
+    table->lock();
+    std::uint64_t spans = 0;
+    for (const auto& [key, row] : table->rows) {
+      spans += row.calls;
+      std::string name = key.backward ? "bw:" : "";
+      name += key.name;
+      rows[{std::move(name),
+            key.task == Span::kNoTask ? -1 : std::int64_t{key.task}}]
+          .add(row);
+    }
+    if (spans != 0) {
+      threads.push_back({table->tid, table->name, table->busy_ns, spans});
+      first_ns = std::min(first_ns, table->first_ns);
+      last_ns = std::max(last_ns, table->last_ns);
+    }
+    table->unlock();
+  }
+  if (threads.empty()) first_ns = 0;
+
+  JsonWriter w;
+  w.begin_object()
+      .field("first_ns", first_ns)
+      .field("last_ns", last_ns)
+      .key("threads")
+      .begin_array();
+  for (const ThreadSummary& t : threads) {
+    w.begin_object()
+        .field("tid", t.tid)
+        .field("name", t.name)
+        .field("busy_ns", t.busy_ns)
+        .field("spans", t.spans)
+        .end_object();
+  }
+  w.end_array().key("rows").begin_array();
+  for (const auto& [key, row] : rows) {
+    w.begin_object().field("name", key.first);
+    if (key.second >= 0) w.field("task", key.second);
+    w.field("calls", row.calls)
+        .field("total_ns", row.total_ns)
+        .field("self_ns", row.self_ns)
+        .field("bytes", row.bytes)
+        .end_object();
+  }
+  w.end_array().end_object();
+
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
-
-  // Snapshot the buffer list, then drain each ring under its own spinlock.
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    BufferRegistry& reg = registry();
-    std::lock_guard lock(reg.mutex);
-    buffers = reg.buffers;
-  }
-
-  std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", file);
-  bool first_event = true;
-  auto emit = [&](const std::string& json) {
-    if (!first_event) std::fputc(',', file);
-    first_event = false;
-    std::fputs("\n", file);
-    std::fputs(json.c_str(), file);
-  };
-
-  std::uint64_t newly_dropped = 0;
-  for (const auto& buf : buffers) {
-    buf->lock();
-    const std::size_t cap = buf->ring.size();
-    const std::uint64_t head = buf->head;
-    const std::uint64_t count = std::min<std::uint64_t>(head, cap);
-    const std::uint64_t dropped = head - count;
-    if (dropped > buf->reported_dropped) {
-      newly_dropped += dropped - buf->reported_dropped;
-      buf->reported_dropped = dropped;
-    }
-    if (!buf->name.empty()) {
-      std::string meta = "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                         "\"tid\":" + std::to_string(buf->tid) +
-                         ",\"args\":{\"name\":\"";
-      json_escape(meta, buf->name);
-      meta += "\"}}";
-      emit(meta);
-    }
-    std::string line;
-    for (std::uint64_t i = head - count; i < head; ++i) {
-      line.clear();
-      append_event(line, buf->ring[i % cap], buf->tid);
-      emit(line);
-    }
-    buf->unlock();
-  }
-  if (newly_dropped != 0) counter("prof.dropped").add(newly_dropped);
-  // Surface the drop count inside the trace itself so an analyzer sees a
-  // truncated ring without consulting the metrics registry.
-  const std::uint64_t total_dropped = counter("prof.dropped").value();
-  std::fprintf(file,
-               "%s{\"name\":\"prof.dropped\",\"cat\":\"reffil\",\"ph\":\"C\","
-               "\"pid\":1,\"tid\":0,\"ts\":0.0,\"args\":{\"value\":%llu}}",
-               first_event ? "\n" : ",\n",
-               static_cast<unsigned long long>(total_dropped));
-  std::fputs("\n]}\n", file);
-  std::fclose(file);
-  return true;
-}
-
-void set_ring_capacity(std::size_t records) {
-  g_ring_capacity.store(std::max<std::size_t>(1, records),
-                        std::memory_order_relaxed);
+  std::fputs(w.str().c_str(), file);
+  std::fputc('\n', file);
+  return std::fclose(file) == 0;
 }
 
 void set_thread_name(const char* name) {
-  ThreadBuffer* buf = tls_buffer();
-  buf->lock();
-  buf->name = name;
-  buf->unlock();
+  ThreadTable& table = thread_table();
+  table.lock();
+  table.name = name;
+  table.unlock();
 }
 
-std::uint32_t current_tid() { return tls_buffer()->tid; }
-
-std::uint64_t next_correlation_id() {
-  thread_local std::uint64_t counter = 0;
-  // Thread-salted so ids never collide without an atomic: tid in the high
-  // bits, a per-thread count below.
-  return (std::uint64_t{current_tid()} << 40) | ++counter;
+void Span::open(const char* name, std::uint64_t bytes) {
+  name_ = name;
+  bytes_ = bytes;
+  parent_ = t_top;
+  t_top = this;
+  start_ns_ = now_ns();
 }
 
-void emit_counter(const char* name, std::uint64_t value) {
-  if (!enabled()) return;
-  Record rec;
-  rec.name = name;
-  rec.start_ns = to_ns(std::chrono::steady_clock::now());
-  rec.value = value;
-  rec.kind = Kind::kCounter;
-  record(rec);
-}
-
-void emit_instant(const char* name, std::uint64_t value) {
-  if (!enabled()) return;
-  Record rec;
-  rec.name = name;
-  rec.start_ns = to_ns(std::chrono::steady_clock::now());
-  rec.value = value;
-  rec.kind = Kind::kInstant;
-  record(rec);
-}
-
-void Span::finish() {
-  if (!armed_) return;
+void Span::close() {
+  const std::uint64_t end_ns = now_ns();
   armed_ = false;
-  const auto end = std::chrono::steady_clock::now();
-  rec_.start_ns = to_ns(start_);
-  rec_.dur_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
-          .count());
-  record(rec_);
+  assert(t_top == this && "prof::Span finished out of nesting order");
+  t_top = parent_;
+  const std::uint64_t dur = end_ns - start_ns_;
+  if (parent_ != nullptr) parent_->child_ns_ += dur;
+  ThreadTable& table = thread_table();
+  table.lock();
+  Row& row = table.rows[Key{name_, task_, backward_}];
+  row.calls += 1;
+  row.total_ns += dur;
+  row.self_ns += dur - child_ns_;
+  row.bytes += bytes_;
+  if (parent_ == nullptr) table.busy_ns += dur;
+  table.first_ns = std::min(table.first_ns, start_ns_);
+  table.last_ns = std::max(table.last_ns, end_ns);
+  table.unlock();
 }
 
 }  // namespace reffil::obs::prof

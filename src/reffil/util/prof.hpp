@@ -1,39 +1,31 @@
-// Op-level scoped profiler with Chrome trace-event export.
+// Op-level scoped profiler: lossless per-thread tables of span totals.
 //
 // `prof` answers the question the round-level metrics (obs.hpp §7) cannot:
-// *which op inside client_train the time goes to, on which thread*. Scoped
-// spans record {name, thread, start, duration, bytes, correlation id} into
-// per-thread ring buffers; a drain converts them to the Chrome trace-event
-// JSON format (the same format PyTorch's Kineto exports), loadable in
-// chrome://tracing and Perfetto and analyzed offline by tools/reffil_prof.
+// *which op inside client_train the time goes to, on which thread*. Every
+// thread keeps a table with one row per span name — per (name, task) for
+// spans built with a Task — holding calls, total ns, self ns and bytes. Self
+// ns is a span's duration minus its directly nested spans, taken from the
+// thread's stack of open spans, so spans must nest within a thread: each
+// finishes before the span that was open when it started. A table grows by
+// one row per new name, never per span, so nothing is ever dropped.
 //
 // Cost contract:
-//  * Disabled (no sink configured): constructing a Span is ONE relaxed
+//  * Disarmed (no sink configured): constructing a Span is ONE relaxed
 //    atomic load — no clock read, no TLS touch, no allocation. A benchmark
 //    guard (BM_ProfSpanDisabled) and the BM_TrainStep <2% regression check
 //    in BENCH_kernels.json hold this line.
-//  * Enabled: two steady_clock reads plus a spinlocked write into the
-//    calling thread's ring. The spinlock is thread-private except while a
-//    drain is reading that buffer, so the hot path never contends.
-//
-// Ring semantics: each thread owns a fixed-capacity ring (default 2^16
-// records, REFFIL_PROFILE_RING or set_ring_capacity override). Overflow
-// overwrites the *oldest* records and bumps the `prof.dropped` obs counter
-// at drain time — output stays well-formed, recent history wins.
+//  * Armed: two steady_clock reads, a push and pop on the thread's open-span
+//    stack, and a row update under the thread's spinlock, which only a
+//    write ever contends.
 //
 // Activation: set REFFIL_PROFILE=<path> in the environment, or call
-// start(path) (reffil_run --profile does). The trace is written by
-// stop_and_write(), obs::flush_all(), or the std::atexit guard — whichever
-// comes first; writes are idempotent (the ring is drained non-destructively).
-//
-// Correlation ids stitch autograd together: a forward op's OpSpan mints an
-// id, the tape node stores it, and the backward sweep emits a `bw:`-prefixed
-// span carrying the same id — so backward cost attributes to the op that
-// created the closure (tools/reffil_prof does this aggregation).
+// start(path) (reffil_run --profile does). The rows, merged across threads
+// by name, are written as one JSON document by stop_and_write(),
+// obs::flush_all(), or the std::atexit guard — whichever comes first;
+// writes are idempotent. tools/reffil_prof prints the document.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -44,96 +36,66 @@ extern std::atomic<bool> g_enabled;
 }  // namespace detail
 
 /// True when a profile sink is armed. This is the single relaxed load every
-/// disabled span pays; the flag is latched from REFFIL_PROFILE at static
+/// disarmed span pays; the flag is latched from REFFIL_PROFILE at static
 /// init, so no call_once sits on the hot path.
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// What a ring record is, which decides how the writer renders it.
-enum class Kind : std::uint8_t {
-  kSpan,      ///< complete event ("ph":"X")
-  kBackward,  ///< complete event, name rendered with a "bw:" prefix
-  kCounter,   ///< counter event ("ph":"C", args.value)
-  kInstant,   ///< instant event ("ph":"i", thread scope)
+/// Marks a span as the backward half of autograd op `op`: its row is named
+/// "bw:<op>", which reffil_prof joins to the forward op's row by name.
+struct Backward {
+  const char* op;
 };
 
-/// Sentinel for "this span carries no task/round coordinates".
-inline constexpr std::uint64_t kNoTaskRound = ~std::uint64_t{0};
-
-/// One ring slot. `name` must point at a string with static storage
-/// duration (string literals); the writer renders it long after the scope
-/// that recorded it has died.
-struct Record {
-  const char* name = nullptr;
-  std::uint64_t start_ns = 0;  ///< relative to the process anchor
-  std::uint64_t dur_ns = 0;
-  std::uint64_t corr = 0;      ///< 0 = none
-  std::uint64_t value = 0;     ///< bytes moved / counter value
-  std::uint64_t task_round = kNoTaskRound;  ///< (task << 32) | round
-  Kind kind = Kind::kSpan;
+/// Marks a span with its federated task: its rows are kept per (name, task).
+struct Task {
+  std::uint32_t index;
 };
 
-/// Arm the profiler and remember where stop_and_write()/flush() should put
-/// the Chrome trace. Overrides REFFIL_PROFILE.
+/// Clear every thread's table and arm the profiler, remembering where
+/// stop_and_write()/flush() put the document. An empty path disarms.
+/// Overrides REFFIL_PROFILE.
 void start(const std::string& path);
 
-/// Disarm, then write the trace to the configured path (no-op without one).
+/// Disarm, then write the document to the configured path (no-op without
+/// one).
 void stop_and_write();
 
-/// Write the trace to the configured path while staying armed (the atexit /
-/// obs::flush_all hook). No-op when nothing is armed and nothing recorded.
+/// Write the document to the configured path while staying armed (the
+/// atexit / obs::flush_all hook). No-op when no path is configured.
 void flush();
 
-/// Drain every thread's ring (non-destructively) into `path` as Chrome
-/// trace JSON. Returns false if the file cannot be opened. Call at a
-/// quiescent point: records written concurrently with the drain may be
-/// missed (never torn — slots are spinlocked).
-bool write_chrome_trace(const std::string& path);
+/// Merge every thread's table into `path` as one JSON document. Returns
+/// false if the file cannot be opened. Spans still open are not in it, and
+/// a span closing during the write may land in its thread's busy total but
+/// not yet in its parent's row.
+bool write(const std::string& path);
 
-/// Ring capacity (records) for buffers created *after* this call; existing
-/// thread rings keep their size. Tests use tiny rings to exercise overflow.
-void set_ring_capacity(std::size_t records);
-
-/// Label the calling thread in the trace (Chrome thread_name metadata).
+/// Label the calling thread in the document's per-thread summary.
 void set_thread_name(const char* name);
 
-/// Stable small integer identifying the calling thread in the trace.
-std::uint32_t current_tid();
-
-/// Mint a process-unique correlation id (thread-salted, no contention).
-std::uint64_t next_correlation_id();
-
-/// Record a counter sample (rendered as a "ph":"C" event).
-void emit_counter(const char* name, std::uint64_t value);
-
-/// Record an instant event (rendered as thread-scoped "ph":"i").
-void emit_instant(const char* name, std::uint64_t value = 0);
-
-/// Pack task/round coordinates for Record::task_round.
-inline std::uint64_t pack_task_round(std::uint32_t task, std::uint32_t round) {
-  return (std::uint64_t{task} << 32) | round;
-}
-
-/// RAII span. When the profiler is disabled the constructor is one relaxed
-/// load and the destructor a dead branch.
+/// RAII span. `name` must have static storage duration (string literals):
+/// the table keys rows by the pointer and reads the string at write time.
+/// When the profiler is disarmed the constructor is one relaxed load and
+/// the destructor a dead branch.
 class Span {
  public:
-  explicit Span(const char* name, std::uint64_t bytes = 0,
-                std::uint64_t corr = 0, Kind kind = Kind::kSpan)
+  explicit Span(const char* name, std::uint64_t bytes = 0)
       : armed_(enabled()) {
-    if (!armed_) return;
-    rec_.name = name;
-    rec_.value = bytes;
-    rec_.corr = corr;
-    rec_.kind = kind;
-    start_ = std::chrono::steady_clock::now();
+    if (armed_) open(name, bytes);
   }
 
-  /// Span carrying federated task/round coordinates (phase breakdown).
-  Span(const char* name, std::uint32_t task, std::uint32_t round)
-      : Span(name) {
-    if (armed_) rec_.task_round = pack_task_round(task, round);
+  explicit Span(Backward bw) : armed_(enabled()) {
+    if (!armed_) return;
+    backward_ = true;
+    open(bw.op, 0);
+  }
+
+  Span(const char* name, Task task) : armed_(enabled()) {
+    if (!armed_) return;
+    task_ = task.index;
+    open(name, 0);
   }
 
   ~Span() { finish(); }
@@ -143,34 +105,30 @@ class Span {
   /// Attach a byte count discovered mid-scope (e.g. a payload size known
   /// only after the work ran).
   void set_value(std::uint64_t v) {
-    if (armed_) rec_.value = v;
+    if (armed_) bytes_ = v;
   }
 
-  /// Record now instead of at scope exit (idempotent).
-  void finish();
+  /// Record now instead of at scope exit (idempotent). Spans opened inside
+  /// this one must have finished.
+  void finish() {
+    if (armed_) close();
+  }
+
+  /// Task index of a span built without a Task.
+  static constexpr std::uint32_t kNoTask = ~std::uint32_t{0};
 
  private:
-  Record rec_{};
-  std::chrono::steady_clock::time_point start_{};
+  void open(const char* name, std::uint64_t bytes);
+  void close();
+
+  const char* name_ = nullptr;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t start_ns_ = 0;
+  std::uint64_t child_ns_ = 0;  ///< summed durations of directly nested spans
+  Span* parent_ = nullptr;      ///< enclosing open span on this thread
+  std::uint32_t task_ = kNoTask;
+  bool backward_ = false;
   bool armed_;
-};
-
-/// Span for autograd forward ops: mints a correlation id (when armed) that
-/// the tape node stores so the backward sweep can emit a matching bw: span.
-class OpSpan {
- public:
-  explicit OpSpan(const char* name)
-      : name_(name),
-        corr_(enabled() ? next_correlation_id() : 0),
-        span_(name, 0, corr_) {}
-
-  const char* name() const { return name_; }
-  std::uint64_t corr() const { return corr_; }
-
- private:
-  const char* name_;
-  std::uint64_t corr_;
-  Span span_;
 };
 
 }  // namespace reffil::obs::prof

@@ -18,8 +18,7 @@ namespace {
 thread_local bool tls_in_pool_task = false;
 
 // Records the submit→start wait and current queue depth when a worker picks
-// up a task. The histogram feeds p50/p95/p99 in reports; the profiler gets
-// the same signals as counter/instant events on the worker's timeline.
+// up a task. The histogram feeds p50/p95/p99 in reports.
 void note_dequeue(std::chrono::steady_clock::time_point enqueued,
                   std::size_t depth_after_pop) {
   if (obs::metrics_enabled()) {
@@ -32,12 +31,6 @@ void note_dequeue(std::chrono::steady_clock::time_point enqueued,
     static obs::Gauge& depth_gauge = obs::gauge("pool.queue_depth");
     wait_hist.observe(wait);
     depth_gauge.set(static_cast<double>(depth_after_pop));
-    if (obs::prof::enabled()) {
-      obs::prof::emit_counter("pool.queue_depth", depth_after_pop);
-      obs::prof::emit_instant(
-          "pool.task_wait_us",
-          static_cast<std::uint64_t>(wait * 1e6));
-    }
   }
 }
 
@@ -107,7 +100,7 @@ void ThreadPool::run_chunks(ForkJoin& fj) {
     const std::size_t lo = c * fj.n / fj.chunks;
     const std::size_t hi = (c + 1) * fj.n / fj.chunks;
     try {
-      obs::prof::Span span("pool.chunk", 0, fj.corr);
+      obs::prof::Span span("pool.chunk");
       for (std::size_t i = lo; i < hi; ++i) (*fj.body)(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(fj.m);
@@ -141,10 +134,6 @@ void ThreadPool::parallel_for(std::size_t n,
   fj->n = n;
   fj->chunks = std::min(n, workers_.size() + 1);  // +1: the caller helps
   fj->body = &body;
-  // One correlation id per fork/join: every pool.chunk span it produces —
-  // on workers and on the helping caller — carries it, so an analyzer can
-  // group the scatter back into the parallel_for that issued it.
-  if (obs::prof::enabled()) fj->corr = obs::prof::next_correlation_id();
 
   const std::size_t helpers = fj->chunks - 1;
   const auto enqueued = std::chrono::steady_clock::now();
@@ -188,7 +177,6 @@ void ThreadPool::fan_out(std::size_t n,
       fj->n = n;
       fj->chunks = n;  // one index per claim: uneven bodies still balance
       fj->body = &body;
-      if (obs::prof::enabled()) fj->corr = obs::prof::next_correlation_id();
       const auto enqueued = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < helpers; ++i) {
         queue_.push(QueuedTask{[this, fj] { run_chunks(*fj); }, enqueued});

@@ -104,7 +104,6 @@ class ThreadPool {
     std::size_t n = 0;
     std::size_t chunks = 0;
     const std::function<void(std::size_t)>* body = nullptr;
-    std::uint64_t corr = 0;  ///< profiler correlation id (0 when disabled)
     std::atomic<std::size_t> next_chunk{0};
     std::atomic<std::size_t> done_chunks{0};
     std::mutex m;

@@ -1,265 +1,275 @@
-// Profiler tests: trace well-formedness through the strict JSON parser,
-// ring overflow semantics (drop oldest, count drops — never corrupt),
-// correlation-id uniqueness, and nested spans across parallel_for workers.
-// The concurrency tests double as TSan targets: worker threads write their
-// rings while the main thread drains them.
+// Profiler tests: the written document's rows and keys, losslessness and
+// exact self-time accounting across pool workers, a write racing recording
+// workers (a TSan target), the disarmed path, and a profiled training run
+// that must return what the unprofiled run returns.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <set>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "reffil/fed/runtime.hpp"
+#include "reffil/harness/experiment.hpp"
 #include "reffil/util/json.hpp"
-#include "reffil/util/obs.hpp"
 #include "reffil/util/prof.hpp"
 #include "reffil/util/thread_pool.hpp"
 
+using namespace reffil;
 namespace prof = reffil::obs::prof;
-namespace obs = reffil::obs;
 namespace json = reffil::util::json;
-namespace util = reffil::util;
 
 namespace {
 
-std::string temp_trace_path(const char* tag) {
+std::string temp_profile_path(const char* tag) {
   return (std::filesystem::temp_directory_path() /
           (std::string("reffil_prof_test_") + tag + ".json"))
       .string();
 }
 
-/// Arms the profiler for one test and guarantees disarm (and a cleared sink
-/// path, so the atexit flush stays a no-op) even when an ASSERT bails out.
+/// Arms the profiler (clearing every table) for one test and guarantees
+/// disarm, with a cleared sink path so the atexit flush stays a no-op, even
+/// when an ASSERT bails out.
 struct ProfSession {
   explicit ProfSession(const std::string& path) { prof::start(path); }
   ~ProfSession() { prof::start(""); }
 };
 
-json::Value load_trace(const std::string& path) {
+json::Value write_and_load(const std::string& path) {
+  EXPECT_TRUE(prof::write(path));
   std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
   std::ostringstream ss;
   ss << in.rdbuf();
-  return json::parse(ss.str());
+  std::remove(path.c_str());
+  return json::parse(ss.str());  // strict: throws on a malformed document
 }
 
-/// Count ph=="X" events with an exact name.
-std::size_t count_spans(const json::Value& trace, const std::string& name) {
-  std::size_t n = 0;
-  for (const auto& ev : trace.find("traceEvents")->as_array()) {
-    if (ev.string_or("ph", "") == "X" && ev.string_or("name", "") == name) ++n;
+struct RowView {
+  double calls = 0, total_ns = 0, self_ns = 0, bytes = 0;
+};
+
+/// Rows keyed by (name, task); task -1 for rows without one.
+std::map<std::pair<std::string, long>, RowView> rows_of(const json::Value& doc) {
+  std::map<std::pair<std::string, long>, RowView> rows;
+  for (const auto& r : doc.find("rows")->as_array()) {
+    rows[{r.string_or("name", ""), static_cast<long>(r.number_or("task", -1))}] =
+        {r.number_or("calls", -1), r.number_or("total_ns", -1),
+         r.number_or("self_ns", -1), r.number_or("bytes", -1)};
   }
-  return n;
+  return rows;
+}
+
+double calls_of(const json::Value& doc, const std::string& name) {
+  const auto rows = rows_of(doc);
+  const auto it = rows.find({name, -1});
+  return it == rows.end() ? 0.0 : it->second.calls;
+}
+
+/// Σ self over rows and Σ busy over threads: every finished span's duration
+/// is either a top-level span's (busy) or subtracted from its parent's self,
+/// so the two sums agree exactly once no span is open.
+std::pair<double, double> self_and_busy(const json::Value& doc) {
+  double self = 0, busy = 0;
+  for (const auto& [key, row] : rows_of(doc)) self += row.self_ns;
+  for (const auto& t : doc.find("threads")->as_array()) {
+    busy += t.number_or("busy_ns", -1);
+  }
+  return {self, busy};
+}
+
+data::DatasetSpec tiny_spec() {
+  data::DatasetSpec spec;
+  spec.name = "ProfTiny";
+  spec.num_classes = 3;
+  spec.seed = 5;
+  for (std::size_t d = 0; d < 2; ++d) {
+    data::DomainSpec domain;
+    domain.name = "D" + std::to_string(d);
+    domain.train_samples = 24;
+    domain.test_samples = 12;
+    domain.noise = 0.1f;
+    domain.stream_id = d;
+    spec.domains.push_back(domain);
+  }
+  spec.initial_clients = 3;
+  spec.clients_per_round = 2;
+  spec.client_increment = 1;
+  spec.rounds_per_task = 2;
+  spec.local_epochs = 1;
+  spec.learning_rate = 0.05f;
+  return spec;
+}
+
+/// A two-slot Finetune run with its timings zeroed, plus the final global
+/// state as the server broadcasts it.
+std::pair<fed::RunResult, std::vector<std::uint8_t>> run_finetune() {
+  const auto spec = tiny_spec();
+  harness::ExperimentConfig config;
+  config.parallelism = 2;
+  auto method = harness::make_method(harness::MethodKind::kFinetune, spec, config);
+  fed::RunConfig run;
+  run.spec = spec;
+  run.parallelism = 2;
+  run.seed = 3;
+  fed::RunResult result = fed::FederatedRunner(std::move(run)).run(*method);
+  result.wall_seconds = 0.0;
+  for (auto& t : result.tasks) t.eval_seconds = 0.0;
+  for (auto& r : result.rounds) r.train_seconds = r.aggregate_seconds = 0.0;
+  return {std::move(result), method->make_broadcast()};
 }
 
 }  // namespace
 
-TEST(Prof, DisabledByDefaultAndOpSpanMintsNoCorr) {
+TEST(Prof, DisarmedProfilerWritesNoRows) {
+  prof::start("");  // clears every table and disarms
   ASSERT_FALSE(prof::enabled());
-  prof::Span span("prof_test.noop");  // must be inert
-  prof::OpSpan op("prof_test.noop_op");
-  EXPECT_EQ(op.corr(), 0u);
-  prof::emit_counter("prof_test.noop_ctr", 1);
-  prof::emit_instant("prof_test.noop_inst");
+  {
+    prof::Span span("prof_test.noop", 64);
+    prof::Span bw(prof::Backward{"prof_test.noop"});
+    prof::Span task("prof_test.noop", prof::Task{1});
+  }
+  const auto doc = write_and_load(temp_profile_path("disarmed"));
+  EXPECT_TRUE(doc.find("rows")->as_array().empty());
+  EXPECT_TRUE(doc.find("threads")->as_array().empty());
 }
 
-TEST(Prof, TraceIsWellFormedChromeJson) {
-  const std::string path = temp_trace_path("wellformed");
+TEST(Prof, RowsKeyByNameBackwardAndTask) {
+  const std::string path = temp_profile_path("keys");
   ProfSession session(path);
   prof::set_thread_name("prof-test-main");
-
-  const std::uint64_t corr = prof::next_correlation_id();
-  ASSERT_NE(corr, 0u);
   {
     prof::Span outer("prof_test.outer", 4096);
-    {
-      prof::Span inner("prof_test.inner", 0, corr);
-    }
+    { prof::Span inner("prof_test.inner"); }
+    { prof::Span bw(prof::Backward{"prof_test.inner"}); }
   }
-  {
-    prof::Span bw("prof_test.fwdop", 0, corr, prof::Kind::kBackward);
-  }
-  {
-    prof::Span phase("prof_test.phase", std::uint32_t{2}, std::uint32_t{3});
-  }
+  { prof::Span phase("prof_test.phase", prof::Task{2}); }
+  { prof::Span phase("prof_test.phase", prof::Task{3}); }
   {
     prof::Span twice("prof_test.finish_once");
+    twice.set_value(7);
     twice.finish();
-    twice.finish();  // idempotent: exactly one record
+    twice.finish();  // idempotent: one call
   }
-  prof::emit_counter("prof_test.ctr", 42);
-  prof::emit_instant("prof_test.inst", 7);
-  ASSERT_TRUE(prof::write_chrome_trace(path));
+  const auto doc = write_and_load(path);
+  const auto rows = rows_of(doc);
+  ASSERT_EQ(rows.size(), 6u);
+  const RowView outer = rows.at({"prof_test.outer", -1});
+  const RowView inner = rows.at({"prof_test.inner", -1});
+  const RowView bw = rows.at({"bw:prof_test.inner", -1});
+  EXPECT_EQ(outer.calls, 1);
+  EXPECT_EQ(outer.bytes, 4096);
+  EXPECT_EQ(outer.self_ns, outer.total_ns - inner.total_ns - bw.total_ns);
+  EXPECT_EQ(inner.self_ns, inner.total_ns);
+  EXPECT_EQ(rows.at({"prof_test.phase", 2}).calls, 1);
+  EXPECT_EQ(rows.at({"prof_test.phase", 3}).calls, 1);
+  EXPECT_EQ(rows.count({"prof_test.phase", -1}), 0u);
+  EXPECT_EQ(rows.at({"prof_test.finish_once", -1}).calls, 1);
+  EXPECT_EQ(rows.at({"prof_test.finish_once", -1}).bytes, 7);
 
-  const auto trace = load_trace(path);  // strict parse — throws on corruption
-  ASSERT_TRUE(trace.is_object());
-  EXPECT_EQ(trace.string_or("displayTimeUnit", ""), "ms");
-  const json::Value* events = trace.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  ASSERT_FALSE(events->as_array().empty());
-
-  bool saw_thread_name = false, saw_ctr = false, saw_inst = false;
-  bool saw_outer = false, saw_bw = false, saw_phase = false;
-  for (const auto& ev : events->as_array()) {
-    const std::string ph = ev.string_or("ph", "");
-    const std::string name = ev.string_or("name", "");
-    // Every event carries the Chrome-required keys.
-    ASSERT_FALSE(ph.empty());
-    ASSERT_NE(ev.find("name"), nullptr);
-    ASSERT_NE(ev.find("pid"), nullptr);
-    ASSERT_NE(ev.find("tid"), nullptr);
-    if (ph == "X") {
-      ASSERT_NE(ev.find("ts"), nullptr) << name;
-      ASSERT_NE(ev.find("dur"), nullptr) << name;
-    }
-    if (ph == "M" && name == "thread_name") {
-      if (ev.find("args")->string_or("name", "") == "prof-test-main") {
-        saw_thread_name = true;
-      }
-    }
-    if (ph == "C" && name == "prof_test.ctr") {
-      saw_ctr = true;
-      EXPECT_DOUBLE_EQ(ev.find("args")->number_or("value", -1), 42.0);
-    }
-    if (ph == "i" && name == "prof_test.inst") {
-      saw_inst = true;
-      EXPECT_EQ(ev.string_or("s", ""), "t");
-    }
-    if (ph == "X" && name == "prof_test.outer") {
-      saw_outer = true;
-      EXPECT_DOUBLE_EQ(ev.find("args")->number_or("bytes", -1), 4096.0);
-    }
-    if (ph == "X" && name == "bw:prof_test.fwdop") {
-      saw_bw = true;
-      EXPECT_DOUBLE_EQ(ev.find("args")->number_or("corr", -1),
-                       static_cast<double>(corr));
-    }
-    if (ph == "X" && name == "prof_test.phase") {
-      saw_phase = true;
-      EXPECT_DOUBLE_EQ(ev.find("args")->number_or("task", -1), 2.0);
-      EXPECT_DOUBLE_EQ(ev.find("args")->number_or("round", -1), 3.0);
-    }
-  }
-  EXPECT_TRUE(saw_thread_name);
-  EXPECT_TRUE(saw_ctr);
-  EXPECT_TRUE(saw_inst);
-  EXPECT_TRUE(saw_outer);
-  EXPECT_TRUE(saw_bw);
-  EXPECT_TRUE(saw_phase);
-  EXPECT_EQ(count_spans(trace, "prof_test.inner"), 1u);
-  EXPECT_EQ(count_spans(trace, "prof_test.finish_once"), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(Prof, RingOverflowDropsOldestAndCountsDrops) {
-  const std::string path = temp_trace_path("overflow");
-  const std::uint64_t dropped_before = obs::counter("prof.dropped").value();
-  prof::set_ring_capacity(16);  // applies to buffers created from here on
-  ProfSession session(path);
-  // Fresh thread → fresh tiny ring. 84 "old" spans then 16 "keep" spans:
-  // the drain must surface exactly the 16 newest and report 84 drops.
-  std::thread writer([] {
-    prof::set_thread_name("ring-test");
-    for (int i = 0; i < 100; ++i) {
-      prof::Span span(i < 84 ? "prof_test.ring_old" : "prof_test.ring_keep");
-    }
-  });
-  writer.join();
-  prof::set_ring_capacity(std::size_t{1} << 16);  // restore for later threads
-  ASSERT_TRUE(prof::write_chrome_trace(path));
-
-  const auto trace = load_trace(path);
-  EXPECT_EQ(count_spans(trace, "prof_test.ring_keep"), 16u);
-  EXPECT_EQ(count_spans(trace, "prof_test.ring_old"), 0u);
-
-  // The obs counter advanced, and the trace itself carries the total in a
-  // prof.dropped counter event so offline analyzers see the truncation.
-  EXPECT_GE(obs::counter("prof.dropped").value(), dropped_before + 84);
-  bool saw_dropped_event = false;
-  for (const auto& ev : trace.find("traceEvents")->as_array()) {
-    if (ev.string_or("ph", "") == "C" &&
-        ev.string_or("name", "") == "prof.dropped") {
-      saw_dropped_event = true;
-      EXPECT_GE(ev.find("args")->number_or("value", 0), 84.0);
-    }
-  }
-  EXPECT_TRUE(saw_dropped_event);
-
-  // A second drain is non-destructive and must not re-count the same drops.
-  const std::uint64_t after_first = obs::counter("prof.dropped").value();
-  ASSERT_TRUE(prof::write_chrome_trace(path));
-  EXPECT_EQ(obs::counter("prof.dropped").value(), after_first);
-  std::remove(path.c_str());
-}
-
-TEST(Prof, CorrelationIdsUniqueAcrossThreads) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  std::mutex m;
-  std::set<std::uint64_t> ids;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      std::vector<std::uint64_t> local;
-      local.reserve(kPerThread);
-      for (int i = 0; i < kPerThread; ++i) {
-        local.push_back(prof::next_correlation_id());
-      }
-      std::lock_guard lock(m);
-      ids.insert(local.begin(), local.end());
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kThreads * kPerThread));
-  EXPECT_EQ(ids.count(0), 0u);  // 0 is the "no correlation" sentinel
+  const auto& threads = doc.find("threads")->as_array();
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_EQ(threads[0].string_or("name", ""), "prof-test-main");
+  EXPECT_EQ(threads[0].number_or("spans", 0), 6);
+  const auto [self, busy] = self_and_busy(doc);
+  EXPECT_EQ(self, busy);
+  EXPECT_LE(doc.number_or("first_ns", 1), doc.number_or("last_ns", 0));
 }
 
 TEST(Prof, NestedSpansAcrossParallelForWorkers) {
-  const std::string path = temp_trace_path("nested");
+  constexpr std::size_t kOuter = 1000, kInner = 1000;
+  const std::string path = temp_profile_path("lossless");
   ProfSession session(path);
-  util::ThreadPool pool(3);
-  std::atomic<int> work{0};
-  pool.parallel_for(6, [&](std::size_t) {
-    prof::Span outer("prof_test.nest_outer");
-    // Nested parallel_for runs inline inside the worker's chunk; its spans
-    // land in the same thread's ring while other workers write theirs.
-    pool.parallel_for(4, [&](std::size_t) {
-      prof::Span inner("prof_test.nest_inner");
-      work.fetch_add(1, std::memory_order_relaxed);
+  {
+    util::ThreadPool pool(4);
+    std::atomic<std::size_t> work{0};
+    pool.parallel_for(kOuter, [&](std::size_t) {
+      prof::Span outer("prof_test.outer");
+      // A nested parallel_for runs inline inside the worker's chunk, so its
+      // spans nest under this one on the same thread.
+      pool.parallel_for(kInner, [&](std::size_t) {
+        prof::Span inner("prof_test.inner", 4);
+        work.fetch_add(1, std::memory_order_relaxed);
+      });
     });
-  });
-  EXPECT_EQ(work.load(), 24);
-  ASSERT_TRUE(prof::write_chrome_trace(path));
+    EXPECT_EQ(work.load(), kOuter * kInner);
+  }  // joining the workers closes their last pool.task spans
 
-  const auto trace = load_trace(path);
-  EXPECT_EQ(count_spans(trace, "prof_test.nest_outer"), 6u);
-  EXPECT_EQ(count_spans(trace, "prof_test.nest_inner"), 24u);
+  const auto doc = write_and_load(path);
+  const auto rows = rows_of(doc);
+  EXPECT_EQ(rows.at({"prof_test.outer", -1}).calls, kOuter);
+  EXPECT_EQ(rows.at({"prof_test.inner", -1}).calls, kOuter * kInner);
+  EXPECT_EQ(rows.at({"prof_test.inner", -1}).bytes, 4.0 * kOuter * kInner);
+  EXPECT_EQ(rows.at({"pool.inline", -1}).calls, kOuter);
+  for (const auto& [key, row] : rows) {
+    EXPECT_LE(row.self_ns, row.total_ns) << key.first;
+  }
+  const auto [self, busy] = self_and_busy(doc);
+  EXPECT_EQ(self, busy);
+  EXPECT_GE(doc.find("threads")->as_array().size(), 2u);
+}
 
-  // Every pool.chunk span from one fork/join carries the same correlation
-  // id; outer bodies ran on more than one thread when the pool fanned out.
-  std::set<std::uint32_t> outer_tids;
-  std::set<double> chunk_corrs;
-  for (const auto& ev : trace.find("traceEvents")->as_array()) {
-    if (ev.string_or("ph", "") != "X") continue;
-    const std::string name = ev.string_or("name", "");
-    if (name == "prof_test.nest_outer") {
-      outer_tids.insert(
-          static_cast<std::uint32_t>(ev.number_or("tid", 0)));
-    } else if (name == "pool.chunk") {
-      if (const json::Value* args = ev.find("args")) {
-        chunk_corrs.insert(args->number_or("corr", 0));
+TEST(Prof, WriteWhileWorkersRecord) {
+  constexpr int kThreads = 4, kPerThread = 20000;
+  const std::string path = temp_profile_path("racing");
+  ProfSession session(path);
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        prof::Span outer("prof_test.race_outer");
+        prof::Span inner("prof_test.race_inner", prof::Task{1});
       }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  int writes = 0;
+  do {
+    const auto doc = write_and_load(path);
+    EXPECT_NE(doc.find("rows"), nullptr);
+    ++writes;
+  } while (running.load(std::memory_order_acquire) != 0);
+  for (auto& th : threads) th.join();
+  EXPECT_GE(writes, 1);
+
+  const auto doc = write_and_load(path);
+  EXPECT_EQ(calls_of(doc, "prof_test.race_outer"), kThreads * kPerThread);
+  EXPECT_EQ(rows_of(doc).at({"prof_test.race_inner", 1}).calls,
+            kThreads * kPerThread);
+  const auto [self, busy] = self_and_busy(doc);
+  EXPECT_EQ(self, busy);
+}
+
+TEST(Prof, ProfiledFinetuneRunMatchesUnprofiled) {
+  prof::start("");
+  const auto plain = run_finetune();
+  const std::string path = temp_profile_path("run");
+  ProfSession session(path);
+  const auto profiled = run_finetune();
+  EXPECT_TRUE(profiled.first == plain.first);
+  EXPECT_TRUE(profiled.second == plain.second);
+
+  const auto doc = write_and_load(path);
+  const auto rows = rows_of(doc);
+  bool saw_bw = false;
+  std::map<std::string, int> fed_tasks;  // fed.* name -> tasks seen
+  for (const auto& [key, row] : rows) {
+    EXPECT_NE(key.first, "bw:ag.op");  // every backward node is named
+    if (key.first.rfind("bw:ag.", 0) == 0) saw_bw = true;
+    if (key.first.rfind("fed.", 0) == 0) {
+      EXPECT_GE(key.second, 0) << key.first;  // fed.* spans carry a task
+      ++fed_tasks[key.first];
     }
   }
-  EXPECT_GE(outer_tids.size(), 1u);
-  EXPECT_GE(chunk_corrs.size(), 1u);
-  EXPECT_EQ(chunk_corrs.count(0.0), 0u);  // armed fork/joins always mint one
-  std::remove(path.c_str());
+  EXPECT_TRUE(saw_bw);
+  EXPECT_EQ(fed_tasks["fed.client"], 2);
+  EXPECT_EQ(fed_tasks["fed.eval"], 2);
+  EXPECT_GT(calls_of(doc, "ag.backward"), 0);
+  EXPECT_GT(calls_of(doc, "cl.run"), 0);
 }

@@ -1,23 +1,20 @@
-// reffil_prof — offline hotspot analyzer for the op-level profiler's Chrome
-// trace output (reffil_run --profile / REFFIL_PROFILE).
+// reffil_prof — prints the op-level profiler's document (reffil_run
+// --profile / REFFIL_PROFILE).
 //
-//   reffil_prof trace.json [--top N]
+//   reffil_prof PROFILE.json [--top N]
 //
 // Prints:
-//   * top-N ops by self time (self = span duration minus directly nested
-//     spans on the same thread), with total time, call count, bytes moved,
-//     and the backward time attributed to each forward op via the shared
-//     correlation id (bw: spans),
-//   * per-thread utilization (fraction of the trace's wall span covered by
-//     top-level spans on that thread),
-//   * a per-task breakdown of the federated phases (fed.* spans).
+//   * top-N ops by self time (span duration minus directly nested spans on
+//     the same thread), with total time, call count, bytes moved, and the
+//     backward time of each forward op (its bw:<op> row, joined by name),
+//   * per-thread utilization (busy time of top-level spans over the wall
+//     window from the first span start to the last span end),
+//   * a per-task breakdown of the federated phases (fed.* rows with a task).
 //
-// The input must be well-formed Chrome trace JSON — the same strict parser
-// that fuzz-validates the writer is used here, so a malformed trace is a
-// bug report, not a shrug.
+// The input must be well-formed JSON — the same strict parser that
+// fuzz-validates the obs writer is used here.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -30,53 +27,20 @@ namespace {
 
 namespace json = reffil::util::json;
 
-struct SpanEvent {
-  std::string name;
-  std::uint32_t tid = 0;
-  double ts = 0.0;   // µs
-  double dur = 0.0;  // µs
-  double self = 0.0;
-  std::uint64_t corr = 0;
-  std::uint64_t bytes = 0;
-  long task = -1;
-  bool backward = false;  // name carries the bw: prefix
-  bool top_level = true;
-};
-
 struct OpStat {
   double self_us = 0.0;
   double total_us = 0.0;
-  double backward_us = 0.0;  // bw: time whose corr matches this op
   std::uint64_t calls = 0;
   std::uint64_t bytes = 0;
 };
 
 int usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s TRACE.json [--top N]\n", argv0);
+  std::fprintf(stderr, "usage: %s PROFILE.json [--top N]\n", argv0);
   return 2;
 }
 
-/// Assign self time: within one thread, spans sorted by (ts asc, dur desc)
-/// nest like a call tree; each parent's self excludes its direct children.
-void compute_self_times(std::vector<SpanEvent*>& spans) {
-  std::sort(spans.begin(), spans.end(), [](const SpanEvent* a, const SpanEvent* b) {
-    if (a->ts != b->ts) return a->ts < b->ts;
-    return a->dur > b->dur;
-  });
-  std::vector<SpanEvent*> stack;
-  constexpr double kEps = 1e-6;  // µs; guards against rounding in %.3f output
-  for (SpanEvent* s : spans) {
-    while (!stack.empty() &&
-           s->ts >= stack.back()->ts + stack.back()->dur - kEps) {
-      stack.pop_back();
-    }
-    s->self = s->dur;
-    if (!stack.empty()) {
-      stack.back()->self -= s->dur;
-      s->top_level = false;
-    }
-    stack.push_back(s);
-  }
+double us_field(const json::Value& v, const char* key) {
+  return v.number_or(key, 0.0) / 1e3;
 }
 
 std::string human_us(double us) {
@@ -132,90 +96,46 @@ int main(int argc, char** argv) {
   }
   std::ostringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
 
   json::Value root;
   try {
-    root = json::parse(text);
+    root = json::parse(ss.str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "reffil_prof: %s is not valid JSON: %s\n",
                  path.c_str(), e.what());
     return 1;
   }
-
-  const json::Value* events = root.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    std::fprintf(stderr, "reffil_prof: no traceEvents array in %s\n",
+  const json::Value* rows = root.find("rows");
+  const json::Value* threads = root.find("threads");
+  if (rows == nullptr || !rows->is_array() || threads == nullptr ||
+      !threads->is_array()) {
+    std::fprintf(stderr, "reffil_prof: %s has no rows/threads arrays\n",
                  path.c_str());
     return 1;
   }
-
-  std::vector<SpanEvent> spans;
-  std::map<std::uint32_t, std::string> thread_names;
-  std::uint64_t dropped = 0;
-  for (const auto& ev : events->as_array()) {
-    const std::string ph = ev.string_or("ph", "");
-    const auto tid = static_cast<std::uint32_t>(ev.number_or("tid", 0));
-    if (ph == "M") {
-      if (ev.string_or("name", "") == "thread_name") {
-        if (const json::Value* args = ev.find("args")) {
-          thread_names[tid] = args->string_or("name", "");
-        }
-      }
-      continue;
-    }
-    if (ph == "C") {
-      if (ev.string_or("name", "") == "prof.dropped") {
-        if (const json::Value* args = ev.find("args")) {
-          dropped = static_cast<std::uint64_t>(args->number_or("value", 0));
-        }
-      }
-      continue;
-    }
-    if (ph != "X") continue;
-    SpanEvent s;
-    s.name = ev.string_or("name", "?");
-    s.tid = tid;
-    s.ts = ev.number_or("ts", 0.0);
-    s.dur = ev.number_or("dur", 0.0);
-    if (const json::Value* args = ev.find("args")) {
-      s.corr = static_cast<std::uint64_t>(args->number_or("corr", 0));
-      s.bytes = static_cast<std::uint64_t>(args->number_or("bytes", 0));
-      s.task = static_cast<long>(args->number_or("task", -1));
-    }
-    s.backward = s.name.rfind("bw:", 0) == 0;
-    spans.push_back(std::move(s));
-  }
-
-  if (spans.empty()) {
-    std::fprintf(stderr, "reffil_prof: %s contains no complete (ph=X) spans\n",
-                 path.c_str());
+  if (rows->as_array().empty()) {
+    std::fprintf(stderr, "reffil_prof: %s contains no spans\n", path.c_str());
     return 1;
   }
 
-  // Self times per thread.
-  std::map<std::uint32_t, std::vector<SpanEvent*>> by_tid;
-  for (auto& s : spans) by_tid[s.tid].push_back(&s);
-  for (auto& [tid, list] : by_tid) compute_self_times(list);
-
-  // Forward correlation ids → op name, for backward attribution.
-  std::map<std::uint64_t, std::string> corr_to_op;
-  for (const auto& s : spans) {
-    if (!s.backward && s.corr != 0) corr_to_op.emplace(s.corr, s.name);
-  }
-
+  // Rows are per (name, task); the op table sums a name over its tasks.
   std::map<std::string, OpStat> ops;
+  std::map<long, std::map<std::string, double>> phases;
   double grand_self = 0.0;
-  for (const auto& s : spans) {
-    OpStat& st = ops[s.name];
-    st.self_us += s.self;
-    st.total_us += s.dur;
-    st.calls += 1;
-    st.bytes += s.bytes;
-    grand_self += s.self;
-    if (s.backward) {
-      const auto it = corr_to_op.find(s.corr);
-      if (it != corr_to_op.end()) ops[it->second].backward_us += s.dur;
+  std::uint64_t spans = 0;
+  for (const auto& row : rows->as_array()) {
+    const std::string name = row.string_or("name", "?");
+    OpStat& st = ops[name];
+    st.self_us += us_field(row, "self_ns");
+    st.total_us += us_field(row, "total_ns");
+    const auto calls = static_cast<std::uint64_t>(row.number_or("calls", 0));
+    st.calls += calls;
+    st.bytes += static_cast<std::uint64_t>(row.number_or("bytes", 0));
+    grand_self += us_field(row, "self_ns");
+    spans += calls;
+    const long task = static_cast<long>(row.number_or("task", -1));
+    if (task >= 0 && name.rfind("fed.", 0) == 0) {
+      phases[task][name] += us_field(row, "total_ns");
     }
   }
 
@@ -224,51 +144,39 @@ int main(int argc, char** argv) {
     return a.second.self_us > b.second.self_us;
   });
 
-  std::printf("== top ops by self time (%zu of %zu; %zu spans) ==\n",
-              std::min(top_n, ranked.size()), ranked.size(), spans.size());
+  std::printf("== top ops by self time (%zu of %zu; %llu spans) ==\n",
+              std::min(top_n, ranked.size()), ranked.size(),
+              static_cast<unsigned long long>(spans));
   std::printf("%-22s %10s %7s %10s %8s %10s %10s\n", "op", "self", "self%",
               "total", "calls", "bytes", "backward");
   for (std::size_t i = 0; i < ranked.size() && i < top_n; ++i) {
     const auto& [name, st] = ranked[i];
+    const auto bw = ops.find("bw:" + name);
     std::printf("%-22s %10s %6.1f%% %10s %8llu %10s %10s\n", name.c_str(),
                 human_us(st.self_us).c_str(),
                 grand_self > 0.0 ? 100.0 * st.self_us / grand_self : 0.0,
                 human_us(st.total_us).c_str(),
                 static_cast<unsigned long long>(st.calls),
                 human_bytes(static_cast<double>(st.bytes)).c_str(),
-                st.backward_us > 0.0 ? human_us(st.backward_us).c_str() : "-");
+                bw != ops.end() ? human_us(bw->second.total_us).c_str() : "-");
   }
 
-  // Wall window of the whole trace.
-  double t_min = spans.front().ts, t_max = 0.0;
-  for (const auto& s : spans) {
-    t_min = std::min(t_min, s.ts);
-    t_max = std::max(t_max, s.ts + s.dur);
-  }
-  const double wall = std::max(1e-9, t_max - t_min);
-
+  const double wall = std::max(
+      1e-9, us_field(root, "last_ns") - us_field(root, "first_ns"));
   std::printf("\n== per-thread utilization (wall %s) ==\n",
               human_us(wall).c_str());
   std::printf("%-6s %-16s %10s %8s %8s\n", "tid", "name", "busy", "util%",
               "spans");
-  for (const auto& [tid, list] : by_tid) {
-    double busy = 0.0;
-    for (const SpanEvent* s : list) {
-      if (s->top_level) busy += s->dur;
-    }
-    const auto name_it = thread_names.find(tid);
-    std::printf("%-6u %-16s %10s %7.1f%% %8zu\n", tid,
-                name_it != thread_names.end() ? name_it->second.c_str() : "-",
-                human_us(busy).c_str(), 100.0 * busy / wall, list.size());
+  for (const auto& t : threads->as_array()) {
+    const std::string name = t.string_or("name", "");
+    const double busy = us_field(t, "busy_ns");
+    std::printf("%-6u %-16s %10s %7.1f%% %8llu\n",
+                static_cast<unsigned>(t.number_or("tid", 0)),
+                name.empty() ? "-" : name.c_str(), human_us(busy).c_str(),
+                100.0 * busy / wall,
+                static_cast<unsigned long long>(t.number_or("spans", 0)));
   }
 
-  // Federated phase breakdown: fed.* spans grouped per task.
-  std::map<long, std::map<std::string, double>> phases;
-  for (const auto& s : spans) {
-    if (s.task >= 0 && s.name.rfind("fed.", 0) == 0) {
-      phases[s.task][s.name] += s.dur;
-    }
-  }
   if (!phases.empty()) {
     std::printf("\n== per-task phase breakdown ==\n");
     std::printf("%-6s %-18s %12s\n", "task", "phase", "total");
@@ -278,12 +186,6 @@ int main(int argc, char** argv) {
                     human_us(us).c_str());
       }
     }
-  }
-
-  if (dropped != 0) {
-    std::printf("\nwarning: %llu spans were dropped (ring overflow) — "
-                "raise REFFIL_PROFILE_RING for full coverage\n",
-                static_cast<unsigned long long>(dropped));
   }
   return 0;
 }

@@ -33,7 +33,7 @@
 //                     allocations; see autograd/graph.hpp). The --json
 //                     output gains a "graph" block with capture/replay
 //                     counts and arena_bytes.
-//   --profile PATH    write an op-level Chrome trace (chrome://tracing) here
+//   --profile PATH    write the op-level profile (read with reffil_prof) here
 //   --serve-metrics P serve live /metrics, /healthz and /progress over HTTP
 //                     on 127.0.0.1:P while the run executes (0 = ephemeral
 //                     port, printed to stderr). Implies --monitor. The
@@ -380,7 +380,7 @@ int main(int argc, char** argv) {
 
   if (!profile_path.empty()) {
     obs::prof::stop_and_write();
-    std::fprintf(stderr, "profile written to %s (load in chrome://tracing)\n",
+    std::fprintf(stderr, "profile written to %s (read it with reffil_prof)\n",
                  profile_path.c_str());
   }
 
