@@ -18,7 +18,6 @@
 #include "reffil/nn/backbone.hpp"
 #include "reffil/nn/optimizer.hpp"
 #include "reffil/tensor/ops.hpp"
-#include "reffil/tensor/parallel.hpp"
 #include "reffil/tensor/pool.hpp"
 #include "reffil/util/prof.hpp"
 #include "reffil/util/thread_pool.hpp"
@@ -37,26 +36,7 @@ static void BM_TensorMatmul(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n * n);
 }
-// 128 and up cross the parallel-dispatch threshold (see tensor/parallel.hpp);
-// compare against BM_TensorMatmulSerial for the thread-level speedup.
 BENCHMARK(BM_TensorMatmul)->Arg(16)->Arg(64)->Arg(128)->Arg(256)->Arg(384);
-
-// Same sizes with the parallel dispatch forced off — the single-thread
-// baseline the BENCH_micro.json speedup figures are computed against.
-static void BM_TensorMatmulSerial(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const T::Tensor a = T::randn({n, n}, rng);
-  const T::Tensor b = T::randn({n, n}, rng);
-  const bool saved = T::parallel::enabled();
-  T::parallel::set_enabled(false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(T::matmul(a, b));
-  }
-  T::parallel::set_enabled(saved);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n * n);
-}
-BENCHMARK(BM_TensorMatmulSerial)->Arg(128)->Arg(256)->Arg(384);
 
 // Fused a·bᵀ — the backward-pass workhorse (dA of every matmul/linear) and
 // the attention q·kᵀ score kernel. Compare against BM_TensorMatmul at the
@@ -85,23 +65,6 @@ static void BM_MatmulTN(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n * n);
 }
 BENCHMARK(BM_MatmulTN)->Arg(64)->Arg(128)->Arg(256);
-
-// The deadlock-free composition the reentrant pool enables: parallel tensor
-// kernels issued from inside a pool task (as every federated client does).
-static void BM_NestedParallelMatmul(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const T::Tensor a = T::randn({n, n}, rng);
-  const T::Tensor b = T::randn({n, n}, rng);
-  auto& pool = reffil::util::global_thread_pool();
-  for (auto _ : state) {
-    pool.parallel_for(4, [&](std::size_t) {
-      benchmark::DoNotOptimize(T::matmul(a, b));
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4 * n * n * n);
-}
-BENCHMARK(BM_NestedParallelMatmul)->Arg(128)->Arg(256);
 
 // The seven convs of nn::ResNetMini on a [3, 16, 16] image, by layer name.
 struct ConvBenchGeom {

@@ -479,6 +479,7 @@ void MethodBase::prepare_eval() {
 
 std::size_t MethodBase::predict(std::size_t worker_slot,
                                 const tensor::Tensor& image) {
+  obs::prof::Span span("cl.predict");
   AG::Var logits = eval_logits(replica(worker_slot), image, worker_slot);
   return T::argmax_rows(logits->value()).front();
 }

@@ -7,6 +7,7 @@
 #include "reffil/core/finch.hpp"
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
+#include "reffil/util/prof.hpp"
 #include "reffil/util/thread_pool.hpp"
 
 namespace reffil::core {
@@ -281,6 +282,7 @@ void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
   // in sample order.
   std::vector<T::Tensor> prompt_vecs(budget);
   util::global_thread_pool().fan_out(budget, [&](std::size_t i) {
+    obs::prof::Span span("cl.lpg_prompt");
     const data::Sample& sample = *view[i].sample;
     if (reffil_.use_cdap) {
       const AG::Var tokens = rep.net.tokenize(sample.image);

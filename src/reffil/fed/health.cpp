@@ -41,22 +41,17 @@ MonitorConfig MonitorConfig::parse(const std::string& spec) {
     try {
       std::size_t used = 0;
       value = std::stod(raw, &used);
-      if (used != raw.size()) throw std::invalid_argument(raw);
+      if (used != raw.size() || !std::isfinite(value)) {
+        throw std::invalid_argument(raw);
+      }
     } catch (const std::exception&) {
       throw ConfigError("monitor spec value '" + raw + "' for key '" + key +
-                        "' is not a number");
+                        "' is not a finite number");
     }
-    const auto as_size = [&](const char* name) {
-      if (value < 0.0) {
-        throw ConfigError(std::string("monitor ") + name +
-                          " must be non-negative");
-      }
-      return static_cast<std::size_t>(value);
-    };
     if (key == "norm_z") {
       config.norm_z = value;
     } else if (key == "norm_window") {
-      config.norm_window = as_size("norm_window");
+      config.norm_window = spec_count(value, "monitor norm_window");
     } else if (key == "quarantine_rate") {
       config.quarantine_rate = value;
     } else if (key == "latency_slo" || key == "latency_slo_s") {
@@ -64,11 +59,11 @@ MonitorConfig MonitorConfig::parse(const std::string& spec) {
     } else if (key == "slo_burn") {
       config.slo_burn = value;
     } else if (key == "slo_window") {
-      config.slo_window = as_size("slo_window");
+      config.slo_window = spec_count(value, "monitor slo_window");
     } else if (key == "accuracy_drop") {
       config.accuracy_drop = value;
     } else if (key == "recovery_rounds") {
-      config.recovery_rounds = as_size("recovery_rounds");
+      config.recovery_rounds = spec_count(value, "monitor recovery_rounds");
     } else {
       throw ConfigError("unknown monitor spec key '" + key + "'");
     }

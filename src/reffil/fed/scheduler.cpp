@@ -133,9 +133,9 @@ DesConfig DesConfig::parse(const std::string& spec) {
                         "' is not a non-negative number");
     }
     if (key == "registered") {
-      config.registered_clients = static_cast<std::size_t>(v);
+      config.registered_clients = spec_count(v, "des registered");
     } else if (key == "sample") {
-      config.sample_per_round = static_cast<std::size_t>(v);
+      config.sample_per_round = spec_count(v, "des sample");
     } else if (key == "offline") {
       config.offline_fraction = v;
     } else if (key == "diurnal") {
@@ -155,7 +155,7 @@ DesConfig DesConfig::parse(const std::string& spec) {
     } else if (key == "interval") {
       config.round_interval_s = v;
     } else if (key == "shards") {
-      config.accumulator_shards = static_cast<std::size_t>(v);
+      config.accumulator_shards = spec_count(v, "des shards");
     } else {
       throw ConfigError("unknown des spec key '" + key +
                         "' (known: registered, sample, offline, diurnal, "

@@ -80,7 +80,8 @@ FaultProfile FaultProfile::parse(const std::string& spec) {
     } else if (key == "deadline") {
       profile.deadline_s = v;
     } else if (key == "retries") {
-      profile.max_retries = static_cast<std::uint32_t>(v);
+      profile.max_retries = static_cast<std::uint32_t>(
+          spec_count(v, "fault profile retries", kMaxRetries));
     } else if (key == "backoff") {
       profile.backoff_s = v;
     } else {
@@ -96,7 +97,13 @@ FaultProfile FaultProfile::parse(const std::string& spec) {
 }
 
 Transport::Transport(FaultProfile profile, std::uint64_t seed)
-    : profile_(profile), rng_(seed) {}
+    : profile_(profile), rng_(seed) {
+  if (profile_.max_retries > FaultProfile::kMaxRetries) {
+    throw ConfigError("fault profile retries " +
+                      std::to_string(profile_.max_retries) + " exceeds " +
+                      std::to_string(FaultProfile::kMaxRetries));
+  }
+}
 
 std::vector<std::uint8_t> Transport::frame(
     const std::vector<std::uint8_t>& payload) {

@@ -53,8 +53,11 @@ struct FaultProfile {
   /// Server-side round deadline (straggler cutoff); 0 disables it. A message
   /// whose cumulative simulated time passes the deadline is timed out.
   double deadline_s = 0.0;
-  /// Retransmission budget per message (attempts = 1 + max_retries).
+  /// Retransmission budget per message (attempts = 1 + max_retries), at
+  /// most kMaxRetries: the last backoff factor 2^(max_retries-1) must fit
+  /// in 32 bits.
   std::uint32_t max_retries = 2;
+  static constexpr std::uint32_t kMaxRetries = 32;
   /// Exponential backoff before retry k: backoff_s * 2^(k-1) simulated
   /// seconds, counted against the deadline.
   double backoff_s = 0.0;
@@ -74,7 +77,8 @@ struct FaultProfile {
   /// Parse a comma-separated "key=value" spec, e.g.
   ///   "corrupt=0.2,poison=0.05,dup=0.1,latency=0.05,jitter=0.02,
   ///    deadline=0.5,retries=3,backoff=0.01"
-  /// Unknown keys or unparsable values throw ConfigError. An empty spec
+  /// Unknown keys, unparsable values and a retries value that is not a
+  /// whole number in [0, kMaxRetries] throw ConfigError. An empty spec
   /// yields the default (disabled) profile.
   static FaultProfile parse(const std::string& spec);
 };
@@ -82,7 +86,8 @@ struct FaultProfile {
 class Transport {
  public:
   /// Seed should be derived from RunConfig::seed so the whole fault sequence
-  /// is reproducible from the experiment seed alone.
+  /// is reproducible from the experiment seed alone. Throws ConfigError when
+  /// profile.max_retries exceeds FaultProfile::kMaxRetries.
   Transport(FaultProfile profile, std::uint64_t seed);
 
   /// Wrap a payload in the wire frame: magic, payload length, FNV-1a-64

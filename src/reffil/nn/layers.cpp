@@ -20,10 +20,6 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng
 }
 
 AG::Var Linear::forward(const AG::Var& x, std::size_t samples) const {
-  // The forward/backward matmuls dispatch to the row-parallel kernel above
-  // the flop threshold (tensor/parallel.hpp); inside a federated client's
-  // training task they inline on the worker's chunk, so batch-level and
-  // client-level parallelism compose without oversubscription.
   return AG::add_rowvec(AG::matmul(x, weight_, samples), bias_, samples);
 }
 

@@ -2,12 +2,8 @@
 //
 // These are the bodies behind the "scalar" entry of the runtime dispatch
 // table (kernels_dispatch.hpp); the AVX2/NEON targets reimplement the same
-// contracts with vector registers. ops.cpp (serial path) and parallel.cpp
-// (row-parallel path) both reach whichever target is active through the
-// table, so the two paths execute byte-for-byte the same per-element code:
-// the parallel layer merely hands each worker a disjoint [r0, r1) slice of
-// the output rows. That is what makes the parallel==serial bitwise
-// guarantee (DESIGN.md §6) hold by construction rather than by test luck.
+// contracts with vector registers. ops.cpp reaches whichever target is
+// active through the table.
 //
 // Determinism contract: for every output element out[i, j], the k-dimension
 // is streamed in increasing order with one float accumulator. The i/j cache

@@ -9,10 +9,9 @@
 // single fat binary runs unmodified from a baseline VM to an AVX2 server.
 //
 // Determinism contract (per dispatch target):
-//  * Within one target, results are a pure function of the inputs: the
-//    parallel layer row/block-partitions the same table kernels the serial
-//    path calls, so parallel == serial bitwise by construction, exactly as
-//    before (DESIGN.md §6).
+//  * Within one target, results are a pure function of the inputs, and
+//    row-range kernels are partition-invariant: any split of [r0, r1)
+//    reproduces the whole-range result bitwise.
 //  * The scalar target is bitwise-identical to the pre-dispatch kernels on
 //    finite inputs (it IS those kernels, minus the skip-zero rule, which
 //    never changed a finite result — see kernels.hpp).
@@ -51,9 +50,8 @@ struct Conv2dGeom {
 };
 
 /// One dispatch target. All pointers are non-null in every registered
-/// table. Row-range kernels take [r0, r1) so the parallel layer can hand
-/// each worker a disjoint slice of the same code path the serial caller
-/// uses.
+/// table. Row-range kernels take [r0, r1); ops.cpp always passes the whole
+/// range.
 struct Kernels {
   const char* name;
 

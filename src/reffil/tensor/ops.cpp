@@ -4,29 +4,19 @@
 #include <cmath>
 
 #include "reffil/tensor/kernels_dispatch.hpp"
-#include "reffil/tensor/parallel.hpp"
 #include "reffil/util/prof.hpp"
 
 namespace reffil::tensor {
 
-namespace P = parallel;
-
 namespace {
 
-/// Elementwise driver: runs fn(lo, hi) over [0, n), fanning out on the
-/// global pool above the elementwise threshold. Blocks are disjoint, so the
-/// result is bitwise identical to the serial loop either way. Templated so
-/// the (overwhelmingly common) serial path never materializes a
-/// std::function — graph replay counts on the serial path being
-/// allocation-free.
+/// Elementwise driver: runs fn(0, n) under the `elementwise` profiler span.
+/// Templated so the loop never materializes a std::function — graph replay
+/// counts on it being allocation-free.
 template <typename Fn>
-void elementwise_blocks(std::size_t n, const Fn& fn) {
+void run_elementwise(std::size_t n, const Fn& fn) {
   obs::prof::Span span("elementwise", n * sizeof(float));
-  if (P::should_parallelize(n, P::kElementwiseThreshold)) {
-    P::for_range(n, P::kElementwiseThreshold / 2, fn);
-  } else {
-    fn(0, n);
-  }
+  fn(0, n);
 }
 
 void require_same_shape(const Tensor& a, const Tensor& b, const char* op) {
@@ -55,7 +45,7 @@ void zip_into(const Tensor& a, const Tensor& b, const char* op,
   const float* pa = a.begin();
   const float* pb = b.begin();
   float* po = out.begin();
-  elementwise_blocks(a.numel(), [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
   });
 }
@@ -76,7 +66,7 @@ void scalar_op_into(const Tensor& a, const char* op, float s, F f,
   require_out_numel(a, out, op);
   const float* pa = a.begin();
   float* po = out.begin();
-  elementwise_blocks(a.numel(), [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i], s);
   });
 }
@@ -179,7 +169,7 @@ void map_into(const Tensor& a, const std::function<float(float)>& f,
   require_out_numel(a, out, "map_into");
   const float* pa = a.begin();
   float* po = out.begin();
-  elementwise_blocks(a.numel(), [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i]);
   });
 }
@@ -194,7 +184,7 @@ void relu_backward_into(const Tensor& x, const Tensor& g, Tensor& out) {
   const float* pg = g.begin();
   float* po = out.begin();
   const kern::Kernels& k = kern::active();
-  elementwise_blocks(x.numel(), [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(x.numel(), [&](std::size_t lo, std::size_t hi) {
     k.relu_backward(po, px, pg, lo, hi);
   });
 }
@@ -222,7 +212,7 @@ Tensor map(const Tensor& a, const std::function<float(float)>& f) {
   Tensor out(a.shape());
   const float* pa = a.begin();
   float* po = out.begin();
-  elementwise_blocks(a.numel(), [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i]);
   });
   return out;
@@ -233,7 +223,7 @@ void add_inplace(Tensor& a, const Tensor& b) {
   float* pa = a.begin();
   const float* pb = b.begin();
   const kern::Kernels& k = kern::active();
-  elementwise_blocks(a.numel(), [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
     k.add(pa, pb, lo, hi);
   });
 }
@@ -243,7 +233,7 @@ void fold_add_inplace(Tensor& a, const float* blocks, std::size_t n) {
   float* pa = a.begin();
   const kern::Kernels& k = kern::active();
   // Per element the same adds, in the same order, as n add_inplace calls.
-  elementwise_blocks(size, [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(size, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = n; s-- > 0;) k.add(pa, blocks + s * size, lo, hi);
   });
 }
@@ -253,7 +243,7 @@ void axpy_inplace(Tensor& a, float s, const Tensor& b) {
   float* pa = a.begin();
   const float* pb = b.begin();
   const kern::Kernels& k = kern::active();
-  elementwise_blocks(a.numel(), [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
     k.axpy(pa, s, pb, lo, hi);
   });
 }
@@ -261,7 +251,7 @@ void axpy_inplace(Tensor& a, float s, const Tensor& b) {
 void scale_inplace(Tensor& a, float s) {
   float* pa = a.begin();
   const kern::Kernels& k = kern::active();
-  elementwise_blocks(a.numel(), [&](std::size_t lo, std::size_t hi) {
+  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
     k.scale(pa, s, lo, hi);
   });
 }
@@ -314,10 +304,9 @@ std::uint64_t matmul_bytes(const MatmulDims& d) {
 enum class Layout { kNN, kNT, kTN };
 
 // Runs one product per sample block of a, b and out (out already
-// zero-filled): the row-parallel layer above the matmul threshold, the
-// active target's row kernel below it, both the kernels.hpp rows. The
-// allocating forms and the *_into wrappers (which zero `out` first) all land
-// here, so a sample block is bitwise its one-block product.
+// zero-filled) through the active target's row kernel. The allocating forms
+// and the *_into wrappers (which zero `out` first) all land here, so a
+// sample block is bitwise its one-block product.
 void matmul_dispatch(const Tensor& a, const Tensor& b, Tensor& out,
                      const MatmulDims& d, Layout layout,
                      std::size_t samples = 1) {
@@ -325,26 +314,12 @@ void matmul_dispatch(const Tensor& a, const Tensor& b, Tensor& out,
   obs::prof::Span span(kNames[static_cast<int>(layout)],
                        matmul_bytes(d) * samples);
   const kern::Kernels& kt = kern::active();
-  const bool parallel =
-      P::should_parallelize(d.m * d.n * d.k, P::kMatmulFlopThreshold);
   const std::size_t a_rows = layout == Layout::kTN ? d.k : d.m;
   const std::size_t b_rows = layout == Layout::kNT ? d.n : d.k;
   for (std::size_t s = 0; s < samples; ++s) {
     const float* pa = a.begin() + s * a_rows * a.dim(1);
     const float* pb = b.begin() + s * b_rows * b.dim(1);
     float* po = out.begin() + s * d.m * d.n;
-    if (parallel) {
-      // Views of the sample's blocks (read-only for a and b).
-      const Tensor av = Tensor::view(const_cast<float*>(pa), {a_rows, a.dim(1)});
-      const Tensor bv = Tensor::view(const_cast<float*>(pb), {b_rows, b.dim(1)});
-      Tensor ov = Tensor::view(po, {d.m, d.n});
-      switch (layout) {
-        case Layout::kNN: P::matmul_into(av, bv, ov); break;
-        case Layout::kNT: P::matmul_nt_into(av, bv, ov); break;
-        case Layout::kTN: P::matmul_tn_into(av, bv, ov); break;
-      }
-      continue;
-    }
     switch (layout) {
       case Layout::kNN: kt.matmul_rows_nn(pa, pb, po, 0, d.m, d.k, d.n); break;
       case Layout::kNT: kt.matmul_rows_nt(pa, pb, po, 0, d.m, d.k, d.n); break;
@@ -404,21 +379,6 @@ void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out,
 
 namespace {
 
-/// Runs fn(lo, hi) over [0, rows) channel blocks: on the global pool above
-/// the matmul threshold (counted per sample), inline otherwise (templated
-/// for the same reason as elementwise_blocks). Every block covers all
-/// samples.
-template <typename Fn>
-void conv_channel_blocks(const kern::Conv2dGeom& g, std::size_t rows,
-                         const Fn& fn) {
-  const std::size_t macs = g.cout * g.cin * g.kh * g.kw * g.hout * g.wout;
-  if (P::should_parallelize(macs, P::kMatmulFlopThreshold)) {
-    P::for_range(rows, 1, fn);
-  } else {
-    fn(0, rows);
-  }
-}
-
 std::uint64_t conv_bytes(const Tensor& a, const Tensor& b, const Tensor& out) {
   return (a.numel() + b.numel() + out.numel()) * sizeof(float);
 }
@@ -431,10 +391,8 @@ void conv2d_into(const Tensor& input, const Tensor& weight, const Tensor& bias,
                    "conv2d_into: output numel mismatch");
   obs::prof::Span span("conv2d", conv_bytes(input, weight, out));
   const kern::Kernels& k = kern::active();
-  conv_channel_blocks(g, g.cout, [&](std::size_t lo, std::size_t hi) {
-    k.conv2d_forward(input.begin(), weight.begin(), bias.begin(), out.begin(),
-                     lo, hi, g);
-  });
+  k.conv2d_forward(input.begin(), weight.begin(), bias.begin(), out.begin(),
+                   0, g.cout, g);
 }
 
 void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
@@ -443,10 +401,8 @@ void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
                    "conv2d_weight_grad_into: output numel mismatch");
   obs::prof::Span span("conv2d_wgrad", conv_bytes(input, grad_out, dweight));
   const kern::Kernels& k = kern::active();
-  conv_channel_blocks(g, g.cout, [&](std::size_t lo, std::size_t hi) {
-    k.conv2d_weight_grad(input.begin(), grad_out.begin(), dweight.begin(), lo,
-                         hi, g);
-  });
+  k.conv2d_weight_grad(input.begin(), grad_out.begin(), dweight.begin(), 0,
+                       g.cout, g);
 }
 
 void conv2d_input_grad_into(const Tensor& weight, const Tensor& grad_out,
@@ -455,10 +411,8 @@ void conv2d_input_grad_into(const Tensor& weight, const Tensor& grad_out,
                    "conv2d_input_grad_into: output numel mismatch");
   obs::prof::Span span("conv2d_igrad", conv_bytes(weight, grad_out, dinput));
   const kern::Kernels& k = kern::active();
-  conv_channel_blocks(g, g.cin, [&](std::size_t lo, std::size_t hi) {
-    k.conv2d_input_grad(weight.begin(), grad_out.begin(), dinput.begin(), lo,
-                        hi, g);
-  });
+  k.conv2d_input_grad(weight.begin(), grad_out.begin(), dinput.begin(), 0,
+                      g.cin, g);
 }
 
 Tensor transpose2d(const Tensor& a) {
@@ -477,10 +431,6 @@ void transpose2d_into(const Tensor& a, Tensor& out) {
                      shape_to_string(a.shape()));
   }
   obs::prof::Span span("transpose2d", 2 * m * n * sizeof(float));
-  if (P::should_parallelize(m * n, P::kElementwiseThreshold)) {
-    P::transpose2d_into(a, out);
-    return;
-  }
   const float* pa = a.begin();
   float* po = out.begin();
   for (std::size_t i = 0; i < m; ++i) {
@@ -595,10 +545,9 @@ float cosine_similarity(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-// Shared row-parallel driver for the softmax family; `out` must have the
-// logits' numel. Rows are independent, so the attention score matrices
-// ([T, T] per head) partition cleanly across workers; per-row arithmetic
-// lives in the dispatch table (degenerate-row semantics documented there).
+// Shared driver for the softmax family; `out` must have the logits' numel.
+// Per-row arithmetic lives in the dispatch table (degenerate-row semantics
+// documented there).
 void softmax_family_into(const Tensor& logits, Tensor& out, const char* op,
                          bool log_form) {
   require_rank2(logits, op);
@@ -609,18 +558,10 @@ void softmax_family_into(const Tensor& logits, Tensor& out, const char* op,
   const kern::Kernels& k = kern::active();
   const float* src = logits.begin();
   float* dst = out.begin();
-  auto rows = [&](std::size_t lo, std::size_t hi) {
-    if (log_form) {
-      k.log_softmax_rows(src, dst, lo, hi, n);
-    } else {
-      k.softmax_rows(src, dst, lo, hi, n);
-    }
-  };
-  if (P::should_parallelize(m * n, P::kElementwiseThreshold) &&
-      m >= P::kRowThreshold) {
-    P::for_range(m, P::kRowThreshold / 2, rows);
+  if (log_form) {
+    k.log_softmax_rows(src, dst, 0, m, n);
   } else {
-    rows(0, m);
+    k.softmax_rows(src, dst, 0, m, n);
   }
 }
 

@@ -6,11 +6,9 @@
 // keep shape errors loud (Core Guidelines P.4: compile/run-time checkable
 // interfaces).
 //
-// Hot kernels (matmul, transpose2d, elementwise/axpy, row softmax) dispatch
-// to reffil/tensor/parallel.hpp above a size threshold and run on the
-// reentrant global thread pool; below it they use the serial loops. Both
-// paths produce bitwise-identical results (disjoint output partitions, same
-// per-element order), so numerics never depend on thread count.
+// Every kernel runs serially on the calling thread; parallelism lives above
+// this layer (client slots, sample runs), so numerics never depend on
+// thread count.
 #pragma once
 
 #include <functional>
@@ -83,9 +81,8 @@ void scale_inplace(Tensor& a, float s);
 
 // ---- linear algebra ---------------------------------------------------------
 // The matmul family is cache-tiled over i/j with k streamed in order, so the
-// tiled kernels are bitwise identical to the plain triple loop, and
-// row-parallel above parallel::kMatmulFlopThreshold. The _nt/_tn fused
-// variants read the transposed operand in place — matmul_nt(a, b) ==
+// tiled kernels are bitwise identical to the plain triple loop. The _nt/_tn
+// fused variants read the transposed operand in place — matmul_nt(a, b) ==
 // matmul(a, transpose2d(b)) and matmul_tn(a, b) == matmul(transpose2d(a), b)
 // bitwise, with no transposed temporary ever materialized. The *_into forms
 // overwrite a preallocated output (for pool::Scratch reuse on the autograd
@@ -104,7 +101,7 @@ void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out,
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out,
                     std::size_t samples = 1);
-/// 2-D transpose (parallel above parallel::kElementwiseThreshold).
+/// 2-D transpose.
 Tensor transpose2d(const Tensor& a);
 void transpose2d_into(const Tensor& a, Tensor& out);
 /// Matrix-vector product [m,k]x[k] -> [m].
@@ -113,10 +110,8 @@ Tensor matvec(const Tensor& a, const Tensor& x);
 // ---- direct convolution -----------------------------------------------------
 // Drivers for the dispatch-table conv kernels (kernels_dispatch.hpp). `g`
 // describes every shape: input [n,cin,h,w], weight [cout, cin*kh*kw], bias
-// [cout], output [n,cout,hout,wout]; the caller validates them. Channels fan
-// out on the global pool above parallel::kMatmulFlopThreshold multiply-adds
-// per sample, like the matmul rows these replace, with bitwise-identical
-// results either way. Each call overwrites its output.
+// [cout], output [n,cout,hout,wout]; the caller validates them. Each call
+// overwrites its output.
 void conv2d_into(const Tensor& input, const Tensor& weight, const Tensor& bias,
                  const kern::Conv2dGeom& g, Tensor& out);
 /// Per-sample weight-gradient partials dweight[n, cout, cin*kh*kw] from the

@@ -5,6 +5,8 @@
 // a precise category or everything the library can throw.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -34,6 +36,22 @@ class ConfigError : public Error {
  public:
   explicit ConfigError(const std::string& what) : Error("config error: " + what) {}
 };
+
+/// Largest count a spec value may name: every whole number up to 2^53 is
+/// exact as a double, so the cast below is always defined.
+inline constexpr std::uint64_t kMaxSpecCount = std::uint64_t{1} << 53;
+
+/// A spec value that must be a count: returns `v` when it is a whole number
+/// in [0, max], and throws ConfigError naming `key` for a fraction, a
+/// negative, NaN or a value out of range.
+inline std::uint64_t spec_count(double v, const std::string& key,
+                                std::uint64_t max = kMaxSpecCount) {
+  if (!(v >= 0.0 && v <= static_cast<double>(max) && v == std::trunc(v))) {
+    throw ConfigError(key + " must be a whole number in [0, " +
+                      std::to_string(max) + "]");
+  }
+  return static_cast<std::uint64_t>(v);
+}
 
 /// Federated-protocol violation (e.g. client replies to the wrong round).
 class ProtocolError : public Error {

@@ -1,5 +1,7 @@
 // Reentrant, work-helping thread pool used to run federated clients in
-// parallel and to back the parallel tensor kernels underneath them.
+// parallel, to evaluate samples in parallel, and to fan a client's sample
+// runs out to idle workers. Tensor kernels never use it: they run serially
+// on the calling thread.
 //
 // Semantics: submit() enqueues a task and returns a std::future; the pool
 // drains the queue with `threads` workers. parallel_for() chunks the index

@@ -115,6 +115,18 @@ TEST(DesConfig, ParseRejectsBadSpecs) {
                ConfigError);
 }
 
+TEST(DesConfig, ParseRejectsCountsThatAreNotWholeOrDoNotFit) {
+  EXPECT_THROW(fed::DesConfig::parse("registered=1e30,sample=10"), ConfigError);
+  EXPECT_THROW(fed::DesConfig::parse("registered=1000,sample=1e30"),
+               ConfigError);
+  EXPECT_THROW(fed::DesConfig::parse("registered=1000,shards=1e30"),
+               ConfigError);
+  EXPECT_THROW(fed::DesConfig::parse("registered=1000.5"), ConfigError);
+  EXPECT_THROW(fed::DesConfig::parse("registered=nan"), ConfigError);
+  EXPECT_EQ(fed::DesConfig::parse("registered=1e6").registered_clients,
+            1000000u);
+}
+
 // ---- DesScheduler: sampling ------------------------------------------------
 
 TEST(DesScheduler, RejectsSampleLargerThanRegistered) {

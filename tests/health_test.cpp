@@ -97,6 +97,19 @@ TEST(MonitorConfig, ParseRejectsUnknownKeysAndBadValues) {
   EXPECT_NO_THROW(fed::MonitorConfig::parse("norm_z=3,"));
 }
 
+TEST(MonitorConfig, ParseRejectsNonFiniteKnobsAndCountsThatDoNotFit) {
+  // norm_z=nan compared false against every z-score: a silently dead detector.
+  EXPECT_THROW(fed::MonitorConfig::parse("norm_z=nan"), ConfigError);
+  EXPECT_THROW(fed::MonitorConfig::parse("latency_slo=inf"), ConfigError);
+  EXPECT_THROW(fed::MonitorConfig::parse("accuracy_drop=-inf"), ConfigError);
+  EXPECT_THROW(fed::MonitorConfig::parse("norm_window=1e30"), ConfigError);
+  EXPECT_THROW(fed::MonitorConfig::parse("slo_window=1e30"), ConfigError);
+  EXPECT_THROW(fed::MonitorConfig::parse("recovery_rounds=1e30"), ConfigError);
+  EXPECT_THROW(fed::MonitorConfig::parse("norm_window=2.5"), ConfigError);
+  // A negative double knob still disables its detector.
+  EXPECT_DOUBLE_EQ(fed::MonitorConfig::parse("norm_z=-1").norm_z, -1.0);
+}
+
 TEST(HealthMonitor, QuarantineRateFiresOnSpike) {
   auto config = quiet();
   config.quarantine_rate = 0.25;

@@ -33,7 +33,6 @@
 
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/ops.hpp"
-#include "reffil/tensor/parallel.hpp"
 #include "reffil/tensor/quant.hpp"
 #include "reffil/tensor/tensor.hpp"
 #include "reffil/util/rng.hpp"
@@ -169,8 +168,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 300, 2)));
 
 TEST(CrossIsa, MatmulRowPartitionIsBitwiseInvariantPerTarget) {
-  // The parallel layer hands each worker a [r0, r1) slice; any split must
-  // reproduce the full-range result bitwise within one target.
+  // Row-range kernels take a [r0, r1) slice; any split must reproduce the
+  // full-range result bitwise within one target.
   const std::size_t m = 13, k = 37, n = 21;
   const auto a = random_vec(m * k, 101);
   const auto b = random_vec(k * n, 103);
@@ -408,7 +407,7 @@ TEST(KernelSemantics, NaNRowStaysNaN) {
 }
 
 TEST(KernelSemantics, PublicSoftmaxHandlesDegenerateRows) {
-  // Through the public op (active target + parallel dispatch path).
+  // Through the public op (active target).
   T::Tensor logits({2, 3});
   logits.at(0) = -kInf;
   logits.at(1) = -kInf;
@@ -553,8 +552,7 @@ TEST(KernelSemantics, F16RoundTripClampsAndStaysFinite) {
 
 TEST(KernelSemantics, SoftmaxRowRangeIsPartitionInvariant) {
   // Same row-partition argument as matmul: splitting [r0, r1) must be
-  // bitwise-invisible within a target (this is what makes the parallel
-  // softmax path bitwise equal to serial).
+  // bitwise-invisible within a target.
   const std::size_t m = 11, n = 19;
   const auto src = random_vec(m * n, 977);
   for (const kern::Kernels* t : kern::runnable()) {

@@ -12,8 +12,6 @@
 //    the per-element accumulation order. (The SIMD targets may use FMA, so
 //    this identity is pinned to the scalar table; cross-target equivalence
 //    at 1e-5 lives in kernels_dispatch_test.cpp.)
-//  * The parallel row-partitioned path equals the serial path exactly within
-//    the active target (the PR 1 guarantee, extended to the new variants).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +20,6 @@
 
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/ops.hpp"
-#include "reffil/tensor/parallel.hpp"
 #include "reffil/tensor/tensor.hpp"
 #include "reffil/util/rng.hpp"
 
@@ -30,11 +27,6 @@ namespace T = reffil::tensor;
 namespace kern = reffil::tensor::kern;
 
 namespace {
-
-struct ParallelGuard {
-  bool saved = T::parallel::enabled();
-  ~ParallelGuard() { T::parallel::set_enabled(saved); }
-};
 
 void expect_bitwise_equal(const T::Tensor& a, const T::Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
@@ -75,8 +67,6 @@ TEST_P(FusedMatmulShapes, NtMatchesTransposeCompositionBitwise) {
   reffil::util::Rng rng(m * 1009 + k * 31 + n);
   const auto a = T::randn({m, k}, rng);
   const auto b = T::randn({n, k}, rng);
-  ParallelGuard guard;
-  T::parallel::set_enabled(false);
   expect_bitwise_equal(T::matmul_nt(a, b), T::matmul(a, T::transpose2d(b)));
 }
 
@@ -85,8 +75,6 @@ TEST_P(FusedMatmulShapes, TnMatchesTransposeCompositionBitwise) {
   reffil::util::Rng rng(m * 2003 + k * 37 + n);
   const auto a = T::randn({k, m}, rng);
   const auto b = T::randn({k, n}, rng);
-  ParallelGuard guard;
-  T::parallel::set_enabled(false);
   expect_bitwise_equal(T::matmul_tn(a, b), T::matmul(T::transpose2d(a), b));
 }
 
@@ -113,40 +101,14 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(32, 128, 128),   // exact tile multiples
                       std::make_tuple(33, 129, 127),   // one past / one short
                       std::make_tuple(64, 200, 130),   // spans several tiles
-                      std::make_tuple(5, 300, 2)));    // deep-k, narrow out
-
-TEST(FusedMatmulParallel, NtBitwiseMatchesSerialAboveThreshold) {
-  reffil::util::Rng rng(501);
-  // 160*144*152 MACs sits above kMatmulFlopThreshold.
-  const auto a = T::randn({160, 144}, rng);
-  const auto b = T::randn({152, 144}, rng);
-  ParallelGuard guard;
-  T::parallel::set_enabled(true);
-  const auto parallel = T::matmul_nt(a, b);
-  T::parallel::set_enabled(false);
-  const auto serial = T::matmul_nt(a, b);
-  expect_bitwise_equal(parallel, serial);
-}
-
-TEST(FusedMatmulParallel, TnBitwiseMatchesSerialAboveThreshold) {
-  reffil::util::Rng rng(502);
-  const auto a = T::randn({144, 160}, rng);
-  const auto b = T::randn({144, 152}, rng);
-  ParallelGuard guard;
-  T::parallel::set_enabled(true);
-  const auto parallel = T::matmul_tn(a, b);
-  T::parallel::set_enabled(false);
-  const auto serial = T::matmul_tn(a, b);
-  expect_bitwise_equal(parallel, serial);
-}
+                      std::make_tuple(5, 300, 2),      // deep-k, narrow out
+                      std::make_tuple(160, 144, 152)));  // five row tiles
 
 TEST(FusedMatmulInto, IntoOverwritesStaleContents) {
   reffil::util::Rng rng(503);
   const auto a = T::randn({4, 6}, rng);
   const auto bn = T::randn({6, 3}, rng);
   const auto bt = T::randn({3, 6}, rng);
-  ParallelGuard guard;
-  T::parallel::set_enabled(false);
   T::Tensor out({4, 3});
   std::fill(out.begin(), out.end(), 42.0f);  // stale garbage must not leak
   T::matmul_into(a, bn, out);

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "reffil/tensor/ops.hpp"
-#include "reffil/tensor/parallel.hpp"
 #include "reffil/tensor/tensor.hpp"
 #include "reffil/util/rng.hpp"
 
@@ -259,83 +258,3 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MatmulProperty,
                                            std::make_tuple(5, 1, 7),
                                            std::make_tuple(8, 8, 8),
                                            std::make_tuple(13, 17, 3)));
-
-// ---- parallel kernel layer --------------------------------------------------
-// The parallel kernels partition outputs into disjoint blocks computed with
-// the serial per-element order, so results must be *bitwise* equal to the
-// serial kernels — these tests force both paths and compare exactly.
-
-namespace {
-
-/// Restores the parallel-dispatch switch on scope exit.
-struct ParallelGuard {
-  bool saved = T::parallel::enabled();
-  ~ParallelGuard() { T::parallel::set_enabled(saved); }
-};
-
-void expect_bitwise_equal(const T::Tensor& a, const T::Tensor& b) {
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a.at(i), b.at(i)) << "flat index " << i;
-  }
-}
-
-}  // namespace
-
-TEST(TensorParallel, LargeMatmulBitwiseMatchesSerial) {
-  reffil::util::Rng rng(101);
-  // 160*144*152 MACs sits above kMatmulFlopThreshold.
-  const auto a = T::randn({160, 144}, rng);
-  const auto b = T::randn({144, 152}, rng);
-  ParallelGuard guard;
-  T::parallel::set_enabled(true);
-  const auto parallel = T::matmul(a, b);
-  T::parallel::set_enabled(false);
-  const auto serial = T::matmul(a, b);
-  expect_bitwise_equal(parallel, serial);
-}
-
-TEST(TensorParallel, LargeTransposeBitwiseMatchesSerial) {
-  reffil::util::Rng rng(102);
-  const auto a = T::randn({300, 150}, rng);  // numel above the threshold
-  ParallelGuard guard;
-  T::parallel::set_enabled(true);
-  const auto parallel = T::transpose2d(a);
-  T::parallel::set_enabled(false);
-  const auto serial = T::transpose2d(a);
-  expect_bitwise_equal(parallel, serial);
-}
-
-TEST(TensorParallel, LargeElementwiseAndAxpyBitwiseMatchSerial) {
-  reffil::util::Rng rng(103);
-  const auto a = T::randn({64, 1024}, rng);  // 65536 elements
-  const auto b = T::randn({64, 1024}, rng);
-  ParallelGuard guard;
-  T::parallel::set_enabled(true);
-  const auto sum_parallel = T::add(a, b);
-  const auto exp_parallel = T::exp(a);
-  auto axpy_parallel = a;
-  T::axpy_inplace(axpy_parallel, 0.37f, b);
-  T::parallel::set_enabled(false);
-  const auto sum_serial = T::add(a, b);
-  const auto exp_serial = T::exp(a);
-  auto axpy_serial = a;
-  T::axpy_inplace(axpy_serial, 0.37f, b);
-  expect_bitwise_equal(sum_parallel, sum_serial);
-  expect_bitwise_equal(exp_parallel, exp_serial);
-  expect_bitwise_equal(axpy_parallel, axpy_serial);
-}
-
-TEST(TensorParallel, LargeSoftmaxRowsBitwiseMatchesSerial) {
-  reffil::util::Rng rng(104);
-  const auto logits = T::randn({256, 256}, rng);
-  ParallelGuard guard;
-  T::parallel::set_enabled(true);
-  const auto sm_parallel = T::softmax_rows(logits);
-  const auto lsm_parallel = T::log_softmax_rows(logits);
-  T::parallel::set_enabled(false);
-  const auto sm_serial = T::softmax_rows(logits);
-  const auto lsm_serial = T::log_softmax_rows(logits);
-  expect_bitwise_equal(sm_parallel, sm_serial);
-  expect_bitwise_equal(lsm_parallel, lsm_serial);
-}

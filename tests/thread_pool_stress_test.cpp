@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "reffil/tensor/ops.hpp"
-#include "reffil/tensor/parallel.hpp"
 #include "reffil/util/rng.hpp"
 #include "reffil/util/thread_pool.hpp"
 
@@ -233,12 +232,12 @@ TEST(ThreadPoolFanOut, ConcurrentCallersNeverDeadlock) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 30 * 2 * 16);
 }
 
-// The end-to-end shape that motivated the rework: the federated runtime
-// fans out over clients on the global pool, and each client's training math
-// issues parallel tensor kernels — which must inline, not deadlock.
+// The shape of a federated round: the runtime fans out over clients on the
+// global pool and each client's training math runs tensor kernels inside its
+// task; every task must get the same bits as a top-level call.
 TEST(ThreadPoolReentrant, TensorKernelsInsideGlobalPoolTasks) {
   auto& pool = reffil::util::global_thread_pool();
-  const std::size_t n = 128;  // 128^3 MACs is above kMatmulFlopThreshold
+  const std::size_t n = 128;
   reffil::util::Rng rng(7);
   const T::Tensor a = T::randn({n, n}, rng);
   const T::Tensor b = T::randn({n, n}, rng);

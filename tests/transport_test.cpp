@@ -188,6 +188,32 @@ TEST(FaultProfile, ParseRejectsBadSpecs) {
   EXPECT_FALSE(fed::FaultProfile::parse("").enabled());
 }
 
+TEST(FaultProfile, RetriesMustBeAWholeNumberUpToTheBackoffLimit) {
+  // 2^32 - 1 retries wrapped the attempt counter (an endless delivery loop)
+  // and 33 or more shifted the backoff factor past 32 bits.
+  EXPECT_THROW(fed::FaultProfile::parse("corrupt=1,retries=4294967295"),
+               ConfigError);
+  EXPECT_THROW(fed::FaultProfile::parse("corrupt=1,retries=40"), ConfigError);
+  EXPECT_THROW(fed::FaultProfile::parse("retries=33"), ConfigError);
+  EXPECT_THROW(fed::FaultProfile::parse("retries=2.5"), ConfigError);
+  EXPECT_THROW(fed::FaultProfile::parse("retries=1e30"), ConfigError);
+  for (std::uint32_t r : {0u, 1u, 2u, 3u, 4u, 5u, 32u}) {
+    EXPECT_EQ(fed::FaultProfile::parse("retries=" + std::to_string(r))
+                  .max_retries,
+              r);
+  }
+  // A profile built in code hits the same bound at the transport.
+  fed::FaultProfile p;
+  p.corrupt = 1.0;
+  p.max_retries = fed::FaultProfile::kMaxRetries + 1;
+  EXPECT_THROW(fed::Transport(p, 1), ConfigError);
+  p.max_retries = fed::FaultProfile::kMaxRetries;
+  fed::Transport transport(p, 1);
+  const auto d = transport.send_broadcast(fed::Transport::frame(sample_payload()));
+  EXPECT_NE(d.outcome, fed::Transport::Outcome::kDelivered);
+  EXPECT_EQ(d.retries, fed::FaultProfile::kMaxRetries);
+}
+
 // ---- delivery outcomes -----------------------------------------------------
 
 TEST(Transport, CleanProfileDeliversExactlyOnce) {
