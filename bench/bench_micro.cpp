@@ -8,6 +8,7 @@
 #include "reffil/autograd/ops.hpp"
 #include "reffil/cl/method_base.hpp"
 #include "reffil/core/cdap.hpp"
+#include "reffil/core/reffil.hpp"
 #include "reffil/core/finch.hpp"
 #include "reffil/data/generator.hpp"
 #include "reffil/fed/compress.hpp"
@@ -20,6 +21,7 @@
 #include "reffil/tensor/ops.hpp"
 #include "reffil/tensor/pool.hpp"
 #include "reffil/util/prof.hpp"
+#include "reffil/util/byte_buffer.hpp"
 #include "reffil/util/thread_pool.hpp"
 
 namespace AG = reffil::autograd;
@@ -232,6 +234,83 @@ static void BM_TrainStepBatched(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_TrainStepBatched)->Arg(1)->Arg(9)->Arg(16)->UseRealTime();
+
+// The same two paths for one RefFiL step (CE, GPL over P-bar and two other
+// domains' contexts, DPCL) on a third-task in-between client: its batch
+// mixes two task keys, so the GPL contexts a sample takes differ. The
+// broadcast prompt state is made up from random summaries of three domains.
+class RefFiLStep : public reffil::core::RefFiLMethod {
+ public:
+  explicit RefFiLStep(std::size_t n)
+      : RefFiLMethod(reffil::cl::MethodConfig{.parallelism = 1}) {
+    Rng rng(13);
+    const auto& net = config().net;
+    reffil::util::ByteWriter writer;
+    writer.write_u32(1);
+    writer.write_u64(3 * net.num_classes);  // (class, domain) summaries
+    for (std::size_t label = 0; label < net.num_classes; ++label) {
+      for (std::size_t task = 0; task < 3; ++task) {
+        writer.write_u64(label);
+        writer.write_u64(task);
+        T::randn({net.token_dim}, rng).serialize(writer);
+      }
+    }
+    writer.write_u64(net.num_classes);  // three representatives per class
+    for (std::size_t label = 0; label < net.num_classes; ++label) {
+      writer.write_u64(label);
+      writer.write_u64(3);
+      for (int r = 0; r < 3; ++r) T::randn({net.token_dim}, rng).serialize(writer);
+    }
+    const std::vector<std::uint8_t> bytes = writer.take();
+    reffil::util::ByteReader reader(bytes);
+    read_broadcast_extras(reader, 0);
+    job.task = 2;
+    job.group = reffil::fed::ClientGroup::kInBetween;
+    for (std::size_t i = 0; i < n; ++i) {
+      samples.push_back({T::randn({1, 16, 16}, rng), i % net.num_classes});
+    }
+    for (std::size_t i = 0; i < n; ++i) batch.push_back({&samples[i], 1 + i % 2});
+  }
+
+  /// One step: per-sample graphs, or runs split as train_step_eager does.
+  void step(bool batched) {
+    const std::size_t n = batch.size();
+    auto& pool = reffil::util::global_thread_pool();
+    const std::size_t runs = batched ? batched_runs(n, pool.spare_workers()) : n;
+    auto& rep = replica(0);
+    reffil::nn::SgdOptimizer optimizer(rep.parameters(),
+                                       {.learning_rate = 0.01f, .momentum = 0.9f});
+    optimizer.zero_grad();
+    const float scale = 1.0f / static_cast<float>(n);
+    fold.sweep_runs(pool, n, runs, [&](std::size_t lo, std::size_t hi) {
+      AG::backward(batched ? run_loss(rep, batch, lo, hi, job, 0)
+                           : AG::mul_scalar(sample_loss(rep, batch[lo], job, 0),
+                                            scale));
+    });
+    optimizer.step();
+  }
+
+  reffil::fed::TrainJob job;
+  std::vector<reffil::data::Sample> samples;
+  std::vector<TaggedSample> batch;
+  AG::OrderedFold fold;
+};
+
+static void BM_TrainStepPerSampleRefFiL(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  RefFiLStep step(n);
+  for (auto _ : state) step.step(/*batched=*/false);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_TrainStepPerSampleRefFiL)->Arg(1)->Arg(9)->Arg(16)->UseRealTime();
+
+static void BM_TrainStepBatchedRefFiL(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  RefFiLStep step(n);
+  for (auto _ : state) step.step(/*batched=*/true);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_TrainStepBatchedRefFiL)->Arg(1)->Arg(9)->Arg(16)->UseRealTime();
 
 // The same client step through capture-and-replay (autograd/graph.hpp): one
 // capture outside the loop, then bind+replay+SGD per iteration. Compare

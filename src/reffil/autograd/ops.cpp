@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 
 #include "reffil/autograd/graph.hpp"
 #include "reffil/tensor/kernels_dispatch.hpp"
@@ -260,7 +261,7 @@ Var matmul(const Var& a, const Var& b, std::size_t samples) {
           const std::size_t k = b->value().dim(0), n = b->value().dim(1);
           T::pool::Scratch db({samples * k, n}, /*zero=*/false);
           T::matmul_tn_into(a->value(), g, *db, samples);
-          fold_sample_grads(*b, *db, samples);
+          fold_sample_grads(*b, std::move(db), samples);
         }
       },
       "ag.matmul");
@@ -270,7 +271,7 @@ Var matmul(const Var& a, const Var& b, std::size_t samples) {
   return out;
 }
 
-Var matmul_nt(const Var& a, const Var& b, std::size_t samples) {
+Var matmul_nt(const Var& a, const Var& b, std::size_t samples, float scale) {
   rows_per_sample(a, samples, "matmul_nt(a)");
   rows_per_sample(b, samples, "matmul_nt(b)");
   if (a->value().dim(1) != b->value().dim(1)) {
@@ -280,23 +281,34 @@ Var matmul_nt(const Var& a, const Var& b, std::size_t samples) {
   prof::Span ps("ag.matmul_nt");
   Var out = make_node(
       {a->value().dim(0), b->value().dim(0) / samples}, {a, b},
-      [a, b, samples](const T::Tensor& g) {
-        // C_s = A_s·B_sᵀ, so dA_s = g_s·B_s and dB_s = g_sᵀ·A_s — again no
-        // transposed copies. No element of dA or dB mixes samples.
+      [a, b, samples, scale](const T::Tensor& g) {
+        // C_s = scale·A_s·B_sᵀ, so with gs = scale·g, dA_s = gs_s·B_s and
+        // dB_s = gs_sᵀ·A_s — again no transposed copies. No element of dA or
+        // dB mixes samples.
+        std::optional<T::pool::Scratch> scaled;
+        if (scale != 1.0f) {
+          scaled.emplace(g.shape(), /*zero=*/false);
+          T::mul_scalar_into(g, scale, **scaled);
+        }
+        const T::Tensor& gs = scaled ? **scaled : g;
         if (a->requires_grad()) {
           T::pool::Scratch da(a->value().shape(), /*zero=*/false);
-          T::matmul_into(g, b->value(), *da, samples);
+          T::matmul_into(gs, b->value(), *da, samples);
           a->accumulate_grad(*da);
         }
         if (b->requires_grad()) {
           T::pool::Scratch db(b->value().shape(), /*zero=*/false);
-          T::matmul_tn_into(g, a->value(), *db, samples);
+          T::matmul_tn_into(gs, a->value(), *db, samples);
           b->accumulate_grad(*db);
         }
       },
       "ag.matmul_nt");
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), samples] {
+  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), samples,
+                      scale] {
     T::matmul_nt_into(pa->value(), pb->value(), self->mutable_value(), samples);
+    if (scale != 1.0f) {
+      T::mul_scalar_into(self->value(), scale, self->mutable_value());
+    }
   });
   return out;
 }
@@ -333,17 +345,29 @@ Var matmul_per_sample(const Var& a, const Var& b, std::size_t samples) {
   return out;
 }
 
-Var transpose(const Var& a) {
-  require_rank2(a, "transpose");
-  Var out = make_node({a->value().dim(1), a->value().dim(0)}, {a},
-                      [a](const T::Tensor& g) {
+Var transpose(const Var& a, std::size_t samples) {
+  const std::size_t m = rows_per_sample(a, samples, "transpose");
+  const std::size_t n = a->value().dim(1);
+  // Transposes each sample's [m, n] block of `from` into its [n, m] block
+  // of `to` (or back, with m and n swapped).
+  const auto blocks = [samples](const T::Tensor& from, T::Tensor& to,
+                                std::size_t rows, std::size_t cols) {
+    for (std::size_t s = 0; s < samples; ++s) {
+      const T::Tensor in = T::Tensor::view(
+          const_cast<float*>(from.begin()) + s * rows * cols, {rows, cols});
+      T::Tensor out = T::Tensor::view(to.begin() + s * rows * cols, {cols, rows});
+      T::transpose2d_into(in, out);
+    }
+  };
+  Var out = make_node({samples * n, m}, {a},
+                      [a, blocks, m, n](const T::Tensor& g) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
-                        T::transpose2d_into(g, *da);
+                        blocks(g, *da, n, m);
                         a->accumulate_grad(*da);
                       },
                       "ag.transpose");
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::transpose2d_into(pa->value(), self->mutable_value());
+  graph::record(out, [self = out.get(), pa = a.get(), blocks, m, n] {
+    blocks(pa->value(), self->mutable_value(), m, n);
   });
   return out;
 }
@@ -369,7 +393,7 @@ Var add_rowvec(const Var& x, const Var& b, std::size_t samples) {
             T::Tensor part = T::Tensor::view(db->begin() + s * n, {n});
             T::sum_rows_into(gs, part);
           }
-          fold_sample_grads(*b, *db, samples);
+          fold_sample_grads(*b, std::move(db), samples);
         }
       },
       "ag.add_rowvec");
@@ -379,6 +403,57 @@ Var add_rowvec(const Var& x, const Var& b, std::size_t samples) {
     float* pv = self->mutable_value().begin();
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) pv[i * n + j] = pxv[i * n + j] + pbv[j];
+    }
+  });
+  return out;
+}
+
+Var linear(const Var& x, const Var& w, const Var& b, std::size_t samples) {
+  const std::size_t rows = rows_per_sample(x, samples, "linear");
+  require_rank2(w, "linear(w)");
+  const std::size_t k = w->value().dim(0), n = w->value().dim(1);
+  if (x->value().dim(1) != k || b->value().rank() != 1 || b->value().dim(0) != n) {
+    throw ShapeError("linear: " + T::shape_to_string(x->value().shape()) +
+                     " x " + T::shape_to_string(w->value().shape()) + " + " +
+                     T::shape_to_string(b->value().shape()));
+  }
+  const std::size_t m = x->value().dim(0);
+  prof::Span ps("ag.linear");
+  // add_rowvec(matmul(x, w), b) as one node: the same kernels and adds, in
+  // the order the two nodes' closures run, without the product's own value
+  // and gradient.
+  Var out = make_node(
+      {m, n}, {x, w, b},
+      [x, w, b, samples, rows, k, n](const T::Tensor& g) {
+        if (b->requires_grad()) {
+          T::pool::Scratch db({samples, n}, /*zero=*/false);
+          for (std::size_t s = 0; s < samples; ++s) {
+            const T::Tensor gs = T::Tensor::view(
+                const_cast<float*>(g.begin()) + s * rows * n, {rows, n});
+            T::Tensor part = T::Tensor::view(db->begin() + s * n, {n});
+            T::sum_rows_into(gs, part);
+          }
+          fold_sample_grads(*b, std::move(db), samples);
+        }
+        if (x->requires_grad()) {
+          T::pool::Scratch dx(x->value().shape(), /*zero=*/false);
+          T::matmul_nt_into(g, w->value(), *dx);
+          x->accumulate_grad(*dx);
+        }
+        if (w->requires_grad()) {
+          T::pool::Scratch dw({samples * k, n}, /*zero=*/false);
+          T::matmul_tn_into(x->value(), g, *dw, samples);
+          fold_sample_grads(*w, std::move(dw), samples);
+        }
+      },
+      "ag.linear");
+  graph::record(out, [self = out.get(), px = x.get(), pw = w.get(),
+                      pb = b.get(), m, n] {
+    T::matmul_into(px->value(), pw->value(), self->mutable_value());
+    float* pv = self->mutable_value().begin();
+    const float* pbv = pb->value().begin();
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) pv[i * n + j] = pv[i * n + j] + pbv[j];
     }
   });
   return out;
@@ -475,36 +550,46 @@ Var reshape(const Var& a, tensor::Shape shape) {
   return out;
 }
 
-Var concat_rows(const Var& a, const Var& b) {
-  require_rank2(a, "concat_rows(a)");
-  require_rank2(b, "concat_rows(b)");
+Var concat_rows(const Var& a, const Var& b, std::size_t samples) {
+  const std::size_t ma = rows_per_sample(a, samples, "concat_rows(a)");
+  const std::size_t mb = rows_per_sample(b, samples, "concat_rows(b)");
   if (a->value().dim(1) != b->value().dim(1)) {
     throw ShapeError("concat_rows: column mismatch " +
                      T::shape_to_string(a->value().shape()) + " vs " +
                      T::shape_to_string(b->value().shape()));
   }
-  const std::size_t ma = a->value().dim(0);
-  const std::size_t mb = b->value().dim(0);
   const std::size_t n = a->value().dim(1);
-  Var out = make_node({ma + mb, n}, {a, b},
-                      [a, b, ma, mb, n](const T::Tensor& g) {
+  const std::size_t block = (ma + mb) * n;  // one sample's output
+  Var out = make_node({samples * (ma + mb), n}, {a, b},
+                      [a, b, samples, ma, mb, n, block](const T::Tensor& g) {
                         const float* pg = g.begin();
                         if (a->requires_grad()) {
-                          T::pool::Scratch da({ma, n}, /*zero=*/false);
-                          std::copy(pg, pg + ma * n, da->begin());
+                          T::pool::Scratch da(a->value().shape(), /*zero=*/false);
+                          for (std::size_t s = 0; s < samples; ++s) {
+                            const float* src = pg + s * block;
+                            std::copy(src, src + ma * n, da->begin() + s * ma * n);
+                          }
                           a->accumulate_grad(*da);
                         }
                         if (b->requires_grad()) {
-                          T::pool::Scratch db({mb, n}, /*zero=*/false);
-                          std::copy(pg + ma * n, pg + (ma + mb) * n, db->begin());
+                          T::pool::Scratch db(b->value().shape(), /*zero=*/false);
+                          for (std::size_t s = 0; s < samples; ++s) {
+                            const float* src = pg + s * block + ma * n;
+                            std::copy(src, src + mb * n, db->begin() + s * mb * n);
+                          }
                           b->accumulate_grad(*db);
                         }
                       },
                       "ag.concat_rows");
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
+  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), samples, ma,
+                      mb, n] {
     float* pv = self->mutable_value().begin();
-    pv = std::copy(pa->value().begin(), pa->value().end(), pv);
-    std::copy(pb->value().begin(), pb->value().end(), pv);
+    const float* as = pa->value().begin();
+    const float* bs = pb->value().begin();
+    for (std::size_t s = 0; s < samples; ++s, as += ma * n, bs += mb * n) {
+      pv = std::copy(as, as + ma * n, pv);
+      pv = std::copy(bs, bs + mb * n, pv);
+    }
   });
   return out;
 }
@@ -604,23 +689,38 @@ Var slice_cols(const Var& a, std::size_t begin, std::size_t end) {
   return out;
 }
 
-Var select_row(const Var& table, std::size_t index) {
-  require_rank2(table, "select_row");
+Var select_rows(const Var& table, const std::vector<std::size_t>& indices) {
+  require_rank2(table, "select_rows");
   const std::size_t m = table->value().dim(0), n = table->value().dim(1);
-  REFFIL_CHECK_MSG(index < m, "select_row: index out of range");
-  Var out = make_node({1, n}, {table},
-                      [table, index, m, n](const T::Tensor& g) {
-                        T::pool::Scratch dt({m, n});  // zeroed: only row `index` is written
-                        std::copy(g.begin(), g.begin() + n, dt->begin() + index * n);
-                        table->accumulate_grad(*dt);
-                      },
-                      "ag.select_row");
-  graph::record(out, [self = out.get(), pt = table.get(), index, n] {
-    std::copy(pt->value().begin() + index * n,
-              pt->value().begin() + (index + 1) * n,
-              self->mutable_value().begin());
+  for (std::size_t index : indices) {
+    REFFIL_CHECK_MSG(index < m, "select_rows: index out of range");
+  }
+  const std::size_t samples = indices.size();
+  REFFIL_CHECK_MSG(samples > 0, "select_rows: no rows");
+  Var out = make_node(
+      {samples, n}, {table},
+      [table, indices, m, n, samples](const T::Tensor& g) {
+        // One table-sized partial per sample, zero but for its row.
+        T::pool::Scratch dt({samples, m, n});  // zeroed: only the picked rows are written
+        for (std::size_t s = 0; s < samples; ++s) {
+          std::copy(g.begin() + s * n, g.begin() + (s + 1) * n,
+                    dt->begin() + (s * m + indices[s]) * n);
+        }
+        fold_sample_grads(*table, std::move(dt), samples);
+      },
+      "ag.select_row");
+  graph::record(out, [self = out.get(), pt = table.get(), indices, n] {
+    float* pv = self->mutable_value().begin();
+    for (std::size_t index : indices) {
+      pv = std::copy(pt->value().begin() + index * n,
+                     pt->value().begin() + (index + 1) * n, pv);
+    }
   });
   return out;
+}
+
+Var select_row(const Var& table, std::size_t index) {
+  return select_rows(table, {index});
 }
 
 Var prepend_rows(const Var& head, const Var& x, std::size_t samples) {
@@ -645,7 +745,7 @@ Var prepend_rows(const Var& head, const Var& x, std::size_t samples) {
             std::copy(pg + s * block, pg + s * block + h * n,
                       dh->begin() + s * h * n);
           }
-          fold_sample_grads(*head, *dh, samples);
+          fold_sample_grads(*head, std::move(dh), samples);
         }
         if (x->requires_grad()) {
           T::pool::Scratch dx(x->value().shape(), /*zero=*/false);
@@ -801,6 +901,40 @@ Var mean_rows(const Var& a) {
   return out;
 }
 
+Var sample_mean_rows(const Var& x, const std::vector<std::size_t>& picked,
+                     std::size_t samples) {
+  const std::size_t m = rows_per_sample(x, samples, "sample_mean_rows");
+  const std::size_t n = x->value().dim(1);
+  for (std::size_t s : picked) {
+    REFFIL_CHECK_MSG(s < samples, "sample_mean_rows: sample out of range");
+  }
+  Var out = make_node({picked.size(), n}, {x},
+                      [x, picked, m, n](const T::Tensor& g) {
+                        // mean_rows' gradient, into the picked samples' rows.
+                        const float inv = 1.0f / static_cast<float>(m);
+                        T::pool::Scratch da({m, n}, /*zero=*/false);
+                        float* d = da->begin();
+                        for (std::size_t k = 0; k < picked.size(); ++k) {
+                          const float* pg = g.begin() + k * n;
+                          for (std::size_t i = 0; i < m; ++i) {
+                            for (std::size_t j = 0; j < n; ++j) d[i * n + j] = pg[j] * inv;
+                          }
+                          x->accumulate_grad_rows(*da, picked[k] * m);
+                        }
+                      },
+                      "ag.mean_rows");
+  graph::record(out, [self = out.get(), px = x.get(), picked, m, n] {
+    for (std::size_t k = 0; k < picked.size(); ++k) {
+      const T::Tensor block = T::Tensor::view(
+          const_cast<float*>(px->value().begin()) + picked[k] * m * n, {m, n});
+      T::Tensor row = T::Tensor::view(self->mutable_value().begin() + k * n, {n});
+      T::sum_rows_into(block, row);
+      T::scale_inplace(row, 1.0f / static_cast<float>(m));
+    }
+  });
+  return out;
+}
+
 Var layer_norm(const Var& x, const Var& gain, const Var& bias,
                std::size_t samples, float eps) {
   const std::size_t rows = rows_per_sample(x, samples, "layer_norm");
@@ -810,15 +944,25 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias,
     throw ShapeError("layer_norm: gain/bias must be [n]");
   }
   prof::Span ps("ag.layer_norm");
-  // Per-row inv-std and normalized values, needed again by backward: shared
-  // aux buffers, allocated once here and refreshed by the forward closure.
-  auto xhat = std::make_shared<T::Tensor>(T::Shape{m, n});
+  // Per-row mean and inv-std, needed again by backward: shared aux
+  // buffers, allocated once here and refreshed by the forward closure.
+  // Backward rebuilds the normalized values from x with the forward's
+  // expression, so it needs no copy of them.
+  auto mean_f = std::make_shared<std::vector<float>>(m);
   auto inv_std = std::make_shared<std::vector<float>>(m);
   Var out = make_node({m, n}, {x, gain, bias},
-                      [x, gain, bias, xhat, inv_std, m, n, rows,
+                      [x, gain, bias, mean_f, inv_std, m, n, rows,
                        samples](const T::Tensor& g) {
                         const float* pg = g.begin();
-                        const float* ph = xhat->begin();
+                        T::pool::Scratch xhat({m, n}, /*zero=*/false);
+                        float* ph = xhat->begin();
+                        const float* px = x->value().begin();
+                        for (std::size_t i = 0; i < m; ++i) {
+                          const float mu = (*mean_f)[i], istd = (*inv_std)[i];
+                          for (std::size_t j = 0; j < n; ++j) {
+                            ph[i * n + j] = (px[i * n + j] - mu) * istd;
+                          }
+                        }
                         // Gain and bias take one partial per sample, each
                         // summed over that sample's rows in row order.
                         if (gain->requires_grad()) {
@@ -830,7 +974,7 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias,
                               ds[j] += pg[i * n + j] * ph[i * n + j];
                             }
                           }
-                          fold_sample_grads(*gain, *dg, samples);
+                          fold_sample_grads(*gain, std::move(dg), samples);
                         }
                         if (bias->requires_grad()) {
                           T::pool::Scratch db({samples, n}, /*zero=*/false);
@@ -840,7 +984,7 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias,
                             T::Tensor part = T::Tensor::view(db->begin() + s * n, {n});
                             T::sum_rows_into(gs, part);
                           }
-                          fold_sample_grads(*bias, *db, samples);
+                          fold_sample_grads(*bias, std::move(db), samples);
                         }
                         if (x->requires_grad()) {
                           T::pool::Scratch dx({m, n}, /*zero=*/false);
@@ -869,10 +1013,9 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias,
                       },
                       "ag.layer_norm");
   graph::record(out, [self = out.get(), px = x.get(), pgain_n = gain.get(),
-                      pbias_n = bias.get(), xhat, inv_std, m, n, eps] {
+                      pbias_n = bias.get(), mean_f, inv_std, m, n, eps] {
     const float* pgain = pgain_n->value().begin();
     const float* pbias = pbias_n->value().begin();
-    float* ph = xhat->begin();
     float* pv = self->mutable_value().begin();
     for (std::size_t i = 0; i < m; ++i) {
       const float* src = px->value().begin() + i * n;
@@ -886,10 +1029,11 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias,
       }
       var /= static_cast<double>(n);
       const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
+      const float mu = static_cast<float>(mean);
+      (*mean_f)[i] = mu;
       (*inv_std)[i] = istd;
       for (std::size_t j = 0; j < n; ++j) {
-        const float h = (src[j] - static_cast<float>(mean)) * istd;
-        ph[i * n + j] = h;
+        const float h = (src[j] - mu) * istd;
         pv[i * n + j] = h * pgain[j] + pbias[j];
       }
     }
@@ -930,12 +1074,18 @@ Var softmax_rows(const Var& logits) {
   return out;
 }
 
-Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels,
-                         std::size_t batch) {
+namespace {
+
+/// Cross-entropy rows seeded either uniformly, (p - y) * (g / denom), or
+/// row by row, (p - y) * (g * weights[i]) when `weights` is non-null.
+Var cross_entropy_node(const Var& logits, const std::vector<std::size_t>& labels,
+                       std::size_t denom,
+                       std::shared_ptr<const std::vector<float>> weights) {
   require_rank2(logits, "cross_entropy_logits");
   const std::size_t m = logits->value().dim(0), k = logits->value().dim(1);
-  const std::size_t denom = batch == 0 ? m : batch;
   REFFIL_CHECK_MSG(labels.size() == m, "cross_entropy_logits: label count");
+  REFFIL_CHECK_MSG(weights == nullptr || weights->size() == m,
+                   "cross_entropy_logits: weight count");
   for (std::size_t label : labels) REFFIL_CHECK_MSG(label < k, "label out of range");
 
   prof::Span ps("ag.cross_entropy");
@@ -944,32 +1094,58 @@ Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labe
   // Softmax probabilities feed backward; the forward closure recomputes them
   // (and the log-softmax the loss reads) into this shared aux on each run.
   auto probs = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
-  Var out = make_node(T::Shape{}, {logits},
-                      [logits, probs, labels_copy, m, k, denom](const T::Tensor& g) {
-                        const float scale = g.item() / static_cast<float>(denom);
-                        T::pool::Scratch dx({m, k}, /*zero=*/false);
-                        const float* pp = probs->tensor().begin();
-                        float* d = dx->begin();
-                        for (std::size_t i = 0; i < m * k; ++i) d[i] = pp[i];
-                        for (std::size_t i = 0; i < m; ++i) {
-                          d[i * k + (*labels_copy)[i]] -= 1.0f;
-                        }
-                        T::scale_inplace(*dx, scale);
-                        logits->accumulate_grad(*dx);
-                      },
-                      "ag.cross_entropy");
+  Var out = make_node(
+      T::Shape{}, {logits},
+      [logits, probs, labels_copy, weights, m, k, denom](const T::Tensor& g) {
+        T::pool::Scratch dx({m, k}, /*zero=*/false);
+        const float* pp = probs->tensor().begin();
+        float* d = dx->begin();
+        for (std::size_t i = 0; i < m * k; ++i) d[i] = pp[i];
+        for (std::size_t i = 0; i < m; ++i) {
+          d[i * k + (*labels_copy)[i]] -= 1.0f;
+        }
+        if (weights == nullptr) {
+          T::scale_inplace(*dx, g.item() / static_cast<float>(denom));
+        } else {
+          for (std::size_t i = 0; i < m; ++i) {
+            const float scale = g.item() * (*weights)[i];
+            for (std::size_t j = 0; j < k; ++j) d[i * k + j] *= scale;
+          }
+        }
+        logits->accumulate_grad(*dx);
+      },
+      "ag.cross_entropy");
   graph::record(out, [self = out.get(), pl = logits.get(), probs, labels_copy,
-                      m, k, denom] {
+                      weights, m, k, denom] {
     T::pool::Scratch log_probs({m, k}, /*zero=*/false);
     T::log_softmax_rows_into(pl->value(), *log_probs);
     const float* plp = log_probs->begin();
     double loss = 0.0;
-    for (std::size_t i = 0; i < m; ++i) loss -= plp[i * k + (*labels_copy)[i]];
-    loss /= static_cast<double>(denom);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double row = -plp[i * k + (*labels_copy)[i]];
+      loss += weights == nullptr ? row : row * (*weights)[i];
+    }
+    if (weights == nullptr) loss /= static_cast<double>(denom);
     T::softmax_rows_into(pl->value(), probs->tensor());
     self->mutable_value().begin()[0] = static_cast<float>(loss);
   });
   return out;
+}
+
+}  // namespace
+
+Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels,
+                         std::size_t batch) {
+  require_rank2(logits, "cross_entropy_logits");
+  return cross_entropy_node(logits, labels,
+                            batch == 0 ? logits->value().dim(0) : batch, nullptr);
+}
+
+Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels,
+                         std::vector<float> weights) {
+  return cross_entropy_node(
+      logits, labels, 1,
+      std::make_shared<const std::vector<float>>(std::move(weights)));
 }
 
 Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_probs,
@@ -1147,13 +1323,13 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
             for (std::size_t p = 0; p < hw; ++p) acc += pg[c * hw + p];
             d[c] = static_cast<float>(acc);
           }
-          fold_sample_grads(*bias, *db, geom.n);
+          fold_sample_grads(*bias, std::move(db), geom.n);
         }
         if (weight->requires_grad()) {
           const auto& ws = weight->value().shape();
           T::pool::Scratch dw({geom.n, ws[0], ws[1]}, /*zero=*/false);
           T::conv2d_weight_grad_into(input->value(), g, geom, *dw);
-          fold_sample_grads(*weight, *dw, geom.n);
+          fold_sample_grads(*weight, std::move(dw), geom.n);
         }
         if (input->requires_grad()) {
           T::pool::Scratch dinput(input->value().shape(), /*zero=*/false);

@@ -46,31 +46,42 @@ Var matmul(const Var& a, const Var& b, std::size_t samples = 1);
 /// Fused a·bᵀ per sample: a [samples·m, k] x b [samples·n, k] ->
 /// [samples·m, n], block s = a_s·b_sᵀ. Neither the forward nor the backward
 /// pass materializes a transposed copy (attention uses this for q·kᵀ
-/// scores); samples = 1 is matmul(a, transpose(b)).
-Var matmul_nt(const Var& a, const Var& b, std::size_t samples = 1);
+/// scores); samples = 1 is matmul(a, transpose(b)). A `scale` other than 1
+/// is mul_scalar of that product folded into the node, bitwise.
+Var matmul_nt(const Var& a, const Var& b, std::size_t samples = 1,
+              float scale = 1.0f);
 /// Per-sample product a [samples·m, k] x b [samples·k, n] -> [samples·m, n],
 /// block s = a_s·b_s (attention's weights · values).
 Var matmul_per_sample(const Var& a, const Var& b, std::size_t samples);
-/// 2-D transpose.
-Var transpose(const Var& a);
+/// 2-D transpose of each of a's `samples` row blocks: [samples·m, n] ->
+/// [samples·n, m]. samples = 1 is the plain transpose.
+Var transpose(const Var& a, std::size_t samples = 1);
 /// X [m,n] + broadcast row vector b [n], shared by x's `samples` blocks.
 Var add_rowvec(const Var& x, const Var& b, std::size_t samples = 1);
+/// add_rowvec(matmul(x, w, samples), b, samples) as one node, bitwise:
+/// x [m,k] · w [k,n] + b [n] (a Linear layer).
+Var linear(const Var& x, const Var& w, const Var& b, std::size_t samples = 1);
 /// Row-wise FiLM affine: out[i,j] = alpha[i] * (x[i,j] + lambda[i]).
 /// This is Eq. (1)'s linear-transformation layer LT.
 Var rowwise_affine(const Var& x, const Var& alpha, const Var& lambda);
 
 // ---- structure ------------------------------------------------------------------
 Var reshape(const Var& a, tensor::Shape shape);
-/// Stack two 2-D tensors vertically (same column count).
-Var concat_rows(const Var& a, const Var& b);
+/// [a_s; b_s] for each of the `samples` row blocks of a and b (same column
+/// count): [samples·ma, n], [samples·mb, n] -> [samples·(ma+mb), n].
+/// samples = 1 stacks a on b.
+Var concat_rows(const Var& a, const Var& b, std::size_t samples = 1);
 /// Concatenate two 2-D tensors horizontally (same row count).
 Var concat_cols(const Var& a, const Var& b);
 /// Rows [begin, end) of a 2-D tensor.
 Var slice_rows(const Var& a, std::size_t begin, std::size_t end);
 /// Columns [begin, end) of a 2-D tensor.
 Var slice_cols(const Var& a, std::size_t begin, std::size_t end);
-/// Row `index` of a 2-D tensor as a [1,n] matrix (differentiable gather —
-/// used for embedding lookup).
+/// Row indices[s] of a 2-D table for each sample s, as [samples, n]
+/// (differentiable gather — embedding lookup). The table takes one
+/// zero-padded partial per sample, folded (fold_sample_grads).
+Var select_rows(const Var& table, const std::vector<std::size_t>& indices);
+/// select_rows(table, {index}): row `index` as a [1,n] matrix.
 Var select_row(const Var& table, std::size_t index);
 /// [head; x_s] for each of x's `samples` row blocks: head [h, n], x
 /// [samples·m, n] -> [samples·(h+m), n]. The head (the class token) is shared.
@@ -89,6 +100,13 @@ Var sum_all(const Var& a);
 Var mean_all(const Var& a);
 /// Mean over axis 0 of a 2-D tensor: [m,n] -> [1,n].
 Var mean_rows(const Var& a);
+/// mean_rows of each picked sample's row block of x ([samples·m, n] ->
+/// [picked, n]), bitwise mean_rows on that block alone. Its gradient
+/// reaches the picked blocks' rows only (Node::accumulate_grad_rows), so a
+/// term only some samples have leaves the others' rows as their own graphs
+/// do.
+Var sample_mean_rows(const Var& x, const std::vector<std::size_t>& picked,
+                     std::size_t samples);
 
 // ---- normalization / attention ------------------------------------------------------
 /// Row-wise layer normalization with learned gain/bias (both [n], shared by
@@ -106,6 +124,12 @@ Var softmax_rows(const Var& logits);
 /// exactly (p - y) * (1/batch).
 Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels,
                          std::size_t batch = 0);
+/// Weighted sum of row cross-entropies, sum_i weights[i]·CE_i: row i's
+/// gradient is seeded with exactly (p - y) * (g * weights[i]), the bits a
+/// one-row loss scaled by weights[i] and seeded with g gets. A batched step
+/// gives each row the scale its one-sample loss chain would.
+Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labels,
+                         std::vector<float> weights);
 /// Mean KL(teacher_probs || softmax(logits / T)) distillation term used by
 /// FedLwF; teacher probabilities are constants.
 Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_probs,

@@ -74,8 +74,22 @@ class Node {
   /// Add g into the stored gradient (lazily shaped on first call). With
   /// samples > 1, g holds that many gradients of the value's size, added in
   /// order samples-1 ... 0, each rounded on its own: bitwise that many
-  /// one-gradient calls (see fold_sample_grads).
+  /// one-gradient calls (see fold_sample_grads). Inside backward(), a
+  /// parameter's one-gradient contribution queues with its other uses' as
+  /// fold_sample_grads' partials do.
   void accumulate_grad(const tensor::Tensor& g, std::size_t samples = 1);
+
+  /// Add g, the gradient of rows [row, row + g.dim(0)) of this rank-2 value,
+  /// into those rows only: one sample's share of a batched node that only
+  /// some samples' ops read. Other rows neither take a zero nor change; any
+  /// row no contribution reaches reads as zero when the node's own backward
+  /// closure runs.
+  void accumulate_grad_rows(const tensor::Tensor& g, std::size_t row);
+
+  /// Drop the gradient and its storage. backward() calls it on interior
+  /// nodes once their closure has run: nothing reads that gradient again,
+  /// and its pooled buffer serves the rest of the sweep.
+  void release_grad();
 
   /// Forget the accumulated gradient but keep its storage (arena view or
   /// owning buffer): the next accumulate_grad copies into the existing
@@ -106,6 +120,16 @@ class Node {
     return backward_fn_;
   }
 
+  /// Build order on the thread that made the node (make_node counts up):
+  /// a node made later has a larger number.
+  std::uint64_t seq() const { return seq_; }
+
+  /// The run sample of each row block a batched op built under a
+  /// SampleSubset covers; null when it covers samples 0..k-1.
+  const std::shared_ptr<const std::vector<std::size_t>>& sample_subset() const {
+    return sample_subset_;
+  }
+
   /// Profiler name of the forward op that built this node (static storage).
   /// The backward sweep runs the closure under a bw:<name> span, which
   /// reffil_prof joins to the forward op's row by name.
@@ -113,6 +137,21 @@ class Node {
   const char* op_name() const { return op_name_; }
 
  private:
+  friend void backward(const Var& root);
+  friend Var make_node(tensor::Shape, std::vector<Var>,
+                       std::function<void(const tensor::Tensor&)>, const char*);
+  /// accumulate_grad past the sweep's queue (OrderedFold still diverts).
+  void add_grad(const tensor::Tensor& g, std::size_t samples);
+  /// Give the gradient storage of the value's shape (pooled like the
+  /// value when the value is) without initializing it.
+  void shape_grad();
+  /// Rows [row, row + count) of g (count rows of the value's width): added
+  /// where a row already holds a gradient, copied where none does.
+  void add_rows(const float* g, std::size_t row, std::size_t count);
+  /// Before the node's closure reads its gradient: rows that only some
+  /// samples' row contributions left unset become zero.
+  void settle_grad();
+
   // Pool borrows behind value_ / grad_ when those are views of them; each
   // is declared before the view it backs, so the view dies first.
   std::optional<tensor::pool::Scratch> value_storage_;
@@ -120,11 +159,16 @@ class Node {
   std::optional<tensor::pool::Scratch> grad_storage_;
   tensor::Tensor grad_;  // empty-shape scalar until first accumulation
   bool grad_initialized_ = false;
+  /// Per row, while only row contributions (accumulate_grad_rows) have
+  /// arrived: whether that row holds a gradient yet. Empty otherwise.
+  std::vector<bool> rows_set_;
   bool swept_ = false;
   bool parameter_ = false;
   bool requires_grad_;
   std::vector<Var> parents_;
   std::function<void(const tensor::Tensor&)> backward_fn_;
+  std::shared_ptr<const std::vector<std::size_t>> sample_subset_;
+  std::uint64_t seq_ = 0;
   const char* op_name_ = nullptr;
 };
 
@@ -140,15 +184,37 @@ Var parameter(tensor::Tensor value);
 /// would re-seed the root with ones and double-accumulate every gradient.
 void backward(const Var& root);
 
-/// Commit a batched op's per-sample gradient partials into `node` the way
-/// one graph of `n` one-sample subgraphs adds them (DESIGN.md §16): sample
-/// n-1's partial first and sample 0's last, each rounded on its own
-/// (accumulate_grad(partials, n)). `partials` holds n blocks of the node's
-/// value shape. That order is only right if the node takes one such fold
-/// per sweep, so for n > 1 a second fold into the same node within one
-/// backward() throws.
-void fold_sample_grads(Node& node, const tensor::Tensor& partials,
+/// Hand a batched op's per-sample gradient partials for a node every sample
+/// shares (a weight, a bias, a class token) to the sweep. `partials` holds
+/// n blocks of the node's value shape, one per sample the op covers: the
+/// run's samples 0..n-1, or under a SampleSubset the samples it names.
+///
+/// Inside backward(), a node with one consumer edge takes them at once,
+/// block n-1 first, each rounded on its own (accumulate_grad(partials, n)).
+/// A node with several waits until every use has arrived, then takes them
+/// interleaved as the per-sample graphs add them (DESIGN.md §16, "The
+/// multi-use fold"): for sample i = last..0, the uses covering i from the
+/// latest-built op to the earliest, each partial rounded on its own.
+/// Outside backward() the partials are added at once.
+void fold_sample_grads(Node& node, tensor::pool::Scratch partials,
                        std::size_t n);
+
+/// While it lives, the ops built on this thread cover the named samples of
+/// the batched run instead of samples 0..k-1, one entry per row block in
+/// order (non-decreasing run-local indices; a sample repeats when it owns
+/// several blocks): a pass only some of a run's samples take. Their
+/// fold_sample_grads partials then commit as those samples' contributions.
+/// Nests; the innermost subset wins.
+class SampleSubset {
+ public:
+  explicit SampleSubset(std::vector<std::size_t> samples);
+  ~SampleSubset();
+  SampleSubset(const SampleSubset&) = delete;
+  SampleSubset& operator=(const SampleSubset&) = delete;
+
+ private:
+  std::shared_ptr<const std::vector<std::size_t>> previous_;
+};
 
 /// Runs n backward sweeps over shared parameters, concurrently, and leaves
 /// the parameters' gradients bitwise as if one thread had run sweeps 0..n-1

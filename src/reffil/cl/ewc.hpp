@@ -37,8 +37,8 @@ class EwcMethod : public MethodBase {
   void post_backward(Replica& replica, const fed::TrainJob& job,
                      std::size_t slot) override;
   void after_aggregate() override;
-  /// The data term is plain cross-entropy: batched steps apply.
-  bool default_sample_loss() const override { return true; }
+  /// The data term is plain cross-entropy: the default run_loss batches it.
+  bool batched_step() const override { return true; }
   /// The EWC batch graph is plain cross-entropy — the quadratic penalty is
   /// added eagerly in post_backward — so one tape per batch size suffices.
   std::string replay_signature(const Replica&, const fed::TrainJob&,

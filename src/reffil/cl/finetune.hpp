@@ -14,7 +14,7 @@ class FinetuneMethod : public MethodBase {
   }
 
  protected:
-  bool default_sample_loss() const override { return true; }
+  bool batched_step() const override { return true; }
 
   /// Plain per-batch cross-entropy: one static graph per batch size.
   std::string replay_signature(const Replica&, const fed::TrainJob&,

@@ -515,23 +515,29 @@ std::size_t MethodBase::batched_runs(std::size_t n, std::size_t spare) {
                   (n + kMaxRunSamples - 1) / kMaxRunSamples);
 }
 
-AG::Var MethodBase::batched_loss(Replica& rep,
-                                 const std::vector<TaggedSample>& batch,
-                                 std::size_t lo, std::size_t hi) {
+T::Tensor MethodBase::run_images(const std::vector<TaggedSample>& batch,
+                                std::size_t lo, std::size_t hi) {
+  T::Shape shape = batch[lo].sample->image.shape();
+  shape.insert(shape.begin(), hi - lo);
+  T::Tensor images(std::move(shape));
+  float* dst = images.begin();
+  for (std::size_t i = lo; i < hi; ++i) {
+    const T::Tensor& image = batch[i].sample->image;
+    dst = std::copy(image.begin(), image.end(), dst);
+  }
+  return images;
+}
+
+AG::Var MethodBase::run_loss(Replica& rep, const std::vector<TaggedSample>& batch,
+                             std::size_t lo, std::size_t hi,
+                             const fed::TrainJob&, std::size_t) {
   T::Tensor images;
   std::vector<std::size_t> labels;
   {
     obs::prof::Span span("cl.batch");
-    T::Shape shape = batch.front().sample->image.shape();
-    shape.insert(shape.begin(), hi - lo);
-    images = T::Tensor(std::move(shape));
-    float* dst = images.begin();
+    images = run_images(batch, lo, hi);
     labels.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const T::Tensor& image = batch[i].sample->image;
-      dst = std::copy(image.begin(), image.end(), dst);
-      labels.push_back(batch[i].sample->label);
-    }
+    for (std::size_t i = lo; i < hi; ++i) labels.push_back(batch[i].sample->label);
   }
   // Dividing by the batch size seeds each sample's logit row with
   // (p - y) * (1/N): the bits batch_loss's mul_scalar(sum, 1/N) seeds it with.
@@ -549,16 +555,17 @@ void MethodBase::train_step_eager(Replica& rep,
   }
   AG::OrderedFold& fold = sample_folds_[slot];
   util::ThreadPool& pool = util::global_thread_pool();
-  if (default_sample_loss()) {
+  if (batched_step()) {
     // Batched graphs over contiguous runs of the batch. A run's graph folds
-    // shared-parameter gradients last sample first, and the runs commit last
-    // run first, so every parameter gets sample n-1's partial first and
-    // sample 0's last, as batch_loss's sweep adds them (DESIGN.md §16,
-    // "Batched steps").
+    // shared-parameter gradients last sample first, each sample's uses in
+    // its own graph's sweep order, and the runs commit last run first, so
+    // every parameter gets sample n-1's contributions first and sample 0's
+    // last, as batch_loss's sweep adds them (DESIGN.md §16, "Batched
+    // steps").
     fold.sweep_runs(pool, n, batched_runs(n, pool.spare_workers()),
                     [&](std::size_t lo, std::size_t hi) {
                       obs::prof::Span span("cl.run");
-                      AG::backward(batched_loss(rep, batch, lo, hi));
+                      AG::backward(run_loss(rep, batch, lo, hi, job, slot));
                     },
                     "cl.join");
     return;

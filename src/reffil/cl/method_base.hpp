@@ -140,11 +140,30 @@ class MethodBase : public fed::Method {
   virtual autograd::Var sample_loss(Replica& replica, const TaggedSample& sample,
                                     const fed::TrainJob& job, std::size_t slot);
 
-  /// True when the method trains on the default sample_loss (plain
-  /// cross-entropy, no prompts): its eager steps then build multi-sample
-  /// graphs over runs of each batch (DESIGN.md §16, "Batched steps"). A
-  /// method overriding sample_loss must leave this false.
-  virtual bool default_sample_loss() const { return false; }
+  /// True when the method's eager steps build one multi-sample graph per
+  /// run of each batch through run_loss (DESIGN.md §16, "Batched steps");
+  /// false keeps one graph per sample. A method that overrides sample_loss
+  /// and returns true must override run_loss to match it.
+  virtual bool batched_step() const { return false; }
+
+  /// The loss over batch[lo, hi) as one graph: the run's share of the batch
+  /// mean, whose sweep must add every parameter gradient bitwise as
+  /// batch_loss's one graph adds samples [lo, hi)' contributions (sample
+  /// hi-1's first). Default: the default sample_loss's cross-entropy over
+  /// the run's multi-sample forward, divided by the whole batch's size.
+  virtual autograd::Var run_loss(Replica& replica,
+                                 const std::vector<TaggedSample>& batch,
+                                 std::size_t lo, std::size_t hi,
+                                 const fed::TrainJob& job, std::size_t slot);
+
+  /// The images of batch[lo, hi) stacked as one [hi-lo, C, H, W] tensor.
+  static tensor::Tensor run_images(const std::vector<TaggedSample>& batch,
+                                   std::size_t lo, std::size_t hi);
+
+  /// Most samples in one batched run (batched_runs): a run's graph holds
+  /// all its samples' activations at once, which sets the step's peak
+  /// memory. Forward-only batches (RefFiL's local prompt groups) use it too.
+  static constexpr std::size_t kMaxRunSamples = 3;
 
   /// Called after backward() and before the optimizer step (e.g. to add the
   /// EWC penalty gradient). Runs eagerly even on replayed steps.
@@ -206,15 +225,8 @@ class MethodBase : public fed::Method {
                            const std::vector<TaggedSample>& batch,
                            const fed::TrainJob& job, std::size_t slot);
 
-  /// default_sample_loss's loss over batch[lo, hi) as one graph: the
-  /// cross-entropy of that run's multi-sample forward, summed and divided by
-  /// the whole batch's size (the run's share of the batch mean).
-  autograd::Var batched_loss(Replica& replica,
-                             const std::vector<TaggedSample>& batch,
-                             std::size_t lo, std::size_t hi);
-
   /// Accumulate one batch's gradients eagerly: through batch_loss, or under
-  /// parallel_samples through batched_loss or one graph per sample.
+  /// parallel_samples through run_loss or one graph per sample.
   void train_step_eager(Replica& replica, const std::vector<TaggedSample>& batch,
                         const fed::TrainJob& job, std::size_t slot);
 
@@ -237,11 +249,6 @@ class MethodBase : public fed::Method {
 
   /// Per-worker gradient commit order for parallel_samples steps.
   std::vector<autograd::OrderedFold> sample_folds_;
-
-  /// Most samples in one batched run (batched_runs): a run's graph holds
-  /// all its samples' activations at once, which sets the step's peak
-  /// memory.
-  static constexpr std::size_t kMaxRunSamples = 8;
 
   /// Fold the stored residual for `client_id` into `delta` (and spend it);
   /// a residual whose structure no longer matches is dropped instead.

@@ -27,33 +27,42 @@ CdapGenerator::CdapGenerator(const CdapConfig& config, util::Rng& rng)
   register_submodule(*phi_);
 }
 
-AG::Var CdapGenerator::generate(const AG::Var& tokens, std::size_t task) const {
+AG::Var CdapGenerator::generate(const AG::Var& tokens,
+                                const std::vector<std::size_t>& tasks) const {
+  const std::size_t n = tasks.size();
   const auto& shape = tokens->value().shape();
-  if (shape.size() != 2 || shape[0] != config_.num_tokens ||
+  if (n == 0 || shape.size() != 2 || shape[0] != n * config_.num_tokens ||
       shape[1] != config_.token_dim) {
-    throw ShapeError("CDAP expects [" + std::to_string(config_.num_tokens) + ", " +
+    throw ShapeError("CDAP expects " + std::to_string(n) + " x [" +
+                     std::to_string(config_.num_tokens) + ", " +
                      std::to_string(config_.token_dim) + "] tokens, got " +
                      tensor::shape_to_string(shape));
   }
-  REFFIL_CHECK_MSG(task < config_.max_tasks, "CDAP: task id beyond key capacity");
+  for (std::size_t task : tasks) {
+    REFFIL_CHECK_MSG(task < config_.max_tasks, "CDAP: task id beyond key capacity");
+  }
 
-  // Eq. (1), steps 1-5.
-  const AG::Var normalized = norm_->forward(tokens);          // LN(I)
-  const AG::Var transposed = AG::transpose(normalized);       // [d, n+1]
-  const AG::Var projected = mlp_->forward(transposed);        // [d, p]
-  const AG::Var adapted = AG::tanh(ccda_->forward(projected));  // CCDA
-  const AG::Var base_prompts = AG::transpose(adapted);        // [p, d]
+  // Eq. (1), steps 1-5, per input block.
+  const AG::Var normalized = norm_->forward(tokens, n);        // LN(I)
+  const AG::Var transposed = AG::transpose(normalized, n);     // [d, n+1]
+  const AG::Var projected = mlp_->forward(transposed, n);      // [d, p]
+  const AG::Var adapted = AG::tanh(ccda_->forward(projected, n));  // CCDA
+  const AG::Var base_prompts = AG::transpose(adapted, n);      // [p, d]
 
-  // Step 6: FiLM conditioning on the task-key embedding v.
-  const AG::Var v = task_keys_->forward(task);                // [1, key_dim]
-  const AG::Var affine = phi_->forward(v);                    // [1, 2p]
+  // Step 6: FiLM conditioning on each input's task-key embedding v.
+  const AG::Var v = task_keys_->forward(tasks);                // [1, key_dim]
+  const AG::Var affine = phi_->forward(v, n);                  // [1, 2p]
   const std::size_t p = config_.prompt_rows;
   // alpha is offset by +1 so the generator starts near identity scaling and
   // gradients reach the base-prompt path from step one.
   const AG::Var alpha = AG::add_scalar(
-      AG::reshape(AG::slice_cols(affine, 0, p), {p}), 1.0f);
-  const AG::Var lambda = AG::reshape(AG::slice_cols(affine, p, 2 * p), {p});
-  return AG::rowwise_affine(base_prompts, alpha, lambda);     // alpha*(P+lambda)
+      AG::reshape(AG::slice_cols(affine, 0, p), {n * p}), 1.0f);
+  const AG::Var lambda = AG::reshape(AG::slice_cols(affine, p, 2 * p), {n * p});
+  return AG::rowwise_affine(base_prompts, alpha, lambda);      // alpha*(P+lambda)
+}
+
+AG::Var CdapGenerator::generate(const AG::Var& tokens, std::size_t task) const {
+  return generate(tokens, std::vector<std::size_t>{task});
 }
 
 }  // namespace reffil::core

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "reffil/nn/layers.hpp"
 #include "reffil/nn/module.hpp"
@@ -36,8 +37,13 @@ class CdapGenerator : public nn::Module {
  public:
   CdapGenerator(const CdapConfig& config, util::Rng& rng);
 
-  /// Generate the instance-level prompt [p, d] for one input's tokens
-  /// ([n+1, d]) conditioned on the local task id.
+  /// Generate the instance-level prompts for the tokens of tasks.size()
+  /// inputs ([N·(n+1), d], one block per input), each conditioned on its
+  /// own local task id: [N·p, d], one [p, d] block per input, bitwise what
+  /// N one-input calls give (N = 1 is the per-sample graph).
+  autograd::Var generate(const autograd::Var& tokens,
+                         const std::vector<std::size_t>& tasks) const;
+  /// One input's prompt [p, d]: generate(tokens, {task}).
   autograd::Var generate(const autograd::Var& tokens, std::size_t task) const;
 
   const CdapConfig& config() const { return config_; }

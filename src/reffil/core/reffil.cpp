@@ -1,8 +1,11 @@
 #include "reffil/core/reffil.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <optional>
 
+#include "reffil/autograd/graph.hpp"
 #include "reffil/autograd/ops.hpp"
 #include "reffil/core/finch.hpp"
 #include "reffil/tensor/ops.hpp"
@@ -46,12 +49,13 @@ std::vector<nn::Module*> RefFiLReplica::modules() {
   return {&net, class_table.get()};
 }
 
-AG::Var RefFiLReplica::local_prompt(const AG::Var& tokens, std::size_t task) const {
+AG::Var RefFiLReplica::local_prompt(const AG::Var& tokens,
+                                    const std::vector<std::size_t>& tasks) const {
   // The generator sees a detached copy of the tokens (as L2P detaches its
   // query): the prompt path trains the CDAP parameters but does not add a
   // second gradient route into the feature extractor, which destabilizes
   // the backbone at few-round scale.
-  if (use_cdap_) return cdap->generate(AG::detach(tokens), task);
+  if (use_cdap_) return cdap->generate(AG::detach(tokens), tasks);
   // Static ablation: the whole per-class table is attached (symmetric at
   // train and test time, since labels are unknown at inference).
   return class_table->table();
@@ -145,38 +149,142 @@ void RefFiLMethod::read_broadcast_extras(util::ByteReader& reader,
   cl::MethodBase::read_broadcast_extras(reader, slot);
 }
 
-AG::Var RefFiLMethod::dpcl_loss(const AG::Var& generated,
-                                const WorkerPrompts& prompts, std::size_t label,
-                                const fed::TrainJob& job) const {
-  const auto it = prompts.reps_by_class.find(label);
-  if (it == prompts.reps_by_class.end()) return {};
-  const auto& reps = it->second;
-  // Positive count per the paper's sampling rule: two-domain clients (U_b)
-  // take the two closest prompts, single-domain clients take one.
-  const std::size_t num_pos = job.group == fed::ClientGroup::kInBetween ? 2 : 1;
-  if (reps.size() <= num_pos) return {};  // no negatives available
+namespace {
 
-  const float tau = dpcl_temperature(reffil_, job.task);
-  std::vector<AG::Var> sims;
-  sims.reserve(reps.size());
-  for (const auto& rep : reps) {
-    sims.push_back(AG::cosine_similarity(generated, AG::constant(rep)));
-  }
-  // Rank by current similarity values to split positives/negatives.
-  std::vector<std::size_t> order(reps.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return sims[a]->value().item() > sims[b]->value().item();
+/// Eq. (6) for each row u_i of u [k, d] against its own global prompts
+/// reps[i], summed: sum_i -log(sum_pos exp(cos/tau) / sum_all exp(cos/tau)),
+/// the positives being the num_pos most similar prompts by current value.
+/// One node computes, per row, the float and double operations of the
+/// cosine_similarity, mul_scalar, exp, add, log and sub graph that term
+/// once was, in that graph's order: the similarity sum adds in rank order,
+/// and u_i's gradient adds the similarities' contributions from the lowest
+/// rank to the highest, the order that graph's sweep reached them.
+AG::Var dpcl_rows(const AG::Var& u,
+                  std::vector<const std::vector<T::Tensor>*> reps,
+                  std::size_t num_pos, float tau) {
+  const std::size_t k = u->value().dim(0), d = u->value().dim(1);
+  REFFIL_CHECK_MSG(reps.size() == k, "dpcl_rows: one prompt set per row");
+  // Per row and rank: the cosine and both norms (double, as
+  // cosine_similarity keeps them) and exp(sim / tau); per row the sums.
+  struct Row {
+    std::vector<std::size_t> order;  ///< prompt index by rank
+    std::vector<double> cos, norm_a, norm_b;
+    std::vector<float> e;
+    float all = 0.0f, pos = 0.0f;
+  };
+  auto rows = std::make_shared<std::vector<Row>>(k);
+  const float inv_tau = 1.0f / tau;
+  AG::Var out = AG::make_node(
+      T::Shape{}, {u},
+      [u, reps, rows, num_pos, inv_tau, d](const T::Tensor& g) {
+        // mul_scalar(dpcl, w) hands each row's sub node g; sub hands
+        // log(all) g and log(pos) -g; each log divides by its argument.
+        const float g_all = g.item();
+        const float g_pos = g.item() * -1.0f;
+        T::pool::Scratch du(u->value().shape(), /*zero=*/false);
+        for (std::size_t i = 0; i < rows->size(); ++i) {
+          const Row& row = (*rows)[i];
+          const float ga = g_all / row.all, gp = g_pos / row.pos;
+          const float* pa = u->value().begin() + i * d;
+          float* out_row = du->begin() + i * d;
+          for (std::size_t rank = row.order.size(); rank-- > 0;) {
+            // exp, then mul_scalar(1/tau), then cosine_similarity's backward.
+            const float ge = rank < num_pos ? gp + ga : ga;
+            const double gs = (ge * row.e[rank]) * inv_tau;
+            const float* pb = (*reps[i])[row.order[rank]].begin();
+            const double cos = row.cos[rank], na = row.norm_a[rank],
+                         nb = row.norm_b[rank];
+            const bool first = rank + 1 == row.order.size();
+            for (std::size_t j = 0; j < d; ++j) {
+              const float c = static_cast<float>(
+                  gs * (pb[j] / (na * nb) - cos * pa[j] / (na * na)));
+              out_row[j] = first ? c : out_row[j] + c;
+            }
+          }
+        }
+        u->accumulate_grad(*du);
+      },
+      "ag.dpcl");
+  AG::graph::record(out, [self = out.get(), pu = u.get(), reps, rows, num_pos,
+                          inv_tau, d] {
+    float total = 0.0f;
+    for (std::size_t i = 0; i < rows->size(); ++i) {
+      Row& row = (*rows)[i];
+      const std::vector<T::Tensor>& set = *reps[i];
+      const float* pa = pu->value().begin() + i * d;
+      std::vector<float> sims(set.size());
+      std::vector<double> cos(set.size()), norm_a(set.size()), norm_b(set.size());
+      for (std::size_t r = 0; r < set.size(); ++r) {
+        const float* pb = set[r].begin();
+        double num = 0.0, na2 = 0.0, nb2 = 0.0;
+        for (std::size_t j = 0; j < d; ++j) {
+          num += double(pa[j]) * pb[j];
+          na2 += double(pa[j]) * pa[j];
+          nb2 += double(pb[j]) * pb[j];
+        }
+        const double eps = 1e-12;
+        norm_a[r] = std::sqrt(na2) + eps;
+        norm_b[r] = std::sqrt(nb2) + eps;
+        cos[r] = num / (norm_a[r] * norm_b[r]);
+        sims[r] = static_cast<float>(cos[r]);
+      }
+      row.order.resize(set.size());
+      std::iota(row.order.begin(), row.order.end(), std::size_t{0});
+      std::sort(row.order.begin(), row.order.end(),
+                [&](std::size_t a, std::size_t b) { return sims[a] > sims[b]; });
+      row.cos.clear();
+      row.norm_a.clear();
+      row.norm_b.clear();
+      row.e.clear();
+      for (std::size_t rank = 0; rank < set.size(); ++rank) {
+        const std::size_t r = row.order[rank];
+        row.cos.push_back(cos[r]);
+        row.norm_a.push_back(norm_a[r]);
+        row.norm_b.push_back(norm_b[r]);
+        const float e = std::exp(sims[r] * inv_tau);
+        row.e.push_back(e);
+        row.all = rank == 0 ? e : row.all + e;
+        if (rank < num_pos) row.pos = rank == 0 ? e : row.pos + e;
+      }
+      total += std::log(row.all) - std::log(row.pos);
+    }
+    self->mutable_value().begin()[0] = total;
   });
+  return out;
+}
 
-  // Eq. (6): -log( sum_pos exp(sim/tau) / (sum_pos + sum_neg) ).
-  AG::Var pos_sum, all_sum;
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    const AG::Var e = AG::exp(AG::mul_scalar(sims[order[rank]], 1.0f / tau));
-    all_sum = (rank == 0) ? e : AG::add(all_sum, e);
-    if (rank < num_pos) pos_sum = (rank == 0) ? e : AG::add(pos_sum, e);
+}  // namespace
+
+AG::Var RefFiLMethod::dpcl_term(const RefFiLReplica& rep, const AG::Var& local,
+                                const std::vector<std::size_t>& labels,
+                                const WorkerPrompts& prompts,
+                                const fed::TrainJob& job) const {
+  // Positive count per the paper's sampling rule: two-domain clients (U_b)
+  // take the two closest prompts, single-domain clients take one. A class
+  // without more global prompts than that has no negatives and no term.
+  const std::size_t num_pos = job.group == fed::ClientGroup::kInBetween ? 2 : 1;
+  std::vector<std::size_t> picked, picked_labels;
+  std::vector<const std::vector<T::Tensor>*> reps;
+  for (std::size_t j = 0; j < labels.size(); ++j) {
+    const auto it = prompts.reps_by_class.find(labels[j]);
+    if (it == prompts.reps_by_class.end() || it->second.size() <= num_pos) continue;
+    picked.push_back(j);
+    picked_labels.push_back(labels[j]);
+    reps.push_back(&it->second);
   }
-  return AG::sub(AG::log(all_sum), AG::log(pos_sum));
+  if (picked.empty()) return {};
+  // u_i: the row-mean of sample i's generated prompt, or its class row of
+  // the static table (the table's fold covers the picked samples).
+  std::optional<AG::SampleSubset> subset;
+  if (labels.size() > 1) subset.emplace(picked);
+  const AG::Var u =
+      reffil_.use_cdap
+          ? AG::sample_mean_rows(local, picked, labels.size())
+          : AG::select_rows(rep.class_table->table(), picked_labels);
+  subset.reset();
+  return AG::mul_scalar(
+      dpcl_rows(u, std::move(reps), num_pos, dpcl_temperature(reffil_, job.task)),
+      reffil_.dpcl_weight);
 }
 
 std::string RefFiLMethod::replay_signature(const cl::Replica&,
@@ -210,7 +318,7 @@ AG::Var RefFiLMethod::sample_loss(cl::Replica& replica,
   // One shared CNN/token graph feeds all three losses. The CDAP task key is
   // the task of the sample's own domain (old shards keep their key).
   const AG::Var tokens = rep.net.tokenize(sample.image);
-  const AG::Var local = rep.local_prompt(tokens, tagged.task);
+  const AG::Var local = rep.local_prompt(tokens, {tagged.task});
 
   // Eq. (10): cross-entropy with the local prompt.
   const auto out_local = rep.net.forward_tokens(tokens, local);
@@ -249,15 +357,97 @@ AG::Var RefFiLMethod::sample_loss(cl::Replica& replica,
                                                  static_cast<float>(contexts)));
   }
   if (reffil_.use_dpcl && gpl_active) {
-    // u_i: the flattened generated prompt (row-mean for the CDAP prompt,
-    // class row for the static table).
-    const AG::Var u = reffil_.use_cdap
-                          ? AG::mean_rows(local)
-                          : AG::select_row(rep.class_table->table(), sample.label);
-    const AG::Var dpcl = dpcl_loss(u, prompts, sample.label, job);
-    if (dpcl) loss = AG::add(loss, AG::mul_scalar(dpcl, reffil_.dpcl_weight));
+    const AG::Var dpcl = dpcl_term(rep, local, {sample.label}, prompts, job);
+    if (dpcl) loss = AG::add(loss, dpcl);
   }
   return loss;
+}
+
+AG::Var RefFiLMethod::run_loss(cl::Replica& replica,
+                               const std::vector<TaggedSample>& batch,
+                               std::size_t lo, std::size_t hi,
+                               const fed::TrainJob& job, std::size_t slot) {
+  auto& rep = static_cast<RefFiLReplica&>(replica);
+  const WorkerPrompts& prompts = worker_prompts_[slot];
+  const bool gpl_active = reffil_.use_gpl && prompts.has_prompts && job.task > 0;
+  const std::size_t m = hi - lo;
+  T::Tensor images;
+  std::vector<std::size_t> labels, tasks;
+  {
+    obs::prof::Span span("cl.batch");
+    images = run_images(batch, lo, hi);
+    for (std::size_t i = lo; i < hi; ++i) {
+      labels.push_back(batch[i].sample->label);
+      tasks.push_back(batch[i].task);
+    }
+  }
+  // sample_loss's ops for all m samples, built in sample_loss's order: the
+  // autograd fold commits each sample's parameter uses in reverse build
+  // order, which is the order its one-sample graph's sweep reaches them
+  // (DESIGN.md §16). Each cross-entropy row carries the scale its sample's
+  // loss chain gives it; the root's 1/n is batch_loss's.
+  const AG::Var tokens = rep.net.tokenize(images);
+  const AG::Var local = rep.local_prompt(tokens, tasks);
+  AG::Var loss = AG::cross_entropy_logits(
+      rep.net.forward_tokens(tokens, local, m, reffil_.use_cdap).logits, labels,
+      std::vector<float>(m, 1.0f));
+  if (job.task == 0) {
+    loss = AG::add(loss, AG::cross_entropy_logits(
+                             rep.net.forward_tokens(tokens, {}, m).logits,
+                             labels, std::vector<float>(m, 1.0f)));
+  }
+  if (gpl_active) {
+    // Eq. (9): every context a sample takes (P-bar, then each other
+    // domain's) is one block of a single forward: sample j's blocks in
+    // sample_loss's order, each with gpl_weight over j's context count.
+    const AG::Var frozen = AG::detach(tokens);
+    const std::size_t block = frozen->value().numel() / m;  // one sample's
+    std::vector<std::size_t> owners, block_labels;
+    std::vector<float> weights;
+    std::vector<const T::Tensor*> contexts;
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t first = contexts.size();
+      contexts.push_back(&prompts.pbar);
+      for (const auto& [task, context] : prompts.per_task) {
+        if (task != tasks[j]) contexts.push_back(&context);
+      }
+      const float weight = reffil_.gpl_weight /
+                           static_cast<float>(contexts.size() - first);
+      for (std::size_t k = first; k < contexts.size(); ++k) {
+        owners.push_back(j);
+        block_labels.push_back(labels[j]);
+        weights.push_back(weight);
+      }
+    }
+    const std::size_t blocks = owners.size();
+    const std::size_t d = frozen->value().dim(1);
+    const std::size_t rows = prompts.pbar.dim(0);
+    T::Tensor block_tokens({blocks * block / d, d});
+    T::Tensor block_prompts({blocks * rows, d});
+    float* pt = block_tokens.begin();
+    float* pp = block_prompts.begin();
+    for (std::size_t k = 0; k < blocks; ++k) {
+      const float* src = frozen->value().begin() + owners[k] * block;
+      pt = std::copy(src, src + block, pt);
+      pp = std::copy(contexts[k]->begin(), contexts[k]->end(), pp);
+    }
+    const AG::SampleSubset subset(owners);
+    const AG::Var gpl = AG::cross_entropy_logits(
+        rep.net
+            .forward_tokens(AG::constant(std::move(block_tokens)),
+                            AG::constant(std::move(block_prompts)), blocks,
+                            /*per_sample_prompts=*/true)
+            .logits,
+        block_labels, std::move(weights));
+    // GPL first in the add: the sweep then reaches it last, so the
+    // parameters' small CE partials wait for it, not its many blocks.
+    loss = AG::add(gpl, loss);
+  }
+  if (reffil_.use_dpcl && gpl_active) {
+    const AG::Var dpcl = dpcl_term(rep, local, labels, prompts, job);
+    if (dpcl) loss = AG::add(loss, dpcl);
+  }
+  return AG::mul_scalar(loss, 1.0f / static_cast<float>(batch.size()));
 }
 
 void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
@@ -277,21 +467,32 @@ void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
   const auto view = local_view(job);
   const std::size_t budget = std::min(view.size(), reffil_.lpg_sample_budget);
   const std::size_t d = config_.net.token_dim;
-  // The per-sample prompts are independent forward passes over the trained
-  // replica, so idle workers generate them; the sums below still add them
-  // in sample order.
+  // Prompt rows are independent forward values, so runs of at most
+  // kMaxRunSamples samples each generate theirs in one batched pass, on
+  // idle workers; the sums below still add them in sample order.
   std::vector<T::Tensor> prompt_vecs(budget);
-  util::global_thread_pool().fan_out(budget, [&](std::size_t i) {
-    obs::prof::Span span("cl.lpg_prompt");
-    const data::Sample& sample = *view[i].sample;
-    if (reffil_.use_cdap) {
-      const AG::Var tokens = rep.net.tokenize(sample.image);
-      const AG::Var prompt = rep.cdap->generate(tokens, view[i].task);
-      prompt_vecs[i] = T::mean_rows(prompt->value());  // [d]
-    } else {
-      prompt_vecs[i] = T::row(rep.class_table->table()->value(), sample.label);
+  if (reffil_.use_cdap) {
+    const std::size_t p = reffil_.prompt_rows;
+    const std::size_t runs = (budget + kMaxRunSamples - 1) / kMaxRunSamples;
+    util::global_thread_pool().fan_out(runs, [&](std::size_t r) {
+      obs::prof::Span span("cl.lpg_prompt");
+      const std::size_t lo = r * budget / runs, hi = (r + 1) * budget / runs;
+      std::vector<std::size_t> tasks;
+      for (std::size_t i = lo; i < hi; ++i) tasks.push_back(view[i].task);
+      const AG::Var prompts =
+          rep.cdap->generate(rep.net.tokenize(run_images(view, lo, hi)), tasks);
+      for (std::size_t i = lo; i < hi; ++i) {
+        const T::Tensor block = T::Tensor::view(
+            prompts->mutable_value().begin() + (i - lo) * p * d, {p, d});
+        prompt_vecs[i] = T::mean_rows(block);  // [d]
+      }
+    });
+  } else {
+    for (std::size_t i = 0; i < budget; ++i) {
+      prompt_vecs[i] = T::row(rep.class_table->table()->value(),
+                              view[i].sample->label);
     }
-  });
+  }
   for (std::size_t i = 0; i < budget; ++i) {
     const auto key = std::make_pair(view[i].sample->label, view[i].task);
     auto [it, inserted] = sums.try_emplace(key, T::Tensor({d}));
@@ -401,13 +602,13 @@ AG::Var RefFiLMethod::eval_logits(cl::Replica& replica,
   const std::size_t learned = std::min(current_task_, config_.max_tasks - 1);
   const AG::Var tokens = rep.net.tokenize(image);
   if (!reffil_.use_cdap || reffil_.eval_task_policy == EvalTaskPolicy::kLatest) {
-    const AG::Var prompt = rep.local_prompt(tokens, learned);
+    const AG::Var prompt = rep.local_prompt(tokens, {learned});
     return rep.net.forward_tokens(tokens, prompt).logits;
   }
   AG::Var logits;
   float best_confidence = -1.0f;
   for (std::size_t task = 0; task <= learned; ++task) {
-    const AG::Var prompt = rep.local_prompt(tokens, task);
+    const AG::Var prompt = rep.local_prompt(tokens, {task});
     const AG::Var l = rep.net.forward_tokens(tokens, prompt).logits;
     if (reffil_.eval_task_policy == EvalTaskPolicy::kConfidence) {
       const float confidence = T::max_all(T::softmax_rows(l->value()));

@@ -79,9 +79,11 @@ class RefFiLReplica : public cl::Replica {
   RefFiLReplica(const cl::MethodConfig& config, const RefFiLConfig& reffil,
                 util::Rng& rng);
 
-  /// Local prompt for one input (Eq. 1 path, or the static per-class table
-  /// in the no-CDAP ablation, where the full table is attached).
-  autograd::Var local_prompt(const autograd::Var& tokens, std::size_t task) const;
+  /// Local prompts for the tokens of tasks.size() inputs, each under its own
+  /// task key (Eq. 1 path, one [p, d] block per input), or the static
+  /// per-class table in the no-CDAP ablation, one set every input shares.
+  autograd::Var local_prompt(const autograd::Var& tokens,
+                             const std::vector<std::size_t>& tasks) const;
 
   std::vector<nn::Module*> modules() override;
 
@@ -116,6 +118,12 @@ class RefFiLMethod : public cl::MethodBase {
   void after_aggregate() override;
   autograd::Var sample_loss(cl::Replica& replica, const TaggedSample& sample,
                             const fed::TrainJob& job, std::size_t slot) override;
+  bool batched_step() const override { return true; }
+  /// sample_loss over batch[lo, hi) with one node per op for the run.
+  autograd::Var run_loss(cl::Replica& replica,
+                         const std::vector<TaggedSample>& batch, std::size_t lo,
+                         std::size_t hi, const fed::TrainJob& job,
+                         std::size_t slot) override;
   autograd::Var eval_logits(cl::Replica& replica, const tensor::Tensor& image,
                             std::size_t slot) override;
   std::string replay_signature(const cl::Replica& replica,
@@ -135,8 +143,12 @@ class RefFiLMethod : public cl::MethodBase {
     tensor::Tensor pbar;  ///< Eq. (8), [K, d]
   };
 
-  autograd::Var dpcl_loss(const autograd::Var& generated,
-                          const WorkerPrompts& prompts, std::size_t label,
+  /// dpcl_weight · Eq. (6) summed over the samples with labels[i] whose
+  /// class has more global prompts than positives (null when none), off
+  /// `local`, the prompts generated for those samples' tokens.
+  autograd::Var dpcl_term(const RefFiLReplica& rep, const autograd::Var& local,
+                          const std::vector<std::size_t>& labels,
+                          const WorkerPrompts& prompts,
                           const fed::TrainJob& job) const;
 
   RefFiLConfig reffil_;

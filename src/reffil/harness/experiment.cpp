@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "reffil/cl/dualprompt.hpp"
 #include "reffil/cl/ewc.hpp"
@@ -31,6 +32,34 @@ std::string method_display_name(MethodKind kind) {
     case MethodKind::kRefFiL: return "RefFiL";
   }
   throw ConfigError("unknown method kind");
+}
+
+namespace {
+/// The one table behind method_cli_name and parse_method_name.
+constexpr std::pair<MethodKind, const char*> kCliNames[] = {
+    {MethodKind::kFinetune, "Finetune"},
+    {MethodKind::kLwf, "FedLwF"},
+    {MethodKind::kEwc, "FedEWC"},
+    {MethodKind::kL2p, "FedL2P"},
+    {MethodKind::kL2pPool, "FedL2P+pool"},
+    {MethodKind::kDualPrompt, "FedDualPrompt"},
+    {MethodKind::kDualPromptPool, "FedDualPrompt+pool"},
+    {MethodKind::kRefFiL, "RefFiL"},
+};
+}  // namespace
+
+std::string method_cli_name(MethodKind kind) {
+  for (const auto& [k, name] : kCliNames) {
+    if (k == kind) return name;
+  }
+  throw ConfigError("unknown method kind");
+}
+
+std::optional<MethodKind> parse_method_name(const std::string& name) {
+  for (const auto& [kind, cli] : kCliNames) {
+    if (name == cli) return kind;
+  }
+  return std::nullopt;
 }
 
 Scale scale_from_env() {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,11 @@ enum class MethodKind {
 
 std::vector<MethodKind> all_method_kinds();
 std::string method_display_name(MethodKind kind);
+/// The name `reffil_run --method` takes and `--list` prints (plain ASCII:
+/// the pool variants are FedL2P+pool and FedDualPrompt+pool).
+std::string method_cli_name(MethodKind kind);
+/// The kind whose method_cli_name is `name`, if any.
+std::optional<MethodKind> parse_method_name(const std::string& name);
 
 /// Execution scale. The paper trains 30 rounds x 20 epochs on a GPU; the
 /// default "scaled" profile keeps every bench binary in CPU seconds while

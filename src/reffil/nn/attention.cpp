@@ -47,8 +47,7 @@ AG::Var MultiHeadSelfAttention::forward(const AG::Var& tokens,
     // Fused q·kᵀ: no transposed key copy is materialized in forward or
     // backward (AG::matmul_nt routes both through the _nt/_tn kernels).
     // Each sample attends over its own T tokens: [samples·T, T] scores.
-    const AG::Var scores =
-        AG::mul_scalar(AG::matmul_nt(qh, kh, samples), scale);
+    const AG::Var scores = AG::matmul_nt(qh, kh, samples, scale);
     const AG::Var attn = AG::softmax_rows(scores);
     const AG::Var out_h = AG::matmul_per_sample(attn, vh, samples);
     merged = (h == 0) ? out_h : AG::concat_cols(merged, out_h);

@@ -118,19 +118,23 @@ PromptNetOutput PromptNet::forward(const T::Tensor& images,
 
 PromptNetOutput PromptNet::forward_tokens(const AG::Var& tokens,
                                           const std::optional<AG::Var>& prompts,
-                                          std::size_t samples) const {
+                                          std::size_t samples,
+                                          bool per_sample_prompts) const {
   obs::prof::Span span("nn.forward");
   std::size_t cls_index = 0;
   AG::Var seq = tokens;
   if (prompts.has_value()) {
     const auto& pv = (*prompts)->value();
-    if (pv.rank() != 2 || pv.dim(1) != config_.token_dim) {
-      throw ShapeError("prompts must be [p, token_dim], got " +
-                       T::shape_to_string(pv.shape()));
+    const std::size_t sets = per_sample_prompts ? samples : 1;
+    if (pv.rank() != 2 || pv.dim(1) != config_.token_dim ||
+        pv.dim(0) % sets != 0) {
+      throw ShapeError("prompts must be [" + std::to_string(sets) +
+                       "·p, token_dim], got " + T::shape_to_string(pv.shape()));
     }
-    REFFIL_CHECK_MSG(samples == 1, "prompts need a single-sample forward");
-    seq = AG::concat_rows(*prompts, tokens);
-    cls_index = pv.dim(0);
+    // A shared set's gradient folds one partial per sample.
+    seq = per_sample_prompts ? AG::concat_rows(*prompts, tokens, samples)
+                             : AG::prepend_rows(*prompts, tokens, samples);
+    cls_index = pv.dim(0) / sets;
   }
   const AG::Var out = block_->forward(seq, samples);
   const AG::Var cls = AG::sample_row(out, cls_index, samples);     // [N, d]

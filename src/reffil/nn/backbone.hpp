@@ -101,16 +101,20 @@ class PromptNet : public Module {
   /// Forward a single [C,H,W] image, or an [N,C,H,W] batch as one graph of
   /// N samples whose values and gradients are bitwise those of N one-image
   /// graphs. If `prompts` is provided it must be a [p, d] Var and is
-  /// prepended to the token sequence before attention (single image only).
+  /// prepended to every sample's token sequence before attention.
   PromptNetOutput forward(const tensor::Tensor& images,
                           const std::optional<autograd::Var>& prompts = {}) const;
 
   /// Forward from pre-computed tokens (Eq. 12's I) of `samples` images. Lets
   /// callers run the CNN once and attach several prompt sets (RefFiL
-  /// computes xi_l and xi_g from one shared token graph).
+  /// computes xi_l and xi_g from one shared token graph). With `prompts`,
+  /// each sample's sequence is [prompts; tokens]: one [p, d] set shared by
+  /// every sample, or with per_sample_prompts one [p, d] block per sample
+  /// ([samples·p, d]).
   PromptNetOutput forward_tokens(const autograd::Var& tokens,
                                  const std::optional<autograd::Var>& prompts = {},
-                                 std::size_t samples = 1) const;
+                                 std::size_t samples = 1,
+                                 bool per_sample_prompts = false) const;
 
   /// Tokenize only (Eq. 12): returns I = [CLS; PT...] per image without
   /// attention — this is the CDAP generator's input.

@@ -20,7 +20,7 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng
 }
 
 AG::Var Linear::forward(const AG::Var& x, std::size_t samples) const {
-  return AG::add_rowvec(AG::matmul(x, weight_, samples), bias_, samples);
+  return AG::linear(x, weight_, bias_, samples);
 }
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, util::Rng& rng) {
@@ -57,8 +57,14 @@ Embedding::Embedding(std::size_t count, std::size_t dim, util::Rng& rng)
 }
 
 AG::Var Embedding::forward(std::size_t index) const {
-  REFFIL_CHECK_MSG(index < count_, "Embedding index out of range");
-  return AG::select_row(table_, index);
+  return forward(std::vector<std::size_t>{index});
+}
+
+AG::Var Embedding::forward(const std::vector<std::size_t>& indices) const {
+  for (std::size_t index : indices) {
+    REFFIL_CHECK_MSG(index < count_, "Embedding index out of range");
+  }
+  return AG::select_rows(table_, indices);
 }
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,

@@ -64,6 +64,8 @@ class Embedding : public Module {
   Embedding(std::size_t count, std::size_t dim, util::Rng& rng);
 
   autograd::Var forward(std::size_t index) const;
+  /// Row indices[s] for each sample s: [samples, dim].
+  autograd::Var forward(const std::vector<std::size_t>& indices) const;
 
   /// Whole table as a [count, dim] Var (for pool-style similarity search).
   const autograd::Var& table() const { return table_; }

@@ -18,6 +18,7 @@
 #include "reffil/autograd/ops.hpp"
 #include "reffil/autograd/variable.hpp"
 #include "reffil/cl/method_base.hpp"
+#include "reffil/harness/experiment.hpp"
 #include "reffil/nn/attention.hpp"
 #include "reffil/nn/backbone.hpp"
 #include "reffil/nn/layers.hpp"
@@ -373,15 +374,15 @@ TEST(BatchedStep, PromptNetStepMatchesTheOneGraphBatchForAnyRunSplit) {
   }
 }
 
-TEST(BatchedStep, RunSplitIsOneRunPerFreeThreadOfAtMostEightSamples) {
+TEST(BatchedStep, RunSplitIsOneRunPerFreeThreadOfAtMostThreeSamples) {
   using cl::MethodBase;
   EXPECT_EQ(MethodBase::batched_runs(1, 4), 1u);   // never more runs than samples
   EXPECT_EQ(MethodBase::batched_runs(2, 4), 2u);
-  EXPECT_EQ(MethodBase::batched_runs(9, 3), 4u);   // caller + 3 idle workers
-  EXPECT_EQ(MethodBase::batched_runs(8, 0), 1u);   // no idle worker: one graph
-  EXPECT_EQ(MethodBase::batched_runs(9, 0), 2u);   // ...of at most 8 samples
-  EXPECT_EQ(MethodBase::batched_runs(16, 1), 2u);
-  EXPECT_EQ(MethodBase::batched_runs(17, 1), 3u);
+  EXPECT_EQ(MethodBase::batched_runs(4, 3), 4u);   // caller + 3 idle workers
+  EXPECT_EQ(MethodBase::batched_runs(3, 0), 1u);   // no idle worker: one graph
+  EXPECT_EQ(MethodBase::batched_runs(10, 0), 4u);  // ...of at most 3 samples
+  EXPECT_EQ(MethodBase::batched_runs(16, 1), 6u);
+  EXPECT_EQ(MethodBase::batched_runs(18, 1), 6u);
 }
 
 TEST(BatchedStep, OneWorkerAndFourWorkerPoolsGiveTheSameBits) {
@@ -438,18 +439,185 @@ TEST(BatchedStep, FoldIsTheSerialSweepOrderAndAscendingWouldFail) {
       << "the data must make the fold order observable";
 }
 
-TEST(BatchedStep, GuardTripsWhenAParameterFeedsTwoOpsPerSample) {
-  // A toy module that applies one weight twice. Per sample the serial graph
-  // interleaves the two uses; one fold per use cannot, so it must refuse.
-  const auto run = [](std::size_t samples) {
-    util::Rng rng(30);
-    const AG::Var w = AG::parameter(T::randn({4, 4}, rng));
-    const AG::Var x = AG::constant(T::randn({2 * samples, 4}, rng));
-    AG::backward(AG::sum_all(
-        AG::matmul(AG::matmul(x, w, samples), w, samples)));
-  };
-  EXPECT_THROW(run(3), Error);
-  EXPECT_NO_THROW(run(1));  // one sample is the per-sample graph itself
+// A toy weight used twice by every sample and once more by a masked subset
+// (the odd samples), as RefFiL's attention block is used by its CE pass, its
+// prompt-free pass and the GPL contexts a sample takes. Per sample the
+// one-sample graph adds the uses interleaved; the batched fold must too.
+struct MultiUse {
+  explicit MultiUse(std::size_t n) : n(n) {
+    util::Rng rng(31 + n);
+    w0 = T::randn({4, 4}, rng, 0.0f, 0.8f);
+    x = T::randn({2 * n, 4}, rng, 0.0f, 3.0f);
+    seed_twice = T::randn({2 * n, 4}, rng, 0.0f, 2.0f);
+    seed_masked = T::randn({2 * n, 4}, rng, 0.0f, 5.0f);
+  }
+  std::size_t n;
+  T::Tensor w0, x, seed_twice, seed_masked;
+
+  static bool masked(std::size_t s) { return s % 2 == 1; }
+
+  /// Rows of `t` for samples [lo, hi) (or only the masked ones).
+  T::Tensor rows(const T::Tensor& t, std::size_t lo, std::size_t hi,
+                 bool only_masked) const {
+    std::vector<float> out;
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (only_masked && !masked(s)) continue;
+      out.insert(out.end(), t.begin() + s * 8, t.begin() + (s + 1) * 8);
+    }
+    const std::size_t count = out.size() / 4;
+    return T::Tensor({count, 4}, std::move(out));
+  }
+
+  /// Samples [lo, hi) as one graph, built in the per-sample graph's order.
+  void sweep_run(const AG::Var& w, std::size_t lo, std::size_t hi) const {
+    const std::size_t m = hi - lo;
+    const AG::Var twice = AG::matmul(
+        AG::matmul(AG::constant(rows(x, lo, hi, false)), w, m), w, m);
+    AG::Var loss =
+        AG::sum_all(AG::mul(twice, AG::constant(rows(seed_twice, lo, hi, false))));
+    std::vector<std::size_t> takers;
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (masked(s)) takers.push_back(s - lo);
+    }
+    if (!takers.empty()) {
+      const AG::SampleSubset subset(takers);
+      const AG::Var once =
+          AG::matmul(AG::constant(rows(x, lo, hi, true)), w, takers.size());
+      loss = AG::add(loss, AG::sum_all(AG::mul(
+                               once, AG::constant(rows(seed_masked, lo, hi, true)))));
+    }
+    AG::backward(loss);
+  }
+
+  /// The per-sample graphs swept sample n-1 first, each use of the weight
+  /// on its own leaf and its gradient added by hand in the order the
+  /// one-sample sweep reaches the uses: the masked one, the outer matmul,
+  /// the inner one.
+  T::Tensor serial() const {
+    T::Tensor total;
+    bool first = true;
+    const auto add = [&](const T::Tensor& g) {
+      if (first) {
+        total = g;
+        first = false;
+      } else {
+        T::add_inplace(total, g);
+      }
+    };
+    for (std::size_t s = n; s-- > 0;) {
+      const AG::Var inner = AG::parameter(w0), outer = AG::parameter(w0),
+                    extra = AG::parameter(w0);
+      const AG::Var xs = AG::constant(rows(x, s, s + 1, false));
+      AG::Var loss = AG::sum_all(
+          AG::mul(AG::matmul(AG::matmul(xs, inner), outer),
+                  AG::constant(rows(seed_twice, s, s + 1, false))));
+      if (masked(s)) {
+        loss = AG::add(loss, AG::sum_all(AG::mul(
+                                 AG::matmul(xs, extra),
+                                 AG::constant(rows(seed_masked, s, s + 1, false)))));
+      }
+      AG::backward(loss);
+      if (masked(s)) add(extra->grad());
+      add(outer->grad());
+      add(inner->grad());
+    }
+    return total;
+  }
+};
+
+TEST(BatchedStep, AWeightUsedTwiceAndOnceMaskedFoldsLikeThePerSampleGraphs) {
+  for (std::size_t n : kSampleCounts) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const MultiUse toy(n);
+    const T::Tensor serial = toy.serial();
+    for (std::size_t workers : {1u, 4u}) {
+      util::ThreadPool pool(workers);
+      AG::OrderedFold fold;
+      for (std::size_t runs : {std::size_t{1}, std::size_t{2}, n}) {
+        if (runs > n) continue;
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " runs=" + std::to_string(runs));
+        const AG::Var w = AG::parameter(toy.w0);
+        fold.sweep_runs(pool, n, runs, [&](std::size_t lo, std::size_t hi) {
+          toy.sweep_run(w, lo, hi);
+        });
+        EXPECT_TRUE(same_bits(w->grad(), serial));
+      }
+    }
+  }
+}
+
+// ---- RefFiL's batched step ------------------------------------------------------
+
+/// Three domains, so a later task has two other-domain GPL contexts and
+/// DPCL has three prompts per class; with in-between clients, one batch
+/// mixes task keys and which contexts its samples take.
+data::DatasetSpec three_domain_spec() {
+  data::DatasetSpec spec;
+  spec.name = "ThreeDomain";
+  spec.num_classes = 4;
+  spec.seed = 37;
+  data::DomainSpec d;
+  d.train_samples = 80;
+  d.test_samples = 16;
+  d.noise = 0.1f;
+  d.clutter = 0.2f;
+  d.render_mix = 0.5f;
+  for (const char* name : {"A", "B", "C"}) {
+    d.name = name;
+    d.style_shift = 0.4f + 0.3f * static_cast<float>(spec.domains.size());
+    spec.domains.push_back(d);
+  }
+  spec.initial_clients = 4;
+  spec.clients_per_round = 4;
+  spec.client_increment = 2;
+  spec.rounds_per_task = 3;
+  spec.local_epochs = 1;
+  spec.learning_rate = 0.05f;
+  return spec;
+}
+
+/// The final global model of a RefFiL run: batched runs under
+/// parallel_samples, or batch_loss's one graph per batch.
+fed::ModelState reffil_run(const core::RefFiLConfig& reffil,
+                           bool parallel_samples) {
+  const auto spec = three_domain_spec();
+  harness::ExperimentConfig config;
+  config.seed = 5;
+  config.parallel_samples = parallel_samples;
+  config.reffil = reffil;
+  auto method = harness::make_method(harness::MethodKind::kRefFiL, spec, config);
+  fed::RunConfig run_config;
+  run_config.spec = spec;
+  run_config.parallelism = config.parallelism;
+  run_config.seed = config.seed;
+  fed::FederatedRunner(run_config).run(*method);
+  return dynamic_cast<cl::MethodBase&>(*method).global_state();
+}
+
+void expect_batched_matches_one_graph(const core::RefFiLConfig& reffil) {
+  const fed::ModelState batched = reffil_run(reffil, true);
+  const fed::ModelState one_graph = reffil_run(reffil, false);
+  ASSERT_EQ(batched.size(), one_graph.size());
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    EXPECT_TRUE(same_bits(batched[i], one_graph[i])) << "tensor " << i;
+  }
+}
+
+TEST(BatchedStep, RefFiLRunsMatchTheOneGraphBatchOnThreeDomains) {
+  expect_batched_matches_one_graph({});
+}
+
+TEST(BatchedStep, RefFiLStaticPromptTableRunsMatchTheOneGraphBatch) {
+  core::RefFiLConfig reffil;
+  reffil.use_cdap = false;
+  expect_batched_matches_one_graph(reffil);
+}
+
+TEST(BatchedStep, RefFiLRunsWithoutDpclMatchTheOneGraphBatch) {
+  core::RefFiLConfig reffil;
+  reffil.use_dpcl = false;
+  expect_batched_matches_one_graph(reffil);
 }
 
 }  // namespace

@@ -416,3 +416,14 @@ TEST(PaperAblation, RowsMatchTableFive) {
     EXPECT_GT(rows[i].last, rows.front().last);
   }
 }
+
+TEST(MethodNames, EveryListedNameParsesBackToItsMethod) {
+  // reffil_run --list prints method_cli_name; --method parses it.
+  for (const auto kind : reffil::harness::all_method_kinds()) {
+    const std::string name = reffil::harness::method_cli_name(kind);
+    const auto parsed = reffil::harness::parse_method_name(name);
+    ASSERT_TRUE(parsed.has_value()) << name;
+    EXPECT_EQ(*parsed, kind) << name;
+  }
+  EXPECT_FALSE(reffil::harness::parse_method_name("FedL2P\xE2\x80\xA0"));
+}

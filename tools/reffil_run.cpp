@@ -83,19 +83,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-std::optional<harness::MethodKind> parse_method(const std::string& name) {
-  using K = harness::MethodKind;
-  if (name == "Finetune") return K::kFinetune;
-  if (name == "FedLwF") return K::kLwf;
-  if (name == "FedEWC") return K::kEwc;
-  if (name == "FedL2P") return K::kL2p;
-  if (name == "FedL2P+pool") return K::kL2pPool;
-  if (name == "FedDualPrompt") return K::kDualPrompt;
-  if (name == "FedDualPrompt+pool") return K::kDualPromptPool;
-  if (name == "RefFiL") return K::kRefFiL;
-  return std::nullopt;
-}
-
 // The --json document: the library's run document (fed::write_run_json)
 // plus what only this process knows — the kernel target, phase quantiles
 // from the metrics registry, and graph-replay accounting.
@@ -176,7 +163,7 @@ int main(int argc, char** argv) {
       }
       std::printf("methods:\n");
       for (const auto kind : harness::all_method_kinds()) {
-        std::printf("  %s\n", harness::method_display_name(kind).c_str());
+        std::printf("  %s\n", harness::method_cli_name(kind).c_str());
       }
       return 0;
     } else if (arg == "--dataset") {
@@ -268,7 +255,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown order '%s'\n", order.c_str());
     return 2;
   }
-  const auto kind = parse_method(method_name);
+  const auto kind = harness::parse_method_name(method_name);
   if (!kind) {
     std::fprintf(stderr, "unknown method '%s' (see --list)\n",
                  method_name.c_str());
