@@ -42,10 +42,6 @@ struct Context {
 
 thread_local std::unique_ptr<Context> g_ctx;
 
-void count_graph_metric(const char* name) {
-  if (obs::metrics_enabled()) obs::count(name);
-}
-
 // ---- arena planner ---------------------------------------------------------
 
 constexpr std::size_t kAlignFloats = 16;  // 64-byte blocks
@@ -209,7 +205,7 @@ std::shared_ptr<CapturedGraph> Capture::finish(const Var& root,
   std::unique_ptr<Context> ctx = std::move(g_ctx);  // deactivate recording
   REFFIL_CHECK_MSG(ctx != nullptr, "finish() outside an active capture");
   const auto reject = [] {
-    count_graph_metric("ag.graph.capture_reject");
+    obs::count("ag.graph.capture_reject");
     return std::shared_ptr<CapturedGraph>();
   };
 
@@ -366,12 +362,10 @@ std::shared_ptr<CapturedGraph> Capture::finish(const Var& root,
   graph->inputs_per_sample_ = ipp;
   graph->tag_sensitive_ = tag_sensitive;
 
-  count_graph_metric("ag.graph.capture");
-  if (obs::metrics_enabled()) {
-    static obs::Gauge& arena_gauge = obs::gauge("ag.graph.arena_bytes");
-    const double bytes = static_cast<double>(graph->arena_bytes());
-    if (bytes > arena_gauge.value()) arena_gauge.set(bytes);
-  }
+  obs::count("ag.graph.capture");
+  static obs::Gauge& arena_gauge = obs::gauge("ag.graph.arena_bytes");
+  const double bytes = static_cast<double>(graph->arena_bytes());
+  if (bytes > arena_gauge.value()) arena_gauge.set(bytes);
   return graph;
 }
 
@@ -419,7 +413,7 @@ void CapturedGraph::replay() {
       n->backward_fn()(n->grad());
     }
   }
-  count_graph_metric("ag.graph.replay");
+  obs::count("ag.graph.replay");
 }
 
 const std::shared_ptr<CapturedGraph>* GraphCache::find(

@@ -402,6 +402,9 @@ class MethodBase::StreamingSink : public fed::AggregationSink {
       REFFIL_CHECK_MSG(count_ > 0, "streaming aggregate: no updates");
       REFFIL_CHECK_MSG(total_weight_ > 0.0,
                        "streaming aggregate: all-zero weights");
+      // theta^{r+1} = Q(theta^r) + sum_m w_m delta_m / sum_m w_m: the decoded
+      // broadcast is the base every delta was computed against, so it — not
+      // the pre-quantization global state — anchors the new round.
       const float inv = static_cast<float>(1.0 / total_weight_);
       fed::ModelState next = method_.broadcast_reference_;
       for (std::size_t t = 0; t < next.size(); ++t) {
@@ -430,35 +433,15 @@ std::unique_ptr<fed::AggregationSink> MethodBase::begin_streaming_aggregate(
 
 void MethodBase::aggregate(const std::vector<fed::ClientUpdate>& updates) {
   REFFIL_CHECK_MSG(!updates.empty(), "aggregate: no updates");
-  obs::count("cl.aggregations");
-  obs::count("cl.updates_aggregated", updates.size());
   if (compress_.enabled()) {
-    REFFIL_CHECK_MSG(!broadcast_reference_.empty(),
-                     "aggregate: no broadcast reference for compressed round");
-    fed::ModelState delta_sum;
-    delta_sum.reserve(broadcast_reference_.size());
-    for (const auto& t : broadcast_reference_) delta_sum.emplace_back(t.shape());
-    double total_weight = 0.0;
-    for (const auto& update : updates) {
-      util::ByteReader reader(update.payload);
-      fed::accumulate_delta(reader, static_cast<float>(update.num_samples),
-                            delta_sum);
-      read_update_extras(reader, update);
-      total_weight += static_cast<double>(update.num_samples);
-    }
-    REFFIL_CHECK_MSG(total_weight > 0.0, "aggregate: all-zero weights");
-    // theta^{r+1} = Q(theta^r) + sum_m w_m delta_m / sum_m w_m: the decoded
-    // broadcast is the base every delta was computed against, so it — not
-    // the pre-quantization global state — anchors the new round.
-    const float inv = static_cast<float>(1.0 / total_weight);
-    fed::ModelState next = broadcast_reference_;
-    for (std::size_t t = 0; t < next.size(); ++t) {
-      T::axpy_inplace(next[t], inv, delta_sum[t]);
-    }
-    global_state_ = std::move(next);
-    after_aggregate();
+    // Compressed frames fold as deltas: one pass through the streaming sink.
+    StreamingSink sink(*this, 1);
+    for (const auto& update : updates) sink.add(update);
+    sink.finish();
     return;
   }
+  obs::count("cl.aggregations");
+  obs::count("cl.updates_aggregated", updates.size());
   std::vector<fed::ModelState> states;
   std::vector<double> weights;
   states.reserve(updates.size());

@@ -40,16 +40,14 @@ namespace reffil::tensor::detail {
 inline constexpr std::size_t kTileJ = 128;
 inline constexpr std::size_t kTileK = 128;
 
-/// Rows [r0, r1) of out[m, n] += a[m, K] * b[K, n]. `out` rows must be
-/// zero-filled on entry.
+/// out[m, n] += a[m, K] * b[K, n]. `out` must be zero-filled on entry.
 inline void matmul_rows_nn(const float* a, const float* b, float* out,
-                           std::size_t r0, std::size_t r1, std::size_t K,
-                           std::size_t n) {
+                           std::size_t m, std::size_t K, std::size_t n) {
   for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
     const std::size_t j1 = std::min(n, j0 + kTileJ);
     for (std::size_t k0 = 0; k0 < K; k0 += kTileK) {
       const std::size_t k1 = std::min(K, k0 + kTileK);
-      for (std::size_t i = r0; i < r1; ++i) {
+      for (std::size_t i = 0; i < m; ++i) {
         const float* a_row = a + i * K;
         float* out_row = out + i * n;
         for (std::size_t kk = k0; kk < k1; ++kk) {
@@ -62,7 +60,7 @@ inline void matmul_rows_nn(const float* a, const float* b, float* out,
   }
 }
 
-/// Rows [r0, r1) of out[m, n] += a[m, K] * b[n, K]^T. One kTileK x kTileJ
+/// out[m, n] += a[m, K] * b[n, K]^T. One kTileK x kTileJ
 /// block of b at a time is transposed into a reused thread-local pack
 /// buffer, then consumed by the same vectorizable j-sweep inner loop as the
 /// nn kernel. A naive per-element dot over the rows of b would carry the
@@ -71,11 +69,10 @@ inline void matmul_rows_nn(const float* a, const float* b, float* out,
 /// constant 64 KiB footprint — never a full [K, n] transposed temporary,
 /// never an allocation after the first call on a thread. Per output element
 /// the accumulation still streams k upward, so results are bitwise
-/// identical to matmul_rows_nn(a, transpose(b)). `out` rows must be
+/// identical to matmul_rows_nn(a, transpose(b)). `out` must be
 /// zero-filled.
 inline void matmul_rows_nt(const float* a, const float* b, float* out,
-                           std::size_t r0, std::size_t r1, std::size_t K,
-                           std::size_t n) {
+                           std::size_t m, std::size_t K, std::size_t n) {
   thread_local std::vector<float> pack(kTileK * kTileJ);
   for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
     const std::size_t j1 = std::min(n, j0 + kTileJ);
@@ -88,7 +85,7 @@ inline void matmul_rows_nt(const float* a, const float* b, float* out,
           pack[(kk - k0) * jw + (j - j0)] = b_row[kk];
         }
       }
-      for (std::size_t i = r0; i < r1; ++i) {
+      for (std::size_t i = 0; i < m; ++i) {
         const float* a_row = a + i * K;
         float* out_row = out + i * n + j0;
         for (std::size_t kk = k0; kk < k1; ++kk) {
@@ -101,19 +98,18 @@ inline void matmul_rows_nt(const float* a, const float* b, float* out,
   }
 }
 
-/// Rows [r0, r1) of out[m, n] += a[K, m]^T * b[K, n]. The k loop is the
-/// outer walk, so per output element the accumulation order still streams k
-/// upward; a's "column" a[., i] is read as the contiguous slice a[kk*m + i].
-/// `out` rows must be zero-filled.
+/// out[m, n] += a[K, m]^T * b[K, n]. The k loop is the outer walk, so per
+/// output element the accumulation order still streams k upward; a's
+/// "column" a[., i] is read as the contiguous slice a[kk*m + i]. `out` must
+/// be zero-filled.
 inline void matmul_rows_tn(const float* a, const float* b, float* out,
-                           std::size_t r0, std::size_t r1, std::size_t K,
-                           std::size_t m, std::size_t n) {
+                           std::size_t m, std::size_t K, std::size_t n) {
   for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
     const std::size_t j1 = std::min(n, j0 + kTileJ);
     for (std::size_t kk = 0; kk < K; ++kk) {
       const float* a_col = a + kk * m;
       const float* b_row = b + kk * n;
-      for (std::size_t i = r0; i < r1; ++i) {
+      for (std::size_t i = 0; i < m; ++i) {
         const float aki = a_col[i];
         float* out_row = out + i * n;
         for (std::size_t j = j0; j < j1; ++j) out_row[j] += aki * b_row[j];
@@ -122,27 +118,24 @@ inline void matmul_rows_tn(const float* a, const float* b, float* out,
   }
 }
 
-// ---- blocked elementwise spans ---------------------------------------------
-// Element-independent (no accumulator crosses elements), so any block
-// partition of [lo, hi) produces bitwise-identical results; the SIMD
-// targets deliberately use unfused mul-then-add to stay bitwise equal to
-// these loops.
+// ---- elementwise spans -----------------------------------------------------
+// Element-independent (no accumulator crosses elements); the SIMD targets
+// deliberately use unfused mul-then-add to stay bitwise equal to these
+// loops.
 
-inline void add_span(float* y, const float* x, std::size_t lo,
-                     std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) y[i] += x[i];
+inline void add_span(float* y, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
 }
 
-inline void axpy_span(float* y, float s, const float* x, std::size_t lo,
-                      std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) y[i] += s * x[i];
+inline void axpy_span(float* y, float s, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += s * x[i];
 }
 
-inline void scale_span(float* y, float s, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) y[i] *= s;
+inline void scale_span(float* y, float s, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] *= s;
 }
 
-// ---- row-range softmax -----------------------------------------------------
+// ---- row-wise softmax ------------------------------------------------------
 // Degenerate-row semantics (shared by every dispatch target): a row whose
 // maximum is -inf (every logit -inf) has no information — the old code
 // computed exp(-inf - -inf) = exp(NaN) and emitted a NaN row. Defined
@@ -151,10 +144,10 @@ inline void scale_span(float* y, float s, std::size_t lo, std::size_t hi) {
 // input. Rows containing NaN still propagate NaN (they are *poisoned*, not
 // merely uninformative — the transport quarantine wants to see them).
 
-inline void softmax_rows(const float* src, float* dst, std::size_t r0,
-                         std::size_t r1, std::size_t n) {
+inline void softmax_rows(const float* src, float* dst, std::size_t m,
+                         std::size_t n) {
   if (n == 0) return;
-  for (std::size_t i = r0; i < r1; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     const float* s = src + i * n;
     float* d = dst + i * n;
     const float mx = *std::max_element(s, s + n);
@@ -173,10 +166,10 @@ inline void softmax_rows(const float* src, float* dst, std::size_t r0,
   }
 }
 
-inline void log_softmax_rows(const float* src, float* dst, std::size_t r0,
-                             std::size_t r1, std::size_t n) {
+inline void log_softmax_rows(const float* src, float* dst, std::size_t m,
+                             std::size_t n) {
   if (n == 0) return;
-  for (std::size_t i = r0; i < r1; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     const float* s = src + i * n;
     float* d = dst + i * n;
     const float mx = *std::max_element(s, s + n);
@@ -197,8 +190,8 @@ inline void log_softmax_rows(const float* src, float* dst, std::size_t r0,
 // produce the same bits.
 
 inline void relu_backward_span(float* dx, const float* x, const float* g,
-                               std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) dx[i] = x[i] <= 0.0f ? 0.0f : g[i];
+                               std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dx[i] = x[i] <= 0.0f ? 0.0f : g[i];
 }
 
 // ---- micro-kernel operand rows ---------------------------------------------

@@ -1,17 +1,15 @@
 // Runtime CPU-feature-dispatched kernel table (DESIGN.md §12).
 //
-// Every hot inner loop of the tensor layer — the matmul row kernels, the
-// blocked elementwise/axpy sweeps, the row-range softmax pair, and the
-// direct conv2d kernels — is reached through one table of function
+// Every hot inner loop of the tensor layer — the matmul kernels, the
+// elementwise/axpy sweeps, the row-wise softmax pair, and the direct conv2d
+// kernels — is reached through one table of function
 // pointers resolved exactly once at startup. The binary carries every
 // target the toolchain could compile (scalar always; AVX2 on x86-64; NEON
 // on aarch64) and picks the best one the *running* CPU supports, so a
 // single fat binary runs unmodified from a baseline VM to an AVX2 server.
 //
 // Determinism contract (per dispatch target):
-//  * Within one target, results are a pure function of the inputs, and
-//    row-range kernels are partition-invariant: any split of [r0, r1)
-//    reproduces the whole-range result bitwise.
+//  * Within one target, results are a pure function of the inputs.
 //  * The scalar target is bitwise-identical to the pre-dispatch kernels on
 //    finite inputs (it IS those kernels, minus the skip-zero rule, which
 //    never changed a finite result — see kernels.hpp).
@@ -50,52 +48,45 @@ struct Conv2dGeom {
 };
 
 /// One dispatch target. All pointers are non-null in every registered
-/// table. Row-range kernels take [r0, r1); ops.cpp always passes the whole
-/// range.
+/// table. Every kernel covers its whole output.
 struct Kernels {
   const char* name;
 
-  /// Rows [r0, r1) of out[m, n] += a[m, K] * b[K, n]; `out` rows zeroed on
-  /// entry. Per output element, k streams in increasing order into a single
-  /// accumulator (fused or not is the target's choice, but fixed per
-  /// target).
+  /// out[m, n] += a[m, K] * b[K, n]; `out` zeroed on entry. Per output
+  /// element, k streams in increasing order into a single accumulator
+  /// (fused or not is the target's choice, but fixed per target).
   void (*matmul_rows_nn)(const float* a, const float* b, float* out,
-                         std::size_t r0, std::size_t r1, std::size_t K,
-                         std::size_t n);
-  /// Rows [r0, r1) of out[m, n] += a[m, K] * b[n, K]^T.
+                         std::size_t m, std::size_t K, std::size_t n);
+  /// out[m, n] += a[m, K] * b[n, K]^T.
   void (*matmul_rows_nt)(const float* a, const float* b, float* out,
-                         std::size_t r0, std::size_t r1, std::size_t K,
-                         std::size_t n);
-  /// Rows [r0, r1) of out[m, n] += a[K, m]^T * b[K, n].
+                         std::size_t m, std::size_t K, std::size_t n);
+  /// out[m, n] += a[K, m]^T * b[K, n].
   void (*matmul_rows_tn)(const float* a, const float* b, float* out,
-                         std::size_t r0, std::size_t r1, std::size_t K,
-                         std::size_t m, std::size_t n);
+                         std::size_t m, std::size_t K, std::size_t n);
 
-  /// y[i] += x[i] over [lo, hi). Bitwise-identical across targets.
-  void (*add)(float* y, const float* x, std::size_t lo, std::size_t hi);
-  /// y[i] += s * x[i] over [lo, hi) — mul-then-add in every target (never
-  /// fused), so results are partition-invariant and bitwise-identical
-  /// across targets.
-  void (*axpy)(float* y, float s, const float* x, std::size_t lo,
-               std::size_t hi);
-  /// y[i] *= s over [lo, hi). Bitwise-identical across targets.
-  void (*scale)(float* y, float s, std::size_t lo, std::size_t hi);
+  /// y[i] += x[i] over [0, n). Bitwise-identical across targets.
+  void (*add)(float* y, const float* x, std::size_t n);
+  /// y[i] += s * x[i] over [0, n) — mul-then-add in every target (never
+  /// fused), so results are bitwise-identical across targets.
+  void (*axpy)(float* y, float s, const float* x, std::size_t n);
+  /// y[i] *= s over [0, n). Bitwise-identical across targets.
+  void (*scale)(float* y, float s, std::size_t n);
 
-  /// Rows [r0, r1) of dst = softmax(src) along n. Degenerate rows whose
-  /// maximum is -inf yield the uniform distribution 1/n; rows containing
-  /// NaN yield NaN (see DESIGN.md §12).
-  void (*softmax_rows)(const float* src, float* dst, std::size_t r0,
-                       std::size_t r1, std::size_t n);
-  /// Rows [r0, r1) of dst = log_softmax(src); degenerate all -inf rows
+  /// Each of the m rows of dst = softmax(src) along n. Degenerate rows
+  /// whose maximum is -inf yield the uniform distribution 1/n; rows
+  /// containing NaN yield NaN (see DESIGN.md §12).
+  void (*softmax_rows)(const float* src, float* dst, std::size_t m,
+                       std::size_t n);
+  /// Each of the m rows of dst = log_softmax(src); degenerate all -inf rows
   /// yield -log(n) (the log of the uniform row, so exp∘log_softmax ==
   /// softmax holds on every input).
-  void (*log_softmax_rows)(const float* src, float* dst, std::size_t r0,
-                           std::size_t r1, std::size_t n);
+  void (*log_softmax_rows)(const float* src, float* dst, std::size_t m,
+                           std::size_t n);
 
-  /// dx[i] = x[i] <= 0 ? +0 : g[i] over [lo, hi) — ReLU backward. A NaN x
+  /// dx[i] = x[i] <= 0 ? +0 : g[i] over [0, n) — ReLU backward. A NaN x
   /// passes g through. Bitwise-identical across targets.
   void (*relu_backward)(float* dx, const float* x, const float* g,
-                        std::size_t lo, std::size_t hi);
+                        std::size_t n);
 
   // Direct conv2d (DESIGN.md §12). The taps are read straight from the
   // input; no [cin*kh*kw, hout*wout] column matrix is ever built. Each
@@ -104,26 +95,22 @@ struct Kernels {
   // same order, from +0, with padding taps multiplied as zeros. Each runs
   // over all g.n samples, sample by sample, with the one-sample chains.
 
-  /// Output-channel rows [co0, co1) of out[s, cout, hout*wout] =
-  /// weight[cout, K] * taps(in[s]) + bias, K = cin*kh*kw. Per element the
-  /// taps run ascending over (ci, ki, kj); the bias is added last.
+  /// out[s, cout, hout*wout] = weight[cout, K] * taps(in[s]) + bias,
+  /// K = cin*kh*kw. Per element the taps run ascending over (ci, ki, kj);
+  /// the bias is added last.
   void (*conv2d_forward)(const float* in, const float* weight,
-                         const float* bias, float* out, std::size_t co0,
-                         std::size_t co1, const Conv2dGeom& g);
-  /// Rows [co0, co1) of each sample's partial dweight[s, cout, K] =
-  /// gout[s, cout, hout*wout] * taps(in[s])^T; per element the output
-  /// pixels run ascending. The partials are not summed over samples: the
-  /// caller folds them in the order its gradient contract fixes.
+                         const float* bias, float* out, const Conv2dGeom& g);
+  /// Each sample's partial dweight[s, cout, K] = gout[s, cout, hout*wout] *
+  /// taps(in[s])^T; per element the output pixels run ascending. The
+  /// partials are not summed over samples: the caller folds them in the
+  /// order its gradient contract fixes.
   void (*conv2d_weight_grad)(const float* in, const float* gout,
-                             float* dweight, std::size_t co0, std::size_t co1,
-                             const Conv2dGeom& g);
-  /// Input-channel planes [c0, c1) of dinput[s, cin, h, w]: each tap value
-  /// (weight^T * gout[s])[k, p] is a chain ascending over output channels,
-  /// and the values are summed into a +0 plane in ascending (ki, kj) order.
-  /// Overwrites those planes.
+                             float* dweight, const Conv2dGeom& g);
+  /// dinput[s, cin, h, w]: each tap value (weight^T * gout[s])[k, p] is a
+  /// chain ascending over output channels, and the values are summed into a
+  /// +0 plane in ascending (ki, kj) order. Overwrites dinput.
   void (*conv2d_input_grad)(const float* weight, const float* gout,
-                            float* dinput, std::size_t c0, std::size_t c1,
-                            const Conv2dGeom& g);
+                            float* dinput, const Conv2dGeom& g);
 
   // Q8 block codec (quant.hpp): int8 blocks of quant::kQ8Block with one f32
   // scale each. Bitwise-identical across targets on finite inputs.

@@ -10,13 +10,9 @@ namespace reffil::tensor {
 
 namespace {
 
-/// Elementwise driver: runs fn(0, n) under the `elementwise` profiler span.
-/// Templated so the loop never materializes a std::function — graph replay
-/// counts on it being allocation-free.
-template <typename Fn>
-void run_elementwise(std::size_t n, const Fn& fn) {
-  obs::prof::Span span("elementwise", n * sizeof(float));
-  fn(0, n);
+/// The `elementwise` profiler span over an n-float sweep.
+obs::prof::Span elementwise_span(std::size_t n) {
+  return obs::prof::Span("elementwise", n * sizeof(float));
 }
 
 void require_same_shape(const Tensor& a, const Tensor& b, const char* op) {
@@ -45,9 +41,9 @@ void zip_into(const Tensor& a, const Tensor& b, const char* op,
   const float* pa = a.begin();
   const float* pb = b.begin();
   float* po = out.begin();
-  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
-  });
+  const std::size_t n = a.numel();
+  const auto span = elementwise_span(n);
+  for (std::size_t i = 0; i < n; ++i) po[i] = f(pa[i], pb[i]);
 }
 
 Tensor zip(const Tensor& a, const Tensor& b, const char* op,
@@ -66,9 +62,9 @@ void scalar_op_into(const Tensor& a, const char* op, float s, F f,
   require_out_numel(a, out, op);
   const float* pa = a.begin();
   float* po = out.begin();
-  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i], s);
-  });
+  const std::size_t n = a.numel();
+  const auto span = elementwise_span(n);
+  for (std::size_t i = 0; i < n; ++i) po[i] = f(pa[i], s);
 }
 
 }  // namespace
@@ -169,9 +165,9 @@ void map_into(const Tensor& a, const std::function<float(float)>& f,
   require_out_numel(a, out, "map_into");
   const float* pa = a.begin();
   float* po = out.begin();
-  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i]);
-  });
+  const std::size_t n = a.numel();
+  const auto span = elementwise_span(n);
+  for (std::size_t i = 0; i < n; ++i) po[i] = f(pa[i]);
 }
 void copy_into(const Tensor& a, Tensor& out) {
   require_out_numel(a, out, "copy_into");
@@ -183,10 +179,8 @@ void relu_backward_into(const Tensor& x, const Tensor& g, Tensor& out) {
   const float* px = x.begin();
   const float* pg = g.begin();
   float* po = out.begin();
-  const kern::Kernels& k = kern::active();
-  run_elementwise(x.numel(), [&](std::size_t lo, std::size_t hi) {
-    k.relu_backward(po, px, pg, lo, hi);
-  });
+  const auto span = elementwise_span(x.numel());
+  kern::active().relu_backward(po, px, pg, x.numel());
 }
 
 Tensor exp(const Tensor& a) {
@@ -212,9 +206,9 @@ Tensor map(const Tensor& a, const std::function<float(float)>& f) {
   Tensor out(a.shape());
   const float* pa = a.begin();
   float* po = out.begin();
-  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i]);
-  });
+  const std::size_t n = a.numel();
+  const auto span = elementwise_span(n);
+  for (std::size_t i = 0; i < n; ++i) po[i] = f(pa[i]);
   return out;
 }
 
@@ -222,10 +216,8 @@ void add_inplace(Tensor& a, const Tensor& b) {
   require_same_shape(a, b, "add_inplace");
   float* pa = a.begin();
   const float* pb = b.begin();
-  const kern::Kernels& k = kern::active();
-  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
-    k.add(pa, pb, lo, hi);
-  });
+  const auto span = elementwise_span(a.numel());
+  kern::active().add(pa, pb, a.numel());
 }
 
 void fold_add_inplace(Tensor& a, const float* blocks, std::size_t n) {
@@ -233,27 +225,22 @@ void fold_add_inplace(Tensor& a, const float* blocks, std::size_t n) {
   float* pa = a.begin();
   const kern::Kernels& k = kern::active();
   // Per element the same adds, in the same order, as n add_inplace calls.
-  run_elementwise(size, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = n; s-- > 0;) k.add(pa, blocks + s * size, lo, hi);
-  });
+  const auto span = elementwise_span(size);
+  for (std::size_t s = n; s-- > 0;) k.add(pa, blocks + s * size, size);
 }
 
 void axpy_inplace(Tensor& a, float s, const Tensor& b) {
   require_same_shape(a, b, "axpy_inplace");
   float* pa = a.begin();
   const float* pb = b.begin();
-  const kern::Kernels& k = kern::active();
-  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
-    k.axpy(pa, s, pb, lo, hi);
-  });
+  const auto span = elementwise_span(a.numel());
+  kern::active().axpy(pa, s, pb, a.numel());
 }
 
 void scale_inplace(Tensor& a, float s) {
   float* pa = a.begin();
-  const kern::Kernels& k = kern::active();
-  run_elementwise(a.numel(), [&](std::size_t lo, std::size_t hi) {
-    k.scale(pa, s, lo, hi);
-  });
+  const auto span = elementwise_span(a.numel());
+  kern::active().scale(pa, s, a.numel());
 }
 
 namespace {
@@ -321,11 +308,9 @@ void matmul_dispatch(const Tensor& a, const Tensor& b, Tensor& out,
     const float* pb = b.begin() + s * b_rows * b.dim(1);
     float* po = out.begin() + s * d.m * d.n;
     switch (layout) {
-      case Layout::kNN: kt.matmul_rows_nn(pa, pb, po, 0, d.m, d.k, d.n); break;
-      case Layout::kNT: kt.matmul_rows_nt(pa, pb, po, 0, d.m, d.k, d.n); break;
-      case Layout::kTN:
-        kt.matmul_rows_tn(pa, pb, po, 0, d.m, d.k, d.m, d.n);
-        break;
+      case Layout::kNN: kt.matmul_rows_nn(pa, pb, po, d.m, d.k, d.n); break;
+      case Layout::kNT: kt.matmul_rows_nt(pa, pb, po, d.m, d.k, d.n); break;
+      case Layout::kTN: kt.matmul_rows_tn(pa, pb, po, d.m, d.k, d.n); break;
     }
   }
 }
@@ -390,9 +375,8 @@ void conv2d_into(const Tensor& input, const Tensor& weight, const Tensor& bias,
   REFFIL_CHECK_MSG(out.numel() == g.n * g.cout * g.hout * g.wout,
                    "conv2d_into: output numel mismatch");
   obs::prof::Span span("conv2d", conv_bytes(input, weight, out));
-  const kern::Kernels& k = kern::active();
-  k.conv2d_forward(input.begin(), weight.begin(), bias.begin(), out.begin(),
-                   0, g.cout, g);
+  kern::active().conv2d_forward(input.begin(), weight.begin(), bias.begin(),
+                                out.begin(), g);
 }
 
 void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
@@ -400,9 +384,8 @@ void conv2d_weight_grad_into(const Tensor& input, const Tensor& grad_out,
   REFFIL_CHECK_MSG(dweight.numel() == g.n * g.cout * g.cin * g.kh * g.kw,
                    "conv2d_weight_grad_into: output numel mismatch");
   obs::prof::Span span("conv2d_wgrad", conv_bytes(input, grad_out, dweight));
-  const kern::Kernels& k = kern::active();
-  k.conv2d_weight_grad(input.begin(), grad_out.begin(), dweight.begin(), 0,
-                       g.cout, g);
+  kern::active().conv2d_weight_grad(input.begin(), grad_out.begin(),
+                                    dweight.begin(), g);
 }
 
 void conv2d_input_grad_into(const Tensor& weight, const Tensor& grad_out,
@@ -410,9 +393,8 @@ void conv2d_input_grad_into(const Tensor& weight, const Tensor& grad_out,
   REFFIL_CHECK_MSG(dinput.numel() == g.n * g.cin * g.h * g.w,
                    "conv2d_input_grad_into: output numel mismatch");
   obs::prof::Span span("conv2d_igrad", conv_bytes(weight, grad_out, dinput));
-  const kern::Kernels& k = kern::active();
-  k.conv2d_input_grad(weight.begin(), grad_out.begin(), dinput.begin(), 0,
-                      g.cin, g);
+  kern::active().conv2d_input_grad(weight.begin(), grad_out.begin(),
+                                   dinput.begin(), g);
 }
 
 Tensor transpose2d(const Tensor& a) {
@@ -559,9 +541,9 @@ void softmax_family_into(const Tensor& logits, Tensor& out, const char* op,
   const float* src = logits.begin();
   float* dst = out.begin();
   if (log_form) {
-    k.log_softmax_rows(src, dst, 0, m, n);
+    k.log_softmax_rows(src, dst, m, n);
   } else {
-    k.softmax_rows(src, dst, 0, m, n);
+    k.softmax_rows(src, dst, m, n);
   }
 }
 

@@ -62,7 +62,6 @@ std::size_t acquire_bucket(std::size_t n) {
 }
 
 void count_metrics(bool hit, std::size_t n) {
-  if (!obs::metrics_enabled()) return;
   // Registry references are stable for the process lifetime (obs.hpp), so
   // the mutex-guarded lookup happens once.
   static obs::Counter& hits = obs::counter("tensor.pool.hit");

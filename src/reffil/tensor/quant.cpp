@@ -134,8 +134,8 @@ void q8_axpy(float* y, float s, const std::int8_t* q, const float* scales,
     const std::size_t m = std::min(quant::kQ8Block, n - b0);
     const float c = s * scales[blk];  // one rounding per block
     for (std::size_t i = 0; i < m; ++i) {
-      // Unfused mul-then-add, like axpy_span: partition-invariant and
-      // bitwise-identical across targets.
+      // Unfused mul-then-add, like axpy_span: bitwise-identical across
+      // targets.
       y[b0 + i] += c * static_cast<float>(q[b0 + i]);
     }
   }

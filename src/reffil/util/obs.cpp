@@ -184,18 +184,6 @@ void Registry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-namespace {
-std::atomic<bool> g_metrics_enabled{true};
-}  // namespace
-
-bool metrics_enabled() {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
-void set_metrics_enabled(bool enabled) {
-  g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 Counter& counter(std::string_view name) {
   return Registry::instance().counter(name);
 }
@@ -207,12 +195,11 @@ Histogram& histogram(std::string_view name) {
 }
 
 void count(std::string_view name, std::uint64_t n) {
-  if (!metrics_enabled()) return;
   Registry::instance().counter(name).add(n);
 }
 
 ScopedTimer::ScopedTimer(Histogram* sink)
-    : sink_(sink), armed_(sink != nullptr && metrics_enabled()) {
+    : sink_(sink), armed_(sink != nullptr) {
   if (armed_) start_ = std::chrono::steady_clock::now();
 }
 

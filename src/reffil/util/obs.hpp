@@ -144,12 +144,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// Global metrics switch. Default on (updates are a relaxed atomic op); the
-/// helpers below and ScopedTimer become no-ops — including the clock reads —
-/// when disabled.
-bool metrics_enabled();
-void set_metrics_enabled(bool enabled);
-
 /// Convenience shorthands over Registry::instance().
 Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
@@ -157,8 +151,8 @@ Histogram& histogram(std::string_view name);
 void count(std::string_view name, std::uint64_t n = 1);
 
 /// Records elapsed wall seconds into a histogram when the scope closes (or
-/// at the explicit stop()). A null histogram or disabled metrics makes the
-/// timer free: no clock read, no record.
+/// at the explicit stop()). A null histogram makes the timer free: no clock
+/// read, no record.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* sink);

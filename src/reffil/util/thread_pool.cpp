@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "reffil/util/obs.hpp"
@@ -12,31 +13,21 @@ namespace reffil::util {
 
 namespace {
 
-// Set while the current thread executes a pool task or a parallel_for chunk.
-// This is what makes the pool reentrant: a nested parallel_for sees the flag
-// and runs inline instead of enqueueing work it would then block on.
-thread_local bool tls_in_pool_task = false;
-
-// Records the submit→start wait and current queue depth when a worker picks
+// Records the enqueue→start wait and current queue depth when a worker picks
 // up a task. The histogram feeds p50/p95/p99 in reports.
 void note_dequeue(std::chrono::steady_clock::time_point enqueued,
                   std::size_t depth_after_pop) {
-  if (obs::metrics_enabled()) {
-    const double wait =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      enqueued)
-            .count();
-    static obs::Histogram& wait_hist =
-        obs::histogram("pool.task_wait_seconds");
-    static obs::Gauge& depth_gauge = obs::gauge("pool.queue_depth");
-    wait_hist.observe(wait);
-    depth_gauge.set(static_cast<double>(depth_after_pop));
-  }
+  const double wait =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    enqueued)
+          .count();
+  static obs::Histogram& wait_hist = obs::histogram("pool.task_wait_seconds");
+  static obs::Gauge& depth_gauge = obs::gauge("pool.queue_depth");
+  wait_hist.observe(wait);
+  depth_gauge.set(static_cast<double>(depth_after_pop));
 }
 
 }  // namespace
-
-bool ThreadPool::in_pool_task() { return tls_in_pool_task; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -58,7 +49,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  tls_in_pool_task = true;
   const std::string worker_name = "pool-worker-" + std::to_string(index);
   obs::prof::set_thread_name(worker_name.c_str());
   obs::Gauge& busy_gauge = obs::gauge(worker_name + ".busy_s");
@@ -90,10 +80,6 @@ void ThreadPool::worker_loop(std::size_t index) {
 }
 
 void ThreadPool::run_chunks(ForkJoin& fj) {
-  // The body runs "inside a pool task" even when this is the submitting
-  // thread helping out — any parallel_for it issues must inline.
-  const bool was_in_task = tls_in_pool_task;
-  tls_in_pool_task = true;
   for (;;) {
     const std::size_t c = fj.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (c >= fj.chunks) break;
@@ -114,18 +100,15 @@ void ThreadPool::run_chunks(ForkJoin& fj) {
       fj.done_cv.notify_all();
     }
   }
-  tls_in_pool_task = was_in_task;
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  // Inline when there is nothing to fan out to (n == 1, no extra workers) or
-  // when we are already inside a pool task: the nested range becomes part of
-  // the caller's chunk, so nesting can never block a worker on itself.
-  if (n == 1 || workers_.size() <= 1 || tls_in_pool_task) {
+  // Inline when there is nothing to fan out to (n == 1, no extra workers).
+  if (n == 1 || workers_.size() <= 1) {
     // Still the pool layer, just degenerate: a span here keeps profiles from
-    // single-core hosts (or nested calls) showing where fan-out collapsed.
+    // single-core hosts showing where fan-out collapsed.
     obs::prof::Span span("pool.inline");
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;

@@ -3,24 +3,19 @@
 // runs out to idle workers. Tensor kernels never use it: they run serially
 // on the calling thread.
 //
-// Semantics: submit() enqueues a task and returns a std::future; the pool
-// drains the queue with `threads` workers. parallel_for() chunks the index
-// range into at most (workers + 1) contiguous chunks — one per worker plus
-// one for the caller — and the calling thread *helps* execute chunks instead
-// of blocking, so the pool's workers are never parked behind a waiting
-// caller. A parallel_for issued from inside a pool task (i.e. a nested
-// parallel_for) runs inline on the caller's chunk, which makes nesting
-// deadlock-free by construction: no task ever blocks on work that only an
-// occupied worker could run. fan_out() is the one exception to inlining: it
-// hands indices to workers that are idle at the moment of the call, even from
-// inside a pool task, and the caller claims the rest itself — so it, too,
-// never waits on a chunk nobody is running.
+// Semantics: the pool drains its queue of helper tasks with `threads`
+// workers. parallel_for() chunks the index range into at most (workers + 1)
+// contiguous chunks — one per worker plus one for the caller — and queues a
+// helper per worker; fan_out() hands indices to the workers that are idle at
+// the moment of the call. Either way the calling thread claims every chunk
+// no helper has claimed yet, and only then waits — and it waits only for
+// chunks another thread is already running. That makes nesting
+// deadlock-free: a nested call from inside a chunk finishes its own range
+// even when every worker is busy, so no thread ever blocks on work that only
+// an occupied worker could run.
 //
-// Rules for callers:
-//  * parallel_for and fan_out may be nested to any depth and called from any
-//    thread.
-//  * Tasks given to submit() must not block on futures of other tasks in the
-//    same pool; use parallel_for for fork/join parallelism instead.
+// parallel_for and fan_out may be nested to any depth and called from any
+// thread.
 #pragma once
 
 #include <atomic>
@@ -28,8 +23,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -53,39 +48,19 @@ class ThreadPool {
   /// before the caller acts on it.
   std::size_t spare_workers();
 
-  /// True while the current thread is executing a pool task or a
-  /// parallel_for chunk (of any pool). Nested parallel_for calls observe
-  /// this and run inline instead of re-entering the queue.
-  static bool in_pool_task();
-
-  /// Enqueue a nullary callable; result/exception delivered via the future.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
-      queue_.push(QueuedTask{[task] { (*task)(); },
-                             std::chrono::steady_clock::now()});
-    }
-    cv_.notify_one();
-    return future;
-  }
-
   /// Run body(i) for i in [0, n); blocks until all complete. Rethrows the
   /// first observed exception thrown by any body invocation. The calling
-  /// thread executes chunks itself (it never idles), and nested calls from
-  /// inside a pool task execute the whole range inline on the caller.
+  /// thread executes chunks itself (it never idles) and claims every chunk
+  /// the workers have not, so a nested call completes even when all workers
+  /// are busy.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Run body(i) for i in [0, n) on the calling thread plus the workers that
-  /// are idle right now (none are waited for), one index per claim. Unlike
-  /// parallel_for, a call from inside a pool task still fans out: this is how
-  /// a busy task puts the pool's spare workers to work on its own inner loop.
-  /// With no idle worker the range runs inline, in index order. Which thread
-  /// runs which index is unspecified; rethrows the first body exception.
+  /// are idle right now (none are waited for), one index per claim: this is
+  /// how a busy task puts the pool's spare workers to work on its own inner
+  /// loop. With no idle worker the range runs inline, in index order. Which
+  /// thread runs which index is unspecified; rethrows the first body
+  /// exception.
   /// A non-null `wait_span` names a profiler span over the caller's wait for
   /// the helpers once it has no index left to claim.
   void fan_out(std::size_t n, const std::function<void(std::size_t)>& body,
@@ -93,7 +68,7 @@ class ThreadPool {
 
  private:
   /// Queue entry: the callable plus its enqueue time, so the dequeuing
-  /// worker can record the submit→start wait.
+  /// worker can record the enqueue→start wait.
   struct QueuedTask {
     std::function<void()> fn;
     std::chrono::steady_clock::time_point enqueued;
@@ -130,8 +105,8 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Process-wide pool shared by the federated runtime and the parallel tensor
-/// kernels (lazily constructed).
+/// Process-wide pool the federated runtime runs client slots, evaluation and
+/// sample runs on (lazily constructed).
 ThreadPool& global_thread_pool();
 
 }  // namespace reffil::util

@@ -85,22 +85,18 @@ TEST(BatchedStep, ConvKernelsSampleAxisMatchesOneSampleCallsOnEveryTarget) {
         const T::Tensor gout = T::randn({n * out_size}, rng);
         T::Tensor out({n * out_size}), dw({n * w_size}), din({n * in_size});
         g.n = n;
-        t->conv2d_forward(in.begin(), w.begin(), b.begin(), out.begin(), 0,
-                          g.cout, g);
-        t->conv2d_weight_grad(in.begin(), gout.begin(), dw.begin(), 0, g.cout,
-                              g);
-        t->conv2d_input_grad(w.begin(), gout.begin(), din.begin(), 0, g.cin,
-                             g);
+        t->conv2d_forward(in.begin(), w.begin(), b.begin(), out.begin(), g);
+        t->conv2d_weight_grad(in.begin(), gout.begin(), dw.begin(), g);
+        t->conv2d_input_grad(w.begin(), gout.begin(), din.begin(), g);
         g.n = 1;
         for (std::size_t s = 0; s < n; ++s) {
           T::Tensor out1({out_size}), dw1({w_size}), din1({in_size});
           t->conv2d_forward(in.begin() + s * in_size, w.begin(), b.begin(),
-                            out1.begin(), 0, g.cout, g);
+                            out1.begin(), g);
           t->conv2d_weight_grad(in.begin() + s * in_size,
-                                gout.begin() + s * out_size, dw1.begin(), 0,
-                                g.cout, g);
+                                gout.begin() + s * out_size, dw1.begin(), g);
           t->conv2d_input_grad(w.begin(), gout.begin() + s * out_size,
-                               din1.begin(), 0, g.cin, g);
+                               din1.begin(), g);
           EXPECT_TRUE(same_bits(out.begin() + s * out_size, out1.begin(),
                                 out_size))
               << "forward, sample " << s;

@@ -135,15 +135,14 @@ Oracle lowered(const kern::Kernels& t, const kern::Conv2dGeom& g,
   const std::vector<float> col = im2col(in, g);
   Oracle o;
   o.out.assign(g.cout * hw, 0.0f);
-  t.matmul_rows_nn(w.data(), col.data(), o.out.data(), 0, g.cout, K, hw);
+  t.matmul_rows_nn(w.data(), col.data(), o.out.data(), g.cout, K, hw);
   for (std::size_t c = 0; c < g.cout; ++c) {
     for (std::size_t p = 0; p < hw; ++p) o.out[c * hw + p] += bias[c];
   }
   o.dweight.assign(g.cout * K, 0.0f);
-  t.matmul_rows_nt(gout.data(), col.data(), o.dweight.data(), 0, g.cout, hw,
-                   K);
+  t.matmul_rows_nt(gout.data(), col.data(), o.dweight.data(), g.cout, hw, K);
   std::vector<float> dcol(K * hw, 0.0f);
-  t.matmul_rows_tn(w.data(), gout.data(), dcol.data(), 0, K, g.cout, K, hw);
+  t.matmul_rows_tn(w.data(), gout.data(), dcol.data(), K, g.cout, hw);
   o.dinput = col2im(dcol, g);
   return o;
 }
@@ -169,8 +168,8 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed,
   return v;
 }
 
-/// Runs every runnable target's three kernels on one problem, whole and
-/// split into two channel ranges, against that target's lowering.
+/// Runs every runnable target's three kernels on one problem against that
+/// target's lowering.
 void check_parity(const kern::Conv2dGeom& g, const std::vector<float>& in,
                   const std::vector<float>& w, const std::vector<float>& bias,
                   const std::vector<float>& gout) {
@@ -179,28 +178,16 @@ void check_parity(const kern::Conv2dGeom& g, const std::vector<float>& in,
   for (const kern::Kernels* t : kern::runnable()) {
     SCOPED_TRACE(std::string(t->name) + " " + describe(g));
     const Oracle ref = lowered(*t, g, in, w, bias, gout);
-    for (const bool split : {false, true}) {
-      SCOPED_TRACE(split ? "two channel ranges" : "one call");
-      const std::size_t co_mid = split ? g.cout / 2 : g.cout;
-      const std::size_t ci_mid = split ? g.cin / 2 : g.cin;
-      // Outputs start as garbage: every kernel overwrites its rows.
-      std::vector<float> out(g.cout * hw, -7.0f);
-      t->conv2d_forward(in.data(), w.data(), bias.data(), out.data(), 0,
-                        co_mid, g);
-      t->conv2d_forward(in.data(), w.data(), bias.data(), out.data(), co_mid,
-                        g.cout, g);
-      expect_same_bits(out, ref.out, "forward");
-      std::vector<float> dw(g.cout * K, -7.0f);
-      t->conv2d_weight_grad(in.data(), gout.data(), dw.data(), 0, co_mid, g);
-      t->conv2d_weight_grad(in.data(), gout.data(), dw.data(), co_mid, g.cout,
-                            g);
-      expect_same_bits(dw, ref.dweight, "weight grad");
-      std::vector<float> din(g.cin * g.h * g.w, -7.0f);
-      t->conv2d_input_grad(w.data(), gout.data(), din.data(), 0, ci_mid, g);
-      t->conv2d_input_grad(w.data(), gout.data(), din.data(), ci_mid, g.cin,
-                           g);
-      expect_same_bits(din, ref.dinput, "input grad");
-    }
+    // Outputs start as garbage: every kernel overwrites its whole output.
+    std::vector<float> out(g.cout * hw, -7.0f);
+    t->conv2d_forward(in.data(), w.data(), bias.data(), out.data(), g);
+    expect_same_bits(out, ref.out, "forward");
+    std::vector<float> dw(g.cout * K, -7.0f);
+    t->conv2d_weight_grad(in.data(), gout.data(), dw.data(), g);
+    expect_same_bits(dw, ref.dweight, "weight grad");
+    std::vector<float> din(g.cin * g.h * g.w, -7.0f);
+    t->conv2d_input_grad(w.data(), gout.data(), din.data(), g);
+    expect_same_bits(din, ref.dinput, "input grad");
   }
 }
 

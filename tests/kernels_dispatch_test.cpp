@@ -137,20 +137,20 @@ TEST_P(CrossIsaShapes, MatmulFamilyMatchesScalarWithin1e5) {
 
   std::vector<float> ref_nn(m * n, 0.0f), ref_nt(m * n, 0.0f),
       ref_tn(m * n, 0.0f);
-  scalar->matmul_rows_nn(a.data(), b.data(), ref_nn.data(), 0, m, k, n);
-  scalar->matmul_rows_nt(a.data(), bt.data(), ref_nt.data(), 0, m, k, n);
-  scalar->matmul_rows_tn(at.data(), b.data(), ref_tn.data(), 0, m, k, m, n);
+  scalar->matmul_rows_nn(a.data(), b.data(), ref_nn.data(), m, k, n);
+  scalar->matmul_rows_nt(a.data(), bt.data(), ref_nt.data(), m, k, n);
+  scalar->matmul_rows_tn(at.data(), b.data(), ref_tn.data(), m, k, n);
 
   for (const kern::Kernels* t : simd_targets()) {
     SCOPED_TRACE(t->name);
     std::vector<float> out(m * n, 0.0f);
-    t->matmul_rows_nn(a.data(), b.data(), out.data(), 0, m, k, n);
+    t->matmul_rows_nn(a.data(), b.data(), out.data(), m, k, n);
     expect_rel_close(out, ref_nn, "nn");
     std::fill(out.begin(), out.end(), 0.0f);
-    t->matmul_rows_nt(a.data(), bt.data(), out.data(), 0, m, k, n);
+    t->matmul_rows_nt(a.data(), bt.data(), out.data(), m, k, n);
     expect_rel_close(out, ref_nt, "nt");
     std::fill(out.begin(), out.end(), 0.0f);
-    t->matmul_rows_tn(at.data(), b.data(), out.data(), 0, m, k, m, n);
+    t->matmul_rows_tn(at.data(), b.data(), out.data(), m, k, n);
     expect_rel_close(out, ref_tn, "tn");
   }
 }
@@ -167,61 +167,28 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64, 200, 130),
                       std::make_tuple(5, 300, 2)));
 
-TEST(CrossIsa, MatmulRowPartitionIsBitwiseInvariantPerTarget) {
-  // Row-range kernels take a [r0, r1) slice; any split must reproduce the
-  // full-range result bitwise within one target.
-  const std::size_t m = 13, k = 37, n = 21;
-  const auto a = random_vec(m * k, 101);
-  const auto b = random_vec(k * n, 103);
-  for (const kern::Kernels* t : kern::runnable()) {
-    SCOPED_TRACE(t->name);
-    std::vector<float> whole(m * n, 0.0f), split(m * n, 0.0f);
-    t->matmul_rows_nn(a.data(), b.data(), whole.data(), 0, m, k, n);
-    t->matmul_rows_nn(a.data(), b.data(), split.data(), 0, 5, k, n);
-    t->matmul_rows_nn(a.data(), b.data(), split.data(), 5, 6, k, n);
-    t->matmul_rows_nn(a.data(), b.data(), split.data(), 6, m, k, n);
-    expect_bitwise(split, whole, "row split");
-  }
-}
-
-TEST(CrossIsa, ElementwiseBitwiseMatchesScalarAndPartition) {
+TEST(CrossIsa, ElementwiseBitwiseMatchesScalar) {
   const std::size_t n = 1003;  // odd: forces scalar tails at every width
   const kern::Kernels* scalar = kern::by_name("scalar");
   const auto x = random_vec(n, 7);
   const auto y0 = random_vec(n, 11);
   const float s = 0.3127f;
 
-  auto run = [&](const kern::Kernels* t, bool split) {
+  auto run = [&](const kern::Kernels* t) {
     std::vector<float> add = y0, axpy = y0, scale = y0;
-    if (split) {
-      // Misaligned partition boundaries: a fused-vector-body/unfused-tail
-      // bug would make results depend on where the blocks land.
-      for (const auto& [lo, hi] :
-           {std::pair<std::size_t, std::size_t>{0, 129},
-            std::pair<std::size_t, std::size_t>{129, 130},
-            std::pair<std::size_t, std::size_t>{130, 767},
-            std::pair<std::size_t, std::size_t>{767, n}}) {
-        t->add(add.data(), x.data(), lo, hi);
-        t->axpy(axpy.data(), s, x.data(), lo, hi);
-        t->scale(scale.data(), s, lo, hi);
-      }
-    } else {
-      t->add(add.data(), x.data(), 0, n);
-      t->axpy(axpy.data(), s, x.data(), 0, n);
-      t->scale(scale.data(), s, 0, n);
-    }
+    t->add(add.data(), x.data(), n);
+    t->axpy(axpy.data(), s, x.data(), n);
+    t->scale(scale.data(), s, n);
     return std::make_tuple(add, axpy, scale);
   };
 
-  const auto [radd, raxpy, rscale] = run(scalar, false);
+  const auto [radd, raxpy, rscale] = run(scalar);
   for (const kern::Kernels* t : kern::runnable()) {
     SCOPED_TRACE(t->name);
-    for (bool split : {false, true}) {
-      const auto [add, axpy, scale] = run(t, split);
-      expect_bitwise(add, radd, split ? "add split" : "add");
-      expect_bitwise(axpy, raxpy, split ? "axpy split" : "axpy");
-      expect_bitwise(scale, rscale, split ? "scale split" : "scale");
-    }
+    const auto [add, axpy, scale] = run(t);
+    expect_bitwise(add, radd, "add");
+    expect_bitwise(axpy, raxpy, "axpy");
+    expect_bitwise(scale, rscale, "scale");
   }
 }
 
@@ -234,23 +201,24 @@ TEST(CrossIsa, SoftmaxMatchesScalarWithin1e5) {
     std::vector<float> src(m * n);
     for (float& v : src) v = static_cast<float>(rng.uniform(-30.0, 30.0));
     std::vector<float> ref_sm(m * n), ref_lsm(m * n);
-    scalar->softmax_rows(src.data(), ref_sm.data(), 0, m, n);
-    scalar->log_softmax_rows(src.data(), ref_lsm.data(), 0, m, n);
+    scalar->softmax_rows(src.data(), ref_sm.data(), m, n);
+    scalar->log_softmax_rows(src.data(), ref_lsm.data(), m, n);
     for (const kern::Kernels* t : simd_targets()) {
       SCOPED_TRACE(std::string(t->name) + " n=" + std::to_string(n));
       std::vector<float> out(m * n);
-      t->softmax_rows(src.data(), out.data(), 0, m, n);
+      t->softmax_rows(src.data(), out.data(), m, n);
       expect_rel_close(out, ref_sm, "softmax");
-      t->log_softmax_rows(src.data(), out.data(), 0, m, n);
+      t->log_softmax_rows(src.data(), out.data(), m, n);
       expect_rel_close(out, ref_lsm, "log_softmax");
     }
   }
 }
 
 TEST(CrossIsa, ReluBackwardBitwiseMatchesScalarLoop) {
-  // The span kernel must give the bits of `x <= 0 ? 0 : g` on every target
-  // and for every block split: masked lanes +0 (also for x = -0), NaN x
-  // passes g through, g's own NaN/Inf/-0 come through untouched.
+  // The span kernel must give the bits of `x <= 0 ? 0 : g` on every target:
+  // masked lanes +0 (also for x = -0), NaN x passes g through, g's own
+  // NaN/Inf/-0 come through untouched. n = 77 leaves a scalar tail at every
+  // vector width.
   const std::size_t n = 77;
   auto x = random_vec(n, 91);
   auto g = random_vec(n, 92);
@@ -270,12 +238,9 @@ TEST(CrossIsa, ReluBackwardBitwiseMatchesScalarLoop) {
   for (std::size_t i = 0; i < n; ++i) ref[i] = x[i] <= 0.0f ? 0.0f : g[i];
   for (const kern::Kernels* t : kern::runnable()) {
     SCOPED_TRACE(t->name);
-    for (const std::size_t cut : {std::size_t{0}, std::size_t{5}, n}) {
-      std::vector<float> out(n, -1.0f);
-      t->relu_backward(out.data(), x.data(), g.data(), 0, cut);
-      t->relu_backward(out.data(), x.data(), g.data(), cut, n);
-      ASSERT_EQ(std::memcmp(out.data(), ref.data(), n * sizeof(float)), 0);
-    }
+    std::vector<float> out(n, -1.0f);
+    t->relu_backward(out.data(), x.data(), g.data(), n);
+    ASSERT_EQ(std::memcmp(out.data(), ref.data(), n * sizeof(float)), 0);
   }
 }
 
@@ -294,7 +259,7 @@ TEST(KernelSemantics, ZeroTimesNaNPropagatesOnEveryTarget) {
       auto b = random_vec(k * n, 43);
       b[k0 * n + j0] = kNaN;
       std::vector<float> out(m * n, 0.0f);
-      t->matmul_rows_nn(a.data(), b.data(), out.data(), 0, m, k, n);
+      t->matmul_rows_nn(a.data(), b.data(), out.data(), m, k, n);
       EXPECT_TRUE(std::isnan(out[i0 * n + j0])) << "nn: 0 * NaN vanished";
       // The poison is confined to column j0 (the only outputs whose sums
       // touch b[k0, j0]); every other column stays finite.
@@ -314,14 +279,14 @@ TEST(KernelSemantics, ZeroTimesNaNPropagatesOnEveryTarget) {
       auto b = random_vec(k * n, 47);
       b[k0 * n + j0] = kInf;
       std::vector<float> out(m * n, 0.0f);
-      t->matmul_rows_nn(a.data(), b.data(), out.data(), 0, m, k, n);
+      t->matmul_rows_nn(a.data(), b.data(), out.data(), m, k, n);
       EXPECT_TRUE(std::isnan(out[i0 * n + j0])) << "nn: 0 * Inf vanished";
     }
     {
       auto bt = random_vec(n * k, 53);  // [n, K]
       bt[j0 * k + k0] = kNaN;
       std::vector<float> out(m * n, 0.0f);
-      t->matmul_rows_nt(a.data(), bt.data(), out.data(), 0, m, k, n);
+      t->matmul_rows_nt(a.data(), bt.data(), out.data(), m, k, n);
       EXPECT_TRUE(std::isnan(out[i0 * n + j0])) << "nt: 0 * NaN vanished";
     }
     {
@@ -330,7 +295,7 @@ TEST(KernelSemantics, ZeroTimesNaNPropagatesOnEveryTarget) {
       auto b = random_vec(k * n, 61);
       b[k0 * n + j0] = kNaN;
       std::vector<float> out(m * n, 0.0f);
-      t->matmul_rows_tn(at.data(), b.data(), out.data(), 0, m, k, m, n);
+      t->matmul_rows_tn(at.data(), b.data(), out.data(), m, k, n);
       EXPECT_TRUE(std::isnan(out[i0 * n + j0])) << "tn: 0 * NaN vanished";
     }
   }
@@ -358,8 +323,8 @@ TEST(KernelSemantics, AllNegInfRowYieldsUniformSoftmax) {
     // Second row stays ordinary to prove the guard is per-row.
     for (std::size_t j = 0; j < n; ++j) src[n + j] = static_cast<float>(j);
     std::vector<float> sm(2 * n, -1.0f), lsm(2 * n, -1.0f);
-    t->softmax_rows(src.data(), sm.data(), 0, 2, n);
-    t->log_softmax_rows(src.data(), lsm.data(), 0, 2, n);
+    t->softmax_rows(src.data(), sm.data(), 2, n);
+    t->log_softmax_rows(src.data(), lsm.data(), 2, n);
     float total = 0.0f;
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_FLOAT_EQ(sm[j], 1.0f / static_cast<float>(n));
@@ -380,7 +345,7 @@ TEST(KernelSemantics, MinusInfLogitsGetZeroProbability) {
   for (const kern::Kernels* t : kern::runnable()) {
     SCOPED_TRACE(t->name);
     std::vector<float> sm(n);
-    t->softmax_rows(src.data(), sm.data(), 0, 1, n);
+    t->softmax_rows(src.data(), sm.data(), 1, n);
     EXPECT_NEAR(sm[0], 0.0f, 1e-6f);
     EXPECT_NEAR(sm[2], 0.0f, 1e-6f);
     EXPECT_NEAR(sm[1], 0.5f, 1e-5f);
@@ -395,8 +360,8 @@ TEST(KernelSemantics, NaNRowStaysNaN) {
     std::vector<float> src(n, 1.0f);
     src[4] = kNaN;
     std::vector<float> sm(n, 0.0f), lsm(n, 0.0f);
-    t->softmax_rows(src.data(), sm.data(), 0, 1, n);
-    t->log_softmax_rows(src.data(), lsm.data(), 0, 1, n);
+    t->softmax_rows(src.data(), sm.data(), 1, n);
+    t->log_softmax_rows(src.data(), lsm.data(), 1, n);
     // The poisoned element must come out NaN — and because the row sum is
     // NaN, the whole row is NaN on every target.
     for (std::size_t j = 0; j < n; ++j) {
@@ -431,8 +396,8 @@ TEST(KernelSemantics, SingleElementRow) {
     SCOPED_TRACE(t->name);
     const float src = 3.5f;
     float sm = -1.0f, lsm = -1.0f;
-    t->softmax_rows(&src, &sm, 0, 1, 1);
-    t->log_softmax_rows(&src, &lsm, 0, 1, 1);
+    t->softmax_rows(&src, &sm, 1, 1);
+    t->log_softmax_rows(&src, &lsm, 1, 1);
     EXPECT_FLOAT_EQ(sm, 1.0f);
     EXPECT_FLOAT_EQ(lsm, 0.0f);
   }
@@ -548,20 +513,4 @@ TEST(KernelSemantics, F16RoundTripClampsAndStaysFinite) {
   EXPECT_FALSE(quant::f16_is_finite(0xFC00));  // -Inf
   EXPECT_FALSE(quant::f16_is_finite(0x7E00));  // NaN
   EXPECT_TRUE(quant::f16_is_finite(quant::f32_to_f16(123.456f)));
-}
-
-TEST(KernelSemantics, SoftmaxRowRangeIsPartitionInvariant) {
-  // Same row-partition argument as matmul: splitting [r0, r1) must be
-  // bitwise-invisible within a target.
-  const std::size_t m = 11, n = 19;
-  const auto src = random_vec(m * n, 977);
-  for (const kern::Kernels* t : kern::runnable()) {
-    SCOPED_TRACE(t->name);
-    std::vector<float> whole(m * n), split(m * n);
-    t->softmax_rows(src.data(), whole.data(), 0, m, n);
-    t->softmax_rows(src.data(), split.data(), 0, 4, n);
-    t->softmax_rows(src.data(), split.data(), 4, 9, n);
-    t->softmax_rows(src.data(), split.data(), 9, m, n);
-    expect_bitwise(split, whole, "softmax row split");
-  }
 }

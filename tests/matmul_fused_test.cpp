@@ -89,7 +89,7 @@ TEST_P(FusedMatmulShapes, TiledScalarTargetMatchesNaiveBitwise) {
   const kern::Kernels* scalar = kern::by_name("scalar");
   ASSERT_NE(scalar, nullptr);
   T::Tensor out({m, n});
-  scalar->matmul_rows_nn(a.begin(), b.begin(), out.begin(), 0, m, k, n);
+  scalar->matmul_rows_nn(a.begin(), b.begin(), out.begin(), m, k, n);
   expect_bitwise_equal(out, naive_matmul(a, b));
 }
 

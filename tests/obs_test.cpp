@@ -91,21 +91,6 @@ TEST(ObsMetrics, ScopedTimerRecordsElapsed) {
   EXPECT_GE(h.stats().min, 0.0);
 }
 
-TEST(ObsMetrics, DisabledMetricsSkipHelpers) {
-  obs::Counter& c = obs::counter("test.disabled");
-  c.reset();
-  obs::set_metrics_enabled(false);
-  obs::count("test.disabled", 10);
-  {
-    obs::ScopedTimer timer("test.disabled_timer");
-    EXPECT_DOUBLE_EQ(timer.stop(), 0.0);
-  }
-  obs::set_metrics_enabled(true);
-  EXPECT_EQ(c.value(), 0u);
-  obs::count("test.disabled", 3);
-  EXPECT_EQ(c.value(), 3u);
-}
-
 TEST(ObsMetrics, SnapshotContainsRegisteredNames) {
   obs::counter("test.snap_counter").add(2);
   obs::gauge("test.snap_gauge").set(1.25);

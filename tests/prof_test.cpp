@@ -190,8 +190,8 @@ TEST(Prof, NestedSpansAcrossParallelForWorkers) {
     std::atomic<std::size_t> work{0};
     pool.parallel_for(kOuter, [&](std::size_t) {
       prof::Span outer("prof_test.outer");
-      // A nested parallel_for runs inline inside the worker's chunk, so its
-      // spans nest under this one on the same thread.
+      // A nested parallel_for's chunks run on this thread, nested under
+      // this span, and on whichever workers claim them first.
       pool.parallel_for(kInner, [&](std::size_t) {
         prof::Span inner("prof_test.inner", 4);
         work.fetch_add(1, std::memory_order_relaxed);
@@ -205,7 +205,9 @@ TEST(Prof, NestedSpansAcrossParallelForWorkers) {
   EXPECT_EQ(rows.at({"prof_test.outer", -1}).calls, kOuter);
   EXPECT_EQ(rows.at({"prof_test.inner", -1}).calls, kOuter * kInner);
   EXPECT_EQ(rows.at({"prof_test.inner", -1}).bytes, 4.0 * kOuter * kInner);
-  EXPECT_EQ(rows.at({"pool.inline", -1}).calls, kOuter);
+  // Every fork/join splits into workers + 1 = 5 chunks, and each chunk
+  // runs exactly once: the outer call's and each of the kOuter nested ones.
+  EXPECT_EQ(rows.at({"pool.chunk", -1}).calls, 5 * (kOuter + 1));
   for (const auto& [key, row] : rows) {
     EXPECT_LE(row.self_ns, row.total_ns) << key.first;
   }

@@ -2,10 +2,11 @@
 //
 // The nested-parallel_for cases are the regression for the seed pool's
 // deadlock: a task that itself called parallel_for blocked a worker on
-// futures no free worker could run. The reentrant pool executes nested
-// ranges inline on the caller's chunk, so these tests must complete (they
-// hang forever against the seed implementation). The whole file is also run
-// under ThreadSanitizer / AddressSanitizer via REFFIL_SANITIZE builds.
+// futures no free worker could run. A nested call's caller claims every
+// chunk no worker has taken before it waits, so these tests must complete
+// (they hang forever against a join that only waits). The whole file is
+// also run under ThreadSanitizer / AddressSanitizer via REFFIL_SANITIZE
+// builds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -57,17 +58,6 @@ TEST(ThreadPoolReentrant, NestedCoversEveryIndexExactlyOnce) {
   for (const auto& h : inner) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolReentrant, InPoolTaskFlagTracksExecutionContext) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(ThreadPool::in_pool_task());
-  std::atomic<int> inside{0};
-  pool.parallel_for(4, [&](std::size_t) {
-    if (ThreadPool::in_pool_task()) inside.fetch_add(1);
-  });
-  EXPECT_EQ(inside.load(), 4);
-  EXPECT_FALSE(ThreadPool::in_pool_task());
-}
-
 TEST(ThreadPoolReentrant, NestedExceptionPropagatesToOuterCaller) {
   ThreadPool pool(3);
   EXPECT_THROW(pool.parallel_for(6,
@@ -83,39 +73,6 @@ TEST(ThreadPoolReentrant, NestedExceptionPropagatesToOuterCaller) {
   std::atomic<int> hits{0};
   pool.parallel_for(10, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 10);
-}
-
-TEST(ThreadPoolReentrant, SubmittedTaskMayCallParallelFor) {
-  ThreadPool pool(2);
-  auto future = pool.submit([&] {
-    std::atomic<int> hits{0};
-    pool.parallel_for(32, [&](std::size_t) { hits.fetch_add(1); });
-    return hits.load();
-  });
-  EXPECT_EQ(future.get(), 32);
-}
-
-TEST(ThreadPoolStress, ManyProducersSubmitConcurrently) {
-  ThreadPool pool(4);
-  static constexpr int kProducers = 8;
-  static constexpr int kTasksEach = 200;
-  std::vector<std::thread> producers;
-  std::vector<std::vector<std::future<int>>> futures(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      futures[p].reserve(kTasksEach);
-      for (int t = 0; t < kTasksEach; ++t) {
-        futures[p].push_back(pool.submit([p, t] { return p * kTasksEach + t; }));
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-  long long sum = 0;
-  for (auto& per_producer : futures) {
-    for (auto& future : per_producer) sum += future.get();
-  }
-  const long long n = kProducers * kTasksEach;
-  EXPECT_EQ(sum, n * (n - 1) / 2);
 }
 
 TEST(ThreadPoolStress, ConcurrentParallelForFromManyExternalThreads) {
@@ -134,25 +91,6 @@ TEST(ThreadPoolStress, ConcurrentParallelForFromManyExternalThreads) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 20 * 64);
 }
 
-TEST(ThreadPoolStress, SubmitRacesWithParallelFor) {
-  ThreadPool pool(4);
-  std::atomic<int> submitted_done{0};
-  std::vector<std::future<void>> futures;
-  std::thread submitter([&] {
-    for (int t = 0; t < 100; ++t) {
-      futures.push_back(pool.submit([&] { submitted_done.fetch_add(1); }));
-    }
-  });
-  std::atomic<int> pf_hits{0};
-  for (int repeat = 0; repeat < 20; ++repeat) {
-    pool.parallel_for(32, [&](std::size_t) { pf_hits.fetch_add(1); });
-  }
-  submitter.join();
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(pf_hits.load(), 20 * 32);
-  EXPECT_EQ(submitted_done.load(), 100);
-}
-
 TEST(ThreadPoolFanOut, CoversEveryIndexExactlyOnceIncludingNested) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> outer(6);
@@ -165,7 +103,7 @@ TEST(ThreadPoolFanOut, CoversEveryIndexExactlyOnceIncludingNested) {
       pool.fan_out(3, [&](std::size_t k) {
         innermost[(i * 12 + j) * 3 + k].fetch_add(1);
       });
-      pool.parallel_for(4, [](std::size_t) {});  // kernels inside still inline
+      pool.parallel_for(4, [](std::size_t) {});  // nested fork/join inside
     });
   });
   for (const auto& h : outer) EXPECT_EQ(h.load(), 1);
@@ -175,22 +113,27 @@ TEST(ThreadPoolFanOut, CoversEveryIndexExactlyOnceIncludingNested) {
 }
 
 TEST(ThreadPoolFanOut, ReachesIdleWorkersFromInsideAPoolTask) {
-  // parallel_for would run this inner loop inline on the one busy worker;
-  // fan_out must hand some of it to the three parked ones. Workers park
-  // asynchronously after construction, so allow a few attempts.
+  // A two-chunk parallel_for puts one chunk on a worker; from inside that
+  // pool task, fan_out must hand some of its loop to the parked workers.
+  // The caller's own chunk yields so a worker claims the other one, and
+  // workers park asynchronously after construction, so allow a few attempts.
   ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
   std::size_t most_threads = 0;
   for (int attempt = 0; attempt < 50 && most_threads < 2; ++attempt) {
     std::mutex m;
     std::set<std::thread::id> threads;
-    auto task = pool.submit([&] {
+    pool.parallel_for(2, [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        return;
+      }
       pool.fan_out(8, [&](std::size_t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         std::lock_guard<std::mutex> lock(m);
         threads.insert(std::this_thread::get_id());
       });
     });
-    task.get();
     most_threads = std::max(most_threads, threads.size());
   }
   EXPECT_GE(most_threads, 2u);

@@ -158,12 +158,6 @@ TEST(ThreadPool, PropagatesFirstException) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, SubmitReturnsFutureValue) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 7 * 6; });
-  EXPECT_EQ(future.get(), 42);
-}
-
 TEST(ByteBuffer, PodRoundTrip) {
   ByteWriter writer;
   writer.write_u32(0xDEADBEEF);
