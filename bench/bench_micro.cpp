@@ -22,7 +22,6 @@
 #include "reffil/tensor/pool.hpp"
 #include "reffil/util/prof.hpp"
 #include "reffil/util/byte_buffer.hpp"
-#include "reffil/util/thread_pool.hpp"
 
 namespace AG = reffil::autograd;
 namespace T = reffil::tensor;
@@ -160,10 +159,11 @@ BENCHMARK(BM_TrainStep)->Arg(4)->Arg(8);
 
 // One Finetune step (zero grads, forward, backward, SGD) on the two eager
 // paths MethodBase::train_step_eager has taken under parallel_samples, both
-// swept on the calling thread plus idle pool workers: each sample on its
-// own graph (the path before batched steps), or runs of samples as one
-// graph each, split by MethodBase::batched_runs. Both leave
-// bitwise-identical gradients (tests/batched_step_test.cpp).
+// swept one graph after another on the calling thread
+// (MethodBase::sweep_runs): each sample on its own graph (the path before
+// batched steps), or runs of at most three samples as one graph each, split
+// by MethodBase::batched_runs. Both leave bitwise-identical gradients
+// (tests/batched_step_test.cpp).
 struct TrainStepData {
   explicit TrainStepData(std::size_t n) : rng(11), net(config, rng) {
     images = T::randn({n, config.image_channels, 16, 16}, rng);
@@ -189,17 +189,14 @@ static void BM_TrainStepPerSample(benchmark::State& state) {
   TrainStepData step(n);
   reffil::nn::SgdOptimizer optimizer(step.net.parameters(),
                                      {.learning_rate = 0.01f, .momentum = 0.9f});
-  AG::OrderedFold fold;
   const float scale = 1.0f / static_cast<float>(n);
   for (auto _ : state) {
     optimizer.zero_grad();
-    fold.sweep_runs(reffil::util::global_thread_pool(), n, n,
-                    [&](std::size_t i, std::size_t) {
-                      const auto out = step.net.forward(step.samples[i]);
-                      AG::backward(AG::mul_scalar(
-                          AG::cross_entropy_logits(out.logits, {step.labels[i]}),
-                          scale));
-                    });
+    reffil::cl::MethodBase::sweep_runs(n, n, [&](std::size_t i, std::size_t) {
+      const auto out = step.net.forward(step.samples[i]);
+      AG::backward(AG::mul_scalar(
+          AG::cross_entropy_logits(out.logits, {step.labels[i]}), scale));
+    });
     optimizer.step();
     benchmark::DoNotOptimize(step.net.parameters().front()->grad());
   }
@@ -212,13 +209,11 @@ static void BM_TrainStepBatched(benchmark::State& state) {
   TrainStepData step(n);
   reffil::nn::SgdOptimizer optimizer(step.net.parameters(),
                                      {.learning_rate = 0.01f, .momentum = 0.9f});
-  auto& pool = reffil::util::global_thread_pool();
-  AG::OrderedFold fold;
   const std::size_t size = step.images.numel() / n;
   for (auto _ : state) {
     optimizer.zero_grad();
-    fold.sweep_runs(
-        pool, n, reffil::cl::MethodBase::batched_runs(n, pool.spare_workers()),
+    reffil::cl::MethodBase::sweep_runs(
+        n, reffil::cl::MethodBase::batched_runs(n),
         [&](std::size_t lo, std::size_t hi) {
           const T::Tensor run({hi - lo, step.config.image_channels, 16, 16},
                               std::vector<float>(step.images.begin() + lo * size,
@@ -275,14 +270,13 @@ class RefFiLStep : public reffil::core::RefFiLMethod {
   /// One step: per-sample graphs, or runs split as train_step_eager does.
   void step(bool batched) {
     const std::size_t n = batch.size();
-    auto& pool = reffil::util::global_thread_pool();
-    const std::size_t runs = batched ? batched_runs(n, pool.spare_workers()) : n;
+    const std::size_t runs = batched ? batched_runs(n) : n;
     auto& rep = replica(0);
     reffil::nn::SgdOptimizer optimizer(rep.parameters(),
                                        {.learning_rate = 0.01f, .momentum = 0.9f});
     optimizer.zero_grad();
     const float scale = 1.0f / static_cast<float>(n);
-    fold.sweep_runs(pool, n, runs, [&](std::size_t lo, std::size_t hi) {
+    sweep_runs(n, runs, [&](std::size_t lo, std::size_t hi) {
       AG::backward(batched ? run_loss(rep, batch, lo, hi, job, 0)
                            : AG::mul_scalar(sample_loss(rep, batch[lo], job, 0),
                                             scale));
@@ -293,7 +287,6 @@ class RefFiLStep : public reffil::core::RefFiLMethod {
   reffil::fed::TrainJob job;
   std::vector<reffil::data::Sample> samples;
   std::vector<TaggedSample> batch;
-  AG::OrderedFold fold;
 };
 
 static void BM_TrainStepPerSampleRefFiL(benchmark::State& state) {

@@ -8,113 +8,8 @@
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/prof.hpp"
-#include "reffil/util/thread_pool.hpp"
 
 namespace reffil::autograd {
-
-// One sweep's parameter contributions, in arrival order. A tape frees its
-// copies once folded: a waiting sweep holds memory, a recycled tape none.
-class OrderedFold::Tape {
- public:
-  void clear() { entries_.clear(); }
-
-  void record(Node* parameter, const tensor::Tensor& g, std::size_t samples) {
-    entries_.push_back(Entry{parameter, g, samples});
-  }
-
-  void fold() {
-    for (const Entry& entry : entries_) {
-      entry.parameter->accumulate_grad(entry.grad, entry.samples);
-    }
-    entries_.clear();
-  }
-
- private:
-  struct Entry {
-    Node* parameter;
-    tensor::Tensor grad;  ///< an owning copy
-    std::size_t samples;
-  };
-  std::vector<Entry> entries_;
-};
-
-thread_local OrderedFold::Tape* OrderedFold::armed_ = nullptr;
-
-OrderedFold::OrderedFold() = default;
-OrderedFold::~OrderedFold() = default;
-
-bool OrderedFold::divert(Node* parameter, const tensor::Tensor& g,
-                         std::size_t samples) {
-  if (armed_ == nullptr) return false;
-  armed_->record(parameter, g, samples);
-  return true;
-}
-
-void OrderedFold::begin(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  next_ = 0;
-  finished_.assign(n, nullptr);
-  // Reclaim every tape, including any stranded by a sweep that threw.
-  free_.clear();
-  for (const auto& tape : tapes_) free_.push_back(tape.get());
-}
-
-void OrderedFold::sweep(std::size_t k, const std::function<void()>& run) {
-  Tape* tape = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    REFFIL_CHECK_MSG(k < finished_.size(), "OrderedFold: sweep out of range");
-    // When k is next in line, every earlier sweep is folded and nobody folds
-    // again until k commits, so k writes the parameters' gradients itself.
-    if (k != next_) {
-      if (free_.empty()) {
-        tapes_.push_back(std::make_unique<Tape>());
-        tape = tapes_.back().get();
-      } else {
-        tape = free_.back();
-        free_.pop_back();
-      }
-      tape->clear();
-    }
-  }
-  {
-    struct Arm {  // restores the thread's previous tape even if run() throws
-      Tape* previous = armed_;
-      explicit Arm(Tape* t) { armed_ = t; }
-      ~Arm() { armed_ = previous; }
-    } arm(tape);
-    run();
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (tape == nullptr) {
-    ++next_;  // k was next in line and wrote the gradients itself
-  } else {
-    finished_[k] = tape;
-  }
-  while (next_ < finished_.size() && finished_[next_] != nullptr) {
-    Tape* ready = finished_[next_];
-    ready->fold();
-    free_.push_back(ready);
-    finished_[next_++] = nullptr;
-  }
-}
-
-void OrderedFold::sweep_runs(
-    util::ThreadPool& pool, std::size_t n, std::size_t runs,
-    const std::function<void(std::size_t, std::size_t)>& sweep_run,
-    const char* wait_span) {
-  REFFIL_CHECK_MSG(runs > 0 && runs <= n, "sweep_runs: need 1..n runs");
-  begin(runs);
-  // fan_out claims indices in commit order, so with no idle worker every
-  // sweep is next in line and writes the gradients directly.
-  pool.fan_out(
-      runs,
-      [&](std::size_t k) {
-        const std::size_t r = runs - 1 - k;
-        sweep(k, [&] { sweep_run(r * n / runs, (r + 1) * n / runs); });
-      },
-      wait_span);
-}
 
 void Node::shape_grad() {
   if (grad_.shape() == value_.shape()) return;
@@ -160,7 +55,6 @@ void Node::add_grad(const tensor::Tensor& g, std::size_t samples) {
                      " gradients of value shape " +
                      tensor::shape_to_string(value_.shape()));
   }
-  if (parameter_ && OrderedFold::divert(this, g, samples)) return;
   if (!rows_set_.empty()) {
     // Some rows already took a row contribution: add there, copy elsewhere.
     REFFIL_CHECK_MSG(samples == 1, "row contributions fold one gradient");
@@ -187,7 +81,7 @@ void Node::accumulate_grad_rows(const tensor::Tensor& g, std::size_t row) {
                        g.dim(1) == value_.dim(1) &&
                        row + g.dim(0) <= value_.dim(0),
                    "accumulate_grad_rows: rows out of the value's range");
-  // A parameter takes whole gradients, the unit OrderedFold tapes record.
+  // A parameter takes whole gradients, the unit its sweep queue folds.
   REFFIL_CHECK_MSG(!parameter_, "accumulate_grad_rows on a parameter");
   if (grad_initialized_) {
     float* dst = grad_.begin() + row * value_.dim(1);

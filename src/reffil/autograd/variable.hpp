@@ -15,16 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "reffil/tensor/pool.hpp"
 #include "reffil/tensor/tensor.hpp"
-
-namespace reffil::util {
-class ThreadPool;
-}  // namespace reffil::util
 
 namespace reffil::autograd {
 
@@ -50,8 +45,8 @@ class Node {
 
   bool requires_grad() const { return requires_grad_; }
 
-  /// Flags a trainable leaf made by parameter(): the nodes whose gradient
-  /// contributions an OrderedFold sweep may divert.
+  /// Flags a trainable leaf made by parameter(): the nodes whose one-gradient
+  /// contributions queue in a sweep with their other uses' partials.
   void mark_parameter() { parameter_ = true; }
 
   /// Accumulated gradient; zero tensor of value's shape until backward runs.
@@ -140,7 +135,7 @@ class Node {
   friend void backward(const Var& root);
   friend Var make_node(tensor::Shape, std::vector<Var>,
                        std::function<void(const tensor::Tensor&)>, const char*);
-  /// accumulate_grad past the sweep's queue (OrderedFold still diverts).
+  /// accumulate_grad past the sweep's queue.
   void add_grad(const tensor::Tensor& g, std::size_t samples);
   /// Give the gradient storage of the value's shape (pooled like the
   /// value when the value is) without initializing it.
@@ -214,54 +209,6 @@ class SampleSubset {
 
  private:
   std::shared_ptr<const std::vector<std::size_t>> previous_;
-};
-
-/// Runs n backward sweeps over shared parameters, concurrently, and leaves
-/// the parameters' gradients bitwise as if one thread had run sweeps 0..n-1
-/// back to back. Float addition does not reassociate, so the contributions
-/// must land in that order: a sweep that starts while it is next in line
-/// accumulates straight into the parameters; any other sweep's parameter
-/// contributions are diverted onto a tape (a copy per contribution), folded
-/// in recorded order the moment every earlier sweep has been committed.
-/// Tapes are recycled, so memory stays at the sweeps in flight, not n.
-class OrderedFold {
- public:
-  OrderedFold();
-  ~OrderedFold();
-
-  /// Start a round of n sweeps.
-  void begin(std::size_t n);
-  /// Run sweep k of the round on the calling thread: `run` performs one
-  /// backward(); only nodes made by parameter() are diverted.
-  void sweep(std::size_t k, const std::function<void()>& run);
-
-  /// One round over samples [0, n) split into `runs` contiguous runs, swept
-  /// on the calling thread plus `pool`'s idle workers (ThreadPool::fan_out,
-  /// whose optional `wait_span` names the final wait). Sweep k is run
-  /// runs-1-k: `sweep_run(lo, hi)` performs one backward() over samples
-  /// [lo, hi) that adds each parameter's contributions sample hi-1 first
-  /// (one-sample runs, or batched ops' fold_sample_grads). Every parameter
-  /// then gets sample n-1's contributions first and sample 0's last,
-  /// whatever `runs` is.
-  void sweep_runs(util::ThreadPool& pool, std::size_t n, std::size_t runs,
-                  const std::function<void(std::size_t, std::size_t)>& sweep_run,
-                  const char* wait_span = nullptr);
-
- private:
-  class Tape;
-  friend class Node;
-  /// Called by Node::accumulate_grad for parameters: true when a tape is
-  /// armed on this thread and took the contribution (`samples` gradients).
-  static bool divert(Node* parameter, const tensor::Tensor& g,
-                     std::size_t samples);
-  /// The tape this thread's sweep diverts onto; null = accumulate directly.
-  static thread_local Tape* armed_;
-
-  std::mutex mutex_;
-  std::size_t next_ = 0;          ///< first uncommitted sweep
-  std::vector<Tape*> finished_;   ///< per sweep: recorded, awaiting fold
-  std::vector<std::unique_ptr<Tape>> tapes_;
-  std::vector<Tape*> free_;
 };
 
 /// Helper used by ops: create an interior node with a value of `shape`

@@ -11,11 +11,7 @@ namespace T = reffil::tensor;
 LwfMethod::LwfMethod(MethodConfig config, LwfConfig lwf)
     : MethodBase("FedLwF", std::move(config)), lwf_(lwf) {
   init_workers();
-  teachers_.reserve(config_.parallelism);
-  for (std::size_t slot = 0; slot < config_.parallelism; ++slot) {
-    util::Rng rng(config_.seed ^ 0x7EAC4E2ULL);
-    teachers_.push_back(std::make_unique<nn::PromptNet>(config_.net, rng));
-  }
+  teachers_.resize(config_.parallelism);
   teacher_loaded_.assign(config_.parallelism, 0);
 }
 
@@ -38,6 +34,10 @@ void LwfMethod::read_broadcast_extras(util::ByteReader& reader, std::size_t slot
   const bool teacher_present = reader.read_u32() != 0;
   if (teacher_present) {
     const fed::ModelState state = fed::deserialize_state(reader);
+    if (!teachers_[slot]) {  // built the first time its slot needs one
+      util::Rng rng(config_.seed ^ 0x7EAC4E2ULL);
+      teachers_[slot] = std::make_unique<nn::PromptNet>(config_.net, rng);
+    }
     teachers_[slot]->load(state);
     teacher_loaded_[slot] = 1;
   } else {

@@ -34,7 +34,8 @@ class LwfMethod : public MethodBase {
   LwfConfig lwf_;
   bool have_teacher_ = false;
   fed::ModelState teacher_state_;
-  /// Per-worker frozen teacher replicas (loaded from broadcast extras).
+  /// Per-worker frozen teacher replicas (loaded from broadcast extras),
+  /// null until the slot first receives a teacher.
   std::vector<std::unique_ptr<nn::PromptNet>> teachers_;
   /// One flag per slot, written by that slot's concurrent train_client —
   /// not std::vector<bool>, whose flags share words.

@@ -7,7 +7,6 @@
 #include "reffil/util/error.hpp"
 #include "reffil/util/obs.hpp"
 #include "reffil/util/prof.hpp"
-#include "reffil/util/thread_pool.hpp"
 
 namespace reffil::cl {
 
@@ -58,17 +57,23 @@ std::unique_ptr<Replica> MethodBase::make_replica(util::Rng& rng) {
 
 void MethodBase::init_workers() {
   REFFIL_CHECK_MSG(workers_.empty(), "init_workers called twice");
-  for (std::size_t slot = 0; slot < config_.parallelism; ++slot) {
+  workers_.resize(config_.parallelism);
+  const std::size_t graphs_per_slot =
+      std::max<std::size_t>(1, kMaxGraphs / workers_.size());
+  graph_cache_.assign(workers_.size(), AG::graph::GraphCache(graphs_per_slot));
+  global_state_ = build_replica(0).snapshot();
+}
+
+Replica& MethodBase::build_replica(std::size_t slot) {
+  REFFIL_CHECK_MSG(slot < workers_.size(), "worker slot out of range");
+  if (!workers_[slot]) {
     // Every replica is built from the same seed so all workers (and the
     // initial global state) share one initialisation; load() overwrites
     // values before each use anyway.
     util::Rng replica_rng(config_.seed ^ 0xC0FFEEULL);
-    workers_.push_back(make_replica(replica_rng));
+    workers_[slot] = make_replica(replica_rng);
   }
-  graph_cache_.assign(workers_.size(),
-                      AG::graph::GraphCache(kMaxGraphsPerSlot));
-  sample_folds_ = std::vector<AG::OrderedFold>(workers_.size());
-  global_state_ = workers_.front()->snapshot();
+  return *workers_[slot];
 }
 
 std::string MethodBase::replay_signature(const Replica&, const fed::TrainJob&,
@@ -124,6 +129,7 @@ bool MethodBase::train_step_replayed(Replica& rep,
 
 Replica& MethodBase::replica(std::size_t slot) {
   REFFIL_CHECK_MSG(slot < workers_.size(), "worker slot out of range");
+  REFFIL_CHECK_MSG(workers_[slot] != nullptr, "worker slot has no replica yet");
   return *workers_[slot];
 }
 
@@ -224,7 +230,7 @@ std::vector<MethodBase::TaggedSample> MethodBase::local_view(
 fed::ClientUpdate MethodBase::train_client(
     const std::vector<std::uint8_t>& broadcast, const fed::TrainJob& job) {
   obs::ScopedTimer timer("cl.train_client_seconds");
-  Replica& rep = replica(job.worker_slot);
+  Replica& rep = build_replica(job.worker_slot);
 
   // Named spans split the client's own time (decode + load, optimizer
   // steps, upload encoding) from the op spans of its training steps.
@@ -457,7 +463,11 @@ void MethodBase::aggregate(const std::vector<fed::ClientUpdate>& updates) {
 }
 
 void MethodBase::prepare_eval() {
-  for (auto& worker : workers_) worker->load(global_state_);
+  // Slots that never trained get their replica here, before predict()
+  // calls share the slots across threads.
+  for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
+    build_replica(slot).load(global_state_);
+  }
 }
 
 std::size_t MethodBase::predict(std::size_t worker_slot,
@@ -493,9 +503,17 @@ autograd::Var MethodBase::batch_loss(Replica& rep,
   return AG::mul_scalar(total, 1.0f / static_cast<float>(batch.size()));
 }
 
-std::size_t MethodBase::batched_runs(std::size_t n, std::size_t spare) {
-  return std::max(std::min(n, 1 + spare),
-                  (n + kMaxRunSamples - 1) / kMaxRunSamples);
+std::size_t MethodBase::batched_runs(std::size_t n) {
+  return (n + kMaxRunSamples - 1) / kMaxRunSamples;
+}
+
+void MethodBase::sweep_runs(
+    std::size_t n, std::size_t runs,
+    const std::function<void(std::size_t, std::size_t)>& sweep_run) {
+  REFFIL_CHECK_MSG(runs > 0 && runs <= n, "sweep_runs: need 1..n runs");
+  for (std::size_t r = runs; r-- > 0;) {
+    sweep_run(r * n / runs, (r + 1) * n / runs);
+  }
 }
 
 T::Tensor MethodBase::run_images(const std::vector<TaggedSample>& batch,
@@ -536,37 +554,30 @@ void MethodBase::train_step_eager(Replica& rep,
     AG::backward(batch_loss(rep, batch, job, slot));
     return;
   }
-  AG::OrderedFold& fold = sample_folds_[slot];
-  util::ThreadPool& pool = util::global_thread_pool();
   if (batched_step()) {
     // Batched graphs over contiguous runs of the batch. A run's graph folds
     // shared-parameter gradients last sample first, each sample's uses in
-    // its own graph's sweep order, and the runs commit last run first, so
-    // every parameter gets sample n-1's contributions first and sample 0's
-    // last, as batch_loss's sweep adds them (DESIGN.md §16, "Batched
+    // its own graph's sweep order, and the runs are swept last run first,
+    // so every parameter gets sample n-1's contributions first and sample
+    // 0's last, as batch_loss's sweep adds them (DESIGN.md §16, "Batched
     // steps").
-    fold.sweep_runs(pool, n, batched_runs(n, pool.spare_workers()),
-                    [&](std::size_t lo, std::size_t hi) {
-                      obs::prof::Span span("cl.run");
-                      AG::backward(run_loss(rep, batch, lo, hi, job, slot));
-                    },
-                    "cl.join");
+    sweep_runs(n, batched_runs(n), [&](std::size_t lo, std::size_t hi) {
+      obs::prof::Span span("cl.run");
+      AG::backward(run_loss(rep, batch, lo, hi, job, slot));
+    });
     return;
   }
   // batch_loss's left-to-right add chain makes its backward sweep reach the
   // LAST sample first: each parameter's gradient is the sum of sample n-1's
   // contributions, then n-2's, ..., then sample 0's. Every sample gets its
   // own graph scaled by the same 1/n (so its interior gradients are bitwise
-  // the batch graph's), as a one-sample run of the fold, which commits the
-  // runs last sample first: exactly that addition order.
+  // the batch graph's), swept as a one-sample run, last sample first:
+  // exactly that addition order.
   const float scale = 1.0f / static_cast<float>(n);
-  fold.sweep_runs(pool, n, n,
-                  [&](std::size_t lo, std::size_t) {
-                    obs::prof::Span span("cl.run");
-                    AG::backward(AG::mul_scalar(
-                        sample_loss(rep, batch[lo], job, slot), scale));
-                  },
-                  "cl.join");
+  sweep_runs(n, n, [&](std::size_t lo, std::size_t) {
+    obs::prof::Span span("cl.run");
+    AG::backward(AG::mul_scalar(sample_loss(rep, batch[lo], job, slot), scale));
+  });
 }
 
 void MethodBase::post_backward(Replica&, const fed::TrainJob&, std::size_t) {}

@@ -8,6 +8,7 @@
 // evaluation forward pass.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,7 +26,7 @@ namespace reffil::cl {
 
 struct MethodConfig {
   nn::PromptNetConfig net;
-  std::size_t parallelism = 4;   ///< number of worker replicas
+  std::size_t parallelism = 4;   ///< number of worker slots (replicas)
   std::size_t batch_size = 16;
   float momentum = 0.9f;
   float clip_norm = 5.0f;  ///< global gradient clip (stability at few rounds)
@@ -35,12 +36,12 @@ struct MethodConfig {
   /// planner on later batches (methods opt in per step through
   /// replay_signature). Replayed steps are bitwise-identical to eager.
   bool graph_replay = false;
-  /// Train an eager batch on the client's thread plus whichever pool workers
-  /// are idle — as multi-sample graphs over runs of the batch (methods on
-  /// the default sample_loss) or with each sample on its own graph (the
-  /// rest) — committing parameter gradients in the order the one-graph
-  /// batch sweep adds them: bitwise-identical to parallel_samples = false,
-  /// which is that sweep.
+  /// Train an eager batch as several graphs swept one after another on the
+  /// client's thread — multi-sample graphs over runs of at most
+  /// kMaxRunSamples samples (batched_step methods) or one graph per sample
+  /// (the rest) — each parameter taking its contributions in the order the
+  /// one-graph batch sweep adds them: bitwise-identical to
+  /// parallel_samples = false, which is that one graph.
   bool parallel_samples = true;
 };
 
@@ -90,18 +91,29 @@ class MethodBase : public fed::Method {
   /// residual (tests assert these drain to zero when compression turns off).
   std::size_t residual_count() const;
 
-  /// How many runs a batched step of n samples is split into when `spare`
-  /// pool workers are idle: one per thread free to build a run graph (at
-  /// most n), and never more than kMaxRunSamples samples per run.
-  static std::size_t batched_runs(std::size_t n, std::size_t spare);
+  /// How many runs a batched step of n samples is split into: as few as
+  /// hold at most kMaxRunSamples samples each, ceil(n / kMaxRunSamples).
+  static std::size_t batched_runs(std::size_t n);
+
+  /// Sweep samples [0, n), split into `runs` contiguous runs, one run after
+  /// another on the calling thread: step k runs run runs-1-k.
+  /// `sweep_run(lo, hi)` performs one backward() over samples [lo, hi) that
+  /// adds each parameter's contributions sample hi-1 first (a one-sample
+  /// run, or batched ops' fold_sample_grads), so every parameter gets sample
+  /// n-1's contributions first and sample 0's last, whatever `runs` is.
+  static void sweep_runs(
+      std::size_t n, std::size_t runs,
+      const std::function<void(std::size_t, std::size_t)>& sweep_run);
 
  protected:
-  /// Subclasses with extended replicas override this factory. Called from
-  /// init_workers(), which subclass constructors must invoke.
+  /// Subclasses with extended replicas override this factory. Called for
+  /// slot 0 from init_workers(), which subclass constructors must invoke,
+  /// and for every other slot the first time it trains or evaluates.
   virtual std::unique_ptr<Replica> make_replica(util::Rng& rng);
 
-  /// Build the worker pool and the initial global state; must be called at
-  /// the end of every (most-derived) constructor.
+  /// Size the worker slots, build slot 0's replica and the initial global
+  /// state from it; must be called at the end of every (most-derived)
+  /// constructor.
   void init_workers();
 
   // ---- extension hooks -------------------------------------------------------
@@ -134,9 +146,8 @@ class MethodBase : public fed::Method {
 
   /// One sample's training loss; a batch trains on the mean over its
   /// samples. Default: plain cross-entropy with no prompts (the Finetune
-  /// baseline). May run concurrently for samples of the same batch (see
-  /// MethodConfig::parallel_samples): read the replica and per-slot state,
-  /// never write them.
+  /// baseline). Builds a graph over the replica and per-slot state; the
+  /// backward sweep, not the loss, writes gradients.
   virtual autograd::Var sample_loss(Replica& replica, const TaggedSample& sample,
                                     const fed::TrainJob& job, std::size_t slot);
 
@@ -202,11 +213,14 @@ class MethodBase : public fed::Method {
   /// task its domain was introduced in.
   static std::vector<TaggedSample> local_view(const fed::TrainJob& job);
 
+  /// The slot's replica; throws when it has not been built yet.
   Replica& replica(std::size_t slot);
 
   std::string name_;
   MethodConfig config_;
   fed::ModelState global_state_;
+  /// One replica per slot, null until the slot first trains (slot 0: built
+  /// by init_workers) or prepare_eval builds it.
   std::vector<std::unique_ptr<Replica>> workers_;
   std::size_t current_task_ = 0;
 
@@ -240,15 +254,18 @@ class MethodBase : public fed::Method {
                            const std::vector<TaggedSample>& batch,
                            const fed::TrainJob& job, std::size_t slot);
 
-  /// Per-worker captured graphs keyed "<signature>|b=<batch_size>", least
-  /// recently used evicted beyond kMaxGraphsPerSlot. A null entry is a
-  /// negative cache: capture proved this step unreplayable, so the step
-  /// stays eager without re-capturing every batch.
-  std::vector<autograd::graph::GraphCache> graph_cache_;
-  static constexpr std::size_t kMaxGraphsPerSlot = 8;
+  /// The slot's replica, built on first use. Only the thread that owns the
+  /// slot (its train_client, or prepare_eval before any predict) calls it.
+  Replica& build_replica(std::size_t slot);
 
-  /// Per-worker gradient commit order for parallel_samples steps.
-  std::vector<autograd::OrderedFold> sample_folds_;
+  /// Per-worker captured graphs keyed "<signature>|b=<batch_size>", least
+  /// recently used evicted beyond the slot's share of kMaxGraphs (at least
+  /// one). A null entry is a negative cache: capture proved this step
+  /// unreplayable, so the step stays eager without re-capturing every batch.
+  std::vector<autograd::graph::GraphCache> graph_cache_;
+  /// Captured graphs held across all slots: each pins its arena and scratch,
+  /// so the budget, not the slot count, bounds replay's memory.
+  static constexpr std::size_t kMaxGraphs = 16;
 
   /// Fold the stored residual for `client_id` into `delta` (and spend it);
   /// a residual whose structure no longer matches is dropped instead.

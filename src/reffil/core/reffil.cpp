@@ -11,7 +11,6 @@
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/prof.hpp"
-#include "reffil/util/thread_pool.hpp"
 
 namespace reffil::core {
 
@@ -468,13 +467,13 @@ void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
   const std::size_t budget = std::min(view.size(), reffil_.lpg_sample_budget);
   const std::size_t d = config_.net.token_dim;
   // Prompt rows are independent forward values, so runs of at most
-  // kMaxRunSamples samples each generate theirs in one batched pass, on
-  // idle workers; the sums below still add them in sample order.
+  // kMaxRunSamples samples each generate theirs in one batched pass; the
+  // sums below still add them in sample order.
   std::vector<T::Tensor> prompt_vecs(budget);
   if (reffil_.use_cdap) {
     const std::size_t p = reffil_.prompt_rows;
-    const std::size_t runs = (budget + kMaxRunSamples - 1) / kMaxRunSamples;
-    util::global_thread_pool().fan_out(runs, [&](std::size_t r) {
+    const std::size_t runs = batched_runs(budget);
+    for (std::size_t r = 0; r < runs; ++r) {
       obs::prof::Span span("cl.lpg_prompt");
       const std::size_t lo = r * budget / runs, hi = (r + 1) * budget / runs;
       std::vector<std::size_t> tasks;
@@ -486,7 +485,7 @@ void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
             prompts->mutable_value().begin() + (i - lo) * p * d, {p, d});
         prompt_vecs[i] = T::mean_rows(block);  // [d]
       }
-    });
+    }
   } else {
     for (std::size_t i = 0; i < budget; ++i) {
       prompt_vecs[i] = T::row(rep.class_table->table()->value(),

@@ -10,6 +10,7 @@
 #include "reffil/core/reffil.hpp"
 #include "reffil/data/spec.hpp"
 #include "reffil/fed/runtime.hpp"
+#include "reffil/util/thread_pool.hpp"
 
 namespace reffil::harness {
 
@@ -47,13 +48,17 @@ data::DatasetSpec apply_scale(data::DatasetSpec spec, Scale scale);
 
 struct ExperimentConfig {
   std::uint64_t seed = 1;
-  std::size_t parallelism = 2;
+  /// Client slots: method replicas trained concurrently, each client on one
+  /// pool thread. One per pool thread by default, the value
+  /// RunConfig::parallelism = 0 resolves to.
+  std::size_t parallelism = util::global_thread_pool().size();
   Scale scale = Scale::kScaled;
   /// Capture-and-replay client training graphs through the arena planner
   /// (see autograd/graph.hpp). Replayed steps are bitwise-identical to
   /// eager, so this deliberately does NOT change the result-cache key.
   bool graph_replay = false;
-  /// Train each eager batch's samples concurrently on idle pool workers
+  /// Train each eager batch as runs of at most three samples (or one graph
+  /// per sample), swept one after another on the client's thread
   /// (cl::MethodConfig::parallel_samples). Bitwise-identical either way, so
   /// it does not change the result-cache key either.
   bool parallel_samples = true;

@@ -37,8 +37,7 @@ AG::Var MultiHeadSelfAttention::forward(const AG::Var& tokens,
   AG::Var merged;  // concat of per-head outputs along columns
   // Heads are evaluated sequentially because autograd graph construction is
   // single-threaded by design; the per-head score/context matmuls and the
-  // row softmax are where the work lives, and those fan out on the global
-  // pool via the tensor::parallel dispatch when [T, dim] is large enough.
+  // row softmax are where the work lives, and they run serially too.
   for (std::size_t h = 0; h < heads_; ++h) {
     const std::size_t lo = h * head_dim_, hi = lo + head_dim_;
     const AG::Var qh = AG::slice_cols(q, lo, hi);

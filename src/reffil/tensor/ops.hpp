@@ -7,7 +7,7 @@
 // interfaces).
 //
 // Every kernel runs serially on the calling thread; parallelism lives above
-// this layer (client slots, sample runs), so numerics never depend on
+// this layer (client slots and evaluation), so numerics never depend on
 // thread count.
 #pragma once
 

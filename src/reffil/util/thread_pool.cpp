@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -58,9 +57,7 @@ void ThreadPool::worker_loop(std::size_t index) {
     std::size_t depth_after_pop = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      ++idle_;
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      --idle_;
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop();
@@ -130,62 +127,15 @@ void ThreadPool::parallel_for(std::size_t n,
     }
   }
   cv_.notify_all();
-  join(*fj);
-}
+  run_chunks(*fj);  // the caller claims chunks alongside the workers
 
-std::size_t ThreadPool::spare_locked() const {
-  return idle_ > queue_.size() ? idle_ - queue_.size() : 0;
-}
-
-std::size_t ThreadPool::spare_workers() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return spare_locked();
-}
-
-void ThreadPool::fan_out(std::size_t n,
-                         const std::function<void(std::size_t)>& body,
-                         const char* wait_span) {
-  if (n == 0) return;
-  std::shared_ptr<ForkJoin> fj;
-  std::size_t helpers = 0;
-  if (n > 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) throw std::runtime_error("ThreadPool: fan_out after stop");
-    // Only workers that are parked now — and not already spoken for by a
-    // queued task — get a helper: fan_out borrows spare capacity, it never
-    // queues work behind busy workers.
-    helpers = std::min(spare_locked(), n - 1);
-    if (helpers > 0) {
-      fj = std::make_shared<ForkJoin>();
-      fj->n = n;
-      fj->chunks = n;  // one index per claim: uneven bodies still balance
-      fj->body = &body;
-      const auto enqueued = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < helpers; ++i) {
-        queue_.push(QueuedTask{[this, fj] { run_chunks(*fj); }, enqueued});
-      }
-    }
-  }
-  if (!fj) {
-    obs::prof::Span span("pool.inline");
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  // Wake only as many parked workers as there are helper tasks.
-  for (std::size_t i = 0; i < helpers; ++i) cv_.notify_one();
-  join(*fj, wait_span);
-}
-
-void ThreadPool::join(ForkJoin& fj, const char* wait_span) {
-  run_chunks(fj);  // the caller claims chunks alongside the workers
-
-  std::optional<obs::prof::Span> span;
-  if (wait_span != nullptr) span.emplace(wait_span);
-  std::unique_lock<std::mutex> lock(fj.m);
-  fj.done_cv.wait(lock, [&] {
-    return fj.done_chunks.load(std::memory_order_acquire) == fj.chunks;
+  // Named so slot-barrier and eval-tail waits are not the caller's self time.
+  obs::prof::Span span("pool.join");
+  std::unique_lock<std::mutex> lock(fj->m);
+  fj->done_cv.wait(lock, [&] {
+    return fj->done_chunks.load(std::memory_order_acquire) == fj->chunks;
   });
-  if (fj.error) std::rethrow_exception(fj.error);
+  if (fj->error) std::rethrow_exception(fj->error);
 }
 
 ThreadPool& global_thread_pool() {

@@ -356,13 +356,11 @@ TEST(BatchedStep, PromptNetStepMatchesTheOneGraphBatchForAnyRunSplit) {
     SCOPED_TRACE("n=" + std::to_string(n));
     Step step(n);
     const std::vector<T::Tensor> serial = step.serial_grads();
-    util::ThreadPool pool(4);
-    AG::OrderedFold fold;
     for (std::size_t runs : {std::size_t{1}, std::size_t{2}, std::size_t{3}, n}) {
       if (runs > n) continue;
       SCOPED_TRACE("runs=" + std::to_string(runs));
       step.net.zero_grad();
-      fold.sweep_runs(pool, n, runs, [&](std::size_t lo, std::size_t hi) {
+      cl::MethodBase::sweep_runs(n, runs, [&](std::size_t lo, std::size_t hi) {
         step.sweep_run(lo, hi);
       });
       EXPECT_TRUE(same_grads(step.grads(), serial));
@@ -370,34 +368,40 @@ TEST(BatchedStep, PromptNetStepMatchesTheOneGraphBatchForAnyRunSplit) {
   }
 }
 
-TEST(BatchedStep, RunSplitIsOneRunPerFreeThreadOfAtMostThreeSamples) {
+TEST(BatchedStep, RunSplitIsRunsOfAtMostThreeSamples) {
   using cl::MethodBase;
-  EXPECT_EQ(MethodBase::batched_runs(1, 4), 1u);   // never more runs than samples
-  EXPECT_EQ(MethodBase::batched_runs(2, 4), 2u);
-  EXPECT_EQ(MethodBase::batched_runs(4, 3), 4u);   // caller + 3 idle workers
-  EXPECT_EQ(MethodBase::batched_runs(3, 0), 1u);   // no idle worker: one graph
-  EXPECT_EQ(MethodBase::batched_runs(10, 0), 4u);  // ...of at most 3 samples
-  EXPECT_EQ(MethodBase::batched_runs(16, 1), 6u);
-  EXPECT_EQ(MethodBase::batched_runs(18, 1), 6u);
+  EXPECT_EQ(MethodBase::batched_runs(1), 1u);  // never more runs than samples
+  EXPECT_EQ(MethodBase::batched_runs(2), 1u);
+  EXPECT_EQ(MethodBase::batched_runs(3), 1u);  // one graph
+  EXPECT_EQ(MethodBase::batched_runs(4), 2u);
+  EXPECT_EQ(MethodBase::batched_runs(10), 4u);
+  EXPECT_EQ(MethodBase::batched_runs(16), 6u);
+  EXPECT_EQ(MethodBase::batched_runs(18), 6u);
 }
 
 TEST(BatchedStep, OneWorkerAndFourWorkerPoolsGiveTheSameBits) {
+  // Client slots run their steps concurrently, one per pool thread; a step's
+  // bits must not depend on which thread sweeps it or what runs beside it.
   const std::size_t n = 9;
-  Step step(n);
-  const std::vector<T::Tensor> serial = step.serial_grads();
+  const std::vector<T::Tensor> serial = Step(n).serial_grads();
   for (std::size_t workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     util::ThreadPool pool(workers);
-    AG::OrderedFold fold;
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      step.net.zero_grad();
-      // The split MethodBase::train_step_eager picks.
-      fold.sweep_runs(pool, n,
-                      cl::MethodBase::batched_runs(n, pool.spare_workers()),
-                      [&](std::size_t lo, std::size_t hi) {
-                        step.sweep_run(lo, hi);
-                      });
-      EXPECT_TRUE(same_grads(step.grads(), serial));
+    std::vector<char> same(4, 0);
+    pool.parallel_for(same.size(), [&](std::size_t slot) {
+      Step step(n);
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        step.net.zero_grad();
+        // The split MethodBase::train_step_eager picks.
+        cl::MethodBase::sweep_runs(n, cl::MethodBase::batched_runs(n),
+                                   [&](std::size_t lo, std::size_t hi) {
+                                     step.sweep_run(lo, hi);
+                                   });
+      }
+      same[slot] = same_grads(step.grads(), serial);
+    });
+    for (std::size_t slot = 0; slot < same.size(); ++slot) {
+      EXPECT_TRUE(same[slot]) << "slot " << slot;
     }
   }
 }
@@ -526,19 +530,14 @@ TEST(BatchedStep, AWeightUsedTwiceAndOnceMaskedFoldsLikeThePerSampleGraphs) {
     SCOPED_TRACE("n=" + std::to_string(n));
     const MultiUse toy(n);
     const T::Tensor serial = toy.serial();
-    for (std::size_t workers : {1u, 4u}) {
-      util::ThreadPool pool(workers);
-      AG::OrderedFold fold;
-      for (std::size_t runs : {std::size_t{1}, std::size_t{2}, n}) {
-        if (runs > n) continue;
-        SCOPED_TRACE("workers=" + std::to_string(workers) +
-                     " runs=" + std::to_string(runs));
-        const AG::Var w = AG::parameter(toy.w0);
-        fold.sweep_runs(pool, n, runs, [&](std::size_t lo, std::size_t hi) {
-          toy.sweep_run(w, lo, hi);
-        });
-        EXPECT_TRUE(same_bits(w->grad(), serial));
-      }
+    for (std::size_t runs : {std::size_t{1}, std::size_t{2}, n}) {
+      if (runs > n) continue;
+      SCOPED_TRACE("runs=" + std::to_string(runs));
+      const AG::Var w = AG::parameter(toy.w0);
+      cl::MethodBase::sweep_runs(n, runs, [&](std::size_t lo, std::size_t hi) {
+        toy.sweep_run(w, lo, hi);
+      });
+      EXPECT_TRUE(same_bits(w->grad(), serial));
     }
   }
 }

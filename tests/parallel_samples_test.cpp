@@ -1,21 +1,17 @@
-// Per-sample parallel training: the ordered gradient fold and the end-to-end
-// contract that fanning a batch's samples out to idle workers is
-// bitwise-identical to training the batch as one graph on one thread.
+// Per-sample training: the end-to-end contract that sweeping a batch as
+// several graphs (runs or single samples) is bitwise-identical to training
+// the batch as one graph, and that the result does not depend on the number
+// of client slots.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <thread>
 #include <vector>
 
-#include "reffil/autograd/ops.hpp"
-#include "reffil/autograd/variable.hpp"
 #include "reffil/cl/method_base.hpp"
 #include "reffil/harness/experiment.hpp"
-#include "reffil/tensor/ops.hpp"
-#include "reffil/util/rng.hpp"
+#include "reffil/util/thread_pool.hpp"
 
 using namespace reffil;
-namespace AG = reffil::autograd;
 namespace T = reffil::tensor;
 
 namespace {
@@ -24,73 +20,6 @@ bool same_bits(const T::Tensor& a, const T::Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.begin(), b.begin(), a.numel() * sizeof(float)) == 0;
 }
-
-// Float addition does not reassociate: (1 + 1e8) - 1e8 == 0, but any order
-// that adds the 1 after the two large terms cancel leaves 1. A fold that
-// commits sweeps out of order therefore changes the gradient's bits.
-const std::vector<float> kOrderSensitive = {1.0f, 1e8f, -1e8f};
-
-void sweep(const AG::Var& p, float c) { AG::backward(AG::mul_scalar(p, c)); }
-
-}  // namespace
-
-TEST(OrderedFold, CommitsInOrderWhateverTheFinishOrder) {
-  const AG::Var serial = AG::parameter(T::Tensor({1}));
-  for (float c : kOrderSensitive) sweep(serial, c);
-
-  const AG::Var p = AG::parameter(T::Tensor({1}));
-  AG::OrderedFold fold;
-  for (int round = 0; round < 2; ++round) {  // second round recycles tapes
-    p->zero_grad();
-    fold.begin(3);
-    // Sweeps finish 2, 1, 0: nothing may land before sweep 0 does.
-    for (std::size_t k : {2u, 1u}) {
-      fold.sweep(k, [&] { sweep(p, kOrderSensitive[k]); });
-      EXPECT_EQ(p->grad().at(0), 0.0f) << "sweep " << k << " landed early";
-    }
-    fold.sweep(0, [&] { sweep(p, kOrderSensitive[0]); });
-    EXPECT_TRUE(same_bits(p->grad(), serial->grad()))
-        << p->grad().at(0) << " vs " << serial->grad().at(0);
-  }
-  EXPECT_EQ(serial->grad().at(0), 0.0f);  // the order really mattered
-  // Outside a sweep, accumulation is direct again.
-  sweep(p, 1.0f);
-  EXPECT_EQ(p->grad().at(0), 1.0f);
-}
-
-TEST(OrderedFold, ConcurrentSweepsMatchOneThreadBitwise) {
-  // A small classifier: several contributions per parameter per sweep
-  // (the weight feeds two logits paths), random inputs, 12 sweeps.
-  util::Rng rng(11);
-  const T::Tensor w0 = T::randn({6, 5}, rng);
-  const T::Tensor b0 = T::randn({5}, rng);
-  std::vector<T::Tensor> inputs;
-  for (int k = 0; k < 12; ++k) inputs.push_back(T::randn({1, 6}, rng, 0.0f, 3.0f));
-  const auto loss = [&](const AG::Var& w, const AG::Var& b, std::size_t k) {
-    const AG::Var x = AG::constant(inputs[k]);
-    const AG::Var h = AG::add_rowvec(AG::matmul(x, w), b);
-    const AG::Var twice = AG::add(h, AG::add_rowvec(AG::matmul(x, w), b));
-    return AG::mul_scalar(AG::cross_entropy_logits(twice, {k % 5}), 1.0f / 12.0f);
-  };
-
-  const AG::Var ws = AG::parameter(w0), bs = AG::parameter(b0);
-  for (std::size_t k = 0; k < inputs.size(); ++k) AG::backward(loss(ws, bs, k));
-
-  const AG::Var wp = AG::parameter(w0), bp = AG::parameter(b0);
-  AG::OrderedFold fold;
-  fold.begin(inputs.size());
-  std::vector<std::thread> threads;
-  // Launch in reverse so late sweeps tend to finish first.
-  for (std::size_t k = inputs.size(); k-- > 0;) {
-    threads.emplace_back(
-        [&, k] { fold.sweep(k, [&] { AG::backward(loss(wp, bp, k)); }); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(same_bits(wp->grad(), ws->grad()));
-  EXPECT_TRUE(same_bits(bp->grad(), bs->grad()));
-}
-
-namespace {
 
 data::DatasetSpec two_domain_spec() {
   data::DatasetSpec spec;
@@ -181,8 +110,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ClientSlots, ResultDoesNotDependOnSlotCount) {
   // Slots pull the next client dynamically, so which replica trains which
-  // client varies from run to run; the result must not.
-  const Outcome one = run(harness::MethodKind::kRefFiL, true, 1);
-  expect_identical(one, run(harness::MethodKind::kRefFiL, true, 3));
-  expect_identical(one, run(harness::MethodKind::kRefFiL, false, 2));
+  // client varies from run to run; the result must not. Replicas (and
+  // FedLwF's teachers) are built the first time their slot trains.
+  const std::size_t threads = util::global_thread_pool().size();
+  for (const auto kind : {harness::MethodKind::kRefFiL, harness::MethodKind::kLwf}) {
+    SCOPED_TRACE(harness::method_display_name(kind));
+    const Outcome one = run(kind, true, 1);
+    expect_identical(one, run(kind, true, 3));
+    expect_identical(one, run(kind, false, 2));
+    expect_identical(one, run(kind, true, threads));      // one per thread
+    expect_identical(one, run(kind, true, threads + 2));  // more than threads
+  }
 }

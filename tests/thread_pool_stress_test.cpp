@@ -10,10 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <mutex>
 #include <numeric>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -89,90 +86,6 @@ TEST(ThreadPoolStress, ConcurrentParallelForFromManyExternalThreads) {
   }
   for (auto& caller : callers) caller.join();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 20 * 64);
-}
-
-TEST(ThreadPoolFanOut, CoversEveryIndexExactlyOnceIncludingNested) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> outer(6);
-  std::vector<std::atomic<int>> inner(6 * 12);
-  std::vector<std::atomic<int>> innermost(6 * 12 * 3);
-  pool.parallel_for(6, [&](std::size_t i) {
-    outer[i].fetch_add(1);
-    pool.fan_out(12, [&](std::size_t j) {
-      inner[i * 12 + j].fetch_add(1);
-      pool.fan_out(3, [&](std::size_t k) {
-        innermost[(i * 12 + j) * 3 + k].fetch_add(1);
-      });
-      pool.parallel_for(4, [](std::size_t) {});  // nested fork/join inside
-    });
-  });
-  for (const auto& h : outer) EXPECT_EQ(h.load(), 1);
-  for (const auto& h : inner) EXPECT_EQ(h.load(), 1);
-  for (const auto& h : innermost) EXPECT_EQ(h.load(), 1);
-  pool.fan_out(0, [](std::size_t) { FAIL() << "empty range ran a body"; });
-}
-
-TEST(ThreadPoolFanOut, ReachesIdleWorkersFromInsideAPoolTask) {
-  // A two-chunk parallel_for puts one chunk on a worker; from inside that
-  // pool task, fan_out must hand some of its loop to the parked workers.
-  // The caller's own chunk yields so a worker claims the other one, and
-  // workers park asynchronously after construction, so allow a few attempts.
-  ThreadPool pool(4);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::size_t most_threads = 0;
-  for (int attempt = 0; attempt < 50 && most_threads < 2; ++attempt) {
-    std::mutex m;
-    std::set<std::thread::id> threads;
-    pool.parallel_for(2, [&](std::size_t) {
-      if (std::this_thread::get_id() == caller) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        return;
-      }
-      pool.fan_out(8, [&](std::size_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        std::lock_guard<std::mutex> lock(m);
-        threads.insert(std::this_thread::get_id());
-      });
-    });
-    most_threads = std::max(most_threads, threads.size());
-  }
-  EXPECT_GE(most_threads, 2u);
-}
-
-TEST(ThreadPoolFanOut, ExceptionPropagatesAndPoolStaysUsable) {
-  ThreadPool pool(3);
-  EXPECT_THROW(pool.parallel_for(3,
-                                 [&](std::size_t i) {
-                                   pool.fan_out(16, [&](std::size_t j) {
-                                     if (i == 1 && j == 9) {
-                                       throw std::runtime_error("fan-out boom");
-                                     }
-                                   });
-                                 }),
-               std::runtime_error);
-  std::atomic<int> hits{0};
-  pool.fan_out(40, [&](std::size_t) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 40);
-}
-
-TEST(ThreadPoolFanOut, ConcurrentCallersNeverDeadlock) {
-  // Every slot fans out while the others do too, so the idle workers are
-  // contended and claims race; each caller must still finish its range.
-  ThreadPool pool(4);
-  constexpr int kCallers = 6;
-  std::vector<std::atomic<int>> hits(kCallers);
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&, c] {
-      for (int repeat = 0; repeat < 30; ++repeat) {
-        pool.parallel_for(2, [&](std::size_t) {
-          pool.fan_out(16, [&](std::size_t) { hits[c].fetch_add(1); });
-        });
-      }
-    });
-  }
-  for (auto& caller : callers) caller.join();
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 30 * 2 * 16);
 }
 
 // The shape of a federated round: the runtime fans out over clients on the
