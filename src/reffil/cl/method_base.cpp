@@ -229,7 +229,6 @@ std::vector<MethodBase::TaggedSample> MethodBase::local_view(
 
 fed::ClientUpdate MethodBase::train_client(
     const std::vector<std::uint8_t>& broadcast, const fed::TrainJob& job) {
-  obs::ScopedTimer timer("cl.train_client_seconds");
   Replica& rep = build_replica(job.worker_slot);
 
   // Named spans split the client's own time (decode + load, optimizer

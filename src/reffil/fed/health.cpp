@@ -76,21 +76,13 @@ MonitorConfig MonitorConfig::parse(const std::string& spec) {
 HealthMonitor::HealthMonitor(MonitorConfig config)
     : config_(std::move(config)) {}
 
-void HealthMonitor::fire(const RoundObservation& o, std::string detector,
+void HealthMonitor::fire(HealthEvent event, std::string detector,
                          double value, double threshold, std::string detail,
                          std::vector<HealthEvent>& out) {
-  HealthEvent event{.task = o.task,
-                    .round = o.round,
-                    .global_round = o.global_round,
-                    .detector = std::move(detector),
-                    .value = value,
-                    .threshold = threshold,
-                    .detail = std::move(detail)};
-  if (obs::trace_enabled()) {
-    obs::TraceEvent trace_event("health");
-    util::json_members(trace_event.writer(), event);
-    obs::trace(trace_event);
-  }
+  event.detector = std::move(detector);
+  event.value = value;
+  event.threshold = threshold;
+  event.detail = std::move(detail);
   reason_ = event.detector + ": " + event.detail;
   last_fire_seen_ = rounds_seen_;
   ever_fired_ = true;
@@ -99,19 +91,24 @@ void HealthMonitor::fire(const RoundObservation& o, std::string detector,
 }
 
 std::vector<HealthEvent> HealthMonitor::observe_round(
-    const RoundObservation& o) {
+    const RoundStats& r, std::uint64_t global_round,
+    const NormAccumulator& norms) {
   std::lock_guard lock(mutex_);
   ++rounds_seen_;
   std::vector<HealthEvent> fired;
+  HealthEvent at;  // the round's coordinates; fire() completes each firing
+  at.task = r.task;
+  at.round = r.round;
+  at.global_round = global_round;
 
   // Quarantine-rate spike: instantaneous per-round fraction.
-  if (config_.quarantine_rate > 0.0 && o.selected > 0) {
+  if (config_.quarantine_rate > 0.0 && r.selected > 0) {
     const double rate =
-        static_cast<double>(o.quarantined) / static_cast<double>(o.selected);
+        static_cast<double>(r.quarantined) / static_cast<double>(r.selected);
     if (rate > config_.quarantine_rate) {
-      fire(o, "quarantine_rate", rate, config_.quarantine_rate,
-           std::to_string(o.quarantined) + "/" + std::to_string(o.selected) +
-               " updates quarantined in round " + std::to_string(o.round),
+      fire(at, "quarantine_rate", rate, config_.quarantine_rate,
+           std::to_string(r.quarantined) + "/" + std::to_string(r.selected) +
+               " updates quarantined in round " + std::to_string(r.round),
            fired);
     }
   }
@@ -120,7 +117,7 @@ std::vector<HealthEvent> HealthMonitor::observe_round(
   // against the trailing window of previous rounds' means. Needs at least
   // three baseline rounds; a near-zero baseline spread is floored so a
   // perfectly stable cohort doesn't turn numeric noise into infinities.
-  if (config_.norm_z > 0.0 && o.norm_count > 0) {
+  if (config_.norm_z > 0.0 && norms.count > 0) {
     if (norm_history_.size() >= 3) {
       double mean = 0.0;
       for (const double v : norm_history_) mean += v;
@@ -130,15 +127,15 @@ std::vector<HealthEvent> HealthMonitor::observe_round(
       var /= static_cast<double>(norm_history_.size());
       const double floor = 1e-9 * std::max(1.0, std::abs(mean));
       const double stddev = std::max(std::sqrt(var), floor);
-      const double z = std::abs(o.norm_mean - mean) / stddev;
+      const double z = std::abs(norms.mean - mean) / stddev;
       if (z > config_.norm_z) {
-        fire(o, "norm_z", z, config_.norm_z,
-             "mean update norm " + format_stat(o.norm_mean) + " vs baseline " +
+        fire(at, "norm_z", z, config_.norm_z,
+             "mean update norm " + format_stat(norms.mean) + " vs baseline " +
                  format_stat(mean) + " (z=" + format_stat(z) + ")",
              fired);
       }
     }
-    norm_history_.push_back(o.norm_mean);
+    norm_history_.push_back(norms.mean);
     while (norm_history_.size() > std::max<std::size_t>(1, config_.norm_window))
       norm_history_.pop_front();
   }
@@ -146,7 +143,8 @@ std::vector<HealthEvent> HealthMonitor::observe_round(
   // Latency SLO burn: fraction of the trailing window over the SLO. Requires
   // a few rounds of history so one slow outlier cannot page by itself.
   if (config_.latency_slo_s > 0.0) {
-    slo_history_.push_back(o.round_seconds > config_.latency_slo_s);
+    slo_history_.push_back(r.train_seconds + r.aggregate_seconds >
+                           config_.latency_slo_s);
     while (slo_history_.size() > std::max<std::size_t>(1, config_.slo_window))
       slo_history_.pop_front();
     const std::size_t need =
@@ -157,7 +155,7 @@ std::vector<HealthEvent> HealthMonitor::observe_round(
       const double burn =
           static_cast<double>(over) / static_cast<double>(slo_history_.size());
       if (burn > config_.slo_burn) {
-        fire(o, "latency_slo", burn, config_.slo_burn,
+        fire(at, "latency_slo", burn, config_.slo_burn,
              std::to_string(over) + "/" + std::to_string(slo_history_.size()) +
                  " trailing rounds over " + format_stat(config_.latency_slo_s) +
                  "s",
@@ -183,10 +181,10 @@ std::vector<HealthEvent> HealthMonitor::observe_eval(
     for (const double a : task_accuracy_) mean += a;
     mean /= static_cast<double>(task_accuracy_.size());
     if (cumulative_accuracy < mean - config_.accuracy_drop) {
-      RoundObservation o;
-      o.task = task;
-      o.global_round = global_round;
-      fire(o, "accuracy_drop", mean - cumulative_accuracy,
+      HealthEvent at;
+      at.task = task;
+      at.global_round = global_round;
+      fire(at, "accuracy_drop", mean - cumulative_accuracy,
            config_.accuracy_drop,
            "task " + std::to_string(task) + " cumulative accuracy " +
                format_stat(cumulative_accuracy) + " vs trailing mean " +
@@ -280,27 +278,15 @@ void RunMonitor::on_run_start(const std::string& method,
   board_.update(std::move(snap));
 }
 
-void RunMonitor::on_round(const RunResult& result, const RoundStats& round,
-                          std::uint64_t global_round, double sim_time_s,
-                          const NormAccumulator& norms) {
-  global_round_ = global_round;
+std::vector<HealthEvent> RunMonitor::on_round(const RunResult& result,
+                                              const RoundStats& round,
+                                              std::uint64_t global_round,
+                                              double sim_time_s,
+                                              const NormAccumulator& norms) {
   round_latency_.observe(round.train_seconds + round.aggregate_seconds);
-
-  health_.observe_round(
-      {.task = round.task,
-       .round = round.round,
-       .global_round = global_round,
-       .selected = round.selected,
-       .quarantined = round.quarantined,
-       .round_seconds = round.train_seconds + round.aggregate_seconds,
-       .norm_count = norms.count,
-       .norm_mean = norms.mean});
-
+  auto fired = health_.observe_round(round, global_round, norms);
   refresh_board(result, &round, sim_time_s);
-}
-
-void RunMonitor::on_eval(std::uint32_t task, double cumulative_accuracy) {
-  health_.observe_eval(task, cumulative_accuracy, global_round_);
+  return fired;
 }
 
 void RunMonitor::finalize(RunResult& result) {

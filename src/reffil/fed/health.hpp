@@ -21,10 +21,11 @@
 //   accuracy_drop   per-task cumulative accuracy more than this many points
 //                   below the mean of previously completed tasks
 //
-// A firing appends a HealthEvent to the run log, emits a `health` trace
-// event carrying the HealthEvent's fields (fed/result.hpp), and flips the
-// /healthz status to degraded with the reason; the status recovers after
-// recovery_rounds consecutive clean rounds. All of this is observation only: detectors never touch payloads, never draw
+// A firing appends a HealthEvent to the run log and flips the /healthz
+// status to degraded with the reason; the status recovers after
+// recovery_rounds consecutive clean rounds. The observe calls return their
+// firings, which the runner traces as `health` records (fed/records.hpp).
+// All of this is observation only: detectors never touch payloads, never draw
 // randomness, and never change control flow, so an armed monitor leaves run
 // results bitwise-identical (tested) and a missing monitor costs the hot
 // path nothing but one null-pointer check per round.
@@ -62,27 +63,28 @@ struct MonitorConfig {
   static MonitorConfig parse(const std::string& spec);
 };
 
-/// Everything the detectors consume about one committed round. The runner
-/// fills it from RoundStats plus the per-update norm accumulation it already
-/// did during the uplink sweep.
-struct RoundObservation {
-  std::uint32_t task = 0;
-  std::uint32_t round = 0;
-  std::uint64_t global_round = 0;
-  std::uint32_t selected = 0;
-  std::uint32_t quarantined = 0;
-  double round_seconds = 0.0;  ///< train + aggregate wall time
-  // Accepted updates' model-state L2 norms (count and Welford mean):
-  std::uint32_t norm_count = 0;
-  double norm_mean = 0.0;
+/// Running (Welford) mean the runner's uplink sweep feeds with per-update
+/// model-state L2 norms (fed::update_state_l2_norm).
+struct NormAccumulator {
+  std::uint32_t count = 0;
+  double mean = 0.0;
+
+  void add(double x) {
+    ++count;
+    mean += (x - mean) / static_cast<double>(count);
+  }
 };
 
 class HealthMonitor {
  public:
   explicit HealthMonitor(MonitorConfig config);
 
-  /// Evaluate every per-round detector; returns (and records) the firings.
-  std::vector<HealthEvent> observe_round(const RoundObservation& o);
+  /// Evaluate every per-round detector on a committed round (its latency is
+  /// train + aggregate seconds) and its accepted-update norms; returns (and
+  /// records) the firings.
+  std::vector<HealthEvent> observe_round(const RoundStats& round,
+                                         std::uint64_t global_round,
+                                         const NormAccumulator& norms);
 
   /// Evaluate the accuracy-regression detector after a task's evaluation.
   std::vector<HealthEvent> observe_eval(std::uint32_t task,
@@ -98,7 +100,8 @@ class HealthMonitor {
   const MonitorConfig& config() const { return config_; }
 
  private:
-  void fire(const RoundObservation& o, std::string detector, double value,
+  /// Completes `event` (whose coordinates are set) and logs it.
+  void fire(HealthEvent event, std::string detector, double value,
             double threshold, std::string detail,
             std::vector<HealthEvent>& out);
 
@@ -129,7 +132,7 @@ struct ProgressSnapshot {
   std::uint64_t rounds_total = 0;
   std::uint64_t participants = 0;    ///< cumulative selected
   NetworkStats network;              ///< the run-so-far RunResult::network
-  double round_p50_s = 0.0;  ///< round train-time quantiles, this run only
+  double round_p50_s = 0.0;  ///< round train+aggregate seconds, this run only
   double round_p95_s = 0.0;
   double round_p99_s = 0.0;
   std::vector<double> task_accuracy;  ///< cumulative accuracy per done task
@@ -141,30 +144,11 @@ struct ProgressSnapshot {
   std::uint64_t alerts_fired = 0;   ///< detector firings over the run
   std::vector<HealthEvent> alerts;  ///< most recent firings (bounded)
 
-  template <class Self, class F>
-  static constexpr void fields(Self& s, F&& f) {
-    f("method", s.method);
-    f("dataset", s.dataset);
-    f("tasks_total", s.tasks_total);
-    f("rounds_per_task", s.rounds_per_task);
-    f("task", s.task);
-    f("round_in_task", s.round_in_task);
-    f("rounds_done", s.rounds_done);
-    f("rounds_total", s.rounds_total);
-    f("participants", s.participants);
-    f("network", s.network);
-    f("round_p50_s", s.round_p50_s);
-    f("round_p95_s", s.round_p95_s);
-    f("round_p99_s", s.round_p99_s);
-    f("task_accuracy", s.task_accuracy);
-    f("sim_time_s", s.sim_time_s);
-    f("wall_seconds", s.wall_seconds);
-    f("done", s.done);
-    f("healthy", s.healthy);
-    f("health_reason", s.health_reason);
-    f("alerts_fired", s.alerts_fired);
-    f("alerts", s.alerts);
-  }
+  REFFIL_FIELDS(method, dataset, tasks_total, rounds_per_task, task,
+                round_in_task, rounds_done, rounds_total, participants, network,
+                round_p50_s, round_p95_s, round_p99_s, task_accuracy,
+                sim_time_s, wall_seconds, done, healthy, health_reason,
+                alerts_fired, alerts)
 
   /// The /progress body.
   std::string render_json() const;
@@ -187,18 +171,6 @@ class ProgressBoard {
   ProgressSnapshot snap_;
 };
 
-/// Running (Welford) mean the runner's uplink sweep feeds with per-update
-/// model-state L2 norms (fed::update_state_l2_norm).
-struct NormAccumulator {
-  std::uint32_t count = 0;
-  double mean = 0.0;
-
-  void add(double x) {
-    ++count;
-    mean += (x - mean) / static_cast<double>(count);
-  }
-};
-
 /// The bundle a monitored run carries: health + progress. Created by the
 /// driver (reffil_run --serve-metrics), handed to the runner via
 /// RunConfig::monitor, read by the exposition server. All hooks are cheap
@@ -214,11 +186,13 @@ class RunMonitor {
   void on_run_start(const std::string& method, const std::string& dataset,
                     std::uint64_t tasks_total, std::uint64_t rounds_per_task);
   /// Called from commit_round with the run-so-far result, the committed
-  /// round, and the uplink norm statistics.
-  void on_round(const RunResult& result, const RoundStats& round,
-                std::uint64_t global_round, double sim_time_s,
-                const NormAccumulator& norms);
-  void on_eval(std::uint32_t task, double cumulative_accuracy);
+  /// round, and the uplink norm statistics; returns the firings. After a
+  /// task's evaluation the runner calls health().observe_eval directly.
+  std::vector<HealthEvent> on_round(const RunResult& result,
+                                    const RoundStats& round,
+                                    std::uint64_t global_round,
+                                    double sim_time_s,
+                                    const NormAccumulator& norms);
   /// Marks the board done and copies the health log and its summary into
   /// the result (RunResult::health / RunResult::monitor).
   void finalize(RunResult& result);
@@ -230,7 +204,6 @@ class RunMonitor {
   HealthMonitor health_;
   ProgressBoard board_;
   obs::Histogram round_latency_;  ///< this run's per-round train+agg seconds
-  std::uint64_t global_round_ = 0;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -16,9 +16,10 @@
 
 namespace reffil::fed {
 
-/// One detector firing. Stored on the RunResult (and in the cache), emitted
-/// as a `health` trace event, listed by /progress and reffil_report.
+/// One detector firing. Stored on the RunResult (and in the cache), traced
+/// by the runner as a `health` record, listed by /progress and reffil_report.
 struct HealthEvent {
+  static constexpr const char* kEvent = "health";
   std::uint32_t task = 0;
   std::uint32_t round = 0;          ///< round within the task
   std::uint64_t global_round = 0;   ///< curriculum-order round index
@@ -28,16 +29,7 @@ struct HealthEvent {
   std::string detail;               ///< human-readable cause
 
   bool operator==(const HealthEvent&) const = default;
-  template <class Self, class F>
-  static constexpr void fields(Self& s, F&& f) {
-    f("task", s.task);
-    f("round", s.round);
-    f("global_round", s.global_round);
-    f("detector", s.detector);
-    f("value", s.value);
-    f("threshold", s.threshold);
-    f("detail", s.detail);
-  }
+  REFFIL_FIELDS(task, round, global_round, detector, value, threshold, detail)
 };
 static_assert(util::fields_match_members<HealthEvent>());
 
@@ -49,12 +41,7 @@ struct MonitorSummary {
   bool healthy_at_end = true;
 
   bool operator==(const MonitorSummary&) const = default;
-  template <class Self, class F>
-  static constexpr void fields(Self& s, F&& f) {
-    f("enabled", s.enabled);
-    f("alerts", s.alerts);
-    f("healthy_at_end", s.healthy_at_end);
-  }
+  REFFIL_FIELDS(enabled, alerts, healthy_at_end)
 };
 static_assert(util::fields_match_members<MonitorSummary>());
 
@@ -68,17 +55,12 @@ struct TaskResult {
   double eval_seconds = 0.0;  ///< wall time of this task's evaluation sweep
 
   bool operator==(const TaskResult&) const = default;
-  template <class Self, class F>
-  static constexpr void fields(Self& s, F&& f) {
-    f("task", s.task);
-    f("domain_name", s.domain_name);
-    f("per_domain_accuracy", s.per_domain_accuracy);
-    f("cumulative_accuracy", s.cumulative_accuracy);
-    f("eval_seconds", s.eval_seconds);
-  }
+  REFFIL_FIELDS(task, domain_name, per_domain_accuracy, cumulative_accuracy,
+                eval_seconds)
 };
 static_assert(util::fields_match_members<TaskResult>());
 
+/// A run's traffic: the sum of its committed rounds' RoundStats.
 struct NetworkStats {
   std::uint64_t bytes_down = 0;  ///< server -> clients (all delivery attempts)
   std::uint64_t bytes_up = 0;    ///< clients -> server (all delivery attempts)
@@ -98,25 +80,15 @@ struct NetworkStats {
   std::uint64_t bytes_up_raw_equiv = 0;
 
   bool operator==(const NetworkStats&) const = default;
-  template <class Self, class F>
-  static constexpr void fields(Self& s, F&& f) {
-    f("bytes_down", s.bytes_down);
-    f("bytes_up", s.bytes_up);
-    f("messages", s.messages);
-    f("dropped_updates", s.dropped_updates);
-    f("quarantined", s.quarantined);
-    f("retries", s.retries);
-    f("timed_out", s.timed_out);
-    f("bytes_retransmitted", s.bytes_retransmitted);
-    f("bytes_down_raw_equiv", s.bytes_down_raw_equiv);
-    f("bytes_up_raw_equiv", s.bytes_up_raw_equiv);
-  }
+  REFFIL_FIELDS(bytes_down, bytes_up, messages, dropped_updates, quarantined,
+                retries, timed_out, bytes_retransmitted, bytes_down_raw_equiv,
+                bytes_up_raw_equiv)
 };
 static_assert(util::fields_match_members<NetworkStats>());
 
-/// Timing / traffic breakdown of one communication round. The sums over all
-/// rounds reconcile exactly with RunResult::network (bytes, drops) — the
-/// REFFIL_TRACE JSONL stream carries the same numbers per event.
+/// Timing / traffic breakdown of one communication round. Its counters are
+/// the sums of the round's records (fed/records.hpp), and RunResult::network
+/// is their sum over rounds.
 struct RoundStats {
   std::uint32_t task = 0;
   std::uint32_t round = 0;
@@ -126,29 +98,20 @@ struct RoundStats {
   std::uint64_t bytes_up = 0;
   double train_seconds = 0.0;      ///< wall time of the parallel client block
   double aggregate_seconds = 0.0;  ///< server-side aggregation wall time
-  // Transport-fault accounting (see NetworkStats; sums over rounds reconcile
-  // exactly with the run totals).
+  // Transport-fault, message and raw-equivalent accounting: see NetworkStats.
   std::uint32_t quarantined = 0;
   std::uint32_t retries = 0;
   std::uint32_t timed_out = 0;
   std::uint64_t bytes_retransmitted = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t bytes_down_raw_equiv = 0;
+  std::uint64_t bytes_up_raw_equiv = 0;
 
   bool operator==(const RoundStats&) const = default;
-  template <class Self, class F>
-  static constexpr void fields(Self& s, F&& f) {
-    f("task", s.task);
-    f("round", s.round);
-    f("selected", s.selected);
-    f("dropped", s.dropped);
-    f("bytes_down", s.bytes_down);
-    f("bytes_up", s.bytes_up);
-    f("train_seconds", s.train_seconds);
-    f("aggregate_seconds", s.aggregate_seconds);
-    f("quarantined", s.quarantined);
-    f("retries", s.retries);
-    f("timed_out", s.timed_out);
-    f("bytes_retransmitted", s.bytes_retransmitted);
-  }
+  REFFIL_FIELDS(task, round, selected, dropped, bytes_down, bytes_up,
+                train_seconds, aggregate_seconds, quarantined, retries,
+                timed_out, bytes_retransmitted, messages, bytes_down_raw_equiv,
+                bytes_up_raw_equiv)
 };
 static_assert(util::fields_match_members<RoundStats>());
 
@@ -172,18 +135,8 @@ struct RunResult {
   MonitorSummary monitor;  ///< enabled=false when the run was unmonitored
 
   bool operator==(const RunResult&) const = default;
-  template <class Self, class F>
-  static constexpr void fields(Self& s, F&& f) {
-    f("method_name", s.method_name);
-    f("dataset_name", s.dataset_name);
-    f("compression", s.compression);
-    f("tasks", s.tasks);
-    f("network", s.network);
-    f("wall_seconds", s.wall_seconds);
-    f("rounds", s.rounds);
-    f("health", s.health);
-    f("monitor", s.monitor);
-  }
+  REFFIL_FIELDS(method_name, dataset_name, compression, tasks, network,
+                wall_seconds, rounds, health, monitor)
 
   /// iCaRL-style Average: mean of the per-step cumulative accuracies.
   double average_accuracy() const;

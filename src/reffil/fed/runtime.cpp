@@ -5,11 +5,11 @@
 #include <chrono>
 #include <functional>
 #include <optional>
-#include <string_view>
 #include <variant>
 
 #include "reffil/data/partition.hpp"
 #include "reffil/fed/fedavg.hpp"
+#include "reffil/fed/records.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/logging.hpp"
 #include "reffil/util/obs.hpp"
@@ -45,6 +45,25 @@ void keep_if(std::vector<ClientAssignment>& participants, Keep&& keep) {
     if (keep(a)) kept.push_back(a);
   }
   participants = std::move(kept);
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+void add_round(NetworkStats& n, const RoundStats& r) {
+  n.bytes_down += r.bytes_down;
+  n.bytes_up += r.bytes_up;
+  n.messages += r.messages;
+  n.dropped_updates += r.dropped;
+  n.quarantined += r.quarantined;
+  n.retries += r.retries;
+  n.timed_out += r.timed_out;
+  n.bytes_retransmitted += r.bytes_retransmitted;
+  n.bytes_down_raw_equiv += r.bytes_down_raw_equiv;
+  n.bytes_up_raw_equiv += r.bytes_up_raw_equiv;
 }
 
 double byte_ratio(std::uint64_t raw_equiv, std::uint64_t wire) {
@@ -201,20 +220,16 @@ RunResult FederatedRunner::run(Method& method) {
 
   auto& pool = util::global_thread_pool();
 
-  // Observability: metric handles are resolved once per run; the trace flag
-  // is latched here so a mid-run REFFIL_TRACE change cannot tear the stream.
-  const bool tracing = obs::trace_enabled();
+  // Observability: metric handles are resolved once per run.
   obs::Counter& rounds_counter = obs::counter("fed.rounds");
   obs::Histogram& train_time = obs::histogram("fed.round_train_seconds");
   obs::Histogram& aggregate_time = obs::histogram("fed.aggregate_seconds");
-  if (tracing) {
-    obs::trace(obs::TraceEvent("run_start")
-                   .field("method", result.method_name)
-                   .field("dataset", result.dataset_name)
-                   .field("tasks", spec.domains.size())
-                   .field("rounds_per_task", spec.rounds_per_task)
-                   .field("seed", config_.seed));
-  }
+  obs::Histogram& client_time = obs::histogram("cl.train_client_seconds");
+  trace_record(RunStart{.method = result.method_name,
+                        .dataset = result.dataset_name,
+                        .tasks = spec.domains.size(),
+                        .rounds_per_task = spec.rounds_per_task,
+                        .seed = config_.seed});
   // Live telemetry is observation only: every monitor touch below is guarded
   // by this null check and reads state the run already computed, so an
   // unmonitored run pays nothing and a monitored one stays bitwise-identical.
@@ -241,125 +256,80 @@ RunResult FederatedRunner::run(Method& method) {
       RoundPlan plan = std::visit(
           [&](auto& s) { return s.plan_round(task, round, sim_time); },
           scheduler);
-      RoundStats round_stats;
-      round_stats.task = static_cast<std::uint32_t>(task);
-      round_stats.round = static_cast<std::uint32_t>(round);
-      round_stats.selected =
-          static_cast<std::uint32_t>(plan.participants.size());
-
-      // Every trace event of the round leads with its coordinates.
-      const auto round_event = [&](const char* type) {
-        obs::TraceEvent event(type);
-        event.field("task", task).field("round", round);
-        return event;
-      };
+      // Every occurrence of the round is one record (fed/records.hpp):
+      // record() counts it into round_stats and traces it.
+      const RoundAt at{static_cast<std::uint32_t>(task),
+                       static_cast<std::uint32_t>(round)};
+      RoundStats round_stats{.task = at.task, .round = at.round};
       const auto count_retries = [&](const Transport::Delivery& d,
                                      std::size_t client,
                                      const char* direction) {
-        round_stats.retries += d.retries;
-        round_stats.bytes_retransmitted += d.bytes_retransmitted;
-        if (tracing && (d.retries != 0 || d.duplicates != 0)) {
-          obs::trace(round_event("fed.retry")
-                         .field("client", client)
-                         .field("direction", direction)
-                         .field("retries", d.retries)
-                         .field("bytes", d.bytes_retransmitted));
-        }
+        if (d.retries == 0 && d.duplicates == 0) return;
+        record(round_stats, Retry{at, client, direction, d.retries,
+                                  d.duplicates, d.bytes_retransmitted});
       };
-      const auto time_out = [&](std::size_t client, const char* direction,
-                                std::string_view reason) {
-        ++round_stats.timed_out;
-        if (tracing) {
-          obs::trace(round_event("fed.timeout")
-                         .field("client", client)
-                         .field("direction", direction)
-                         .field("reason", reason));
-        }
-      };
-      const auto quarantine = [&](std::size_t client,
-                                  std::string_view reason) {
-        ++round_stats.quarantined;
-        if (tracing) {
-          obs::trace(round_event("fed.quarantine")
-                         .field("client", client)
-                         .field("reason", reason));
-        }
-      };
-      // Every exit path below accounts the round: the fed.rounds counter,
-      // the per-round fault counters and result.rounds must agree no matter
-      // how the round ends.
+      // Every exit path below commits the round: the fed.rounds counter,
+      // result.rounds and result.network (the sum of committed rounds) must
+      // agree no matter how the round ends.
       NormAccumulator norm_acc;  // accepted-update norms, monitor-armed only
       const auto commit_round = [&](const char* lost_reason) {
         rounds_counter.add(1);
-        if (lost_reason != nullptr && tracing) {
-          obs::trace(round_event("round_lost")
-                         .field("selected", round_stats.selected)
-                         .field("dropped", round_stats.dropped)
-                         .field("timed_out", round_stats.timed_out)
-                         .field("quarantined", round_stats.quarantined)
-                         .field("reason", lost_reason));
+        if (lost_reason != nullptr) {
+          record(round_stats, RoundLost{round_stats, lost_reason});
         }
-        result.network.quarantined += round_stats.quarantined;
-        result.network.retries += round_stats.retries;
-        result.network.timed_out += round_stats.timed_out;
-        result.network.bytes_retransmitted += round_stats.bytes_retransmitted;
+        add_round(result.network, round_stats);
         result.rounds.push_back(round_stats);
-        if (monitor != nullptr) {
-          monitor->on_round(result, round_stats, result.rounds.size(),
-                            sim_time, norm_acc);
+        if (monitor == nullptr) return;
+        for (const HealthEvent& fired :
+             monitor->on_round(result, round_stats, result.rounds.size(),
+                               sim_time, norm_acc)) {
+          trace_record(fired);
         }
       };
 
       // The server broadcasts to every selected participant before it can
       // know who will drop, so those bytes are metered against the full
       // selection — including rounds where every participant is later lost.
-      obs::prof::Span bcast_span("fed.broadcast",
-                                 obs::prof::Task{round_stats.task});
+      const auto selected =
+          static_cast<std::uint32_t>(plan.participants.size());
+      obs::prof::Span bcast_span("fed.broadcast", obs::prof::Task{at.task});
       const std::vector<std::uint8_t> broadcast = method.make_broadcast();
       bcast_span.set_value(broadcast.size());
       bcast_span.finish();
-      if (!faults_armed) {
-        round_stats.bytes_down = broadcast.size() * round_stats.selected;
-      } else {
-        obs::prof::Span down_span("fed.transport",
-                                  obs::prof::Task{round_stats.task});
+      std::uint64_t bytes_down = broadcast.size() * selected;
+      if (faults_armed) {
+        obs::prof::Span down_span("fed.transport", obs::prof::Task{at.task});
         const std::vector<std::uint8_t> framed = Transport::frame(broadcast);
+        bytes_down = 0;
         // An unreachable client misses the round whether the broadcast timed
         // out or exhausted its retry budget — both are straggler cutoffs
         // from the server's perspective.
         keep_if(plan.participants, [&](const ClientAssignment& a) {
           const Transport::Delivery d = transport->send_broadcast(framed);
-          round_stats.bytes_down += d.bytes_transmitted;
+          bytes_down += d.bytes_transmitted;
           count_retries(d, a.client_id, "down");
           if (d.outcome == Transport::Outcome::kDelivered) return true;
-          time_out(a.client_id, "down", d.reason);
+          record(round_stats, Timeout{at, a.client_id, "down", d.reason});
           return false;
         });
-        down_span.set_value(round_stats.bytes_down);
+        down_span.set_value(bytes_down);
       }
-      result.network.bytes_down += round_stats.bytes_down;
-      // What the same broadcast would have cost uncompressed (first attempts
-      // only) — equal to broadcast.size() when compression is off.
-      result.network.bytes_down_raw_equiv +=
-          raw_equiv_bytes(broadcast) * round_stats.selected;
-      result.network.messages += round_stats.selected;
-      if (tracing) {
-        obs::trace(round_event("broadcast")
-                       .field("participants", round_stats.selected)
-                       .field("payload_bytes", broadcast.size())
-                       .field("bytes_down", round_stats.bytes_down)
-                       .field("sim_time_s", sim_time));
-      }
+      // The raw equivalent is what the same broadcast would have cost
+      // uncompressed — broadcast.size() when compression is off.
+      record(round_stats,
+             Broadcast{.at = at,
+                       .participants = selected,
+                       .payload_bytes = broadcast.size(),
+                       .bytes_down = bytes_down,
+                       .bytes_down_raw_equiv =
+                           raw_equiv_bytes(broadcast) * selected,
+                       .sim_time_s = sim_time});
       // Straggler/dropout simulation: drop participants before training so
       // the federation neither waits for nor aggregates their updates.
       if (config_.dropout_probability > 0.0) {
         keep_if(plan.participants, [&](const ClientAssignment& a) {
           if (!dropout_rng.bernoulli(config_.dropout_probability)) return true;
-          ++result.network.dropped_updates;
-          ++round_stats.dropped;
-          if (tracing) {
-            obs::trace(round_event("dropout").field("client", a.client_id));
-          }
+          record(round_stats, Dropout{at, a.client_id});
           return false;
         });
       }
@@ -372,8 +342,9 @@ RunResult FederatedRunner::run(Method& method) {
       if (deadline > 0.0) {
         keep_if(plan.participants, [&](const ClientAssignment& a) {
           if (a.upload_delay_s < deadline) return true;
-          time_out(a.client_id, "up",
-                   "round closed before local compute finished");
+          record(round_stats,
+                 Timeout{at, a.client_id, "up",
+                         "round closed before local compute finished"});
           return false;
         });
       }
@@ -404,9 +375,9 @@ RunResult FederatedRunner::run(Method& method) {
       const std::size_t wave_size =
           des ? std::max<std::size_t>(1, parallelism_) * 4 : cohort;
       std::vector<ClientUpdate> buffered;
+      std::vector<std::size_t> folded;  // clients whose update was folded
       double aggregate_seconds = 0.0;
-      obs::prof::Span round_span("fed.train_round",
-                                 obs::prof::Task{round_stats.task});
+      obs::prof::Span round_span("fed.train_round", obs::prof::Task{at.task});
       for (std::size_t begin = 0; begin < cohort; begin += wave_size) {
         const std::size_t count = std::min(cohort - begin, wave_size);
         const ClientAssignment* const wave = plan.participants.data() + begin;
@@ -436,38 +407,39 @@ RunResult FederatedRunner::run(Method& method) {
           }
           const auto client_start = std::chrono::steady_clock::now();
           {
-            obs::prof::Span client_span("fed.client",
-                                        obs::prof::Task{round_stats.task});
+            obs::prof::Span client_span("fed.client", obs::prof::Task{at.task});
             updates[i] = method.train_client(broadcast, job);
             client_span.set_value(updates[i].payload.size());
           }
           updates[i].client_id = assignment.client_id;
-          client_seconds[i] = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - client_start)
-                                  .count();
+          client_seconds[i] = seconds_since(client_start);
         });
-        round_stats.train_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          wave_start)
-                .count();
+        round_stats.train_seconds += seconds_since(wave_start);
 
         // Uplink: meter each update — through the fault transport when
-        // armed — and fold the survivors. The per-client `client_train` trace
-        // carries the metered wire bytes so trace sums still reconcile
-        // exactly with NetworkStats under retries/duplicates.
+        // armed — and fold the survivors. The client_train record carries
+        // the metered wire bytes of every attempt.
         for (std::size_t i = 0; i < count; ++i) {
           const ClientAssignment& assignment = wave[i];
-          std::uint64_t wire_bytes = updates[i].payload.size();
           // Raw equivalent BEFORE the transport can damage/replace the
           // payload — the logical content is what the client produced.
-          result.network.bytes_up_raw_equiv +=
-              raw_equiv_bytes(updates[i].payload);
+          ClientTrain trained{
+              .at = at,
+              .client = assignment.client_id,
+              .shard = assignment.shard,
+              .group = to_string(assignment.group),
+              .slot = slots[i],
+              .wall_s = client_seconds[i],
+              .sim_start_s = assignment.upload_delay_s,
+              .samples = updates[i].num_samples,
+              .bytes_up = updates[i].payload.size(),
+              .bytes_up_raw_equiv = raw_equiv_bytes(updates[i].payload)};
           bool delivered = true;
           if (faults_armed) {
             Transport::Delivery d =
                 transport->send_update(updates[i].payload, update_validator,
                                        assignment.upload_delay_s);
-            wire_bytes = d.bytes_transmitted;
+            trained.bytes_up = d.bytes_transmitted;
             count_retries(d, assignment.client_id, "up");
             switch (d.outcome) {
               case Transport::Outcome::kDelivered:
@@ -479,27 +451,18 @@ RunResult FederatedRunner::run(Method& method) {
                 break;
               case Transport::Outcome::kTimedOut:
                 delivered = false;
-                time_out(assignment.client_id, "up", d.reason);
+                record(round_stats,
+                       Timeout{at, assignment.client_id, "up", d.reason});
                 break;
               case Transport::Outcome::kQuarantined:
                 delivered = false;
-                quarantine(assignment.client_id, d.reason);
+                record(round_stats,
+                       Quarantine{at, assignment.client_id, d.reason});
                 break;
             }
           }
-          round_stats.bytes_up += wire_bytes;
-          ++result.network.messages;
-          if (tracing) {
-            obs::trace(round_event("client_train")
-                           .field("client", assignment.client_id)
-                           .field("shard", assignment.shard)
-                           .field("group", to_string(assignment.group))
-                           .field("slot", slots[i])
-                           .field("wall_s", client_seconds[i])
-                           .field("sim_start_s", assignment.upload_delay_s)
-                           .field("samples", updates[i].num_samples)
-                           .field("bytes_up", wire_bytes));
-          }
+          record(round_stats, trained);
+          client_time.observe(trained.wall_s);
           if (!delivered) continue;
           if (monitor != nullptr) {
             // Feed the drift detector the norm of what the server will
@@ -511,31 +474,30 @@ RunResult FederatedRunner::run(Method& method) {
           }
           if (!sink) {
             buffered.push_back(std::move(updates[i]));
+            folded.push_back(assignment.client_id);
             continue;
           }
           const auto add_start = std::chrono::steady_clock::now();
           try {
             sink->add(updates[i]);
+            folded.push_back(assignment.client_id);
           } catch (const Error& e) {
             // Only the armed transport delivers bytes the server did not
             // produce. Such a frame can validate and still carry extras the
             // streaming decode rejects: quarantine that update, not the
             // round.
             if (!faults_armed) throw;
-            quarantine(assignment.client_id,
-                       std::string("aggregation rejected: ") + e.what());
+            const std::string reason =
+                std::string("aggregation rejected: ") + e.what();
+            record(round_stats, Quarantine{at, assignment.client_id, reason});
           }
-          aggregate_seconds += std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - add_start)
-                                   .count();
+          aggregate_seconds += seconds_since(add_start);
         }
       }
       round_span.finish();
       train_time.observe(round_stats.train_seconds);
-      result.network.bytes_up += round_stats.bytes_up;
 
-      const std::size_t accepted = sink ? sink->count() : buffered.size();
-      if (accepted == 0) {
+      if (folded.empty()) {
         // Every survivor of dropout was then lost in transit: degrade
         // gracefully by carrying the previous global state into next round.
         commit_round("every update timed out or was quarantined");
@@ -543,8 +505,7 @@ RunResult FederatedRunner::run(Method& method) {
       }
       bool aggregated = true;
       {
-        obs::prof::Span agg_span("fed.aggregate",
-                                 obs::prof::Task{round_stats.task});
+        obs::prof::Span agg_span("fed.aggregate", obs::prof::Task{at.task});
         const auto agg_start = std::chrono::steady_clock::now();
         try {
           if (sink) {
@@ -560,25 +521,18 @@ RunResult FederatedRunner::run(Method& method) {
           // fully-dropped round.
           if (!faults_armed) throw;
           aggregated = false;
-          round_stats.quarantined += static_cast<std::uint32_t>(accepted);
-          if (tracing) {
-            obs::trace(round_event("fed.quarantine")
-                           .field("updates", accepted)
-                           .field("reason", std::string("aggregate failed: ") +
-                                                e.what()));
+          const std::string reason =
+              std::string("aggregate failed: ") + e.what();
+          for (const std::size_t client : folded) {
+            record(round_stats, Quarantine{at, client, reason});
           }
         }
-        aggregate_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          agg_start)
-                .count();
+        aggregate_seconds += seconds_since(agg_start);
       }
       round_stats.aggregate_seconds = aggregate_seconds;
       aggregate_time.observe(round_stats.aggregate_seconds);
-      if (tracing && aggregated) {
-        obs::trace(round_event("aggregate")
-                       .field("updates", accepted)
-                       .field("wall_s", round_stats.aggregate_seconds));
+      if (aggregated) {
+        record(round_stats, Aggregate{at, folded.size(), aggregate_seconds});
       }
       commit_round(aggregated ? nullptr
                               : "aggregation rejected the surviving updates");
@@ -586,8 +540,11 @@ RunResult FederatedRunner::run(Method& method) {
 
     evaluate_task(method, task, result);
     if (monitor != nullptr) {
-      monitor->on_eval(static_cast<std::uint32_t>(task),
-                       result.tasks.back().cumulative_accuracy);
+      for (const HealthEvent& fired : monitor->health().observe_eval(
+               static_cast<std::uint32_t>(task),
+               result.tasks.back().cumulative_accuracy, result.rounds.size())) {
+        trace_record(fired);
+      }
     }
     if (config_.after_task) config_.after_task(method, task);
     REFFIL_LOG_INFO << spec.name << " / " << method.name() << ": task "
@@ -596,10 +553,7 @@ RunResult FederatedRunner::run(Method& method) {
                     << result.tasks.back().cumulative_accuracy;
   }
 
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time)
-          .count();
+  result.wall_seconds = seconds_since(start_time);
   obs::count("fed.runs");
   util::for_each_field(result.network, [](const char* name, std::uint64_t v) {
     obs::count(std::string("fed.") + name, v);
@@ -610,18 +564,13 @@ RunResult FederatedRunner::run(Method& method) {
     if (des_scheduler->forced_rounds() != 0) {
       obs::count("des.forced_rounds", des_scheduler->forced_rounds());
     }
-    if (tracing) {
-      obs::trace(
-          obs::TraceEvent("des_summary")
-              .field("registered_clients", config_.des.registered_clients)
-              .field("sample_per_round", des_scheduler->sample_per_round())
-              .field("participations", des_scheduler->total_participations())
-              .field("unique_participants",
-                     des_scheduler->unique_participants())
-              .field("forced_rounds", des_scheduler->forced_rounds()));
-    }
+    trace_record(DesSummary{config_.des.registered_clients,
+                            des_scheduler->sample_per_round(),
+                            des_scheduler->total_participations(),
+                            des_scheduler->unique_participants(),
+                            des_scheduler->forced_rounds()});
   }
-  if (tracing) {
+  if (obs::trace_enabled()) {
     obs::TraceEvent run_end("run_end");
     write_run_summary(run_end.writer(), result);
     obs::trace(run_end);
@@ -641,7 +590,6 @@ void FederatedRunner::evaluate_task(Method& method, std::size_t task,
   task_result.task = task;
   task_result.domain_name = config_.spec.domains[task].name;
 
-  const bool tracing = obs::trace_enabled();
   obs::Histogram& eval_time = obs::histogram("fed.eval_seconds");
   obs::prof::Span eval_span("fed.eval",
                             obs::prof::Task{static_cast<std::uint32_t>(task)});
@@ -668,18 +616,9 @@ void FederatedRunner::evaluate_task(Method& method, std::size_t task,
     task_result.per_domain_accuracy.push_back(
         100.0 * static_cast<double>(correct.load()) /
         static_cast<double>(test.size()));
-    if (tracing) {
-      obs::trace(obs::TraceEvent("eval")
-                     .field("task", task)
-                     .field("domain", d)
-                     .field("domain_name", config_.spec.domains[d].name)
-                     .field("accuracy", task_result.per_domain_accuracy.back())
-                     .field("samples", test.size())
-                     .field("wall_s",
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - domain_start)
-                                .count()));
-    }
+    trace_record(Eval{task, d, config_.spec.domains[d].name,
+                      task_result.per_domain_accuracy.back(), test.size(),
+                      seconds_since(domain_start)});
     total_correct += correct.load();
     total_count += test.size();
   }
@@ -688,10 +627,7 @@ void FederatedRunner::evaluate_task(Method& method, std::size_t task,
   task_result.cumulative_accuracy =
       100.0 * static_cast<double>(total_correct) /
       static_cast<double>(total_count);
-  task_result.eval_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    eval_start)
-          .count();
+  task_result.eval_seconds = seconds_since(eval_start);
   eval_time.observe(task_result.eval_seconds);
   result.tasks.push_back(std::move(task_result));
 }

@@ -1,19 +1,14 @@
 // Field lists: one definition of a plain result struct's members.
 //
-// A struct opts in with a static member template that names every member
-// once, in declaration order:
-//
-//   template <class Self, class F>
-//   static constexpr void fields(Self& s, F&& f) {
-//     f("bytes_down", s.bytes_down);
-//     ...
-//   }
-//
-// `Self` is the struct or its const version, so one list serves readers and
-// writers. The member name is the only wire name: the binary cache, the JSON
-// documents below and the /metrics extras are all walks over the list.
-// `static_assert(fields_match_members<T>())` beside each struct fails the
-// build when it gains a member its list does not name.
+// A struct opts in by naming every member once, in declaration order, with
+// REFFIL_FIELDS(bytes_down, bytes_up, ...). That declares the static member
+// template fields(Self& s, F&& f), which calls f("bytes_down", s.bytes_down)
+// and so on; `Self` is the struct or its const version, so one list serves
+// readers and writers. The member name is the only wire name: the binary
+// cache, the JSON documents below, the trace records and the /metrics
+// extras are all walks over the list.
+// `static_assert(fields_match_members<T>())` fails the build when T gains a
+// member its list does not name.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +16,27 @@
 #include <vector>
 
 #include "reffil/util/obs.hpp"
+
+#define REFFIL_FIELDS(...)                                \
+  template <class Self, class F>                          \
+  static constexpr void fields(Self& s, F&& f) {          \
+    REFFIL_FIELDS_SCAN_(REFFIL_FIELDS_EACH_(__VA_ARGS__)) \
+  }
+// One f(...) per argument: each expansion leaves REFFIL_FIELDS_NEXT_ () for
+// the next rescan to expand. REFFIL_FIELDS_SCAN_'s nested rescans suffice
+// for 40 members; a longer list leaves that token and fails to compile.
+#define REFFIL_FIELDS_EACH_(m, ...) \
+  f(#m, s.m);                       \
+  __VA_OPT__(REFFIL_FIELDS_NEXT_ REFFIL_FIELDS_PARENS_(__VA_ARGS__))
+#define REFFIL_FIELDS_PARENS_ ()
+#define REFFIL_FIELDS_NEXT_() REFFIL_FIELDS_EACH_
+#define REFFIL_FIELDS_SCAN_(...) \
+  REFFIL_FIELDS_SCAN9_(REFFIL_FIELDS_SCAN9_(REFFIL_FIELDS_SCAN9_(__VA_ARGS__)))
+#define REFFIL_FIELDS_SCAN9_(...) \
+  REFFIL_FIELDS_SCAN3_(REFFIL_FIELDS_SCAN3_(REFFIL_FIELDS_SCAN3_(__VA_ARGS__)))
+#define REFFIL_FIELDS_SCAN3_(...) \
+  REFFIL_FIELDS_SCAN1_(REFFIL_FIELDS_SCAN1_(REFFIL_FIELDS_SCAN1_(__VA_ARGS__)))
+#define REFFIL_FIELDS_SCAN1_(...) __VA_ARGS__
 
 namespace reffil::util {
 

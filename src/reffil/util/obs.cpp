@@ -198,21 +198,6 @@ void count(std::string_view name, std::uint64_t n) {
   Registry::instance().counter(name).add(n);
 }
 
-ScopedTimer::ScopedTimer(Histogram* sink)
-    : sink_(sink), armed_(sink != nullptr) {
-  if (armed_) start_ = std::chrono::steady_clock::now();
-}
-
-double ScopedTimer::stop() {
-  if (!armed_) return 0.0;
-  armed_ = false;
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  sink_->observe(seconds);
-  return seconds;
-}
-
 // ---- trace -----------------------------------------------------------------
 
 namespace {

@@ -6,20 +6,17 @@
 //  * Metrics — named counters / gauges / histograms with relaxed-atomic
 //    updates, aggregated in place. Handles returned by the registry are
 //    stable for the process lifetime, so hot paths look a metric up once and
-//    then pay one atomic op per update. `ScopedTimer` records a wall-time
-//    histogram sample on scope exit.
+//    then pay one atomic op per update.
 //  * Trace — a JSONL event stream (one self-describing object per line)
 //    written to the path in the REFFIL_TRACE environment variable (or set
-//    programmatically). The federated runner emits broadcast / client_train /
-//    dropout / aggregate / eval / run_end events; `reffil_report` and the CI
-//    reconciliation check consume them. When no sink is configured,
-//    trace_enabled() is a single relaxed atomic load and no event is built.
+//    programmatically): one line per record of fed/records.hpp plus
+//    run_end. When no sink is configured, trace_enabled() is a single
+//    relaxed atomic load and no event is built.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <chrono>
 #include <concepts>
 #include <map>
 #include <memory>
@@ -149,26 +146,6 @@ Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 void count(std::string_view name, std::uint64_t n = 1);
-
-/// Records elapsed wall seconds into a histogram when the scope closes (or
-/// at the explicit stop()). A null histogram makes the timer free: no clock
-/// read, no record.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* sink);
-  explicit ScopedTimer(std::string_view name) : ScopedTimer(&histogram(name)) {}
-  ~ScopedTimer() { stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Record once and return elapsed seconds (0 when disarmed).
-  double stop();
-
- private:
-  Histogram* sink_;
-  std::chrono::steady_clock::time_point start_;
-  bool armed_;
-};
 
 // ---- trace -----------------------------------------------------------------
 

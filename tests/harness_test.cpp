@@ -173,9 +173,10 @@ void for_each_member(T& s, F&& f) {
     auto& [a, b, c, d, e, g, h, i, j, k] = s;
     f(a), f(b), f(c), f(d), f(e), f(g), f(h), f(i), f(j), f(k);
   } else {
-    static_assert(n == 12, "add a binding for this member count");
-    auto& [a, b, c, d, e, g, h, i, j, k, l, m] = s;
-    f(a), f(b), f(c), f(d), f(e), f(g), f(h), f(i), f(j), f(k), f(l), f(m);
+    static_assert(n == 15, "add a binding for this member count");
+    auto& [a, b, c, d, e, g, h, i, j, k, l, m, o, p, q] = s;
+    f(a), f(b), f(c), f(d), f(e), f(g), f(h), f(i), f(j), f(k), f(l), f(m),
+        f(o), f(p), f(q);
   }
 }
 
@@ -251,7 +252,7 @@ TEST(RunResultSerialization, LegacyV1FormatLosesDropoutsAndIsRejected) {
 }
 
 TEST(RunResultSerialization, WrongVersionIsRejected) {
-  // The previous format (v6) and a future one are both refused by header.
+  // The previous format (v7) and a future one are both refused by header.
   for (const std::uint32_t version :
        {harness::kCacheVersion - 1, harness::kCacheVersion + 1}) {
     util::ByteWriter writer;

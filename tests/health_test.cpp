@@ -34,12 +34,18 @@ fed::MonitorConfig quiet() {
   return config;
 }
 
-fed::RoundObservation round_obs(std::uint64_t global_round) {
-  fed::RoundObservation o;
-  o.round = static_cast<std::uint32_t>(global_round - 1);
-  o.global_round = global_round;
-  o.selected = 10;
-  return o;
+/// A committed round of 10 selected participants, as the runner hands it
+/// to the monitor; global round g is round g - 1 of task 0.
+fed::RoundStats round_at(std::uint64_t global_round) {
+  fed::RoundStats r;
+  r.round = static_cast<std::uint32_t>(global_round - 1);
+  r.selected = 10;
+  return r;
+}
+
+/// Accepted-update norms with the given count and mean.
+fed::NormAccumulator norms(std::uint32_t count, double mean) {
+  return {.count = count, .mean = mean};
 }
 
 data::DatasetSpec one_domain_spec() {
@@ -115,14 +121,14 @@ TEST(HealthMonitor, QuarantineRateFiresOnSpike) {
   config.quarantine_rate = 0.25;
   fed::HealthMonitor monitor(config);
 
-  auto o = round_obs(1);
-  o.quarantined = 2;  // 0.2 <= 0.25: clean
-  EXPECT_TRUE(monitor.observe_round(o).empty());
+  auto r = round_at(1);
+  r.quarantined = 2;  // 0.2 <= 0.25: clean
+  EXPECT_TRUE(monitor.observe_round(r, 1, {}).empty());
   EXPECT_TRUE(monitor.healthy());
 
-  o = round_obs(2);
-  o.quarantined = 3;  // 0.3 > 0.25: fires
-  const auto fired = monitor.observe_round(o);
+  r = round_at(2);
+  r.quarantined = 3;  // 0.3 > 0.25: fires
+  const auto fired = monitor.observe_round(r, 2, {});
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].detector, "quarantine_rate");
   EXPECT_NEAR(fired[0].value, 0.3, 1e-12);
@@ -141,31 +147,21 @@ TEST(HealthMonitor, NormZNeedsBaselineThenFlagsDrift) {
 
   // Build a three-round baseline around 1.0; none of these can fire (the
   // detector is silent until the baseline exists).
-  int round = 1;
+  std::uint64_t round = 1;
   for (const double mean : {1.0, 1.02, 0.98}) {
-    auto o = round_obs(static_cast<std::uint64_t>(round++));
-    o.norm_count = 5;
-    o.norm_mean = mean;
-    EXPECT_TRUE(monitor.observe_round(o).empty());
+    EXPECT_TRUE(
+        monitor.observe_round(round_at(round), round, norms(5, mean)).empty());
+    ++round;
   }
   // In-family round: no fire.
-  auto o = round_obs(4);
-  o.norm_count = 5;
-  o.norm_mean = 1.01;
-  EXPECT_TRUE(monitor.observe_round(o).empty());
+  EXPECT_TRUE(monitor.observe_round(round_at(4), 4, norms(5, 1.01)).empty());
   // A hostile cohort: the mean norm jumps far outside the baseline spread.
-  o = round_obs(5);
-  o.norm_count = 5;
-  o.norm_mean = 50.0;
-  const auto fired = monitor.observe_round(o);
+  const auto fired = monitor.observe_round(round_at(5), 5, norms(5, 50.0));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].detector, "norm_z");
   EXPECT_GT(fired[0].value, 3.0);
   // Rounds with no accepted updates contribute nothing (no norm to judge).
-  o = round_obs(6);
-  o.norm_count = 0;
-  o.norm_mean = 0.0;
-  EXPECT_TRUE(monitor.observe_round(o).empty());
+  EXPECT_TRUE(monitor.observe_round(round_at(6), 6, norms(0, 0.0)).empty());
 }
 
 TEST(HealthMonitor, LatencySloFiresOnBurnRateNotOneOutlier) {
@@ -177,16 +173,18 @@ TEST(HealthMonitor, LatencySloFiresOnBurnRateNotOneOutlier) {
 
   // One slow round in a fresh window cannot page: the window needs at least
   // three samples.
-  auto o = round_obs(1);
-  o.round_seconds = 5.0;
-  EXPECT_TRUE(monitor.observe_round(o).empty());
-  o = round_obs(2);
-  o.round_seconds = 0.1;
-  EXPECT_TRUE(monitor.observe_round(o).empty());
+  // A round's latency is its train plus aggregate seconds.
+  auto r = round_at(1);
+  r.train_seconds = 4.0;
+  r.aggregate_seconds = 1.0;
+  EXPECT_TRUE(monitor.observe_round(r, 1, {}).empty());
+  r = round_at(2);
+  r.train_seconds = 0.1;
+  EXPECT_TRUE(monitor.observe_round(r, 2, {}).empty());
   // Third sample: 2/3 over SLO > 0.5 burn -> fires.
-  o = round_obs(3);
-  o.round_seconds = 2.0;
-  const auto fired = monitor.observe_round(o);
+  r = round_at(3);
+  r.aggregate_seconds = 2.0;
+  const auto fired = monitor.observe_round(r, 3, {});
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].detector, "latency_slo");
   EXPECT_NEAR(fired[0].value, 2.0 / 3.0, 1e-12);
@@ -213,16 +211,16 @@ TEST(HealthMonitor, RecoversAfterCleanRounds) {
   config.recovery_rounds = 2;
   fed::HealthMonitor monitor(config);
 
-  auto o = round_obs(1);
-  o.quarantined = 9;
-  ASSERT_EQ(monitor.observe_round(o).size(), 1u);
+  auto r = round_at(1);
+  r.quarantined = 9;
+  ASSERT_EQ(monitor.observe_round(r, 1, {}).size(), 1u);
   EXPECT_FALSE(monitor.healthy());
 
   // One clean round is not enough...
-  EXPECT_TRUE(monitor.observe_round(round_obs(2)).empty());
+  EXPECT_TRUE(monitor.observe_round(round_at(2), 2, {}).empty());
   EXPECT_FALSE(monitor.healthy());
   // ...two are.
-  EXPECT_TRUE(monitor.observe_round(round_obs(3)).empty());
+  EXPECT_TRUE(monitor.observe_round(round_at(3), 3, {}).empty());
   EXPECT_TRUE(monitor.healthy());
   EXPECT_TRUE(monitor.reason().empty());
   // The event log keeps the history even after recovery.

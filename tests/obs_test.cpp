@@ -1,7 +1,7 @@
 // Observability smoke tests: metric registry semantics, concurrent counter
-// exactness (the TSan job exercises this file like every other test), the
-// scoped timer, and the JSONL trace — including the invariant the CI check
-// relies on: per-event byte totals reconcile exactly with RunResult::network.
+// exactness (the TSan job exercises this file like every other test), and
+// the JSONL trace — including the invariant the CI check relies on:
+// per-event byte totals reconcile exactly with RunResult::network.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "reffil/fed/runtime.hpp"
@@ -77,18 +79,6 @@ TEST(ObsMetrics, ConcurrentHistogramSumIsExact) {
   const auto stats = h.stats();
   EXPECT_EQ(stats.count, kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(stats.sum, 0.25 * static_cast<double>(kThreads * kPerThread));
-}
-
-TEST(ObsMetrics, ScopedTimerRecordsElapsed) {
-  obs::Histogram& h = obs::histogram("test.timer");
-  h.reset();
-  {
-    obs::ScopedTimer timer(&h);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-  }
-  ASSERT_EQ(h.stats().count, 1u);
-  EXPECT_GE(h.stats().min, 0.0);
 }
 
 TEST(ObsMetrics, SnapshotContainsRegisteredNames) {
@@ -305,6 +295,126 @@ TEST(ObsTrace, RunTraceReconcilesWithRunResult) {
   EXPECT_EQ(round_up, result.network.bytes_up);
   EXPECT_EQ(round_dropped, result.network.dropped_updates);
 
+  std::filesystem::remove(path);
+}
+
+namespace {
+
+using Counters = std::map<std::string, std::uint64_t>;
+
+/// The integral members of a field-listed struct, by name.
+template <class T>
+Counters counters_of(const T& s) {
+  Counters out;
+  util::for_each_field(s, [&](const char* name, const auto& v) {
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(v)>>) {
+      out[name] = v;
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
+// One record per occurrence: summing a traced run's records by the rule
+// each record kind states reproduces every RoundStats counter of every
+// round and every NetworkStats field of the run, with dropout, every
+// transport fault and a deadline armed. The sums are written out here
+// independently of the runner, so a record that stops counting (or a
+// counter no record feeds) fails the comparison.
+TEST(ObsTrace, RecordSumsReproduceEveryRoundAndRunCounter) {
+  const std::string path = "/tmp/reffil_record_sum_test.jsonl";
+  const auto spec = harness::apply_scale(data::digits_five_spec(),
+                                         harness::Scale::kSmoke);
+  harness::ExperimentConfig config;
+  config.parallelism = 2;
+  auto method =
+      harness::make_method(harness::MethodKind::kFinetune, spec, config);
+  fed::FederatedRunner runner(
+      {.spec = spec,
+       .parallelism = 2,
+       .seed = 7,
+       .dropout_probability = 0.3,
+       .faults = fed::FaultProfile::parse(
+           "corrupt=0.3,poison=0.3,dup=0.2,retries=1,deadline=2")});
+  obs::set_trace_path(path);
+  const fed::RunResult result = runner.run(*method);
+  obs::set_trace_path("");
+
+  // Per (task, round): the RoundStats counters the round's records sum to.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Counters> rounds;
+  std::uint64_t duplicates = 0;
+  std::ifstream trace(path);
+  for (std::string line; std::getline(trace, line);) {
+    const auto event = util::json::parse(line);
+    const std::string kind = event.string_or("event", "");
+    if (kind != "broadcast" && kind != "client_train" && kind != "dropout" &&
+        kind != "fed.timeout" && kind != "fed.quarantine" &&
+        kind != "fed.retry") {
+      continue;
+    }
+    const auto field = [&](const char* key) -> std::uint64_t {
+      const auto* v = event.find(key);
+      if (v == nullptr || !v->is_number()) {
+        ADD_FAILURE() << kind << " record has no numeric " << key;
+        return 0;
+      }
+      return static_cast<std::uint64_t>(v->as_number());
+    };
+    const auto key = std::make_pair(field("task"), field("round"));
+    if (!rounds.contains(key)) {
+      rounds[key] = counters_of(fed::RoundStats{});
+      rounds[key]["task"] = key.first;
+      rounds[key]["round"] = key.second;
+    }
+    Counters& r = rounds[key];
+    if (kind == "broadcast") {
+      r["selected"] += field("participants");
+      r["messages"] += field("participants");
+      r["bytes_down"] += field("bytes_down");
+      r["bytes_down_raw_equiv"] += field("bytes_down_raw_equiv");
+    } else if (kind == "client_train") {
+      ++r["messages"];
+      r["bytes_up"] += field("bytes_up");
+      r["bytes_up_raw_equiv"] += field("bytes_up_raw_equiv");
+    } else if (kind == "dropout") {
+      ++r["dropped"];
+    } else if (kind == "fed.timeout") {
+      ++r["timed_out"];
+    } else if (kind == "fed.quarantine") {
+      ++r["quarantined"];
+    } else {
+      // A retry record exists only when something was sent again.
+      EXPECT_GT(field("retries") + field("duplicates"), 0u) << line;
+      r["retries"] += field("retries");
+      r["bytes_retransmitted"] += field("bytes_retransmitted");
+      duplicates += field("duplicates");
+    }
+  }
+  // The run totals are the round sums; NetworkStats names the dropout
+  // count dropped_updates.
+  Counters network = counters_of(fed::NetworkStats{});
+  for (const auto& [key, r] : rounds) {
+    for (const auto& [name, value] : r) {
+      const std::string total = name == "dropped" ? "dropped_updates" : name;
+      if (network.contains(total)) network[total] += value;
+    }
+  }
+
+  // Every record kind occurred, so every counter is exercised.
+  for (const auto& [name, value] : counters_of(result.network)) {
+    EXPECT_GT(value, 0u) << name;
+  }
+  EXPECT_GT(duplicates, 0u);
+
+  EXPECT_EQ(network, counters_of(result.network));
+  ASSERT_EQ(rounds.size(), result.rounds.size());
+  for (const fed::RoundStats& want : result.rounds) {
+    const auto it = rounds.find({want.task, want.round});
+    ASSERT_NE(it, rounds.end()) << want.task << "/" << want.round;
+    EXPECT_EQ(it->second, counters_of(want))
+        << "task " << want.task << " round " << want.round;
+  }
   std::filesystem::remove(path);
 }
 
