@@ -174,26 +174,6 @@ Var tanh(const Var& a) {
   return out;
 }
 
-Var sigmoid(const Var& a) {
-  Var out = make_node(a->value().shape(), {a}, {}, "ag.sigmoid");
-  if (out->requires_grad()) {
-    out->set_backward([a, self = out.get()](const T::Tensor& g) {
-      T::pool::Scratch dx(g.shape(), /*zero=*/false);
-      const float* py = self->value().begin();
-      const float* pg = g.begin();
-      float* d = dx->begin();
-      for (std::size_t i = 0; i < g.numel(); ++i) {
-        d[i] = pg[i] * (py[i] * (1.0f - py[i]));
-      }
-      a->accumulate_grad(*dx);
-    });
-  }
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::sigmoid_into(pa->value(), self->mutable_value());
-  });
-  return out;
-}
-
 Var exp(const Var& a) {
   Var out = make_node(a->value().shape(), {a}, {}, "ag.exp");
   if (out->requires_grad()) {

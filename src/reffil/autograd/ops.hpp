@@ -24,7 +24,6 @@ Var neg(const Var& a);
 // ---- nonlinearities -----------------------------------------------------------
 Var relu(const Var& a);
 Var tanh(const Var& a);
-Var sigmoid(const Var& a);
 Var exp(const Var& a);
 /// Natural log; input must be strictly positive.
 Var log(const Var& a);

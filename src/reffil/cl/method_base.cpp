@@ -357,105 +357,130 @@ fed::UpdateValidator MethodBase::update_validator() const {
   };
 }
 
-// Folds each arriving update straight into a ShardedFedAvg accumulator, so
-// server memory during aggregation is O(shards x model) rather than
-// O(cohort x model). Extras hooks run per update in arrival order; finish()
-// commits the averaged state and fires after_aggregate(), mirroring one
-// batch aggregate() call.
+namespace {
+
+/// Decode the update's model state and require the server model's structure
+/// (tensor count and every shape), so a mis-shaped update is rejected before
+/// its extras are read or any of it is folded.
+fed::ModelState decode_model_shaped(util::ByteReader& reader,
+                                    const fed::ModelState& model) {
+  fed::ModelState state = fed::deserialize_state(reader);
+  if (state.size() != model.size()) {
+    throw ShapeError("update has " + std::to_string(state.size()) +
+                     " tensors, the model " + std::to_string(model.size()));
+  }
+  for (std::size_t t = 0; t < state.size(); ++t) {
+    if (state[t].shape() != model[t].shape()) {
+      throw ShapeError("update tensor " + std::to_string(t) +
+                       " does not have the model's shape");
+    }
+  }
+  return state;
+}
+
+}  // namespace
+
+// Folds each arriving update into one running sum shaped like the server's
+// model, so server memory during aggregation is O(model) rather than
+// O(cohort x model). Uncompressed states fold as w*x and finish() scales by
+// 1/W; compressed frames fold as w*delta and finish() applies the averaged
+// delta to the decoded broadcast. Extras hooks run per update in arrival
+// order, after the update passed its shape checks; finish() commits the
+// state and fires after_aggregate(), mirroring one batch aggregate() call.
 class MethodBase::StreamingSink : public fed::AggregationSink {
  public:
-  StreamingSink(MethodBase& method, std::size_t num_shards)
-      : method_(method),
-        acc_(num_shards),
-        compressed_(method.compress_.enabled()) {
-    if (compressed_) {
-      REFFIL_CHECK_MSG(!method.broadcast_reference_.empty(),
-                       "streaming aggregate: no broadcast reference");
-      delta_sum_.reserve(method.broadcast_reference_.size());
-      for (const auto& t : method.broadcast_reference_) {
-        delta_sum_.emplace_back(t.shape());
-      }
-    }
+  explicit StreamingSink(MethodBase& method)
+      : method_(method), compressed_(method.compress_.enabled()) {
+    REFFIL_CHECK_MSG(!compressed_ || !method.broadcast_reference_.empty(),
+                     "streaming aggregate: no broadcast reference");
+    sum_.reserve(method.global_state_.size());
+    for (const auto& t : method.global_state_) sum_.emplace_back(t.shape());
   }
 
   void add(const fed::ClientUpdate& update) override {
     util::ByteReader reader(update.payload);
+    const float weight = static_cast<float>(update.num_samples);
     if (compressed_) {
-      // Dequant-free: the frame folds straight into the f32 delta sum; a
-      // malformed frame throws BEFORE touching it, so the caller's
-      // quarantine drops only this update.
-      fed::accumulate_delta(reader, static_cast<float>(update.num_samples),
-                            delta_sum_);
+      // Dequant-free: the frame folds straight into the f32 sum; a malformed
+      // or mis-shaped frame throws BEFORE touching it.
+      fed::accumulate_delta(reader, weight, sum_);
       method_.read_update_extras(reader, update);
-      total_weight_ += static_cast<double>(update.num_samples);
-      ++count_;
-      return;
+    } else {
+      const fed::ModelState state =
+          decode_model_shaped(reader, method_.global_state_);
+      method_.read_update_extras(reader, update);
+      for (std::size_t t = 0; t < sum_.size(); ++t) {
+        T::axpy_inplace(sum_[t], weight, state[t]);
+      }
     }
-    const fed::ModelState state = fed::deserialize_state(reader);
-    method_.read_update_extras(reader, update);
-    acc_.add(state, static_cast<double>(update.num_samples));
+    total_weight_ += static_cast<double>(update.num_samples);
+    ++count_;
   }
 
-  std::size_t count() const override {
-    return compressed_ ? count_ : acc_.count();
-  }
+  std::size_t count() const override { return count_; }
 
   void finish() override {
     obs::count("cl.aggregations");
-    obs::count("cl.updates_aggregated", count());
+    obs::count("cl.updates_aggregated", count_);
+    REFFIL_CHECK_MSG(count_ > 0, "streaming aggregate: no updates");
+    REFFIL_CHECK_MSG(total_weight_ > 0.0,
+                     "streaming aggregate: all-zero weights");
+    const float inv = static_cast<float>(1.0 / total_weight_);
     if (compressed_) {
-      REFFIL_CHECK_MSG(count_ > 0, "streaming aggregate: no updates");
-      REFFIL_CHECK_MSG(total_weight_ > 0.0,
-                       "streaming aggregate: all-zero weights");
       // theta^{r+1} = Q(theta^r) + sum_m w_m delta_m / sum_m w_m: the decoded
       // broadcast is the base every delta was computed against, so it — not
       // the pre-quantization global state — anchors the new round.
-      const float inv = static_cast<float>(1.0 / total_weight_);
       fed::ModelState next = method_.broadcast_reference_;
       for (std::size_t t = 0; t < next.size(); ++t) {
-        T::axpy_inplace(next[t], inv, delta_sum_[t]);
+        T::axpy_inplace(next[t], inv, sum_[t]);
       }
       method_.global_state_ = std::move(next);
     } else {
-      method_.global_state_ = acc_.finish();
+      for (auto& t : sum_) T::scale_inplace(t, inv);
+      method_.global_state_ = std::move(sum_);
     }
     method_.after_aggregate();
   }
 
  private:
   MethodBase& method_;
-  fed::ShardedFedAvg acc_;
   bool compressed_ = false;
-  fed::ModelState delta_sum_;   ///< sum of weight-scaled decoded deltas
+  fed::ModelState sum_;  ///< sum of weight-scaled states or decoded deltas
   double total_weight_ = 0.0;
   std::size_t count_ = 0;
 };
 
 std::unique_ptr<fed::AggregationSink> MethodBase::begin_streaming_aggregate(
-    std::size_t num_shards) {
-  return std::make_unique<StreamingSink>(*this, num_shards);
+    std::size_t) {
+  return std::make_unique<StreamingSink>(*this);
 }
 
 void MethodBase::aggregate(const std::vector<fed::ClientUpdate>& updates) {
   REFFIL_CHECK_MSG(!updates.empty(), "aggregate: no updates");
   if (compress_.enabled()) {
     // Compressed frames fold as deltas: one pass through the streaming sink.
-    StreamingSink sink(*this, 1);
+    StreamingSink sink(*this);
     for (const auto& update : updates) sink.add(update);
     sink.finish();
     return;
   }
   obs::count("cl.aggregations");
   obs::count("cl.updates_aggregated", updates.size());
+  // Every state passes its shape checks before any update's extras are
+  // read, so a rejected batch leaves nothing behind for after_aggregate().
+  std::vector<util::ByteReader> readers;
   std::vector<fed::ModelState> states;
   std::vector<double> weights;
+  readers.reserve(updates.size());
   states.reserve(updates.size());
   weights.reserve(updates.size());
   for (const auto& update : updates) {
-    util::ByteReader reader(update.payload);
-    states.push_back(fed::deserialize_state(reader));
-    read_update_extras(reader, update);
+    readers.emplace_back(update.payload);
+    states.push_back(decode_model_shaped(readers.back(), global_state_));
     weights.push_back(static_cast<double>(update.num_samples));
+  }
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    read_update_extras(readers[i], updates[i]);
   }
   global_state_ = fed::federated_average(states, weights);
   after_aggregate();

@@ -279,9 +279,9 @@ class MethodBase : public fed::Method {
   std::map<std::size_t, fed::ModelState> residuals_;
   static constexpr std::size_t kMaxResiduals = 65536;
 
-  // Streaming ShardedFedAvg adapter (defined in the .cpp); a nested class so
-  // it can drive read_update_extras / after_aggregate and commit the global
-  // state without widening the protected surface.
+  // The streaming fold (defined in the .cpp); a nested class so it can drive
+  // read_update_extras / after_aggregate and commit the global state
+  // without widening the protected surface.
   class StreamingSink;
 };
 

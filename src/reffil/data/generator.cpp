@@ -133,14 +133,6 @@ Dataset SyntheticDomainSource::test_split(std::size_t domain_index) const {
                     0x7E57ULL);
 }
 
-T::Tensor dataset_mean_image(const Dataset& dataset) {
-  REFFIL_CHECK_MSG(!dataset.empty(), "mean of empty dataset");
-  T::Tensor mean(dataset.front().image.shape());
-  for (const auto& s : dataset) T::add_inplace(mean, s.image);
-  T::scale_inplace(mean, 1.0f / static_cast<float>(dataset.size()));
-  return mean;
-}
-
 std::vector<std::size_t> label_histogram(const Dataset& dataset,
                                          std::size_t num_classes) {
   std::vector<std::size_t> hist(num_classes, 0);

@@ -82,9 +82,6 @@ class SyntheticDomainSource {
   std::vector<DomainModel> domains_;
 };
 
-/// Mean image of a dataset (useful in tests/analysis).
-tensor::Tensor dataset_mean_image(const Dataset& dataset);
-
 /// Count of samples per label.
 std::vector<std::size_t> label_histogram(const Dataset& dataset,
                                          std::size_t num_classes);

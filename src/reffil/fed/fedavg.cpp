@@ -111,67 +111,4 @@ bool validate_state_prefix(const std::vector<std::uint8_t>& payload,
   }
 }
 
-ShardedFedAvg::ShardedFedAvg(std::size_t num_shards)
-    : shards_(std::max<std::size_t>(1, num_shards)) {}
-
-void ShardedFedAvg::add(const ModelState& state, double weight) {
-  REFFIL_CHECK_MSG(weight >= 0.0, "sharded fedavg: negative weight");
-  if (shapes_.empty()) {
-    shapes_.reserve(state.size());
-    for (const auto& t : state) shapes_.push_back(t.shape());
-    REFFIL_CHECK_MSG(!shapes_.empty(), "sharded fedavg: empty model state");
-  } else if (state.size() != shapes_.size()) {
-    throw ShapeError("sharded fedavg: ragged states (" +
-                     std::to_string(state.size()) + " tensors vs " +
-                     std::to_string(shapes_.size()) + ")");
-  }
-  Shard& shard = shards_[next_];
-  next_ = (next_ + 1) % shards_.size();
-  if (shard.sum.empty()) {
-    shard.sum.reserve(shapes_.size());
-    for (const auto& shape : shapes_) shard.sum.emplace_back(shape);
-  }
-  for (std::size_t t = 0; t < shapes_.size(); ++t) {
-    if (state[t].shape() != shapes_[t]) {
-      throw ShapeError("sharded fedavg: tensor " + std::to_string(t) +
-                       " shape mismatch across clients");
-    }
-    tensor::axpy_inplace(shard.sum[t], static_cast<float>(weight), state[t]);
-  }
-  ++count_;
-  total_weight_ += weight;
-}
-
-ModelState ShardedFedAvg::finish() {
-  REFFIL_CHECK_MSG(count_ > 0, "sharded fedavg: no updates accumulated");
-  REFFIL_CHECK_MSG(total_weight_ > 0.0, "sharded fedavg: all-zero weights");
-  // Pairwise tree reduction: lg(shards) merge levels, each folding the
-  // upper half into the lower. Unused shards (fewer updates than shards)
-  // have empty sums and are skipped or moved wholesale.
-  for (std::size_t stride = 1; stride < shards_.size(); stride *= 2) {
-    for (std::size_t i = 0; i + stride < shards_.size(); i += 2 * stride) {
-      Shard& into = shards_[i];
-      Shard& from = shards_[i + stride];
-      if (from.sum.empty()) continue;
-      if (into.sum.empty()) {
-        into.sum = std::move(from.sum);
-      } else {
-        for (std::size_t t = 0; t < into.sum.size(); ++t) {
-          tensor::add_inplace(into.sum[t], from.sum[t]);
-        }
-      }
-      from.sum.clear();
-    }
-  }
-  ModelState result = std::move(shards_.front().sum);
-  const float inv = static_cast<float>(1.0 / total_weight_);
-  for (auto& t : result) tensor::scale_inplace(t, inv);
-  shards_.front().sum.clear();
-  shapes_.clear();
-  next_ = 0;
-  count_ = 0;
-  total_weight_ = 0.0;
-  return result;
-}
-
 }  // namespace reffil::fed

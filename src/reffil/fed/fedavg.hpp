@@ -49,40 +49,4 @@ ModelState deserialize_state_counted(util::ByteReader& reader,
 bool validate_state_prefix(const std::vector<std::uint8_t>& payload,
                            std::string* reason);
 
-/// Streaming, sharded FedAvg accumulator for the discrete-event runner.
-/// Updates are folded into one of a fixed number of shard accumulators as
-/// they arrive, so server memory stays O(shards x model) no matter how many
-/// clients a round samples — nothing buffers the full cohort of states.
-/// finish() tree-reduces the shards pairwise and normalizes by the total
-/// weight, yielding the same weighted average federated_average computes
-/// (up to floating-point summation order).
-class ShardedFedAvg {
- public:
-  /// `num_shards` is clamped to at least 1.
-  explicit ShardedFedAvg(std::size_t num_shards);
-
-  /// Fold one client state into the next shard (round-robin). Throws
-  /// ShapeError when the state's structure disagrees with earlier adds and
-  /// Error on a negative weight.
-  void add(const ModelState& state, double weight);
-
-  std::size_t count() const { return count_; }
-  double total_weight() const { return total_weight_; }
-
-  /// Tree-reduce the shards and return the weight-normalized average.
-  /// Throws Error when nothing was added or every weight was zero. The
-  /// accumulator is reset and reusable afterwards.
-  ModelState finish();
-
- private:
-  struct Shard {
-    ModelState sum;  ///< running sum of weight-scaled states (empty = unused)
-  };
-  std::vector<Shard> shards_;
-  std::vector<tensor::Shape> shapes_;  ///< structure of the first added state
-  std::size_t next_ = 0;
-  std::size_t count_ = 0;
-  double total_weight_ = 0.0;
-};
-
 }  // namespace reffil::fed

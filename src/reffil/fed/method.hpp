@@ -89,10 +89,10 @@ class Method {
   /// extras — the exact-consumption requirement stands either way.
   virtual UpdateValidator update_validator() const;
 
-  /// Begin a streaming aggregation with `num_shards` accumulator shards.
-  /// Returns nullptr when the method only supports batch aggregate() — the
-  /// caller must then buffer updates and fall back. finish() on the returned
-  /// sink replaces one aggregate() call.
+  /// Begin a streaming aggregation into one running sum. The argument is
+  /// unused (the runner passes 1). Returns nullptr when the method only
+  /// supports batch aggregate() — the caller must then buffer updates and
+  /// fall back. finish() on the returned sink replaces one aggregate() call.
   virtual std::unique_ptr<AggregationSink> begin_streaming_aggregate(
       std::size_t num_shards);
 

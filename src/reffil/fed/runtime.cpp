@@ -361,15 +361,15 @@ RunResult FederatedRunner::run(Method& method) {
           });
 
       // Fold policy. DES rounds train in waves of 4 x parallelism and stream
-      // each update into a sharded accumulator as it arrives, so payloads
-      // die with their wave and server memory stays O(wave x payload +
-      // shards x model) however large the cohort. Dense rounds train the
-      // whole cohort as one wave and fold it with the buffered aggregate(),
-      // which keeps federated_average's summation order. A method without
-      // a sink buffers in either mode.
+      // each update into one running sum as it arrives, so payloads die
+      // with their wave and server memory stays O(wave x payload + model)
+      // however large the cohort. Dense rounds train the whole cohort as
+      // one wave and fold it with the buffered aggregate(), which keeps
+      // federated_average's summation order. A method without a sink
+      // buffers in either mode.
       std::unique_ptr<AggregationSink> sink;
       if (des) {
-        sink = method.begin_streaming_aggregate(config_.des.accumulator_shards);
+        sink = method.begin_streaming_aggregate(1);
       }
       const std::size_t cohort = plan.participants.size();
       const std::size_t wave_size =

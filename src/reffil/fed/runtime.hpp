@@ -57,8 +57,8 @@ struct RunConfig {
   /// round loop runs on a virtual clock — participants are sampled from a
   /// registered population far larger than the data population, gated by
   /// availability traces, trained in bounded waves ordered by simulated
-  /// arrival, and streamed into a sharded FedAvg accumulator so server
-  /// memory stays flat no matter how many clients a round samples.
+  /// arrival, and streamed into one running FedAvg sum so server memory
+  /// stays O(model) no matter how many clients a round samples.
   DesConfig des;
   /// Wire compression (fed/compress.hpp): quantized broadcast frames and
   /// top-k sparsified + quantized client deltas with server-held

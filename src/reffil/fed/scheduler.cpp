@@ -106,8 +106,7 @@ std::string DesConfig::tag() const {
          ",st" + format_knob(straggler_fraction) + ",sl" +
          format_knob(straggler_latency_s) + ",c" + format_knob(compute_s) +
          ",j" + format_knob(compute_jitter_s) + ",iv" +
-         format_knob(round_interval_s) + ",sh" +
-         std::to_string(accumulator_shards);
+         format_knob(round_interval_s);
 }
 
 DesConfig DesConfig::parse(const std::string& spec) {
@@ -154,13 +153,11 @@ DesConfig DesConfig::parse(const std::string& spec) {
       config.compute_jitter_s = v;
     } else if (key == "interval") {
       config.round_interval_s = v;
-    } else if (key == "shards") {
-      config.accumulator_shards = spec_count(v, "des shards");
     } else {
       throw ConfigError("unknown des spec key '" + key +
                         "' (known: registered, sample, offline, diurnal, "
                         "churn, rejoin, straggler, straggler_latency, "
-                        "compute, jitter, interval, shards)");
+                        "compute, jitter, interval)");
     }
   }
   if (config.offline_fraction >= 1.0 || config.straggler_fraction > 1.0) {

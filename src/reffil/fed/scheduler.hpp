@@ -110,9 +110,6 @@ struct DesConfig {
   double compute_jitter_s = 0.0;
   /// Simulated seconds between consecutive round starts.
   double round_interval_s = 60.0;
-  /// Shard count of the streaming FedAvg accumulator (server aggregation
-  /// memory is O(shards x model), independent of the cohort size).
-  std::size_t accumulator_shards = 8;
 
   bool enabled() const { return registered_clients > 0; }
 
@@ -122,9 +119,9 @@ struct DesConfig {
 
   /// Parse a comma-separated "key=value" spec, e.g.
   ///   "registered=1000000,sample=10000,offline=0.3,churn=1e-6,
-  ///    straggler=0.05,straggler_latency=20,compute=5,jitter=3,shards=8"
+  ///    straggler=0.05,straggler_latency=20,compute=5,jitter=3"
   /// Keys: registered, sample, offline, diurnal, churn, rejoin, straggler,
-  /// straggler_latency, compute, jitter, interval, shards. Unknown keys or
+  /// straggler_latency, compute, jitter, interval. Unknown keys or
   /// unparsable values throw ConfigError; empty spec -> disabled config.
   static DesConfig parse(const std::string& spec);
 };

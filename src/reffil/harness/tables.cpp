@@ -232,27 +232,6 @@ void print_per_step_table(const data::DatasetSpec& spec,
   std::printf("\n");
 }
 
-void print_comms_table(const data::DatasetSpec& spec,
-                       const std::vector<CellResult>& cells) {
-  const auto methods = all_method_kinds();
-  std::printf("Communication / timing on %s (mean over %zu seeds)\n",
-              spec.name.c_str(), bench_seeds().size());
-  std::printf("%-18s %-12s %10s %10s %6s %8s %8s %8s %8s %8s %8s\n", "Method",
-              "compress", "down MiB", "up MiB", "up x", "msgs", "dropped",
-              "wall s", "train s", "agg s", "eval s");
-  for (std::size_t m = 0; m < methods.size(); ++m) {
-    const CommsSummary c = cells[m].comms();
-    const double up_ratio = c.bytes_up > 0.0 ? c.bytes_up_raw / c.bytes_up : 1.0;
-    std::printf("%-18s %-12.12s %10.2f %10.2f %6.2f %8.0f %8.0f %8.2f %8.2f "
-                "%8.2f %8.2f\n",
-                method_display_name(methods[m]).c_str(), c.compression.c_str(),
-                c.bytes_down / 1048576.0, c.bytes_up / 1048576.0, up_ratio,
-                c.messages, c.dropped_updates, c.wall_seconds, c.train_seconds,
-                c.aggregate_seconds, c.eval_seconds);
-  }
-  std::printf("\n");
-}
-
 void print_compression_frontier(const data::DatasetSpec& spec,
                                 const std::string& method_name,
                                 const std::vector<CellResult>& cells) {

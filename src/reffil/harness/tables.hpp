@@ -90,12 +90,6 @@ void print_summary_table(const std::string& title,
 void print_per_step_table(const data::DatasetSpec& spec,
                           const std::vector<CellResult>& cells, bool new_order);
 
-/// Print the per-method communication / timing summary for one dataset
-/// (traffic in MiB, wall-time breakdown into train / aggregate / eval) —
-/// the table the paper's communication-cost comparison is regenerated from.
-void print_comms_table(const data::DatasetSpec& spec,
-                       const std::vector<CellResult>& cells);
-
 /// Print the accuracy-vs-bytes frontier for one (dataset, method): one row
 /// per compression level (cells labelled by their runs' compression spec),
 /// with measured wire traffic, the raw f32-equivalent, the resulting

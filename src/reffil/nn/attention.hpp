@@ -23,8 +23,6 @@ class MultiHeadSelfAttention : public Module {
   autograd::Var forward(const autograd::Var& tokens,
                         std::size_t samples = 1) const;
 
-  std::size_t heads() const { return heads_; }
-
  private:
   std::size_t dim_, heads_, head_dim_;
   std::unique_ptr<Linear> wq_, wk_, wv_, wo_;

@@ -10,8 +10,7 @@ namespace reffil::nn {
 namespace AG = reffil::autograd;
 namespace T = reffil::tensor;
 
-Linear::Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng)
-    : in_features_(in_features), out_features_(out_features) {
+Linear::Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng) {
   REFFIL_CHECK(in_features > 0 && out_features > 0);
   // He initialisation keeps activations well-scaled under ReLU.
   const float stddev = std::sqrt(2.0f / static_cast<float>(in_features));
@@ -70,7 +69,7 @@ AG::Var Embedding::forward(const std::vector<std::size_t>& indices) const {
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t pad,
                util::Rng& rng)
-    : out_channels_(out_channels), kernel_(kernel), stride_(stride), pad_(pad) {
+    : kernel_(kernel), stride_(stride), pad_(pad) {
   REFFIL_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0);
   const std::size_t fan_in = in_channels * kernel * kernel;
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));

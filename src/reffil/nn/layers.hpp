@@ -24,11 +24,7 @@ class Linear : public Module {
 
   autograd::Var forward(const autograd::Var& x, std::size_t samples = 1) const;
 
-  std::size_t in_features() const { return in_features_; }
-  std::size_t out_features() const { return out_features_; }
-
  private:
-  std::size_t in_features_, out_features_;
   autograd::Var weight_;  // [in, out]
   autograd::Var bias_;    // [out]
 };
@@ -86,10 +82,8 @@ class Conv2d : public Module {
 
   autograd::Var forward(const autograd::Var& x) const;
 
-  std::size_t out_channels() const { return out_channels_; }
-
  private:
-  std::size_t out_channels_, kernel_, stride_, pad_;
+  std::size_t kernel_, stride_, pad_;
   autograd::Var weight_;  // [Cout, Cin*k*k]
   autograd::Var bias_;    // [Cout]
 };

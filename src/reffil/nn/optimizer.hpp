@@ -29,7 +29,6 @@ class SgdOptimizer {
   /// Zero every tracked parameter's gradient.
   void zero_grad();
 
-  void set_learning_rate(float lr) { config_.learning_rate = lr; }
   float learning_rate() const { return config_.learning_rate; }
 
  private:

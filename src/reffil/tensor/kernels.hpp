@@ -1,7 +1,7 @@
 // Scalar reference kernels (library-internal).
 //
 // These are the bodies behind the "scalar" entry of the runtime dispatch
-// table (kernels_dispatch.hpp); the AVX2/NEON targets reimplement the same
+// table (kernels_dispatch.hpp); the AVX2 target reimplements the same
 // contracts with vector registers. ops.cpp reaches whichever target is
 // active through the table.
 //

@@ -20,7 +20,6 @@ namespace reffil::tensor::kern {
 // this architecture returns nullptr and simply doesn't exist in compiled().
 const Kernels* scalar_table();
 const Kernels* avx2_table();
-const Kernels* neon_table();
 
 bool host_supports(const Kernels& k) {
   const std::string_view name = k.name;
@@ -30,15 +29,12 @@ bool host_supports(const Kernels& k) {
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }
 #endif
-#if defined(__aarch64__)
-  if (name == "neon") return true;  // ASIMD is baseline on aarch64
-#endif
   return false;
 }
 
 std::vector<const Kernels*> compiled() {
   std::vector<const Kernels*> out;
-  for (const Kernels* k : {scalar_table(), avx2_table(), neon_table()}) {
+  for (const Kernels* k : {scalar_table(), avx2_table()}) {
     if (k != nullptr) out.push_back(k);
   }
   return out;

@@ -3,10 +3,11 @@
 // Every hot inner loop of the tensor layer — the matmul kernels, the
 // elementwise/axpy sweeps, the row-wise softmax pair, and the direct conv2d
 // kernels — is reached through one table of function
-// pointers resolved exactly once at startup. The binary carries every
-// target the toolchain could compile (scalar always; AVX2 on x86-64; NEON
-// on aarch64) and picks the best one the *running* CPU supports, so a
-// single fat binary runs unmodified from a baseline VM to an AVX2 server.
+// pointers resolved exactly once at startup. There are two targets: scalar,
+// always compiled, and AVX2, compiled on x86-64 only. The binary picks the
+// best one the *running* CPU supports, so a single fat binary runs
+// unmodified from a baseline VM to an AVX2 server; other architectures
+// (aarch64 included) run scalar.
 //
 // Determinism contract (per dispatch target):
 //  * Within one target, results are a pure function of the inputs.
@@ -24,8 +25,9 @@
 //    unfused accumulate — see quant.hpp), which the compressed wire format
 //    relies on for cross-ISA reproducibility.
 //
-// Selection order: the REFFIL_ISA environment variable ("scalar", "avx2",
-// "neon") wins if set — an unknown name throws, a compiled-but-unsupported
+// Selection order: the REFFIL_ISA environment variable ("scalar" or "avx2")
+// wins if set — an unknown or uncompiled name throws with the list of
+// compiled targets, a compiled-but-unsupported
 // name falls back to scalar with a warning on stderr (the fat binary must
 // still start on a baseline host) — otherwise the best target
 // host_supports() accepts is chosen.
@@ -135,7 +137,7 @@ const Kernels& active();
 /// active().name — what `reffil_run --json` reports as "isa".
 const char* active_name();
 
-/// Look up a compiled-in target by name ("scalar" | "avx2" | "neon").
+/// Look up a compiled-in target by name ("scalar" | "avx2").
 /// Returns nullptr when the name is unknown or the target was not compiled
 /// into this binary. The result may still fail host_supports().
 const Kernels* by_name(std::string_view name);

@@ -100,9 +100,6 @@ Tensor sub(const Tensor& a, const Tensor& b) {
 Tensor mul(const Tensor& a, const Tensor& b) {
   return zip(a, b, "mul", [](float x, float y) { return x * y; });
 }
-Tensor div(const Tensor& a, const Tensor& b) {
-  return zip(a, b, "div", [](float x, float y) { return x / y; });
-}
 
 Tensor add_scalar(const Tensor& a, float s) {
   Tensor out(a.shape());
@@ -155,20 +152,6 @@ void relu_into(const Tensor& a, Tensor& out) {
   scalar_op_into(a, "relu_into", 0.0f,
                  [](float x, float) { return x > 0.0f ? x : 0.0f; }, out);
 }
-void sigmoid_into(const Tensor& a, Tensor& out) {
-  scalar_op_into(a, "sigmoid_into", 0.0f,
-                 [](float x, float) { return 1.0f / (1.0f + std::exp(-x)); },
-                 out);
-}
-void map_into(const Tensor& a, const std::function<float(float)>& f,
-              Tensor& out) {
-  require_out_numel(a, out, "map_into");
-  const float* pa = a.begin();
-  float* po = out.begin();
-  const std::size_t n = a.numel();
-  const auto span = elementwise_span(n);
-  for (std::size_t i = 0; i < n; ++i) po[i] = f(pa[i]);
-}
 void copy_into(const Tensor& a, Tensor& out) {
   require_out_numel(a, out, "copy_into");
   std::copy(a.begin(), a.end(), out.begin());
@@ -181,35 +164,6 @@ void relu_backward_into(const Tensor& x, const Tensor& g, Tensor& out) {
   float* po = out.begin();
   const auto span = elementwise_span(x.numel());
   kern::active().relu_backward(po, px, pg, x.numel());
-}
-
-Tensor exp(const Tensor& a) {
-  return map(a, [](float x) { return std::exp(x); });
-}
-Tensor log(const Tensor& a) {
-  return map(a, [](float x) { return std::log(x); });
-}
-Tensor sqrt(const Tensor& a) {
-  return map(a, [](float x) { return std::sqrt(x); });
-}
-Tensor tanh(const Tensor& a) {
-  return map(a, [](float x) { return std::tanh(x); });
-}
-Tensor relu(const Tensor& a) {
-  return map(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-Tensor sigmoid(const Tensor& a) {
-  return map(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-
-Tensor map(const Tensor& a, const std::function<float(float)>& f) {
-  Tensor out(a.shape());
-  const float* pa = a.begin();
-  float* po = out.begin();
-  const std::size_t n = a.numel();
-  const auto span = elementwise_span(n);
-  for (std::size_t i = 0; i < n; ++i) po[i] = f(pa[i]);
-  return out;
 }
 
 void add_inplace(Tensor& a, const Tensor& b) {
@@ -474,22 +428,6 @@ void sum_rows_into(const Tensor& a, Tensor& out) {
     const float* a_row = pa + i * n;
     for (std::size_t j = 0; j < n; ++j) po[j] += a_row[j];
   }
-}
-
-Tensor mean_cols(const Tensor& a) {
-  require_rank2(a, "mean_cols");
-  const std::size_t m = a.dim(0), n = a.dim(1);
-  REFFIL_CHECK(n > 0);
-  Tensor out({m});
-  const float* pa = a.begin();
-  float* po = out.begin();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* a_row = pa + i * n;
-    double acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j) acc += a_row[j];
-    po[i] = static_cast<float>(acc / static_cast<double>(n));
-  }
-  return out;
 }
 
 Tensor mean_rows(const Tensor& a) {

@@ -11,7 +11,6 @@
 // thread count.
 #pragma once
 
-#include <functional>
 
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/tensor.hpp"
@@ -32,17 +31,9 @@ Tensor rand_uniform(Shape shape, util::Rng& rng, float lo = 0.0f, float hi = 1.0
 Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
-Tensor div(const Tensor& a, const Tensor& b);
 Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 Tensor neg(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);
-Tensor sqrt(const Tensor& a);
-Tensor tanh(const Tensor& a);
-Tensor relu(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor map(const Tensor& a, const std::function<float(float)>& f);
 
 // Destination forms of the elementwise family. Each overwrites a
 // preallocated `out` of the input's shape and runs the exact loop of its
@@ -61,8 +52,6 @@ void exp_into(const Tensor& a, Tensor& out);
 void log_into(const Tensor& a, Tensor& out);
 void tanh_into(const Tensor& a, Tensor& out);
 void relu_into(const Tensor& a, Tensor& out);
-void sigmoid_into(const Tensor& a, Tensor& out);
-void map_into(const Tensor& a, const std::function<float(float)>& f, Tensor& out);
 /// Shape-checked elementwise copy a -> out.
 void copy_into(const Tensor& a, Tensor& out);
 /// ReLU backward: out = x <= 0 ? +0 : g (a NaN x passes g through).
@@ -130,8 +119,6 @@ float max_all(const Tensor& a);
 Tensor sum_rows(const Tensor& a);
 /// Column sums into a preallocated out with numel n (shape is not changed).
 void sum_rows_into(const Tensor& a, Tensor& out);
-/// Row means of a 2-D tensor: [m,n] -> [m].
-Tensor mean_cols(const Tensor& a);
 /// Mean over axis 0 of a 2-D tensor: [m,n] -> [n].
 Tensor mean_rows(const Tensor& a);
 

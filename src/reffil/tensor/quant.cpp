@@ -1,7 +1,7 @@
 // Scalar reference implementations of the quantized codecs — the single
 // baseline-flags definitions every dispatch table points at (see quant.hpp
-// for the ODR rationale) and the bitwise anchor the AVX2/NEON q8 kernels
-// are tested against.
+// for the ODR rationale) and the bitwise anchor the AVX2 q8 kernels are
+// tested against.
 
 #include "reffil/tensor/quant.hpp"
 
@@ -111,7 +111,7 @@ void q8_encode(const float* x, std::int8_t* q, float* scales, std::size_t n) {
       t = t >= -127.0f ? t : -127.0f;
       t = t <= 127.0f ? t : 127.0f;
       // Round-nearest-even under the (never changed) default rounding mode —
-      // identical to _mm256_cvtps_epi32 / vcvtnq_s32_f32.
+      // identical to _mm256_cvtps_epi32.
       q[b0 + i] = static_cast<std::int8_t>(std::nearbyintf(t));
     }
   }

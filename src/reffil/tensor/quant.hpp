@@ -12,12 +12,12 @@
 //    finiteness contract survives a f16 round trip.
 //
 // The Q8 encode/decode/axpy primitives are dispatch-table kernels (scalar
-// reference below, AVX2/NEON targets in their TUs). On finite inputs they
+// reference below, the AVX2 target in its TU). On finite inputs they
 // are BITWISE-IDENTICAL across every target — stronger than the matmul 1e-5
 // contract — because every step is exact or identically rounded: the amax
 // reduction is an exact max, 127/amax and amax/127 are single f32 divides,
 // rounding is round-nearest-even in every target (nearbyintf under the
-// default FE_TONEAREST mode == cvtps RNE == vcvtnq), int8->f32 conversion
+// default FE_TONEAREST mode == cvtps RNE), int8->f32 conversion
 // is exact, and the axpy multiplies then adds unfused. Non-finite inputs
 // produce target-defined (but per-target deterministic) bytes and never UB:
 // the quantized product is clamped to [-127, 127] before conversion.

@@ -75,9 +75,6 @@ class Tensor {
   std::size_t numel() const { return view_ != nullptr ? view_numel_ : data_.size(); }
   std::size_t dim(std::size_t axis) const;
 
-  /// True when the storage is borrowed (arena / pool buffer).
-  bool is_view() const { return view_ != nullptr; }
-
   /// Owning storage accessors. Throw on views — a view's buffer belongs to
   /// its arena/pool, so vector-level operations on it are always a bug; use
   /// begin()/end() for element access instead.

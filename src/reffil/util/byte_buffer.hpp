@@ -37,8 +37,6 @@ class ByteWriter {
 
   void write_u32(std::uint32_t v) { write_pod(v); }
   void write_u64(std::uint64_t v) { write_pod(v); }
-  void write_i64(std::int64_t v) { write_pod(v); }
-  void write_f32(float v) { write_pod(v); }
   void write_f64(double v) { write_pod(v); }
 
   void write_string(const std::string& s) {
@@ -86,8 +84,6 @@ class ByteReader {
 
   std::uint32_t read_u32() { return read_pod<std::uint32_t>(); }
   std::uint64_t read_u64() { return read_pod<std::uint64_t>(); }
-  std::int64_t read_i64() { return read_pod<std::int64_t>(); }
-  float read_f32() { return read_pod<float>(); }
   double read_f64() { return read_pod<double>(); }
 
   /// Advance past n bytes without decoding them (frame walkers that account

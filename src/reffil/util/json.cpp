@@ -25,11 +25,6 @@ const Array& Value::as_array() const {
   return *array_;
 }
 
-const Object& Value::as_object() const {
-  if (type_ != Type::kObject) throw std::runtime_error("json: not an object");
-  return *object_;
-}
-
 const Value* Value::find(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
   auto it = object_->find(std::string(key));

@@ -63,7 +63,6 @@ class Value {
   double as_number() const;
   const std::string& as_string() const;
   const Array& as_array() const;
-  const Object& as_object() const;
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(std::string_view key) const;

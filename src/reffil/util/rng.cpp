@@ -19,7 +19,7 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 }
 }  // namespace
 
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
+Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : state_) s = splitmix64(sm);
 }
@@ -90,13 +90,6 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-Rng Rng::fork() {
-  // Children are derived from the parent's seed and a fork counter so forks
-  // are independent of how much the parent stream has been consumed.
-  std::uint64_t sm = seed_ ^ (0xd1b54a32d192ed03ULL * ++fork_counter_);
-  return Rng(splitmix64(sm));
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
   REFFIL_CHECK_MSG(k <= n, "sample_without_replacement: k > n");
   std::vector<std::size_t> idx(n);
@@ -108,22 +101,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::siz
   }
   idx.resize(k);
   return idx;
-}
-
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  REFFIL_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    REFFIL_CHECK_MSG(w >= 0.0, "categorical: negative weight");
-    total += w;
-  }
-  REFFIL_CHECK_MSG(total > 0.0, "categorical: all-zero weights");
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;
 }
 
 }  // namespace reffil::util

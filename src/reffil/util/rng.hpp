@@ -13,8 +13,7 @@
 
 namespace reffil::util {
 
-/// SplitMix64 step — used to expand a user seed into xoshiro state and to
-/// derive independent child seeds.
+/// SplitMix64 step — used to expand a user seed into xoshiro state.
 std::uint64_t splitmix64(std::uint64_t& state);
 
 /// Deterministic pseudo-random generator (xoshiro256**).
@@ -46,10 +45,6 @@ class Rng {
   /// Bernoulli draw.
   bool bernoulli(double p);
 
-  /// Derive an independent child generator; successive calls give distinct
-  /// streams. Useful for giving each client / dataset its own stream.
-  Rng fork();
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -62,15 +57,10 @@ class Rng {
   /// Sample k distinct indices from [0, n) (k <= n), in random order.
   std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
 
-  /// Draw from a categorical distribution given non-negative weights.
-  std::size_t categorical(const std::vector<double>& weights);
-
  private:
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
-  std::uint64_t fork_counter_ = 0;
-  std::uint64_t seed_ = 0;
 };
 
 }  // namespace reffil::util

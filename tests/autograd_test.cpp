@@ -136,16 +136,16 @@ TEST(AutogradGradCheck, Nonlinearities) {
   reffil::util::Rng rng(3);
   auto a = randn_param({6}, rng);
   check_gradients({a}, [&] {
-    return AG::sum_all(AG::tanh(AG::sigmoid(AG::mul_scalar(a, 2.0f))));
+    return AG::sum_all(AG::tanh(AG::mul_scalar(a, 2.0f)));
   });
 }
 
 TEST(AutogradGradCheck, ExpLog) {
   reffil::util::Rng rng(4);
-  // keep log input strictly positive via sigmoid + offset
+  // keep log input strictly positive via exp + offset
   auto a = randn_param({4}, rng);
   check_gradients({a}, [&] {
-    return AG::sum_all(AG::log(AG::add_scalar(AG::sigmoid(a), 0.5f)));
+    return AG::sum_all(AG::log(AG::add_scalar(AG::exp(a), 0.5f)));
   });
 }
 

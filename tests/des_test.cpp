@@ -1,11 +1,13 @@
 // Discrete-event federation tests: DesConfig parsing and cache tags, the
 // availability traces (diurnal / churn / straggler), participation sampling
-// (determinism, history independence, forced rounds), the sharded streaming
-// FedAvg accumulator, and the end-to-end DES runner — seeded reproducibility,
+// (determinism, history independence, forced rounds), the streaming fold
+// (one running sum), and the end-to-end DES runner — seeded reproducibility,
 // sampled-vs-dense equivalence when the sample covers the population, and
 // per-round stats reconciling exactly with the run totals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "reffil/fed/fedavg.hpp"
@@ -77,7 +79,7 @@ TEST(DesConfig, ParseFillsEveryKnob) {
   const auto des = fed::DesConfig::parse(
       "registered=1000000,sample=10000,offline=0.3,diurnal=3600,churn=1e-6,"
       "rejoin=7200,straggler=0.05,straggler_latency=20,compute=5,jitter=3,"
-      "interval=120,shards=16");
+      "interval=120");
   EXPECT_TRUE(des.enabled());
   EXPECT_EQ(des.registered_clients, 1'000'000u);
   EXPECT_EQ(des.sample_per_round, 10'000u);
@@ -90,7 +92,6 @@ TEST(DesConfig, ParseFillsEveryKnob) {
   EXPECT_DOUBLE_EQ(des.compute_s, 5.0);
   EXPECT_DOUBLE_EQ(des.compute_jitter_s, 3.0);
   EXPECT_DOUBLE_EQ(des.round_interval_s, 120.0);
-  EXPECT_EQ(des.accumulator_shards, 16u);
 }
 
 TEST(DesConfig, TagIsCanonicalAndDistinguishesConfigs) {
@@ -104,6 +105,9 @@ TEST(DesConfig, TagIsCanonicalAndDistinguishesConfigs) {
 
 TEST(DesConfig, ParseRejectsBadSpecs) {
   EXPECT_THROW(fed::DesConfig::parse("registered=1000,bogus=1"), ConfigError);
+  // The fold is one running sum: `shards` is not a key and must fail loudly.
+  EXPECT_THROW(fed::DesConfig::parse("registered=1000,shards=16"),
+               ConfigError);
   EXPECT_THROW(fed::DesConfig::parse("registered=-5"), ConfigError);
   EXPECT_THROW(fed::DesConfig::parse("registered=1000,offline=1.0"),
                ConfigError);
@@ -118,8 +122,6 @@ TEST(DesConfig, ParseRejectsBadSpecs) {
 TEST(DesConfig, ParseRejectsCountsThatAreNotWholeOrDoNotFit) {
   EXPECT_THROW(fed::DesConfig::parse("registered=1e30,sample=10"), ConfigError);
   EXPECT_THROW(fed::DesConfig::parse("registered=1000,sample=1e30"),
-               ConfigError);
-  EXPECT_THROW(fed::DesConfig::parse("registered=1000,shards=1e30"),
                ConfigError);
   EXPECT_THROW(fed::DesConfig::parse("registered=1000.5"), ConfigError);
   EXPECT_THROW(fed::DesConfig::parse("registered=nan"), ConfigError);
@@ -326,66 +328,149 @@ TEST(DesScheduler, FullyOfflinePopulationForcesTheDraw) {
   EXPECT_GT(scheduler.forced_rounds(), 0u);
 }
 
-// ---- ShardedFedAvg ---------------------------------------------------------
+// ---- the streaming fold ----------------------------------------------------
 
-TEST(ShardedFedAvg, MatchesBatchFederatedAverage) {
+namespace {
+
+std::unique_ptr<fed::Method> tiny_finetune() {
+  harness::ExperimentConfig config;
+  config.parallelism = 1;
+  return harness::make_method(harness::MethodKind::kFinetune, tiny_spec(),
+                              config);
+}
+
+/// The server model's state, as its broadcast carries it.
+fed::ModelState broadcast_state(fed::Method& method) {
+  const auto bytes = method.make_broadcast();
+  util::ByteReader reader(bytes);
+  return fed::deserialize_state(reader);
+}
+
+fed::ClientUpdate update_of(const fed::ModelState& state, std::size_t samples) {
+  util::ByteWriter writer;
+  fed::serialize_state(state, writer);
+  return {.num_samples = samples, .payload = writer.take()};
+}
+
+fed::ModelState random_like(const fed::ModelState& model, util::Rng& rng) {
+  fed::ModelState state;
+  for (const auto& t : model) state.push_back(tensor::randn(t.shape(), rng));
+  return state;
+}
+
+/// The broadcast after streaming `updates` into a fresh sink of `method`.
+std::vector<std::uint8_t> streamed_broadcast(
+    fed::Method& method, const std::vector<fed::ClientUpdate>& updates) {
+  auto sink = method.begin_streaming_aggregate(1);
+  for (const auto& update : updates) sink->add(update);
+  sink->finish();
+  return method.make_broadcast();
+}
+
+}  // namespace
+
+TEST(StreamingSink, MatchesBatchFederatedAverage) {
+  auto method = tiny_finetune();
+  const fed::ModelState model = broadcast_state(*method);
   util::Rng rng(17);
   std::vector<fed::ModelState> states;
   std::vector<double> weights;
+  std::vector<fed::ClientUpdate> updates;
   for (std::size_t i = 0; i < 13; ++i) {
-    states.push_back({tensor::randn({3, 4}, rng), tensor::randn({5}, rng)});
+    states.push_back(random_like(model, rng));
     weights.push_back(static_cast<double>(1 + (i * 7) % 9));
+    updates.push_back(update_of(states.back(), 1 + (i * 7) % 9));
   }
+  const auto bytes = streamed_broadcast(*method, updates);
+  util::ByteReader reader(bytes);
+  const fed::ModelState streamed = fed::deserialize_state(reader);
+
+  // One running sum: sum_m w_m * x_m in arrival order, then times 1/W.
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  fed::ModelState by_hand;
+  for (const auto& t : model) by_hand.emplace_back(t.shape());
+  for (std::size_t m = 0; m < states.size(); ++m) {
+    for (std::size_t t = 0; t < model.size(); ++t) {
+      tensor::axpy_inplace(by_hand[t], static_cast<float>(weights[m]),
+                           states[m][t]);
+    }
+  }
+  for (auto& t : by_hand) tensor::scale_inplace(t, static_cast<float>(1.0 / total));
+
   const auto batch = fed::federated_average(states, weights);
-  for (const std::size_t shards : {1u, 4u, 8u, 32u}) {
-    fed::ShardedFedAvg acc(shards);
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      acc.add(states[i], weights[i]);
-    }
-    EXPECT_EQ(acc.count(), states.size());
-    const auto streamed = acc.finish();
-    ASSERT_EQ(streamed.size(), batch.size());
-    for (std::size_t t = 0; t < batch.size(); ++t) {
-      // Summation order differs (per-term normalization vs. post-scale), so
-      // agreement is up to float round-off, not bitwise.
-      EXPECT_TRUE(streamed[t].all_close(batch[t], 1e-4f))
-          << "tensor " << t << " with " << shards << " shards";
-    }
+  ASSERT_EQ(streamed.size(), model.size());
+  for (std::size_t t = 0; t < model.size(); ++t) {
+    EXPECT_TRUE(std::equal(streamed[t].begin(), streamed[t].end(),
+                           by_hand[t].begin(), by_hand[t].end()))
+        << "tensor " << t << " is not bitwise the running sum";
+    // federated_average scales each term by w/W before summing, so the two
+    // agree up to float round-off, not bitwise.
+    EXPECT_TRUE(streamed[t].all_close(batch[t], 1e-4f)) << "tensor " << t;
   }
 }
 
-TEST(ShardedFedAvg, RejectsDegenerateInput) {
-  fed::ShardedFedAvg acc(4);
-  EXPECT_THROW(acc.finish(), Error);  // nothing added
-  fed::ModelState a{tensor::Tensor::scalar(1)};
-  EXPECT_THROW(acc.add(a, -1.0), Error);
-  acc.add(a, 1.0);
-  fed::ModelState ragged{tensor::Tensor::vector({1, 2})};
-  EXPECT_THROW(acc.add(ragged, 1.0), ShapeError);
-  fed::ModelState two{tensor::Tensor::scalar(1), tensor::Tensor::scalar(2)};
-  EXPECT_THROW(acc.add(two, 1.0), ShapeError);
+TEST(StreamingSink, RejectsDegenerateInput) {
+  auto method = tiny_finetune();
+  const fed::ModelState model = broadcast_state(*method);
+  util::Rng rng(18);
+  auto sink = method->begin_streaming_aggregate(1);
+  EXPECT_THROW(sink->finish(), Error);  // nothing added
+  fed::ModelState ragged = random_like(model, rng);
+  ragged.pop_back();
+  EXPECT_THROW(sink->add(update_of(ragged, 1)), ShapeError);
+  fed::ModelState misshaped = random_like(model, rng);
+  misshaped.back() = tensor::randn({misshaped.back().numel() + 1}, rng);
+  EXPECT_THROW(sink->add(update_of(misshaped, 1)), ShapeError);
+  EXPECT_EQ(sink->count(), 0u);
 }
 
-TEST(ShardedFedAvg, AllZeroWeightsCannotFinish) {
-  fed::ShardedFedAvg acc(2);
-  fed::ModelState a{tensor::Tensor::scalar(3)};
-  acc.add(a, 0.0);
-  acc.add(a, 0.0);
-  EXPECT_THROW(acc.finish(), Error);
+TEST(StreamingSink, AllZeroWeightsCannotFinish) {
+  auto method = tiny_finetune();
+  const fed::ModelState model = broadcast_state(*method);
+  util::Rng rng(19);
+  auto sink = method->begin_streaming_aggregate(1);
+  sink->add(update_of(random_like(model, rng), 0));
+  sink->add(update_of(random_like(model, rng), 0));
+  EXPECT_THROW(sink->finish(), Error);
 }
 
-TEST(ShardedFedAvg, IsReusableAfterFinish) {
-  fed::ShardedFedAvg acc(3);
-  fed::ModelState a{tensor::Tensor::scalar(10)};
-  fed::ModelState b{tensor::Tensor::scalar(30)};
-  acc.add(a, 1.0);
-  acc.add(b, 1.0);
-  EXPECT_NEAR(acc.finish()[0].item(), 20.0f, 1e-5f);
-  // A fresh accumulation — including a different structure — must work.
-  fed::ModelState v{tensor::Tensor::vector({2, 4, 6})};
-  acc.add(v, 2.0);
-  const auto out = acc.finish();
-  EXPECT_TRUE(out[0].all_close(tensor::Tensor::vector({2, 4, 6})));
+TEST(StreamingSink, RejectedUpdateLeavesNoTraceInTheFold) {
+  // B has the model's tensor count but a wrongly shaped tensor 1: its add()
+  // must throw before any of B's tensors reach the sum.
+  auto method = tiny_finetune();
+  auto reference = tiny_finetune();
+  const fed::ModelState model = broadcast_state(*method);
+  ASSERT_GE(model.size(), 2u);
+  util::Rng rng(20);
+  const auto a = update_of(random_like(model, rng), 5);
+  fed::ModelState b = random_like(model, rng);
+  b[1] = tensor::randn({b[1].numel() + 1}, rng);
+
+  auto sink = method->begin_streaming_aggregate(8);
+  sink->add(a);
+  EXPECT_THROW(sink->add(update_of(b, 7)), ShapeError);
+  EXPECT_EQ(sink->count(), 1u);
+  sink->finish();
+  EXPECT_EQ(method->make_broadcast(), streamed_broadcast(*reference, {a}));
+}
+
+TEST(StreamingSink, TheModelNotTheFirstArrivalDefinesTheShapes) {
+  // An update whose every tensor is one element too large arrives first. It
+  // must be rejected, and the valid update after it accepted.
+  auto method = tiny_finetune();
+  auto reference = tiny_finetune();
+  const fed::ModelState model = broadcast_state(*method);
+  util::Rng rng(21);
+  const auto valid = update_of(random_like(model, rng), 4);
+  fed::ModelState oversized;
+  for (const auto& t : model) oversized.push_back(tensor::randn({t.numel() + 1}, rng));
+
+  auto sink = method->begin_streaming_aggregate(8);
+  EXPECT_THROW(sink->add(update_of(oversized, 3)), ShapeError);
+  EXPECT_NO_THROW(sink->add(valid));
+  sink->finish();
+  EXPECT_EQ(broadcast_state(*method).front().shape(), model.front().shape());
+  EXPECT_EQ(method->make_broadcast(), streamed_broadcast(*reference, {valid}));
 }
 
 // ---- end-to-end: the DES runner --------------------------------------------
@@ -424,7 +509,7 @@ TEST(DesRuntime, SampleEqualToPopulationMatchesTheDenseRun) {
   //    (Rng::sample_without_replacement), while DES sorts its cohort by
   //    client id (DesScheduler::plan_round);
   //  * federated_average scales each term by w/total before summing, while
-  //    ShardedFedAvg sums w*x and scales once at the end.
+  //    the streaming fold sums w*x and scales once at the end.
   // Float addition is not associative, so both change the low bits of the
   // global model. Matching them would change the dense fold and with it the
   // committed benchmark reference, so the bound stays at 0.1 pt.

@@ -1,107 +1,12 @@
-// Tests for the extension features: Dirichlet label-skew partitioning,
-// client dropout in the runtime, and RefFiL's task-ID-free eval policies.
+// Tests for the extension features: client dropout in the runtime and
+// RefFiL's task-ID-free eval policies.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "reffil/data/label_skew.hpp"
 #include "reffil/tensor/ops.hpp"
 #include "reffil/fed/runtime.hpp"
 #include "reffil/harness/experiment.hpp"
 
 using namespace reffil;
-
-TEST(Gamma, MeanMatchesShape) {
-  util::Rng rng(1);
-  for (double shape : {0.5, 1.0, 3.0}) {
-    double total = 0.0;
-    const int n = 8000;
-    for (int i = 0; i < n; ++i) total += data::sample_gamma(shape, rng);
-    EXPECT_NEAR(total / n, shape, shape * 0.08) << "shape " << shape;
-  }
-}
-
-TEST(Gamma, AlwaysPositive) {
-  util::Rng rng(2);
-  for (int i = 0; i < 2000; ++i) {
-    EXPECT_GT(data::sample_gamma(0.3, rng), 0.0);
-  }
-  EXPECT_THROW(data::sample_gamma(0.0, rng), reffil::Error);
-}
-
-TEST(Dirichlet, SumsToOneAndAlphaControlsConcentration) {
-  util::Rng rng(3);
-  double low_alpha_max = 0.0, high_alpha_max = 0.0;
-  const int draws = 300;
-  for (int i = 0; i < draws; ++i) {
-    const auto low = data::sample_dirichlet(5, 0.1, rng);
-    const auto high = data::sample_dirichlet(5, 50.0, rng);
-    double low_sum = 0.0, high_sum = 0.0;
-    for (double v : low) {
-      low_sum += v;
-      low_alpha_max += *std::max_element(low.begin(), low.end()) / draws;
-      break;  // accumulate max once per draw
-    }
-    for (double v : high) {
-      high_sum += v;
-    }
-    low_sum = 0.0;
-    for (double v : low) low_sum += v;
-    high_sum = 0.0;
-    for (double v : high) high_sum += v;
-    EXPECT_NEAR(low_sum, 1.0, 1e-9);
-    EXPECT_NEAR(high_sum, 1.0, 1e-9);
-    high_alpha_max += *std::max_element(high.begin(), high.end()) / draws;
-  }
-  // Small alpha concentrates mass on few categories; large alpha is near
-  // uniform (max component ~ 1/5).
-  EXPECT_GT(low_alpha_max, 0.6);
-  EXPECT_LT(high_alpha_max, 0.3);
-}
-
-TEST(LabelSkew, PartitionIsTotalAndRespectsFloor) {
-  data::SyntheticDomainSource source(data::digits_five_spec());
-  const auto pool = source.train_split(0);
-  util::Rng rng(4);
-  const auto shards = data::label_skew_partition(
-      pool, 8, {.alpha = 0.5, .min_per_client = 4}, rng);
-  std::size_t total = 0;
-  for (const auto& shard : shards) {
-    EXPECT_GE(shard.size(), 4u);
-    total += shard.size();
-  }
-  EXPECT_EQ(total, pool.size());
-}
-
-TEST(LabelSkew, SmallAlphaSkewsLabelDistributions) {
-  const auto spec = data::digits_five_spec();
-  data::SyntheticDomainSource source(spec);
-  const auto pool = source.train_split(0);
-  util::Rng rng(5);
-  const auto shards = data::label_skew_partition(
-      pool, 6, {.alpha = 0.1, .min_per_client = 2}, rng);
-  // With alpha=0.1 at least one client must be missing at least one class —
-  // the defining contrast with the quantity-shift partitioner.
-  bool any_missing = false;
-  for (const auto& shard : shards) {
-    const auto hist = data::label_histogram(shard, spec.num_classes);
-    for (std::size_t count : hist) any_missing |= (count == 0);
-  }
-  EXPECT_TRUE(any_missing);
-}
-
-TEST(LabelSkew, LargeAlphaIsNearIid) {
-  const auto spec = data::digits_five_spec();
-  data::SyntheticDomainSource source(spec);
-  const auto pool = source.train_split(0);
-  util::Rng rng(6);
-  const auto shards = data::label_skew_partition(
-      pool, 4, {.alpha = 100.0, .min_per_client = 2}, rng);
-  for (const auto& shard : shards) {
-    const auto hist = data::label_histogram(shard, spec.num_classes);
-    for (std::size_t count : hist) EXPECT_GE(count, 1u);
-  }
-}
 
 namespace {
 data::DatasetSpec dropout_spec() {

@@ -32,7 +32,7 @@ TEST(Json, ParsesContainers) {
   EXPECT_DOUBLE_EQ(a[1].as_number(), 2.0);
   EXPECT_TRUE(a[2].find("b")->is_null());
   EXPECT_EQ(v.string_or("c", ""), "x");
-  EXPECT_TRUE(v.find("d")->as_object().empty());
+  EXPECT_TRUE(v.find("d")->is_object());
   EXPECT_TRUE(v.find("e")->as_array().empty());
   EXPECT_EQ(v.find("missing"), nullptr);
   EXPECT_DOUBLE_EQ(v.number_or("missing", -1.0), -1.0);

@@ -104,6 +104,7 @@ TEST(KernelDispatch, ByNameRoundTripsAndRejectsUnknown) {
     EXPECT_EQ(kern::by_name(k->name), k);
   }
   EXPECT_EQ(kern::by_name("mmx"), nullptr);
+  EXPECT_EQ(kern::by_name("neon"), nullptr);  // the NEON target is gone
   EXPECT_EQ(kern::by_name(""), nullptr);
 }
 

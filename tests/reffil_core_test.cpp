@@ -202,6 +202,45 @@ TEST(RefFiLMethod, TrainClientRoundTripUpdatesAndUploadsPrompts) {
   EXPECT_GT(broadcast2.size(), broadcast.size());
 }
 
+TEST(RefFiLMethod, RejectedBatchLeavesNoUploadsForTheNextAggregate) {
+  // A batch whose second update is mis-shaped is rejected as a whole; the
+  // prompts its valid first update uploaded must not reach the next
+  // aggregate's after_aggregate().
+  RefFiLConfig config;
+  reffil::core::RefFiLMethod seen(small_method_config(), config);
+  reffil::core::RefFiLMethod fresh(small_method_config(), config);
+  seen.on_task_start(0);
+  fresh.on_task_start(0);
+  const auto broadcast = seen.make_broadcast();
+  reffil::util::ByteReader reader(broadcast);
+  const auto model = reffil::fed::deserialize_state(reader);
+  ASSERT_GE(model.size(), 2u);
+  const std::size_t d = small_method_config().net.token_dim;
+  // A state followed by one uploaded prompt group: (label, task 0, [d]).
+  const auto update_of = [d](const reffil::fed::ModelState& state,
+                             std::size_t label, float prompt) {
+    reffil::util::ByteWriter writer;
+    reffil::fed::serialize_state(state, writer);
+    writer.write_u64(1);
+    writer.write_u64(label);
+    writer.write_u64(0);
+    T::full({d}, prompt).serialize(writer);
+    return reffil::fed::ClientUpdate{.num_samples = 4,
+                                     .payload = writer.take()};
+  };
+  auto misshaped = model;
+  misshaped[1] = T::zeros({model[1].numel() + 1});
+  EXPECT_THROW(seen.aggregate({update_of(model, 1, 5.0f),
+                               update_of(misshaped, 2, 9.0f)}),
+               reffil::ShapeError);
+
+  const std::vector<reffil::fed::ClientUpdate> batch = {
+      update_of(model, 0, 1.0f)};
+  seen.aggregate(batch);
+  fresh.aggregate(batch);
+  EXPECT_EQ(seen.make_broadcast(), fresh.make_broadcast());
+}
+
 TEST(RefFiLMethod, PredictReturnsValidClassAfterPrepareEval) {
   RefFiLConfig config;
   reffil::core::RefFiLMethod method(small_method_config(), config);

@@ -80,7 +80,6 @@ TEST(TensorOps, ElementwiseArithmetic) {
   EXPECT_EQ(T::add(a, b), T::Tensor::vector({5, 7, 9}));
   EXPECT_EQ(T::sub(b, a), T::Tensor::vector({3, 3, 3}));
   EXPECT_EQ(T::mul(a, b), T::Tensor::vector({4, 10, 18}));
-  EXPECT_TRUE(T::div(b, a).all_close(T::Tensor::vector({4.0f, 2.5f, 2.0f})));
 }
 
 TEST(TensorOps, ShapeMismatchThrows) {
@@ -132,7 +131,6 @@ TEST(TensorOps, Reductions) {
   EXPECT_FLOAT_EQ(T::max_all(a), 6.0f);
   EXPECT_TRUE(T::sum_rows(a).all_close(T::Tensor::vector({5, 7, 9})));
   EXPECT_TRUE(T::mean_rows(a).all_close(T::Tensor::vector({2.5f, 3.5f, 4.5f})));
-  EXPECT_TRUE(T::mean_cols(a).all_close(T::Tensor::vector({2.0f, 5.0f})));
 }
 
 TEST(TensorOps, DotNormCosine) {

@@ -96,22 +96,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
 }
 
-TEST(Rng, ForksAreIndependentOfConsumption) {
-  Rng a(7), b(7);
-  // Consume a's stream before forking; forks must still match.
-  for (int i = 0; i < 50; ++i) a.next_u64();
-  Rng fa = a.fork();
-  Rng fb = b.fork();
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(fa.next_u64(), fb.next_u64());
-}
-
-TEST(Rng, SuccessiveForksDiffer) {
-  Rng rng(8);
-  Rng f1 = rng.fork();
-  Rng f2 = rng.fork();
-  EXPECT_NE(f1.next_u64(), f2.next_u64());
-}
-
 TEST(Rng, ShuffleIsAPermutation) {
   Rng rng(9);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
@@ -129,17 +113,6 @@ TEST(Rng, SampleWithoutReplacementDistinct) {
   EXPECT_EQ(unique.size(), 10u);
   for (std::size_t v : sample) EXPECT_LT(v, 30u);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), reffil::Error);
-}
-
-TEST(Rng, CategoricalFollowsWeights) {
-  Rng rng(11);
-  std::vector<double> weights{1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 8000; ++i) ++counts[rng.categorical(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[2] / 8000.0, 0.75, 0.03);
-  EXPECT_THROW(rng.categorical({}), reffil::Error);
-  EXPECT_THROW(rng.categorical({0.0, 0.0}), reffil::Error);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
@@ -162,15 +135,11 @@ TEST(ByteBuffer, PodRoundTrip) {
   ByteWriter writer;
   writer.write_u32(0xDEADBEEF);
   writer.write_u64(1ULL << 60);
-  writer.write_i64(-42);
-  writer.write_f32(3.25f);
   writer.write_f64(-2.5);
   const auto bytes = writer.bytes();
   ByteReader reader(bytes);
   EXPECT_EQ(reader.read_u32(), 0xDEADBEEFu);
   EXPECT_EQ(reader.read_u64(), 1ULL << 60);
-  EXPECT_EQ(reader.read_i64(), -42);
-  EXPECT_FLOAT_EQ(reader.read_f32(), 3.25f);
   EXPECT_DOUBLE_EQ(reader.read_f64(), -2.5);
   EXPECT_TRUE(reader.exhausted());
 }

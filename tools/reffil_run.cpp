@@ -18,7 +18,7 @@
 //   --des SPEC        discrete-event federation, comma-separated key=value
 //                     pairs (registered=N,sample=N,offline=P,diurnal=S,
 //                     churn=R,rejoin=S,straggler=P,straggler_latency=S,
-//                     compute=S,jitter=S,interval=S,shards=N) — see
+//                     compute=S,jitter=S,interval=S) — see
 //                     fed/scheduler.hpp. E.g. a million-client federation
 //                     sampling 10k participants per round:
 //                       --des registered=1000000,sample=10000
