@@ -96,8 +96,13 @@ struct RoundStats {
   std::uint32_t dropped = 0;   ///< of which lost to the dropout simulation
   std::uint64_t bytes_down = 0;
   std::uint64_t bytes_up = 0;
-  double train_seconds = 0.0;      ///< wall time of the parallel client block
-  double aggregate_seconds = 0.0;  ///< server-side aggregation wall time
+  /// Wall time of the round's client window: training plus the streamed
+  /// folds that run inside it.
+  double train_seconds = 0.0;
+  /// Wall time after the window: the sink's finish() or the buffered
+  /// aggregate(). The two never count the same time, so their sum is the
+  /// round's train-and-fold latency (the monitor's round latency and SLO).
+  double aggregate_seconds = 0.0;
   // Transport-fault, message and raw-equivalent accounting: see NetworkStats.
   std::uint32_t quarantined = 0;
   std::uint32_t retries = 0;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <variant>
 
@@ -20,18 +22,74 @@ namespace reffil::fed {
 
 namespace {
 
-// Runs train(i, slot) for every client i in [0, count) on up to `slots`
-// concurrent worker slots; a slot runs one client at a time, so each replica
-// serves exactly one concurrent client. Slots pull the next untrained client
-// as they free up instead of taking a fixed round-robin share, so a slot
-// handed small clients does not idle while another works through large ones.
-// train_client's result does not depend on the slot, so neither does the run.
-void train_on_slots(util::ThreadPool& pool, std::size_t count,
-                    std::size_t slots,
-                    const std::function<void(std::size_t, std::size_t)>& train) {
-  std::atomic<std::size_t> next{0};
+// Trains and folds one round's `work.size()` clients on up to `slots`
+// concurrent worker slots (a slot runs one client at a time, so each replica
+// serves exactly one concurrent client). Slots start clients only inside the
+// window [cursor, cursor + window), where cursor is the first client not yet
+// folded, so at most `window` payloads are alive at once: the ones in
+// training plus the ones trained but not yet folded. Within the window a free
+// slot starts the untrained client with the most work, ties to the lower
+// index (Graham's largest-first rule), so no slot is left running one large
+// client at the end. fold(i) runs strictly in index order, one at a time, on
+// whichever slot completes the update at the cursor, while the other slots
+// keep training. A throwing train or fold wakes every waiting slot and
+// propagates out. train_client's result does not depend on the slot, and the
+// fold order is fixed, so neither does the run.
+void train_and_fold(util::ThreadPool& pool, std::size_t slots,
+                    std::size_t window, const std::vector<std::size_t>& work,
+                    const std::function<void(std::size_t, std::size_t)>& train,
+                    const std::function<void(std::size_t)>& fold) {
+  const std::size_t count = work.size();
+  std::mutex mutex;
+  std::condition_variable moved;  // the cursor advanced, or a slot failed
+  std::vector<char> started(count, 0), done(count, 0);
+  std::size_t cursor = 0, unstarted = count;
+  bool failed = false;
+  const auto fail = [&](std::unique_lock<std::mutex>& lock) {
+    lock.lock();
+    failed = true;
+    moved.notify_all();
+  };
   pool.parallel_for(std::min(slots, count), [&](std::size_t slot) {
-    for (std::size_t i = next++; i < count; i = next++) train(i, slot);
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      std::size_t next = count;
+      moved.wait(lock, [&] {
+        const std::size_t end = std::min(count, cursor + window);
+        for (std::size_t i = cursor; i < end; ++i) {
+          if (!started[i] && (next == count || work[i] > work[next])) next = i;
+        }
+        return failed || unstarted == 0 || next != count;
+      });
+      if (failed || next == count) return;
+      started[next] = 1;
+      --unstarted;
+      lock.unlock();
+      try {
+        train(next, slot);
+      } catch (...) {
+        fail(lock);
+        throw;
+      }
+      lock.lock();
+      done[next] = 1;
+      // The slot that completes the update at the cursor folds it, then
+      // every update after it that is already done.
+      if (next != cursor) continue;
+      while (!failed && cursor < count && done[cursor]) {
+        const std::size_t i = cursor;
+        lock.unlock();
+        try {
+          fold(i);
+        } catch (...) {
+          fail(lock);
+          throw;
+        }
+        lock.lock();
+        ++cursor;
+        moved.notify_all();
+      }
+    }
   });
 }
 
@@ -360,140 +418,138 @@ RunResult FederatedRunner::run(Method& method) {
             return a.upload_delay_s < b.upload_delay_s;
           });
 
-      // Fold policy. DES rounds train in waves of 4 x parallelism and stream
-      // each update into one running sum as it arrives, so payloads die
-      // with their wave and server memory stays O(wave x payload + model)
-      // however large the cohort. Dense rounds train the whole cohort as
-      // one wave and fold it with the buffered aggregate(), which keeps
-      // federated_average's summation order. A method without a sink
+      // Fold policy. Every round trains its cohort through one window
+      // (train_and_fold): 4 x parallelism clients under DES, the whole cohort
+      // when dense. DES rounds stream each update into one running sum as
+      // the fold reaches it, so payloads die once folded and server memory
+      // stays O(window x payload + model) however large the cohort. Dense
+      // rounds fold with the buffered aggregate() after the window, which
+      // keeps federated_average's summation order. A method without a sink
       // buffers in either mode.
       std::unique_ptr<AggregationSink> sink;
       if (des) {
         sink = method.begin_streaming_aggregate(1);
       }
       const std::size_t cohort = plan.participants.size();
-      const std::size_t wave_size =
+      const std::size_t window =
           des ? std::max<std::size_t>(1, parallelism_) * 4 : cohort;
-      std::vector<ClientUpdate> buffered;
-      std::vector<std::size_t> folded;  // clients whose update was folded
-      double aggregate_seconds = 0.0;
-      obs::prof::Span round_span("fed.train_round", obs::prof::Task{at.task});
-      for (std::size_t begin = 0; begin < cohort; begin += wave_size) {
-        const std::size_t count = std::min(cohort - begin, wave_size);
-        const ClientAssignment* const wave = plan.participants.data() + begin;
-        std::vector<ClientUpdate> updates(count);
-        std::vector<double> client_seconds(count, 0.0);
-        std::vector<std::size_t> slots(count);
-
-        const auto wave_start = std::chrono::steady_clock::now();
-        train_on_slots(pool, count, parallelism_,
-                       [&](std::size_t i, std::size_t slot) {
-          slots[i] = slot;
-          const ClientAssignment& assignment = wave[i];
-          TrainJob job;
-          job.worker_slot = slot;
-          job.client_id = assignment.client_id;
-          job.task = task;
-          job.round = round;
-          job.total_rounds = spec.rounds_per_task;
-          job.group = assignment.group;
-          job.local_epochs = spec.local_epochs;
-          job.learning_rate = spec.learning_rate;
-          if (task == 0 || assignment.group != ClientGroup::kOld) {
-            job.new_data = &shards[task][assignment.shard];
-          }
-          if (task > 0 && assignment.group != ClientGroup::kNew) {
-            job.old_data = &shards[task - 1][assignment.shard];
-          }
-          const auto client_start = std::chrono::steady_clock::now();
-          {
-            obs::prof::Span client_span("fed.client", obs::prof::Task{at.task});
-            updates[i] = method.train_client(broadcast, job);
-            client_span.set_value(updates[i].payload.size());
-          }
-          updates[i].client_id = assignment.client_id;
-          client_seconds[i] = seconds_since(client_start);
-        });
-        round_stats.train_seconds += seconds_since(wave_start);
-
-        // Uplink: meter each update — through the fault transport when
-        // armed — and fold the survivors. The client_train record carries
-        // the metered wire bytes of every attempt.
-        for (std::size_t i = 0; i < count; ++i) {
-          const ClientAssignment& assignment = wave[i];
-          // Raw equivalent BEFORE the transport can damage/replace the
-          // payload — the logical content is what the client produced.
-          ClientTrain trained{
-              .at = at,
-              .client = assignment.client_id,
-              .shard = assignment.shard,
-              .group = to_string(assignment.group),
-              .slot = slots[i],
-              .wall_s = client_seconds[i],
-              .sim_start_s = assignment.upload_delay_s,
-              .samples = updates[i].num_samples,
-              .bytes_up = updates[i].payload.size(),
-              .bytes_up_raw_equiv = raw_equiv_bytes(updates[i].payload)};
-          bool delivered = true;
-          if (faults_armed) {
-            Transport::Delivery d =
-                transport->send_update(updates[i].payload, update_validator,
-                                       assignment.upload_delay_s);
-            trained.bytes_up = d.bytes_transmitted;
-            count_retries(d, assignment.client_id, "up");
-            switch (d.outcome) {
-              case Transport::Outcome::kDelivered:
-                // A poisoned-at-source payload that still validated is
-                // delivered as the damaged bytes the server actually saw.
-                if (!d.payload.empty()) {
-                  updates[i].payload = std::move(d.payload);
-                }
-                break;
-              case Transport::Outcome::kTimedOut:
-                delivered = false;
-                record(round_stats,
-                       Timeout{at, assignment.client_id, "up", d.reason});
-                break;
-              case Transport::Outcome::kQuarantined:
-                delivered = false;
-                record(round_stats,
-                       Quarantine{at, assignment.client_id, d.reason});
-                break;
-            }
-          }
-          record(round_stats, trained);
-          client_time.observe(trained.wall_s);
-          if (!delivered) continue;
-          if (monitor != nullptr) {
-            // Feed the drift detector the norm of what the server will
-            // aggregate (post-transport bytes). Read-only, so the training
-            // path is untouched with or without a monitor.
-            if (const auto norm = update_state_l2_norm(updates[i].payload)) {
-              norm_acc.add(*norm);
-            }
-          }
-          if (!sink) {
-            buffered.push_back(std::move(updates[i]));
-            folded.push_back(assignment.client_id);
-            continue;
-          }
-          const auto add_start = std::chrono::steady_clock::now();
-          try {
-            sink->add(updates[i]);
-            folded.push_back(assignment.client_id);
-          } catch (const Error& e) {
-            // Only the armed transport delivers bytes the server did not
-            // produce. Such a frame can validate and still carry extras the
-            // streaming decode rejects: quarantine that update, not the
-            // round.
-            if (!faults_armed) throw;
-            const std::string reason =
-                std::string("aggregation rejected: ") + e.what();
-            record(round_stats, Quarantine{at, assignment.client_id, reason});
-          }
-          aggregate_seconds += seconds_since(add_start);
+      std::vector<TrainJob> jobs(cohort);
+      std::vector<std::size_t> work(cohort);  // samples in the client's shards
+      for (std::size_t i = 0; i < cohort; ++i) {
+        const ClientAssignment& assignment = plan.participants[i];
+        TrainJob& job = jobs[i];
+        job.client_id = assignment.client_id;
+        job.task = task;
+        job.round = round;
+        job.total_rounds = spec.rounds_per_task;
+        job.group = assignment.group;
+        job.local_epochs = spec.local_epochs;
+        job.learning_rate = spec.learning_rate;
+        if (task == 0 || assignment.group != ClientGroup::kOld) {
+          job.new_data = &shards[task][assignment.shard];
+          work[i] += job.new_data->size();
+        }
+        if (task > 0 && assignment.group != ClientGroup::kNew) {
+          job.old_data = &shards[task - 1][assignment.shard];
+          work[i] += job.old_data->size();
         }
       }
+      std::vector<ClientUpdate> updates(cohort);
+      std::vector<double> client_seconds(cohort, 0.0);
+      std::vector<ClientUpdate> buffered;
+      std::vector<std::size_t> folded;  // clients whose update was folded
+
+      const auto train = [&](std::size_t i, std::size_t slot) {
+        jobs[i].worker_slot = slot;
+        const auto client_start = std::chrono::steady_clock::now();
+        {
+          obs::prof::Span client_span("fed.client", obs::prof::Task{at.task});
+          updates[i] = method.train_client(broadcast, jobs[i]);
+          client_span.set_value(updates[i].payload.size());
+        }
+        updates[i].client_id = jobs[i].client_id;
+        client_seconds[i] = seconds_since(client_start);
+      };
+      // Uplink, in plan order: meter each update — through the fault
+      // transport when armed — and fold the survivors. The client_train
+      // record carries the metered wire bytes of every attempt. A folded or
+      // lost payload is released at once.
+      const auto fold = [&](std::size_t i) {
+        const ClientAssignment& assignment = plan.participants[i];
+        ClientUpdate update = std::move(updates[i]);
+        // Raw equivalent BEFORE the transport can damage/replace the
+        // payload — the logical content is what the client produced.
+        ClientTrain trained{.at = at,
+                            .client = assignment.client_id,
+                            .shard = assignment.shard,
+                            .group = to_string(assignment.group),
+                            .slot = jobs[i].worker_slot,
+                            .wall_s = client_seconds[i],
+                            .sim_start_s = assignment.upload_delay_s,
+                            .samples = update.num_samples,
+                            .bytes_up = update.payload.size(),
+                            .bytes_up_raw_equiv =
+                                raw_equiv_bytes(update.payload)};
+        bool delivered = true;
+        if (faults_armed) {
+          Transport::Delivery d = transport->send_update(
+              update.payload, update_validator, assignment.upload_delay_s);
+          trained.bytes_up = d.bytes_transmitted;
+          count_retries(d, assignment.client_id, "up");
+          switch (d.outcome) {
+            case Transport::Outcome::kDelivered:
+              // A poisoned-at-source payload that still validated is
+              // delivered as the damaged bytes the server actually saw.
+              if (!d.payload.empty()) update.payload = std::move(d.payload);
+              break;
+            case Transport::Outcome::kTimedOut:
+              delivered = false;
+              record(round_stats,
+                     Timeout{at, assignment.client_id, "up", d.reason});
+              break;
+            case Transport::Outcome::kQuarantined:
+              delivered = false;
+              record(round_stats,
+                     Quarantine{at, assignment.client_id, d.reason});
+              break;
+          }
+        }
+        record(round_stats, trained);
+        client_time.observe(trained.wall_s);
+        if (!delivered) return;
+        if (monitor != nullptr) {
+          // Feed the drift detector the norm of what the server will
+          // aggregate (post-transport bytes). Read-only, so the training
+          // path is untouched with or without a monitor.
+          if (const auto norm = update_state_l2_norm(update.payload)) {
+            norm_acc.add(*norm);
+          }
+        }
+        if (!sink) {
+          buffered.push_back(std::move(update));
+          folded.push_back(assignment.client_id);
+          return;
+        }
+        try {
+          sink->add(update);
+          folded.push_back(assignment.client_id);
+        } catch (const Error& e) {
+          // Only the armed transport delivers bytes the server did not
+          // produce. Such a frame can validate and still carry extras the
+          // streaming decode rejects: quarantine that update, not the round.
+          if (!faults_armed) throw;
+          const std::string reason =
+              std::string("aggregation rejected: ") + e.what();
+          record(round_stats, Quarantine{at, assignment.client_id, reason});
+        }
+      };
+
+      obs::prof::Span round_span("fed.train_round", obs::prof::Task{at.task});
+      const auto window_start = std::chrono::steady_clock::now();
+      train_and_fold(pool, parallelism_, window, work, train, fold);
+      // Streamed folds ran inside the window, so they count here only:
+      // train_seconds + aggregate_seconds stays a partition of the round.
+      round_stats.train_seconds = seconds_since(window_start);
       round_span.finish();
       train_time.observe(round_stats.train_seconds);
 
@@ -527,12 +583,13 @@ RunResult FederatedRunner::run(Method& method) {
             record(round_stats, Quarantine{at, client, reason});
           }
         }
-        aggregate_seconds += seconds_since(agg_start);
+        // The time after the window: streamed adds already count as train.
+        round_stats.aggregate_seconds = seconds_since(agg_start);
       }
-      round_stats.aggregate_seconds = aggregate_seconds;
       aggregate_time.observe(round_stats.aggregate_seconds);
       if (aggregated) {
-        record(round_stats, Aggregate{at, folded.size(), aggregate_seconds});
+        record(round_stats,
+               Aggregate{at, folded.size(), round_stats.aggregate_seconds});
       }
       commit_round(aggregated ? nullptr
                               : "aggregation rejected the surviving updates");
