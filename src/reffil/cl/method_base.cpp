@@ -326,9 +326,10 @@ bool MethodBase::validate_update_extras(util::ByteReader& reader,
 
 fed::UpdateValidator MethodBase::update_validator() const {
   if (compress_.enabled()) {
-    // Compressed rounds carry delta frames: the allocation-free structural
-    // walk replaces the full f32 decode, then the extras checks run the
-    // same as always (exact consumption included).
+    // Compressed rounds carry delta frames: the same strict walk the fold
+    // runs (no per-tensor allocation) replaces the full f32 decode, then
+    // the extras checks run the same as always (exact consumption
+    // included).
     return [this](const std::vector<std::uint8_t>& payload,
                   std::string* reason) {
       util::ByteReader reader(payload);

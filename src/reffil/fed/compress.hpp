@@ -39,12 +39,13 @@
 // Method extras (prompt groups, EWC fisher, ...) follow the frame
 // uncompressed, exactly as they follow an uncompressed state.
 //
-// Every decoder here mirrors the deserialize_state hostile-frame hardening:
-// claimed counts are bounded by the bytes actually remaining BEFORE any
-// allocation, indices are range- and order-checked, and scales/halves must
-// be finite (decoded states uphold Tensor::deserialize's finiteness
-// contract). validate_delta_frame() performs the same walk allocation-free
-// for the transport validator.
+// One strict walker in compress.cpp is the only reader of this format, and
+// it mirrors the deserialize_state hostile-frame hardening: claimed counts
+// are bounded by the bytes actually remaining BEFORE any allocation, indices
+// are range- and order-checked, and scales/halves must be finite (decoded
+// states uphold Tensor::deserialize's finiteness contract). The broadcast
+// decode, the transport validator, the fold and the raw-byte meter are its
+// visitors, so all four accept exactly the same frames.
 #pragma once
 
 #include <cstdint>
@@ -118,24 +119,28 @@ void encode_delta(ModelState& delta, const CompressionConfig& config,
 /// Fold `weight` times the delta frame at `reader` into `acc` (shapes must
 /// match) without materializing the dequantized update: dense q8 tensors
 /// stream through the dispatched q8_axpy, top-k entries scatter-accumulate.
-/// The frame is structurally validated in full BEFORE any accumulation, so
-/// a throw (SerializationError/ShapeError — the streaming sink's quarantine
-/// path) leaves `acc` untouched. Consumes exactly the frame, leaving the
-/// reader at the method extras.
+/// One walk checks the whole frame (everything validate_delta_frame checks,
+/// plus every shape against `acc`) BEFORE any accumulation, so a throw
+/// (SerializationError — the streaming sink's quarantine path) leaves `acc`
+/// untouched. Consumes exactly the frame, leaving the reader at the method
+/// extras.
 void accumulate_delta(util::ByteReader& reader, float weight, ModelState& acc);
 
-/// Allocation-free structural walk of a delta frame for the transport
-/// validator: magic/codec/kind, per-tensor bounds vs. the bytes actually
-/// remaining, finite scales/halves, ordered in-range top-k indices. Leaves
-/// the reader positioned after the frame (method extras) on success; never
+/// The transport validator's check of a delta frame: the strict walk with
+/// nothing done per tensor, so it allocates nothing for the frame — magic/
+/// codec/kind, per-tensor bounds vs. the bytes actually remaining, finite
+/// scales/halves, ordered in-range top-k indices. Accepts exactly the frames
+/// accumulate_delta folds into a model of the frame's shapes. Leaves the
+/// reader positioned after the frame (method extras) on success; never
 /// throws.
 bool validate_delta_frame(util::ByteReader& reader, std::string* reason);
 
 /// The f32-serialized byte count the payload's logical content would have
 /// cost uncompressed: payload.size() for uncompressed payloads; for
-/// compressed frames, the raw state size implied by the headers plus the
-/// trailing extras bytes. A pure header walk — never allocates, and returns
-/// payload.size() for frames it cannot parse.
+/// compressed frames (state or delta), the raw state size implied by the
+/// tensor headers plus the trailing extras bytes. Runs the same strict walk
+/// as the decoders — allocates nothing for the frame's content, and returns
+/// payload.size() for any frame that walk rejects.
 std::uint64_t raw_equiv_bytes(const std::vector<std::uint8_t>& payload);
 
 }  // namespace reffil::fed

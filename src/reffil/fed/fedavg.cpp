@@ -56,11 +56,7 @@ std::size_t serialized_size(const ModelState& state) {
 }
 
 ModelState deserialize_state(util::ByteReader& reader) {
-  return deserialize_state_counted(reader, reader.read_u64());
-}
-
-ModelState deserialize_state_counted(util::ByteReader& reader,
-                                     std::uint64_t n) {
+  const std::uint64_t n = reader.read_u64();
   if (n > 1'000'000) throw SerializationError("implausible state tensor count");
   // The smallest serialized tensor is rank u64 + data-length u64, so any
   // count a valid payload can carry is bounded by remaining/16. Checking

@@ -30,13 +30,6 @@ ModelState deserialize_state(util::ByteReader& reader);
 /// so broadcast/update frames are written into one allocation.
 std::size_t serialized_size(const ModelState& state);
 
-/// The body of deserialize_state after the leading tensor count has already
-/// been consumed (same bounds checks). Exists so deserialize_state_any
-/// (fed/compress.hpp) can read the first u64, branch on the compressed-frame
-/// magic, and fall through to the uncompressed decode without rewinding.
-ModelState deserialize_state_counted(util::ByteReader& reader,
-                                     std::uint64_t count);
-
 /// Server-side sanity check of one inbound update payload before it reaches
 /// aggregation: the payload must be EXACTLY one decodable, non-empty,
 /// all-finite ModelState — trailing undecoded bytes fail validation, so a

@@ -447,6 +447,35 @@ TEST(CompressHostile, BadCodecOrKindBytesAreRejected) {
 TEST(CompressHostile, FuzzedFramesNeverCrash) {
   // Same discipline as serialization_fuzz_test: truncations and byte
   // corruptions of valid compressed frames parse or throw a typed Error.
+  // The validator and the fold also agree on every mutant: a frame the
+  // fold accepts passes the validator, and a frame the validator rejects
+  // makes the fold throw with the accumulator left bit-identical.
+  const auto validator_and_fold_agree =
+      [](const std::vector<std::uint8_t>& mutant) {
+        util::ByteReader vreader(mutant);
+        std::string reason;
+        const bool valid = fed::validate_delta_frame(vreader, &reason);
+        fed::ModelState acc = sample_state(29);
+        const fed::ModelState before = acc;
+        util::ByteReader areader(mutant);
+        bool folded = true;
+        try {
+          fed::accumulate_delta(areader, 1.0f, acc);
+        } catch (const Error&) {
+          folded = false;
+        }
+        if (folded) {
+          EXPECT_TRUE(valid) << "fold accepted a frame the validator rejects";
+          return;
+        }
+        if (valid) return;  // e.g. a corrupted dim the validator cannot see
+        for (std::size_t t = 0; t < acc.size(); ++t) {
+          EXPECT_EQ(std::memcmp(acc[t].begin(), before[t].begin(),
+                                acc[t].numel() * sizeof(float)),
+                    0)
+              << "rejected frame changed accumulator tensor " << t;
+        }
+      };
   util::Rng rng(23);
   for (const auto codec : {fed::Codec::kF16, fed::Codec::kQ8}) {
     const auto state_bytes = encode_state_bytes(sample_state(29), codec);
@@ -467,9 +496,7 @@ TEST(CompressHostile, FuzzedFramesNeverCrash) {
           fed::deserialize_state_any(reader);
         } catch (const Error&) {
         }
-        std::string reason;
-        util::ByteReader vreader(mutant);
-        fed::validate_delta_frame(vreader, &reason);  // must not throw
+        validator_and_fold_agree(mutant);  // the validator must not throw
       }
       for (int trial = 0; trial < 200; ++trial) {
         std::vector<std::uint8_t> mutant = base;
@@ -481,12 +508,7 @@ TEST(CompressHostile, FuzzedFramesNeverCrash) {
           fed::deserialize_state_any(reader);
         } catch (const Error&) {
         }
-        fed::ModelState acc = sample_state(29);
-        util::ByteReader areader(mutant);
-        try {
-          fed::accumulate_delta(areader, 1.0f, acc);
-        } catch (const Error&) {
-        }
+        validator_and_fold_agree(mutant);
       }
     }
   }
@@ -574,6 +596,37 @@ TEST(CompressAccounting, RawEquivMatchesUncompressedSize) {
   EXPECT_EQ(fed::raw_equiv_bytes(plain), plain.size());
   const std::vector<std::uint8_t> garbage = {0x52, 0x46, 0x46};
   EXPECT_EQ(fed::raw_equiv_bytes(garbage), garbage.size());
+  // Delta frames meter as the same-shaped f32 state, and the extras that
+  // follow the frame count at face value.
+  const std::vector<std::uint8_t> extras = {9, 8, 7, 6, 5};
+  for (const char* spec : {"f16", "q8", "f16,topk=0.25", "q8,topk=0.25"}) {
+    fed::ModelState delta = state;
+    util::ByteWriter dw;
+    fed::encode_delta(delta, fed::CompressionConfig::parse(spec), dw);
+    for (const std::uint8_t b : extras) dw.write_pod(b);
+    EXPECT_EQ(fed::raw_equiv_bytes(dw.bytes()), raw_size + extras.size())
+        << spec;
+  }
+  // An index length whose byte count wraps u64 (2^62 * 4 == 0) must not
+  // shorten the walk: the frame is rejected and meters at face value.
+  util::ByteWriter w;
+  w.write_u64(fed::kQuantMagic);
+  w.write_pod<std::uint8_t>(2);         // codec q8
+  w.write_pod<std::uint8_t>(1);         // kind delta
+  w.write_u64(1);                       // one tensor
+  w.write_u64(1);                       // rank
+  w.write_u64(8);                       // dim
+  w.write_pod<std::uint8_t>(1);         // mode top-k
+  w.write_u64(3);                       // k
+  w.write_u64(std::uint64_t{1} << 62);  // index length
+  w.write_u64(0);                       // scale length
+  w.write_u64(0);                       // q length
+  const auto wrapped = w.take();
+  ASSERT_EQ(wrapped.size(), 67u);
+  util::ByteReader vreader(wrapped);
+  std::string reason;
+  EXPECT_FALSE(fed::validate_delta_frame(vreader, &reason));
+  EXPECT_EQ(fed::raw_equiv_bytes(wrapped), wrapped.size());
 }
 
 TEST(CompressAccounting, CacheRoundTripsCompressionFields) {

@@ -4,6 +4,7 @@
 // per-event byte totals reconcile exactly with RunResult::network.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -487,6 +488,16 @@ TEST(ObsTrace, SigtermMidRunLeavesParseableTrace) {
     for (;;) ::pause();
   }
   ::close(ready[1]);
+  // A child that never reports readiness (a fork taken while other threads
+  // of this process held locks the child then needs) fails the test instead
+  // of blocking it forever.
+  pollfd ready_poll{ready[0], POLLIN, 0};
+  if (::poll(&ready_poll, 1, 60'000) != 1) {
+    ::close(ready[0]);
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    FAIL() << "forked child did not report readiness within 60 s";
+  }
   char byte = 0;
   ASSERT_EQ(::read(ready[0], &byte, 1), 1);
   ::close(ready[0]);
