@@ -133,11 +133,12 @@ std::size_t plan_offsets(std::vector<PlanBlock>& blocks) {
 
 bool detail::capture_active() { return g_ctx != nullptr; }
 
-void detail::track_node(const Var& node, const std::vector<Var>& parents) {
+void detail::track_node(const Var& node, std::span<const Var> parents) {
   Context* ctx = g_ctx.get();
   if (ctx == nullptr) return;
   ctx->index.emplace(node.get(), ctx->nodes.size());
-  ctx->nodes.push_back(PendingNode{node, parents, {}});
+  ctx->nodes.push_back(
+      PendingNode{node, std::vector<Var>(parents.begin(), parents.end()), {}});
   ctx->unrecorded.insert(node.get());
 }
 
@@ -163,7 +164,7 @@ void detail::attach_forward(const Var& node, std::function<void()> forward) {
   ctx->unrecorded.erase(node.get());
 }
 
-void detail::on_backward(const Var& root, const std::vector<Node*>& order) {
+void detail::on_backward(const Var& root, std::span<Node* const> order) {
   Context* ctx = g_ctx.get();
   if (ctx == nullptr) return;
   if (ctx->backward_root != nullptr) {
@@ -172,7 +173,7 @@ void detail::on_backward(const Var& root, const std::vector<Node*>& order) {
     return;
   }
   ctx->backward_root = root;
-  ctx->backward_order = order;
+  ctx->backward_order.assign(order.begin(), order.end());
 }
 
 bool capturing() { return g_ctx != nullptr; }

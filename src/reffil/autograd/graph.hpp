@@ -52,6 +52,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -168,9 +169,9 @@ void record_labels(const std::shared_ptr<std::vector<std::size_t>>& labels,
 namespace detail {
 bool capture_active();
 /// make_node hook: remember the node and a keep-alive copy of its parents.
-void track_node(const Var& node, const std::vector<Var>& parents);
+void track_node(const Var& node, std::span<const Var> parents);
 /// backward() hook: remember the root and its topological order.
-void on_backward(const Var& root, const std::vector<Node*>& order);
+void on_backward(const Var& root, std::span<Node* const> order);
 /// Attach the forward closure to the most recently tracked node.
 void attach_forward(const Var& node, std::function<void()> forward);
 /// Track a node that was built outside make_node (graph::input, detach).

@@ -1,6 +1,7 @@
 #include "reffil/autograd/variable.hpp"
 
 #include <algorithm>
+#include <memory_resource>
 #include <unordered_map>
 #include <utility>
 
@@ -120,13 +121,21 @@ struct DeferredFold {
   }
 };
 
+/// Memory for a sweep's own bookkeeping: a per-thread pool, so the sweeps
+/// of a training loop reuse it instead of allocating per swept node.
+std::pmr::memory_resource* sweep_memory() {
+  thread_local std::pmr::unsynchronized_pool_resource pool;
+  return &pool;
+}
+
 /// This thread's current backward() sweep.
 struct Sweep {
   /// Per swept node, how many edges of swept consumers point at it: the
   /// uses whose folds it waits for.
-  std::unordered_map<const Node*, std::uint32_t> consumers;
-  std::vector<DeferredFold> folds;  ///< in the order the sweep made them
-  const Node* running = nullptr;    ///< the node whose closure is running
+  std::pmr::unordered_map<const Node*, std::uint32_t> consumers{sweep_memory()};
+  /// The queued folds, in the order the sweep made them.
+  std::pmr::vector<DeferredFold> folds{sweep_memory()};
+  const Node* running = nullptr;  ///< the node whose closure is running
 };
 thread_local Sweep* tls_sweep = nullptr;
 
@@ -142,11 +151,11 @@ thread_local std::uint64_t tls_build_seq = 0;
 /// last first. One use is one accumulate_grad over its blocks; several are
 /// first gathered into one buffer with the first contribution in the last
 /// block, since accumulate_grad(g, count) adds block count-1 first.
-void commit_folds(std::vector<DeferredFold>& folds, Node* node) {
+void commit_folds(std::pmr::vector<DeferredFold>& folds, Node* node) {
   const auto is_node = [node](const DeferredFold& f) { return f.node == node; };
   const auto first = std::find_if(folds.begin(), folds.end(), is_node);
   if (first == folds.end()) return;
-  std::vector<const DeferredFold*> uses;
+  std::pmr::vector<const DeferredFold*> uses(sweep_memory());
   std::size_t count = 0;
   for (auto it = first; it != folds.end(); ++it) {
     if (it->node != node) continue;
@@ -162,7 +171,8 @@ void commit_folds(std::vector<DeferredFold>& folds, Node* node) {
                      });
     const std::size_t size = node->value().numel();
     tensor::pool::Scratch merged({count, size}, /*zero=*/false);
-    std::vector<std::size_t> left(uses.size());  // blocks not yet placed
+    // Per use, the blocks not yet placed.
+    std::pmr::vector<std::size_t> left(uses.size(), sweep_memory());
     for (std::size_t u = 0; u < uses.size(); ++u) left[u] = uses[u]->n;
     for (std::size_t slot = count; slot > 0;) {
       std::size_t sample = 0;
@@ -277,9 +287,11 @@ Node::Node(tensor::Shape shape, bool requires_grad)
       value_(std::move(value_storage_->tensor())),
       requires_grad_(requires_grad) {}
 
-Var make_node(tensor::Shape shape, std::vector<Var> parents,
+Var make_node(tensor::Shape shape, std::initializer_list<Var> parents,
               std::function<void(const tensor::Tensor&)> backward_fn,
               const char* op_name) {
+  REFFIL_CHECK_MSG(parents.size() <= Node::kMaxParents,
+                   "make_node: more parents than a node holds");
   bool needs_grad = false;
   for (const auto& p : parents) needs_grad = needs_grad || p->requires_grad();
   auto node = graph::detail::capture_active()
@@ -293,7 +305,8 @@ Var make_node(tensor::Shape shape, std::vector<Var> parents,
   node->sample_subset_ = tls_subset;
   node->seq_ = ++tls_build_seq;
   if (needs_grad) {
-    node->set_parents(std::move(parents));
+    std::copy(parents.begin(), parents.end(), node->parents_.begin());
+    node->num_parents_ = parents.size();
     node->set_backward(std::move(backward_fn));
     node->set_op(op_name);
   }
@@ -304,13 +317,13 @@ namespace {
 // Iterative post-order DFS producing a topological order (parents before
 // children in the returned list, so we sweep it in reverse).
 // `consumers` counts, per node, the edges pointing at it.
-void topo_sort(const Var& root, std::vector<Node*>& order,
-               std::unordered_map<const Node*, std::uint32_t>& consumers) {
+void topo_sort(const Var& root, std::pmr::vector<Node*>& order,
+               std::pmr::unordered_map<const Node*, std::uint32_t>& consumers) {
   struct Frame {
     Node* node;
     std::size_t next_parent;
   };
-  std::vector<Frame> stack;
+  std::pmr::vector<Frame> stack(sweep_memory());
   stack.push_back({root.get(), 0});
   consumers.emplace(root.get(), 0);
   while (!stack.empty()) {
@@ -343,7 +356,7 @@ void backward(const Var& root) {
 
   obs::prof::Span sweep_span("ag.backward");
   Sweep sweep;
-  std::vector<Node*> order;
+  std::pmr::vector<Node*> order(sweep_memory());
   topo_sort(root, order, sweep.consumers);
   const bool capturing = graph::detail::capture_active();
   if (capturing) graph::detail::on_backward(root, order);

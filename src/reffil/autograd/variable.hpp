@@ -12,10 +12,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "reffil/tensor/pool.hpp"
@@ -28,6 +31,9 @@ using Var = std::shared_ptr<Node>;
 
 class Node {
  public:
+  /// The most parent edges an op gives its node; they are held inline.
+  static constexpr std::size_t kMaxParents = 3;
+
   Node(tensor::Tensor value, bool requires_grad)
       : value_(std::move(value)), requires_grad_(requires_grad) {}
 
@@ -103,8 +109,9 @@ class Node {
   void mark_swept() { swept_ = true; }
 
   // --- graph wiring (used by the op library) ---------------------------------
-  void set_parents(std::vector<Var> parents) { parents_ = std::move(parents); }
-  const std::vector<Var>& parents() const { return parents_; }
+  /// The nodes this one's backward closure adds into (none when the node
+  /// needs no gradient).
+  std::span<const Var> parents() const { return {parents_.data(), num_parents_}; }
 
   /// backward_fn(out_grad) must add this node's contribution into each
   /// parent via parent->accumulate_grad(...).
@@ -133,7 +140,7 @@ class Node {
 
  private:
   friend void backward(const Var& root);
-  friend Var make_node(tensor::Shape, std::vector<Var>,
+  friend Var make_node(tensor::Shape, std::initializer_list<Var>,
                        std::function<void(const tensor::Tensor&)>, const char*);
   /// accumulate_grad past the sweep's queue.
   void add_grad(const tensor::Tensor& g, std::size_t samples);
@@ -160,7 +167,8 @@ class Node {
   bool swept_ = false;
   bool parameter_ = false;
   bool requires_grad_;
-  std::vector<Var> parents_;
+  std::array<Var, kMaxParents> parents_;
+  std::size_t num_parents_ = 0;
   std::function<void(const tensor::Tensor&)> backward_fn_;
   std::shared_ptr<const std::vector<std::size_t>> sample_subset_;
   std::uint64_t seq_ = 0;
@@ -215,9 +223,9 @@ class SampleSubset {
 /// that the op's forward closure overwrites in full (pooled storage with
 /// unspecified contents, except under graph capture, whose planner rebinds
 /// values to its arena) whose requires_grad is the OR of its parents'.
-/// `op_name` must have static storage duration (it is the profiler label
-/// for the backward span).
-Var make_node(tensor::Shape shape, std::vector<Var> parents,
+/// At most Node::kMaxParents parents. `op_name` must have static storage
+/// duration (it is the profiler label for the backward span).
+Var make_node(tensor::Shape shape, std::initializer_list<Var> parents,
               std::function<void(const tensor::Tensor&)> backward_fn,
               const char* op_name);
 

@@ -100,17 +100,13 @@ T load(const std::uint8_t* p, std::size_t i) {
 /// values. Every field has passed every check of walk_frame.
 struct TensorView {
   Codec codec = Codec::kNone;
-  std::size_t rank = 0;
-  std::size_t dims[8] = {};
+  tensor::Shape shape;
   std::size_t numel = 1;
   std::size_t count = 0;                 // values carried: numel, or k
   const std::uint8_t* idx = nullptr;     // k u32 indices; null when dense
   const std::uint8_t* scales = nullptr;  // q8: q8_num_blocks(count) f32
   const std::uint8_t* values = nullptr;  // q8: count i8; f16: count u16
 
-  bool has_shape(const tensor::Shape& shape) const {
-    return shape.size() == rank && std::equal(shape.begin(), shape.end(), dims);
-  }
   std::uint32_t index(std::size_t j) const {
     return load<std::uint32_t>(idx, j);
   }
@@ -169,17 +165,18 @@ void walk_frame(util::ByteReader& reader, std::uint8_t want_kind,
                              "remaining bytes could encode");
   }
   for (std::uint64_t t = 0; t < n; ++t) {
-    view.rank = reader.read_u64();
-    if (view.rank > 8) {
+    const auto rank = reader.read_u64();
+    if (rank > tensor::Shape::kMaxRank) {
       throw SerializationError("implausible tensor rank in compressed frame");
     }
+    view.shape.clear();
     view.numel = 1;
-    for (std::size_t r = 0; r < view.rank; ++r) {
+    for (std::size_t r = 0; r < rank; ++r) {
       const auto dim = reader.read_u64();
       if (dim == 0 || dim > kMaxNumel || view.numel > kMaxNumel / dim) {
         throw SerializationError("implausible tensor dims in compressed frame");
       }
-      view.dims[r] = dim;
+      view.shape.push_back(dim);
       view.numel *= dim;
     }
     view.count = view.numel;
@@ -357,7 +354,7 @@ ModelState deserialize_state_any(util::ByteReader& reader) {
   if (peek.read_u64() != kQuantMagic) return deserialize_state(reader);
   ModelState state;
   walk_frame(reader, kKindState, [&state](const TensorView& v) {
-    tensor::Tensor out(tensor::Shape(v.dims, v.dims + v.rank));
+    tensor::Tensor out(v.shape);
     if (v.codec == Codec::kQ8) {
       std::vector<float> scales;
       v.copy_scales(scales);
@@ -422,8 +419,7 @@ void accumulate_delta(util::ByteReader& reader, float weight,
   std::vector<TensorView> views;
   views.reserve(acc.size());
   walk_frame(reader, kKindDelta, [&views, &acc](const TensorView& v) {
-    if (views.size() == acc.size() ||
-        !v.has_shape(acc[views.size()].shape())) {
+    if (views.size() == acc.size() || v.shape != acc[views.size()].shape()) {
       throw SerializationError(
           "delta tensor shape disagrees with the global model");
     }
@@ -479,7 +475,8 @@ std::uint64_t raw_equiv_bytes(const std::vector<std::uint8_t>& payload) {
   util::ByteReader reader(payload);
   try {
     walk_frame(reader, kKindAny, [&total](const TensorView& v) {
-      total += sizeof(std::uint64_t) * (2 + v.rank) + sizeof(float) * v.numel;
+      total += sizeof(std::uint64_t) * (2 + v.shape.size()) +
+               sizeof(float) * v.numel;
     });
   } catch (const Error&) {
     return payload.size();

@@ -274,8 +274,8 @@ std::optional<double> update_state_l2_norm(
     const ModelState state = deserialize_state(reader);
     double sum_sq = 0.0;
     for (const auto& t : state) {
-      for (const float v : t.data()) {
-        sum_sq += static_cast<double>(v) * static_cast<double>(v);
+      for (const float* v = t.begin(); v != t.end(); ++v) {
+        sum_sq += static_cast<double>(*v) * static_cast<double>(*v);
       }
     }
     const double norm = std::sqrt(sum_sq);

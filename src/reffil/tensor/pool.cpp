@@ -136,15 +136,12 @@ void release_buffer(Buffer buf, Lifetime lifetime) {
 
 Scratch::Scratch(Shape shape, bool zero, Lifetime lifetime)
     : lifetime_(lifetime) {
-  const std::size_t n = shape_numel(shape);
-  const Buffer buf = acquire_buffer(n, zero, lifetime);
+  const Buffer buf = acquire_buffer(shape_numel(shape), zero, lifetime);
   buffer_ = buf.data;
   capacity_ = buf.capacity;
-  if (n == 0) {
-    tensor_ = Tensor(std::move(shape));  // owning empty; nothing to pool
-  } else {
-    tensor_ = Tensor::view(buffer_, std::move(shape));
-  }
+  // A zero-element shape borrows no buffer, and a view over null storage is
+  // an empty tensor that owns nothing either.
+  tensor_ = Tensor::view(buffer_, shape);
 }
 
 Scratch::~Scratch() {

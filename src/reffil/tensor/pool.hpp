@@ -68,7 +68,7 @@ class Scratch {
   float* buffer_ = nullptr;       ///< null when moved-from or numel == 0
   std::size_t capacity_ = 0;      ///< floats the allocation can hold
   Lifetime lifetime_;             ///< the free list the buffer returns to
-  Tensor tensor_;                 ///< view over buffer_ (owning empty if n==0)
+  Tensor tensor_;                 ///< view over buffer_ (empty if n==0)
 };
 
 /// Per-thread pool statistics (this thread's scratch free list only; the obs

@@ -6,6 +6,11 @@
 
 namespace reffil::tensor {
 
+void Shape::throw_rank_error(size_type rank) {
+  throw ShapeError("rank " + std::to_string(rank) + " exceeds the maximum " +
+                   std::to_string(kMaxRank));
+}
+
 std::size_t shape_numel(const Shape& shape) {
   std::size_t n = 1;
   for (std::size_t d : shape) n *= d;
@@ -23,11 +28,15 @@ std::string shape_to_string(const Shape& shape) {
   return out.str();
 }
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
-  REFFIL_CHECK_MSG(data_.size() == shape_numel(shape_),
-                   "data size " + std::to_string(data_.size()) +
+Tensor::Tensor(Shape shape, std::vector<float> data) : shape_(shape) {
+  REFFIL_CHECK_MSG(data.size() == shape_numel(shape_),
+                   "data size " + std::to_string(data.size()) +
                        " does not match shape " + shape_to_string(shape_));
+  if (shape_.empty()) {
+    scalar_ = data[0];
+  } else {
+    data_ = std::move(data);
+  }
 }
 
 Tensor Tensor::view(float* data, Shape shape) {
@@ -35,61 +44,64 @@ Tensor Tensor::view(float* data, Shape shape) {
   REFFIL_CHECK_MSG(data != nullptr || n == 0,
                    "view over null storage with nonzero numel");
   Tensor t;
-  t.shape_ = std::move(shape);
-  t.data_.clear();
+  t.shape_ = shape;
   t.view_ = data;
   t.view_numel_ = n;
   return t;
 }
 
-Tensor::Tensor(const Tensor& other)
-    : shape_(other.shape_),
-      data_(other.begin(), other.end()),
-      view_(nullptr),
-      view_numel_(0) {}
+Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
+  if (shape_.empty()) {
+    scalar_ = *other.begin();
+  } else {
+    data_.assign(other.begin(), other.end());
+  }
+}
 
 Tensor& Tensor::operator=(const Tensor& other) {
   if (this == &other) return *this;
+  if (other.shape_.empty()) {
+    scalar_ = *other.begin();
+    data_.clear();
+  } else {
+    data_.assign(other.begin(), other.end());
+  }
   shape_ = other.shape_;
-  data_.assign(other.begin(), other.end());
   view_ = nullptr;
   view_numel_ = 0;
   return *this;
 }
 
+// A moved-from tensor is left as Tensor(): a rank-0 zero.
 Tensor::Tensor(Tensor&& other) noexcept
-    : shape_(std::move(other.shape_)),
+    : shape_(other.shape_),
       data_(std::move(other.data_)),
       view_(other.view_),
-      view_numel_(other.view_numel_) {
+      view_numel_(other.view_numel_),
+      scalar_(other.scalar_) {
+  other.shape_.clear();
   other.view_ = nullptr;
   other.view_numel_ = 0;
+  other.scalar_ = 0.0f;
 }
 
 Tensor& Tensor::operator=(Tensor&& other) noexcept {
   if (this == &other) return *this;
-  shape_ = std::move(other.shape_);
+  shape_ = other.shape_;
   data_ = std::move(other.data_);
   view_ = other.view_;
   view_numel_ = other.view_numel_;
+  scalar_ = other.scalar_;
+  other.shape_.clear();
   other.view_ = nullptr;
   other.view_numel_ = 0;
+  other.scalar_ = 0.0f;
   return *this;
-}
-
-const std::vector<float>& Tensor::data() const {
-  REFFIL_CHECK_MSG(view_ == nullptr, "data() on a borrowed view tensor");
-  return data_;
-}
-
-std::vector<float>& Tensor::data() {
-  REFFIL_CHECK_MSG(view_ == nullptr, "data() on a borrowed view tensor");
-  return data_;
 }
 
 Tensor Tensor::scalar(float value) {
   Tensor t;
-  t.data_[0] = value;
+  t.scalar_ = value;
   return t;
 }
 
@@ -154,7 +166,7 @@ Tensor Tensor::reshaped(Shape new_shape) const& {
     throw ShapeError("cannot reshape " + shape_to_string(shape_) + " to " +
                      shape_to_string(new_shape));
   }
-  return Tensor(std::move(new_shape), std::vector<float>(begin(), end()));
+  return Tensor(new_shape, std::vector<float>(begin(), end()));
 }
 
 Tensor Tensor::reshaped(Shape new_shape) && {
@@ -162,11 +174,11 @@ Tensor Tensor::reshaped(Shape new_shape) && {
     throw ShapeError("cannot reshape " + shape_to_string(shape_) + " to " +
                      shape_to_string(new_shape));
   }
-  if (view_ != nullptr) {
-    // Cannot take the borrowed storage with us; fall back to a deep copy.
-    return Tensor(std::move(new_shape), std::vector<float>(begin(), end()));
+  if (view_ != nullptr || shape_.empty()) {
+    // Borrowed or inline storage does not come with us: copy it.
+    return Tensor(new_shape, std::vector<float>(begin(), end()));
   }
-  return Tensor(std::move(new_shape), std::move(data_));
+  return Tensor(new_shape, std::move(data_));
 }
 
 bool Tensor::operator==(const Tensor& other) const {
@@ -187,16 +199,12 @@ bool Tensor::all_close(const Tensor& other, float atol) const {
 void Tensor::serialize(util::ByteWriter& writer) const {
   writer.write_u64(shape_.size());
   for (std::size_t d : shape_) writer.write_u64(d);
-  if (view_ != nullptr) {
-    writer.write_pod_vector(std::vector<float>(begin(), end()));
-  } else {
-    writer.write_pod_vector(data_);
-  }
+  writer.write_pod_array(begin(), numel());
 }
 
 Tensor Tensor::deserialize(util::ByteReader& reader) {
   const auto rank = reader.read_u64();
-  if (rank > 8) throw SerializationError("tensor rank too large");
+  if (rank > Shape::kMaxRank) throw SerializationError("tensor rank too large");
   Shape shape(rank);
   for (auto& d : shape) d = reader.read_u64();
   auto data = reader.read_pod_vector<float>();
@@ -214,7 +222,7 @@ Tensor Tensor::deserialize(util::ByteReader& reader) {
                                std::to_string(i));
     }
   }
-  return Tensor(std::move(shape), std::move(data));
+  return Tensor(shape, std::move(data));
 }
 
 }  // namespace reffil::tensor

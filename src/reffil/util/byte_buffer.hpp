@@ -46,13 +46,17 @@ class ByteWriter {
 
   template <typename T>
   void write_pod_vector(const std::vector<T>& v) {
+    write_pod_array(v.data(), v.size());
+  }
+
+  /// `n` values at `p`, framed as write_pod_vector frames a vector of them.
+  template <typename T>
+  void write_pod_array(const T* p, std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
-    write_u64(v.size());
+    write_u64(n);
     const auto offset = bytes_.size();
-    bytes_.resize(offset + v.size() * sizeof(T));
-    if (!v.empty()) {
-      std::memcpy(bytes_.data() + offset, v.data(), v.size() * sizeof(T));
-    }
+    bytes_.resize(offset + n * sizeof(T));
+    if (n != 0) std::memcpy(bytes_.data() + offset, p, n * sizeof(T));
   }
 
  private:

@@ -17,6 +17,31 @@ TEST(Tensor, DefaultIsScalarZero) {
   EXPECT_FLOAT_EQ(t.item(), 0.0f);
 }
 
+TEST(Tensor, RankZeroElementLivesInTheTensor) {
+  // Copies, moves, reshapes and serialization carry the inline element.
+  T::Tensor s = T::Tensor::scalar(3.5f);
+  const T::Tensor copy = s;
+  T::Tensor moved = std::move(s);
+  EXPECT_EQ(s, T::Tensor()) << "a moved-from tensor is a rank-0 zero";
+  EXPECT_FLOAT_EQ(copy.item(), 3.5f);
+  EXPECT_FLOAT_EQ(moved.item(), 3.5f);
+  const T::Tensor one = T::Tensor(moved).reshaped({1});
+  EXPECT_EQ(one, T::Tensor::vector({3.5f}));
+  EXPECT_EQ(T::Tensor::vector({2.0f}).reshaped({}), T::Tensor::scalar(2.0f));
+
+  float borrowed = 1.25f;
+  const T::Tensor view = T::Tensor::view(&borrowed, {});
+  const T::Tensor owned = view;  // a copy of a view owns its element
+  borrowed = 0.0f;
+  EXPECT_FLOAT_EQ(owned.item(), 1.25f);
+
+  reffil::util::ByteWriter writer;
+  copy.serialize(writer);
+  const auto bytes = writer.take();
+  reffil::util::ByteReader reader(bytes);
+  EXPECT_EQ(T::Tensor::deserialize(reader), copy);
+}
+
 TEST(Tensor, ShapeNumel) {
   EXPECT_EQ(T::shape_numel({}), 1u);
   EXPECT_EQ(T::shape_numel({4}), 4u);
