@@ -383,38 +383,46 @@ fed::ModelState decode_model_shaped(util::ByteReader& reader,
 
 // Folds each arriving update into one running sum shaped like the server's
 // model, so server memory during aggregation is O(model) rather than
-// O(cohort x model). Uncompressed states fold as w*x and finish() scales by
-// 1/W; compressed frames fold as w*delta and finish() applies the averaged
-// delta to the decoded broadcast. Extras hooks run per update in arrival
-// order, after the update passed its shape checks; finish() commits the
-// state and fires after_aggregate(), mirroring one batch aggregate() call.
+// O(cohort x model). Uncompressed states fold as float(w/W)*x, with W the
+// planned weight: federated_average's own products in its own order, so a
+// round that folds every planned update is bitwise the batch average. If
+// fewer arrive (an armed transport lost some after training), finish()
+// rescales once by W/(folded weight). Compressed frames fold as w*delta and
+// finish() applies the averaged delta to the decoded broadcast. Extras hooks
+// run per update in arrival order, after the update passed its shape checks;
+// finish() commits the state and fires after_aggregate().
 class MethodBase::StreamingSink : public fed::AggregationSink {
  public:
-  explicit StreamingSink(MethodBase& method)
-      : method_(method), compressed_(method.compress_.enabled()) {
+  StreamingSink(MethodBase& method, std::size_t planned_samples)
+      : method_(method),
+        compressed_(method.compress_.enabled()),
+        planned_(static_cast<double>(planned_samples)) {
     REFFIL_CHECK_MSG(!compressed_ || !method.broadcast_reference_.empty(),
                      "streaming aggregate: no broadcast reference");
+    REFFIL_CHECK_MSG(compressed_ || planned_ > 0.0,
+                     "streaming aggregate: no planned samples");
     sum_.reserve(method.global_state_.size());
     for (const auto& t : method.global_state_) sum_.emplace_back(t.shape());
   }
 
   void add(const fed::ClientUpdate& update) override {
     util::ByteReader reader(update.payload);
-    const float weight = static_cast<float>(update.num_samples);
+    const double weight = static_cast<double>(update.num_samples);
     if (compressed_) {
       // Dequant-free: the frame folds straight into the f32 sum; a malformed
       // or mis-shaped frame throws BEFORE touching it.
-      fed::accumulate_delta(reader, weight, sum_);
+      fed::accumulate_delta(reader, static_cast<float>(weight), sum_);
       method_.read_update_extras(reader, update);
     } else {
       const fed::ModelState state =
           decode_model_shaped(reader, method_.global_state_);
       method_.read_update_extras(reader, update);
+      const float coefficient = static_cast<float>(weight / planned_);
       for (std::size_t t = 0; t < sum_.size(); ++t) {
-        T::axpy_inplace(sum_[t], weight, state[t]);
+        T::axpy_inplace(sum_[t], coefficient, state[t]);
       }
     }
-    total_weight_ += static_cast<double>(update.num_samples);
+    total_weight_ += weight;
     ++count_;
   }
 
@@ -426,18 +434,21 @@ class MethodBase::StreamingSink : public fed::AggregationSink {
     REFFIL_CHECK_MSG(count_ > 0, "streaming aggregate: no updates");
     REFFIL_CHECK_MSG(total_weight_ > 0.0,
                      "streaming aggregate: all-zero weights");
-    const float inv = static_cast<float>(1.0 / total_weight_);
     if (compressed_) {
       // theta^{r+1} = Q(theta^r) + sum_m w_m delta_m / sum_m w_m: the decoded
       // broadcast is the base every delta was computed against, so it — not
       // the pre-quantization global state — anchors the new round.
+      const float inv = static_cast<float>(1.0 / total_weight_);
       fed::ModelState next = method_.broadcast_reference_;
       for (std::size_t t = 0; t < next.size(); ++t) {
         T::axpy_inplace(next[t], inv, sum_[t]);
       }
       method_.global_state_ = std::move(next);
     } else {
-      for (auto& t : sum_) T::scale_inplace(t, inv);
+      if (total_weight_ != planned_) {
+        const float rescale = static_cast<float>(planned_ / total_weight_);
+        for (auto& t : sum_) T::scale_inplace(t, rescale);
+      }
       method_.global_state_ = std::move(sum_);
     }
     method_.after_aggregate();
@@ -446,45 +457,15 @@ class MethodBase::StreamingSink : public fed::AggregationSink {
  private:
   MethodBase& method_;
   bool compressed_ = false;
-  fed::ModelState sum_;  ///< sum of weight-scaled states or decoded deltas
+  double planned_ = 0.0;  ///< W: the weight the round planned to fold
+  fed::ModelState sum_;   ///< sum of w/W-scaled states or w-scaled deltas
   double total_weight_ = 0.0;
   std::size_t count_ = 0;
 };
 
 std::unique_ptr<fed::AggregationSink> MethodBase::begin_streaming_aggregate(
-    std::size_t) {
-  return std::make_unique<StreamingSink>(*this);
-}
-
-void MethodBase::aggregate(const std::vector<fed::ClientUpdate>& updates) {
-  REFFIL_CHECK_MSG(!updates.empty(), "aggregate: no updates");
-  if (compress_.enabled()) {
-    // Compressed frames fold as deltas: one pass through the streaming sink.
-    StreamingSink sink(*this);
-    for (const auto& update : updates) sink.add(update);
-    sink.finish();
-    return;
-  }
-  obs::count("cl.aggregations");
-  obs::count("cl.updates_aggregated", updates.size());
-  // Every state passes its shape checks before any update's extras are
-  // read, so a rejected batch leaves nothing behind for after_aggregate().
-  std::vector<util::ByteReader> readers;
-  std::vector<fed::ModelState> states;
-  std::vector<double> weights;
-  readers.reserve(updates.size());
-  states.reserve(updates.size());
-  weights.reserve(updates.size());
-  for (const auto& update : updates) {
-    readers.emplace_back(update.payload);
-    states.push_back(decode_model_shaped(readers.back(), global_state_));
-    weights.push_back(static_cast<double>(update.num_samples));
-  }
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    read_update_extras(readers[i], updates[i]);
-  }
-  global_state_ = fed::federated_average(states, weights);
-  after_aggregate();
+    std::size_t planned_samples) {
+  return std::make_unique<StreamingSink>(*this, planned_samples);
 }
 
 void MethodBase::prepare_eval() {

@@ -73,10 +73,9 @@ class MethodBase : public fed::Method {
   std::vector<std::uint8_t> make_broadcast() override;
   fed::ClientUpdate train_client(const std::vector<std::uint8_t>& broadcast,
                                  const fed::TrainJob& job) override;
-  void aggregate(const std::vector<fed::ClientUpdate>& updates) override;
   fed::UpdateValidator update_validator() const override;
   std::unique_ptr<fed::AggregationSink> begin_streaming_aggregate(
-      std::size_t num_shards) override;
+      std::size_t planned_samples) override;
   void configure_compression(const fed::CompressionConfig& config) override;
   void prepare_eval() override;
   std::size_t predict(std::size_t worker_slot,

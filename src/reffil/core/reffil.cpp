@@ -544,6 +544,15 @@ bool RefFiLMethod::validate_update_extras(util::ByteReader& reader,
   return cl::MethodBase::validate_update_extras(reader, reason);
 }
 
+std::unique_ptr<fed::AggregationSink> RefFiLMethod::begin_streaming_aggregate(
+    std::size_t planned_samples) {
+  {
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    pending_uploads_.clear();
+  }
+  return cl::MethodBase::begin_streaming_aggregate(planned_samples);
+}
+
 void RefFiLMethod::after_aggregate() {
   if (!reffil_.use_gpl) return;
   // Per (class, domain-task) summaries are kept fresh with an exponential

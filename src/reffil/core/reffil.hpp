@@ -99,6 +99,10 @@ class RefFiLMethod : public cl::MethodBase {
   RefFiLMethod(cl::MethodConfig config, RefFiLConfig reffil = {});
 
   void prepare_eval() override;
+  /// Starts from no pending uploads: those a fold abandoned before finish()
+  /// (a rejected batch) must not reach this fold's after_aggregate().
+  std::unique_ptr<fed::AggregationSink> begin_streaming_aggregate(
+      std::size_t planned_samples) override;
 
   /// Current per-class representative prompts (for analysis / tests).
   const std::map<std::size_t, std::vector<tensor::Tensor>>& representatives() const {

@@ -10,9 +10,13 @@ UpdateValidator Method::update_validator() const {
   };
 }
 
-std::unique_ptr<AggregationSink> Method::begin_streaming_aggregate(
-    std::size_t) {
-  return nullptr;
+void Method::aggregate(const std::vector<ClientUpdate>& updates) {
+  std::size_t planned = 0;
+  for (const ClientUpdate& update : updates) planned += update.num_samples;
+  const std::unique_ptr<AggregationSink> sink =
+      begin_streaming_aggregate(planned);
+  for (const ClientUpdate& update : updates) sink->add(update);
+  sink->finish();
 }
 
 }  // namespace reffil::fed

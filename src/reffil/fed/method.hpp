@@ -48,10 +48,10 @@ struct ClientUpdate {
 using UpdateValidator =
     std::function<bool(const std::vector<std::uint8_t>&, std::string*)>;
 
-/// Streaming alternative to Method::aggregate() for cohorts too large to
-/// buffer: updates are folded in one at a time as they arrive and finish()
-/// commits the round. add() throws on a malformed update, which quarantines
-/// that single update instead of the whole round.
+/// The server's fold of one round: updates are added one at a time as they
+/// arrive and finish() commits the round, so server memory stays O(model)
+/// however large the cohort. add() throws on a malformed update, which
+/// quarantines that single update instead of the whole round.
 class AggregationSink {
  public:
   virtual ~AggregationSink() = default;
@@ -79,8 +79,10 @@ class Method {
   virtual ClientUpdate train_client(const std::vector<std::uint8_t>& broadcast,
                                     const TrainJob& job) = 0;
 
-  /// Server-side aggregation of the round's updates (FedAvg + extras).
-  virtual void aggregate(const std::vector<ClientUpdate>& updates) = 0;
+  /// Fold a whole batch of updates: streams it, in order, through the
+  /// method's own sink opened with the batch's total weight. Virtual only so
+  /// forwarding wrappers (perfbench's probe) can time it.
+  virtual void aggregate(const std::vector<ClientUpdate>& updates);
 
   /// Validator the runner arms inbound updates with. The default accepts
   /// exactly one decodable, non-empty model state and nothing else
@@ -89,12 +91,11 @@ class Method {
   /// extras — the exact-consumption requirement stands either way.
   virtual UpdateValidator update_validator() const;
 
-  /// Begin a streaming aggregation into one running sum. The argument is
-  /// unused (the runner passes 1). Returns nullptr when the method only
-  /// supports batch aggregate() — the caller must then buffer updates and
-  /// fall back. finish() on the returned sink replaces one aggregate() call.
+  /// Begin the round's fold. `planned_samples` is the total FedAvg weight of
+  /// the updates the round plans to fold; the sink corrects once in finish()
+  /// if fewer arrive. Never returns nullptr.
   virtual std::unique_ptr<AggregationSink> begin_streaming_aggregate(
-      std::size_t num_shards);
+      std::size_t planned_samples) = 0;
 
   /// Install the runner's wire-compression config (fed/compress.hpp) before
   /// the first round. The default ignores it — methods that do not opt in

@@ -99,9 +99,9 @@ struct RoundStats {
   /// Wall time of the round's client window: training plus the streamed
   /// folds that run inside it.
   double train_seconds = 0.0;
-  /// Wall time after the window: the sink's finish() or the buffered
-  /// aggregate(). The two never count the same time, so their sum is the
-  /// round's train-and-fold latency (the monitor's round latency and SLO).
+  /// Wall time after the window: the sink's finish(). The two never count
+  /// the same time, so their sum is the round's train-and-fold latency (the
+  /// monitor's round latency and SLO).
   double aggregate_seconds = 0.0;
   // Transport-fault, message and raw-equivalent accounting: see NetworkStats.
   std::uint32_t quarantined = 0;

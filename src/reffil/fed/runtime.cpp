@@ -235,13 +235,13 @@ RunResult FederatedRunner::run(Method& method) {
   method.configure_compression(config_.compress);
   result.compression = config_.compress.to_string();
 
-  // Dense and discrete-event runs share this round loop and differ in two
-  // inputs: the round plan and the fold policy. The dense scheduler draws
-  // each cohort from the data population with zero upload delays; the DES
-  // scheduler samples a registered population far larger than that on a
-  // virtual clock, gated by availability traces, with per-client upload
-  // delays. Both follow the same growth schedule, which defines the data
-  // shards and the group semantics.
+  // Dense and discrete-event runs share this round loop, window and fold,
+  // and differ only in the round plan. The dense scheduler draws each cohort
+  // from the data population with zero upload delays; the DES scheduler
+  // samples a registered population far larger than that on a virtual
+  // clock, gated by availability traces, with per-client upload delays. Both
+  // follow the same growth schedule, which defines the data shards and the
+  // group semantics.
   const bool des = config_.des.enabled();
   const SchedulerConfig growth{.initial_clients = spec.initial_clients,
                                .clients_per_round = spec.clients_per_round,
@@ -418,23 +418,17 @@ RunResult FederatedRunner::run(Method& method) {
             return a.upload_delay_s < b.upload_delay_s;
           });
 
-      // Fold policy. Every round trains its cohort through one window
-      // (train_and_fold): 4 x parallelism clients under DES, the whole cohort
-      // when dense. DES rounds stream each update into one running sum as
-      // the fold reaches it, so payloads die once folded and server memory
-      // stays O(window x payload + model) however large the cohort. Dense
-      // rounds fold with the buffered aggregate() after the window, which
-      // keeps federated_average's summation order. A method without a sink
-      // buffers in either mode.
-      std::unique_ptr<AggregationSink> sink;
-      if (des) {
-        sink = method.begin_streaming_aggregate(1);
-      }
+      // Every round trains its cohort through one window (train_and_fold) of
+      // 4 x parallelism clients and streams each update into the method's
+      // sink as the fold reaches it, so payloads die once folded and server
+      // memory stays O(window x payload + model) however large the cohort.
+      // The sink is opened with the cohort's planned weight, which is what
+      // keeps a round that folds every update bitwise federated_average.
       const std::size_t cohort = plan.participants.size();
-      const std::size_t window =
-          des ? std::max<std::size_t>(1, parallelism_) * 4 : cohort;
+      const std::size_t window = std::max<std::size_t>(1, parallelism_) * 4;
       std::vector<TrainJob> jobs(cohort);
       std::vector<std::size_t> work(cohort);  // samples in the client's shards
+      std::size_t planned = 0;
       for (std::size_t i = 0; i < cohort; ++i) {
         const ClientAssignment& assignment = plan.participants[i];
         TrainJob& job = jobs[i];
@@ -453,10 +447,12 @@ RunResult FederatedRunner::run(Method& method) {
           job.old_data = &shards[task - 1][assignment.shard];
           work[i] += job.old_data->size();
         }
+        planned += work[i];
       }
+      const std::unique_ptr<AggregationSink> sink =
+          method.begin_streaming_aggregate(planned);
       std::vector<ClientUpdate> updates(cohort);
       std::vector<double> client_seconds(cohort, 0.0);
-      std::vector<ClientUpdate> buffered;
       std::vector<std::size_t> folded;  // clients whose update was folded
 
       const auto train = [&](std::size_t i, std::size_t slot) {
@@ -525,11 +521,6 @@ RunResult FederatedRunner::run(Method& method) {
             norm_acc.add(*norm);
           }
         }
-        if (!sink) {
-          buffered.push_back(std::move(update));
-          folded.push_back(assignment.client_id);
-          return;
-        }
         try {
           sink->add(update);
           folded.push_back(assignment.client_id);
@@ -564,17 +555,11 @@ RunResult FederatedRunner::run(Method& method) {
         obs::prof::Span agg_span("fed.aggregate", obs::prof::Task{at.task});
         const auto agg_start = std::chrono::steady_clock::now();
         try {
-          if (sink) {
-            sink->finish();
-          } else {
-            method.aggregate(buffered);
-          }
+          sink->finish();
         } catch (const Error& e) {
-          // validate_state_prefix certifies the leading ModelState only; a
-          // corrupt method-specific extra can still surface here. Under the
-          // armed transport, quarantine the whole batch rather than crash —
-          // the global state is carried forward, exactly as for a
-          // fully-dropped round.
+          // A corrupt method-specific extra that every per-update check let
+          // through can still surface in the round's commit. Under the armed
+          // transport, quarantine the folded updates rather than crash.
           if (!faults_armed) throw;
           aggregated = false;
           const std::string reason =
@@ -583,7 +568,7 @@ RunResult FederatedRunner::run(Method& method) {
             record(round_stats, Quarantine{at, client, reason});
           }
         }
-        // The time after the window: streamed adds already count as train.
+        // The time after the window: the adds already count as train.
         round_stats.aggregate_seconds = seconds_since(agg_start);
       }
       aggregate_time.observe(round_stats.aggregate_seconds);

@@ -53,13 +53,12 @@ struct RunConfig {
   FaultProfile faults;
   /// Discrete-event federation (see fed/scheduler.hpp). Disabled by default:
   /// cohorts are then drawn from the data population with zero upload
-  /// delays and folded with the buffered aggregate(). When enabled, the same
-  /// round loop runs on a virtual clock — participants are sampled from a
-  /// registered population far larger than the data population, gated by
-  /// availability traces, trained in a bounded window of 4 x parallelism
-  /// clients (largest first) and folded in simulated-arrival order into one
-  /// running FedAvg sum, so server memory stays O(window x payload + model)
-  /// no matter how many clients a round samples.
+  /// delays. When enabled, participants are sampled on a virtual clock from
+  /// a registered population far larger than the data population, gated by
+  /// availability traces. Either way a round trains in a bounded window of
+  /// 4 x parallelism clients (largest first) and folds in simulated-arrival
+  /// order into one running FedAvg sum, so server memory stays
+  /// O(window x payload + model) no matter how many clients a round samples.
   DesConfig des;
   /// Wire compression (fed/compress.hpp): quantized broadcast frames and
   /// top-k sparsified + quantized client deltas with server-held

@@ -79,9 +79,8 @@ class ClientIncrementScheduler {
 /// (diurnal cycles, churn, stragglers) gate who can be drawn and how late
 /// their uploads land. The default-constructed config is disabled: the runner
 /// then plans rounds with the dense ClientIncrementScheduler. Either way the
-/// runner drives the same round loop; only the round plan (this scheduler
-/// or the dense one) and the fold policy (streaming sink or buffered
-/// aggregate) change.
+/// runner drives the same round loop and fold; only the round plan (this
+/// scheduler or the dense one) changes.
 struct DesConfig {
   /// Size of the registered population; 0 disables discrete-event federation.
   std::size_t registered_clients = 0;

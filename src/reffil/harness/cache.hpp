@@ -29,9 +29,11 @@ bool cache_enabled();
 /// serializer edit, and changes the layout — bump kCacheVersion with it.
 /// v1–v5 were hand-written encodings that each fixed a forgotten field; v6
 /// is the field-list walk; v7 drops MonitorSummary's three time-series
-/// sample counts; v8 adds RoundStats' messages and raw-equivalent bytes.
+/// sample counts; v8 adds RoundStats' messages and raw-equivalent bytes; v9
+/// has the same layout, but faulted dense and uncompressed DES cells changed
+/// low bits (every round folds through the one streaming sink).
 inline constexpr std::uint32_t kCacheMagic = 0x4C464652u;  // "RFFL"
-inline constexpr std::uint32_t kCacheVersion = 8;
+inline constexpr std::uint32_t kCacheVersion = 9;
 
 /// Stable key for one experiment cell. `fault_tag` is the canonical
 /// FaultProfile::tag() of the run, with DesConfig::tag() appended when the

@@ -240,7 +240,7 @@ void set_trace_path(const std::string& path);
 /// Append one event line (thread-safe; no-op when tracing is disabled).
 void trace(const TraceEvent& event);
 
-/// Flush buffered trace output to disk.
+/// Flush pending trace output to disk.
 void flush_trace();
 
 /// Flush every observability sink: the JSONL trace stream and, when armed,

@@ -190,14 +190,11 @@ class WindowWatch : public fed::Method {
     }
     return inner_->train_client(broadcast, job);
   }
-  void aggregate(const std::vector<fed::ClientUpdate>& updates) override {
-    inner_->aggregate(updates);
-  }
   fed::UpdateValidator update_validator() const override {
     return inner_->update_validator();
   }
   std::unique_ptr<fed::AggregationSink> begin_streaming_aggregate(
-      std::size_t shards) override {
+      std::size_t planned_samples) override {
     struct Sink : fed::AggregationSink {
       Sink(WindowWatch& w, std::unique_ptr<fed::AggregationSink> s)
           : watch(w), inner(std::move(s)) {}
@@ -219,7 +216,7 @@ class WindowWatch : public fed::Method {
       std::unique_ptr<fed::AggregationSink> inner;
     };
     return std::make_unique<Sink>(
-        *this, inner_->begin_streaming_aggregate(shards));
+        *this, inner_->begin_streaming_aggregate(planned_samples));
   }
   void configure_compression(const fed::CompressionConfig& config) override {
     inner_->configure_compression(config);
@@ -295,6 +292,21 @@ fed::RunConfig des_run(std::size_t slots, std::size_t sample,
   return run;
 }
 
+/// A dense run whose every round trains all `cohort` clients of the data
+/// population, with enough samples for each to hold a shard.
+fed::RunConfig dense_run(std::size_t slots, std::size_t cohort) {
+  fed::RunConfig run;
+  run.spec = window_spec();
+  for (auto& domain : run.spec.domains) {
+    domain.train_samples = std::max(domain.train_samples, 8 * cohort);
+  }
+  run.spec.initial_clients = cohort;
+  run.spec.clients_per_round = cohort;
+  run.parallelism = slots;
+  run.seed = 4;
+  return run;
+}
+
 bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.begin(), b.begin(), a.numel() * sizeof(float)) == 0;
@@ -307,13 +319,18 @@ TEST(ClientWindow, LivePayloadsNeverExceedTheWindow) {
   for (const std::size_t slots : {std::size_t{1}, std::size_t{2}, threads}) {
     SCOPED_TRACE(slots);
     const std::size_t window = 4 * slots;
-    WindowWatch watch(finetune(slots));
-    fed::FederatedRunner(des_run(slots, 2 * window + 1)).run(watch);
-    EXPECT_LE(watch.max_live(), window);
-    // One slot trains the largest client in the window first, so updates
-    // wait for the fold: the bound is exercised, not vacuous.
-    if (slots == 1) {
-      EXPECT_GT(watch.max_live(), 1u);
+    // Dense and DES rounds share the window; both cohorts exceed it.
+    for (const fed::RunConfig& run :
+         {des_run(slots, 2 * window + 1), dense_run(slots, window + 1)}) {
+      SCOPED_TRACE(run.des.enabled() ? "des" : "dense");
+      WindowWatch watch(finetune(slots));
+      fed::FederatedRunner(run).run(watch);
+      EXPECT_LE(watch.max_live(), window);
+      // One slot trains the largest client in the window first, so updates
+      // wait for the fold: the bound is exercised, not vacuous.
+      if (slots == 1) {
+        EXPECT_GT(watch.max_live(), 1u);
+      }
     }
   }
 }

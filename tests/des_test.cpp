@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
+#include <cstring>
 #include <set>
 
 #include "reffil/fed/fedavg.hpp"
@@ -358,18 +358,39 @@ fed::ModelState random_like(const fed::ModelState& model, util::Rng& rng) {
   return state;
 }
 
-/// The broadcast after streaming `updates` into a fresh sink of `method`.
+/// Total FedAvg weight of `updates`.
+std::size_t weight_of(const std::vector<fed::ClientUpdate>& updates) {
+  std::size_t total = 0;
+  for (const auto& update : updates) total += update.num_samples;
+  return total;
+}
+
+/// The broadcast after streaming `updates` into a fresh sink of `method`
+/// opened with `planned` samples.
 std::vector<std::uint8_t> streamed_broadcast(
-    fed::Method& method, const std::vector<fed::ClientUpdate>& updates) {
-  auto sink = method.begin_streaming_aggregate(1);
+    fed::Method& method, const std::vector<fed::ClientUpdate>& updates,
+    std::size_t planned) {
+  auto sink = method.begin_streaming_aggregate(planned);
   for (const auto& update : updates) sink->add(update);
   sink->finish();
   return method.make_broadcast();
 }
 
+fed::ModelState state_of(const std::vector<std::uint8_t>& broadcast) {
+  util::ByteReader reader(broadcast);
+  return fed::deserialize_state(reader);
+}
+
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.begin(), b.begin(), a.numel() * sizeof(float)) == 0;
+}
+
 }  // namespace
 
 TEST(StreamingSink, MatchesBatchFederatedAverage) {
+  // Opened with the cohort's whole weight, the sink adds federated_average's
+  // own float(w/W) * x products in its order: bitwise the batch average.
   auto method = tiny_finetune();
   const fed::ModelState model = broadcast_state(*method);
   util::Rng rng(17);
@@ -381,31 +402,62 @@ TEST(StreamingSink, MatchesBatchFederatedAverage) {
     weights.push_back(static_cast<double>(1 + (i * 7) % 9));
     updates.push_back(update_of(states.back(), 1 + (i * 7) % 9));
   }
-  const auto bytes = streamed_broadcast(*method, updates);
-  util::ByteReader reader(bytes);
-  const fed::ModelState streamed = fed::deserialize_state(reader);
-
-  // One running sum: sum_m w_m * x_m in arrival order, then times 1/W.
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  fed::ModelState by_hand;
-  for (const auto& t : model) by_hand.emplace_back(t.shape());
-  for (std::size_t m = 0; m < states.size(); ++m) {
-    for (std::size_t t = 0; t < model.size(); ++t) {
-      tensor::axpy_inplace(by_hand[t], static_cast<float>(weights[m]),
-                           states[m][t]);
-    }
-  }
-  for (auto& t : by_hand) tensor::scale_inplace(t, static_cast<float>(1.0 / total));
+  const fed::ModelState streamed =
+      state_of(streamed_broadcast(*method, updates, weight_of(updates)));
 
   const auto batch = fed::federated_average(states, weights);
   ASSERT_EQ(streamed.size(), model.size());
   for (std::size_t t = 0; t < model.size(); ++t) {
-    EXPECT_TRUE(std::equal(streamed[t].begin(), streamed[t].end(),
-                           by_hand[t].begin(), by_hand[t].end()))
-        << "tensor " << t << " is not bitwise the running sum";
-    // federated_average scales each term by w/W before summing, so the two
-    // agree up to float round-off, not bitwise.
-    EXPECT_TRUE(streamed[t].all_close(batch[t], 1e-4f)) << "tensor " << t;
+    EXPECT_TRUE(same_bits(streamed[t], batch[t]))
+        << "tensor " << t << " is not bitwise federated_average";
+  }
+}
+
+TEST(StreamingSink, AMissingUpdateRescalesOnceByPlannedOverFolded) {
+  // The round planned W_p samples and one update never arrives: the sink
+  // folds sum_m float(w_m / W_p) x_m and finish() scales that once by
+  // float(W_p / W_a), W_a being the weight that did arrive.
+  auto method = tiny_finetune();
+  const fed::ModelState model = broadcast_state(*method);
+  util::Rng rng(22);
+  constexpr std::size_t kWithheld = 3;
+  std::vector<fed::ModelState> states;
+  std::vector<double> weights;
+  std::vector<fed::ClientUpdate> updates;
+  std::size_t planned = 0;
+  for (std::size_t i = 0; i < 7; ++i) {
+    const std::size_t w = 1 + (i * 5) % 7;
+    planned += w;
+    if (i == kWithheld) continue;
+    states.push_back(random_like(model, rng));
+    weights.push_back(static_cast<double>(w));
+    updates.push_back(update_of(states.back(), w));
+  }
+  const double folded = static_cast<double>(weight_of(updates));
+  ASSERT_NE(folded, static_cast<double>(planned));
+  const fed::ModelState streamed =
+      state_of(streamed_broadcast(*method, updates, planned));
+
+  fed::ModelState by_hand;
+  for (const auto& t : model) by_hand.emplace_back(t.shape());
+  for (std::size_t m = 0; m < states.size(); ++m) {
+    for (std::size_t t = 0; t < model.size(); ++t) {
+      tensor::axpy_inplace(
+          by_hand[t],
+          static_cast<float>(weights[m] / static_cast<double>(planned)),
+          states[m][t]);
+    }
+  }
+  for (auto& t : by_hand) {
+    tensor::scale_inplace(
+        t, static_cast<float>(static_cast<double>(planned) / folded));
+  }
+  const auto batch = fed::federated_average(states, weights);
+  ASSERT_EQ(streamed.size(), model.size());
+  for (std::size_t t = 0; t < model.size(); ++t) {
+    EXPECT_TRUE(same_bits(streamed[t], by_hand[t]))
+        << "tensor " << t << " is not bitwise the rescaled fold";
+    EXPECT_TRUE(streamed[t].all_close(batch[t], 1e-6f)) << "tensor " << t;
   }
 }
 
@@ -428,6 +480,7 @@ TEST(StreamingSink, AllZeroWeightsCannotFinish) {
   auto method = tiny_finetune();
   const fed::ModelState model = broadcast_state(*method);
   util::Rng rng(19);
+  EXPECT_THROW(method->begin_streaming_aggregate(0), Error);  // nothing planned
   auto sink = method->begin_streaming_aggregate(1);
   sink->add(update_of(random_like(model, rng), 0));
   sink->add(update_of(random_like(model, rng), 0));
@@ -446,12 +499,13 @@ TEST(StreamingSink, RejectedUpdateLeavesNoTraceInTheFold) {
   fed::ModelState b = random_like(model, rng);
   b[1] = tensor::randn({b[1].numel() + 1}, rng);
 
-  auto sink = method->begin_streaming_aggregate(8);
+  auto sink = method->begin_streaming_aggregate(5 + 7);
   sink->add(a);
   EXPECT_THROW(sink->add(update_of(b, 7)), ShapeError);
   EXPECT_EQ(sink->count(), 1u);
   sink->finish();
-  EXPECT_EQ(method->make_broadcast(), streamed_broadcast(*reference, {a}));
+  EXPECT_EQ(method->make_broadcast(),
+            streamed_broadcast(*reference, {a}, 5 + 7));
 }
 
 TEST(StreamingSink, TheModelNotTheFirstArrivalDefinesTheShapes) {
@@ -465,12 +519,13 @@ TEST(StreamingSink, TheModelNotTheFirstArrivalDefinesTheShapes) {
   fed::ModelState oversized;
   for (const auto& t : model) oversized.push_back(tensor::randn({t.numel() + 1}, rng));
 
-  auto sink = method->begin_streaming_aggregate(8);
+  auto sink = method->begin_streaming_aggregate(3 + 4);
   EXPECT_THROW(sink->add(update_of(oversized, 3)), ShapeError);
   EXPECT_NO_THROW(sink->add(valid));
   sink->finish();
   EXPECT_EQ(broadcast_state(*method).front().shape(), model.front().shape());
-  EXPECT_EQ(method->make_broadcast(), streamed_broadcast(*reference, {valid}));
+  EXPECT_EQ(method->make_broadcast(),
+            streamed_broadcast(*reference, {valid}, 3 + 4));
 }
 
 // ---- end-to-end: the DES runner --------------------------------------------

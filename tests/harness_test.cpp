@@ -252,7 +252,7 @@ TEST(RunResultSerialization, LegacyV1FormatLosesDropoutsAndIsRejected) {
 }
 
 TEST(RunResultSerialization, WrongVersionIsRejected) {
-  // The previous format (v7) and a future one are both refused by header.
+  // The previous format (v8) and a future one are both refused by header.
   for (const std::uint32_t version :
        {harness::kCacheVersion - 1, harness::kCacheVersion + 1}) {
     util::ByteWriter writer;

@@ -204,8 +204,8 @@ TEST(RefFiLMethod, TrainClientRoundTripUpdatesAndUploadsPrompts) {
 
 TEST(RefFiLMethod, RejectedBatchLeavesNoUploadsForTheNextAggregate) {
   // A batch whose second update is mis-shaped is rejected as a whole; the
-  // prompts its valid first update uploaded must not reach the next
-  // aggregate's after_aggregate().
+  // prompts its valid first update uploaded before the rejection must not
+  // reach the next aggregate's after_aggregate().
   RefFiLConfig config;
   reffil::core::RefFiLMethod seen(small_method_config(), config);
   reffil::core::RefFiLMethod fresh(small_method_config(), config);

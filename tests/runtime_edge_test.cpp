@@ -34,7 +34,8 @@ data::DatasetSpec one_domain_spec() {
 }
 
 /// Forwards to a real method, except that the server-side fold rejects every
-/// update: aggregate() and the streaming sink's add() throw.
+/// other update: the 1st, 3rd, ... add() of each round's sink throws, and the
+/// rest fold into the method's own sink.
 class RejectingFold : public fed::Method {
  public:
   explicit RejectingFold(std::unique_ptr<fed::Method> inner)
@@ -49,22 +50,25 @@ class RejectingFold : public fed::Method {
                                  const fed::TrainJob& job) override {
     return inner_->train_client(broadcast, job);
   }
-  void aggregate(const std::vector<fed::ClientUpdate>&) override {
-    throw SerializationError("rejected by the fold");
-  }
   fed::UpdateValidator update_validator() const override {
     return inner_->update_validator();
   }
   std::unique_ptr<fed::AggregationSink> begin_streaming_aggregate(
-      std::size_t) override {
+      std::size_t planned_samples) override {
     struct Sink : fed::AggregationSink {
-      void add(const fed::ClientUpdate&) override {
-        throw SerializationError("rejected by the fold");
+      explicit Sink(std::unique_ptr<fed::AggregationSink> s)
+          : inner(std::move(s)) {}
+      void add(const fed::ClientUpdate& update) override {
+        if (adds++ % 2 == 0) throw SerializationError("rejected by the fold");
+        inner->add(update);
       }
-      std::size_t count() const override { return 0; }
-      void finish() override {}
+      std::size_t count() const override { return inner->count(); }
+      void finish() override { inner->finish(); }
+      std::unique_ptr<fed::AggregationSink> inner;
+      std::size_t adds = 0;
     };
-    return std::make_unique<Sink>();
+    return std::make_unique<Sink>(
+        inner_->begin_streaming_aggregate(planned_samples));
   }
   void prepare_eval() override { inner_->prepare_eval(); }
   std::size_t predict(std::size_t slot, const tensor::Tensor& image) override {
@@ -99,20 +103,20 @@ fed::RunResult run_rejecting(const fed::FaultProfile& faults,
 
 TEST(RuntimeEdge, AggregationErrorsAreQuarantinedOnlyUnderAnArmedTransport) {
   // Only the armed transport delivers bytes the server did not produce, so
-  // only then is a fold error the payload's fault: quarantine and carry the
-  // global state forward. Without it the error is a bug and must surface —
-  // in dense (buffered aggregate) and DES (streaming sink) runs alike.
+  // only then is a fold error the payload's fault: quarantine that update
+  // and fold the rest. Without it the error is a bug and must surface — in
+  // dense and DES runs alike, which share the one streaming fold.
   const auto armed = fed::FaultProfile::parse("deadline=1e9");
   const auto des = fed::DesConfig::parse("registered=50,sample=3");
   const auto spec = one_domain_spec();
 
+  // Each round's 1st and 3rd add() threw: each such update is quarantined on
+  // its own, not the round's whole cohort.
   const auto dense = run_rejecting(armed, {});
-  // aggregate() threw: the whole batch of each round is quarantined.
-  EXPECT_EQ(dense.network.quarantined,
-            spec.rounds_per_task * spec.clients_per_round);
+  EXPECT_EQ(dense.network.quarantined, spec.rounds_per_task * 1);
+  ASSERT_EQ(dense.tasks.size(), 1u);
   const auto sampled = run_rejecting(armed, des);
-  // sink->add() threw: each update is quarantined on its own.
-  EXPECT_EQ(sampled.network.quarantined, spec.rounds_per_task * 3);
+  EXPECT_EQ(sampled.network.quarantined, spec.rounds_per_task * 2);
   ASSERT_EQ(sampled.tasks.size(), 1u);
 
   EXPECT_THROW(run_rejecting({}, {}), SerializationError);
