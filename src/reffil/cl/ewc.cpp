@@ -103,33 +103,30 @@ void EwcMethod::write_update_extras(util::ByteWriter& writer, Replica& rep,
   writer.write_f64(static_cast<double>(view.size()));
 }
 
-void EwcMethod::read_update_extras(util::ByteReader& reader,
-                                   const fed::ClientUpdate& update) {
-  const bool has_fisher = reader.read_u32() != 0;
-  if (has_fisher) {
-    pending_fishers_.push_back(fed::deserialize_state(reader));
-    pending_fisher_weights_.push_back(reader.read_f64());
-  }
-  MethodBase::read_update_extras(reader, update);
-}
-
-bool EwcMethod::validate_update_extras(util::ByteReader& reader,
-                                       std::string* reason) const {
-  // Read-only mirror of read_update_extras: flag, then (optionally) a fisher
-  // state and its sample weight. Decode failures throw and are turned into a
-  // quarantine by the caller.
-  const bool has_fisher = reader.read_u32() != 0;
-  if (has_fisher) {
-    (void)fed::deserialize_state(reader);
-    const double weight = reader.read_f64();
-    if (!std::isfinite(weight) || weight < 0.0) {
-      if (reason) *reason = "EWC fisher weight not finite and non-negative";
-      return false;
+std::any EwcMethod::decode_update_extras(util::ByteReader& reader) const {
+  const std::uint32_t flag = reader.read_u32();
+  if (flag > 1) throw SerializationError("EWC fisher flag is neither 0 nor 1");
+  if (flag == 0) return {};
+  FisherUpload upload{.fisher = decode_model_shaped(reader),
+                      .weight = reader.read_f64()};
+  for (const auto& t : upload.fisher) {
+    if (std::any_of(t.begin(), t.end(), [](float v) { return v < 0.0f; })) {
+      throw SerializationError("EWC fisher has a negative entry");
     }
   }
-  return MethodBase::validate_update_extras(reader, reason);
+  if (!std::isfinite(upload.weight) || upload.weight < 0.0) {
+    throw SerializationError("EWC fisher weight not finite and non-negative");
+  }
+  return upload;
 }
 
-void EwcMethod::after_aggregate() {}
+void EwcMethod::after_aggregate(std::vector<std::any> extras) {
+  for (std::any& extra : extras) {
+    if (auto* upload = std::any_cast<FisherUpload>(&extra)) {
+      pending_fishers_.push_back(std::move(upload->fisher));
+      pending_fisher_weights_.push_back(upload->weight);
+    }
+  }
+}
 
 }  // namespace reffil::cl

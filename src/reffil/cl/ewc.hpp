@@ -30,13 +30,13 @@ class EwcMethod : public MethodBase {
   void read_broadcast_extras(util::ByteReader& reader, std::size_t slot) override;
   void write_update_extras(util::ByteWriter& writer, Replica& replica,
                            const fed::TrainJob& job) override;
-  void read_update_extras(util::ByteReader& reader,
-                          const fed::ClientUpdate& update) override;
-  bool validate_update_extras(util::ByteReader& reader,
-                              std::string* reason) const override;
+  /// The flag (0 or 1), then with 1 a Fisher diagonal shaped like the model
+  /// with every entry >= 0 and its finite, non-negative sample weight.
+  std::any decode_update_extras(util::ByteReader& reader) const override;
+  /// Keeps the round's Fisher uploads for the next task's penalty.
+  void after_aggregate(std::vector<std::any> extras) override;
   void post_backward(Replica& replica, const fed::TrainJob& job,
                      std::size_t slot) override;
-  void after_aggregate() override;
   /// The data term is plain cross-entropy: the default run_loss batches it.
   bool batched_step() const override { return true; }
   /// The EWC batch graph is plain cross-entropy — the quadratic penalty is
@@ -52,7 +52,12 @@ class EwcMethod : public MethodBase {
   bool have_penalty_ = false;
   fed::ModelState fisher_;
   fed::ModelState anchor_;
-  // Fisher diagonals uploaded during the current round (pre-aggregation).
+  /// One client's uploaded Fisher diagonal and its FedAvg weight.
+  struct FisherUpload {
+    fed::ModelState fisher;
+    double weight = 0.0;
+  };
+  // Fisher diagonals folded since the task started, averaged at the next.
   std::vector<fed::ModelState> pending_fishers_;
   std::vector<double> pending_fisher_weights_;
   // Worker-local copy of the active penalty (parsed from broadcast).

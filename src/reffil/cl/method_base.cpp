@@ -203,13 +203,6 @@ void MethodBase::read_broadcast_extras(util::ByteReader& reader, std::size_t) {
   }
 }
 
-void MethodBase::read_update_extras(util::ByteReader& reader,
-                                    const fed::ClientUpdate&) {
-  if (!reader.exhausted()) {
-    throw SerializationError("unconsumed update extras");
-  }
-}
-
 std::vector<MethodBase::TaggedSample> MethodBase::local_view(
     const fed::TrainJob& job) {
   std::vector<TaggedSample> view;
@@ -312,66 +305,15 @@ fed::ClientUpdate MethodBase::train_client(
   return update;
 }
 
-bool MethodBase::validate_update_extras(util::ByteReader& reader,
-                                        std::string* reason) const {
-  if (!reader.exhausted()) {
-    if (reason) {
-      *reason = std::to_string(reader.remaining()) +
-                " trailing bytes after the model state";
-    }
-    return false;
-  }
-  return true;
-}
-
-fed::UpdateValidator MethodBase::update_validator() const {
-  if (compress_.enabled()) {
-    // Compressed rounds carry delta frames: the same strict walk the fold
-    // runs (no per-tensor allocation) replaces the full f32 decode, then
-    // the extras checks run the same as always (exact consumption
-    // included).
-    return [this](const std::vector<std::uint8_t>& payload,
-                  std::string* reason) {
-      util::ByteReader reader(payload);
-      if (!fed::validate_delta_frame(reader, reason)) return false;
-      try {
-        return validate_update_extras(reader, reason);
-      } catch (const Error& e) {
-        if (reason) *reason = e.what();
-        return false;
-      }
-    };
-  }
-  return [this](const std::vector<std::uint8_t>& payload, std::string* reason) {
-    try {
-      util::ByteReader reader(payload);
-      const fed::ModelState state = fed::deserialize_state(reader);
-      if (state.empty()) {
-        if (reason) *reason = "empty model state";
-        return false;
-      }
-      return validate_update_extras(reader, reason);
-    } catch (const Error& e) {
-      if (reason) *reason = e.what();
-      return false;
-    }
-  };
-}
-
-namespace {
-
-/// Decode the update's model state and require the server model's structure
-/// (tensor count and every shape), so a mis-shaped update is rejected before
-/// its extras are read or any of it is folded.
-fed::ModelState decode_model_shaped(util::ByteReader& reader,
-                                    const fed::ModelState& model) {
+fed::ModelState MethodBase::decode_model_shaped(util::ByteReader& reader) const {
   fed::ModelState state = fed::deserialize_state(reader);
-  if (state.size() != model.size()) {
+  if (state.size() != global_state_.size()) {
     throw ShapeError("update has " + std::to_string(state.size()) +
-                     " tensors, the model " + std::to_string(model.size()));
+                     " tensors, the model " +
+                     std::to_string(global_state_.size()));
   }
   for (std::size_t t = 0; t < state.size(); ++t) {
-    if (state[t].shape() != model[t].shape()) {
+    if (state[t].shape() != global_state_[t].shape()) {
       throw ShapeError("update tensor " + std::to_string(t) +
                        " does not have the model's shape");
     }
@@ -379,7 +321,39 @@ fed::ModelState decode_model_shaped(util::ByteReader& reader,
   return state;
 }
 
-}  // namespace
+MethodBase::DecodedUpdate MethodBase::decode_update(
+    const std::vector<std::uint8_t>& payload) const {
+  util::ByteReader reader(payload);
+  DecodedUpdate decoded;
+  if (compress_.enabled()) {
+    // The strict frame walk (no per-tensor allocation); the fold reads the
+    // frame again from the payload once the whole update has passed.
+    std::string reason;
+    if (!fed::validate_delta_frame(reader, global_state_, &reason)) {
+      throw SerializationError(reason);
+    }
+  } else {
+    decoded.state = decode_model_shaped(reader);
+  }
+  decoded.extras = decode_update_extras(reader);
+  if (!reader.exhausted()) {
+    throw SerializationError(std::to_string(reader.remaining()) +
+                             " trailing bytes after the update extras");
+  }
+  return decoded;
+}
+
+fed::UpdateValidator MethodBase::update_validator() const {
+  return [this](const std::vector<std::uint8_t>& payload, std::string* reason) {
+    try {
+      decode_update(payload);
+      return true;
+    } catch (const Error& e) {
+      if (reason) *reason = e.what();
+      return false;
+    }
+  };
+}
 
 // Folds each arriving update into one running sum shaped like the server's
 // model, so server memory during aggregation is O(model) rather than
@@ -388,9 +362,11 @@ fed::ModelState decode_model_shaped(util::ByteReader& reader,
 // round that folds every planned update is bitwise the batch average. If
 // fewer arrive (an armed transport lost some after training), finish()
 // rescales once by W/(folded weight). Compressed frames fold as w*delta and
-// finish() applies the averaged delta to the decoded broadcast. Extras hooks
-// run per update in arrival order, after the update passed its shape checks;
-// finish() commits the state and fires after_aggregate().
+// finish() applies the averaged delta to the decoded broadcast. add() runs
+// decode_update over the whole update before it folds any of it, so a
+// rejected update leaves no trace; the sink keeps each folded update's
+// decoded extras, and finish() commits the state and hands them to
+// after_aggregate().
 class MethodBase::StreamingSink : public fed::AggregationSink {
  public:
   StreamingSink(MethodBase& method, std::size_t planned_samples)
@@ -406,32 +382,28 @@ class MethodBase::StreamingSink : public fed::AggregationSink {
   }
 
   void add(const fed::ClientUpdate& update) override {
-    util::ByteReader reader(update.payload);
+    DecodedUpdate decoded = method_.decode_update(update.payload);
     const double weight = static_cast<double>(update.num_samples);
     if (compressed_) {
-      // Dequant-free: the frame folds straight into the f32 sum; a malformed
-      // or mis-shaped frame throws BEFORE touching it.
+      // Dequant-free: the frame folds straight into the f32 sum.
+      util::ByteReader reader(update.payload);
       fed::accumulate_delta(reader, static_cast<float>(weight), sum_);
-      method_.read_update_extras(reader, update);
     } else {
-      const fed::ModelState state =
-          decode_model_shaped(reader, method_.global_state_);
-      method_.read_update_extras(reader, update);
       const float coefficient = static_cast<float>(weight / planned_);
       for (std::size_t t = 0; t < sum_.size(); ++t) {
-        T::axpy_inplace(sum_[t], coefficient, state[t]);
+        T::axpy_inplace(sum_[t], coefficient, decoded.state[t]);
       }
     }
+    extras_.push_back(std::move(decoded.extras));
     total_weight_ += weight;
-    ++count_;
   }
 
-  std::size_t count() const override { return count_; }
+  std::size_t count() const override { return extras_.size(); }
 
   void finish() override {
     obs::count("cl.aggregations");
-    obs::count("cl.updates_aggregated", count_);
-    REFFIL_CHECK_MSG(count_ > 0, "streaming aggregate: no updates");
+    obs::count("cl.updates_aggregated", extras_.size());
+    REFFIL_CHECK_MSG(!extras_.empty(), "streaming aggregate: no updates");
     REFFIL_CHECK_MSG(total_weight_ > 0.0,
                      "streaming aggregate: all-zero weights");
     if (compressed_) {
@@ -451,7 +423,7 @@ class MethodBase::StreamingSink : public fed::AggregationSink {
       }
       method_.global_state_ = std::move(sum_);
     }
-    method_.after_aggregate();
+    method_.after_aggregate(std::move(extras_));
   }
 
  private:
@@ -460,7 +432,7 @@ class MethodBase::StreamingSink : public fed::AggregationSink {
   double planned_ = 0.0;  ///< W: the weight the round planned to fold
   fed::ModelState sum_;   ///< sum of w/W-scaled states or w-scaled deltas
   double total_weight_ = 0.0;
-  std::size_t count_ = 0;
+  std::vector<std::any> extras_;  ///< per folded update, in fold order
 };
 
 std::unique_ptr<fed::AggregationSink> MethodBase::begin_streaming_aggregate(

@@ -8,6 +8,7 @@
 // evaluation forward pass.
 #pragma once
 
+#include <any>
 #include <functional>
 #include <map>
 #include <memory>
@@ -123,18 +124,19 @@ class MethodBase : public fed::Method {
   /// Append client extras (e.g. local prompt groups) to the update payload.
   virtual void write_update_extras(util::ByteWriter&, Replica&,
                                    const fed::TrainJob&) {}
-  /// Parse client extras on the server during aggregation.
-  virtual void read_update_extras(util::ByteReader&, const fed::ClientUpdate&);
-  /// Structurally check the update extras that follow the model state,
-  /// WITHOUT mutating any server state — update_validator() runs this on the
-  /// transport before the payload is accepted, so a reject here quarantines
-  /// the update before read_update_extras ever sees it. The default requires
-  /// the reader to be exhausted (no extras). Overrides must consume the
-  /// extras exactly and return false (with a reason) on anything malformed.
-  virtual bool validate_update_extras(util::ByteReader& reader,
-                                      std::string* reason) const;
-  /// Called after FedAvg each round (e.g. prompt clustering).
-  virtual void after_aggregate() {}
+  /// The one reader of those extras on the server: decode them and check
+  /// them against the server's configuration, changing nothing, and throw
+  /// Error on anything malformed. The transport's validator and the fold
+  /// both run it (decode_update), and the payload must end where it stops
+  /// reading. Returns what after_aggregate receives for this update; the
+  /// default reads nothing (no extras).
+  virtual std::any decode_update_extras(util::ByteReader&) const { return {}; }
+  /// Called after FedAvg each round with decode_update_extras' result for
+  /// every folded update, in fold order (e.g. prompt clustering).
+  virtual void after_aggregate(std::vector<std::any>) {}
+  /// Decode one model state and require the server model's tensor count
+  /// and every shape (ShapeError otherwise).
+  fed::ModelState decode_model_shaped(util::ByteReader& reader) const;
 
   /// A training sample together with the task its domain belongs to (old
   /// shards carry task-1) — prompt methods key task-conditional state off it.
@@ -278,9 +280,23 @@ class MethodBase : public fed::Method {
   std::map<std::size_t, fed::ModelState> residuals_;
   static constexpr std::size_t kMaxResiduals = 65536;
 
-  // The streaming fold (defined in the .cpp); a nested class so it can drive
-  // read_update_extras / after_aggregate and commit the global state
-  // without widening the protected surface.
+  /// One update payload as decode_update reads it: the model state (empty
+  /// for a delta frame, which the fold reads from the payload itself) and
+  /// the method's decoded extras.
+  struct DecodedUpdate {
+    fed::ModelState state;
+    std::any extras;
+  };
+  /// The one checked reader of an update payload, run by update_validator()
+  /// and by the fold: the model state with the server model's tensor count
+  /// and shapes (a delta frame through validate_delta_frame when
+  /// compressed), then decode_update_extras, then the end of the payload.
+  /// Changes nothing; throws Error on the first violation.
+  DecodedUpdate decode_update(const std::vector<std::uint8_t>& payload) const;
+
+  // The streaming fold (defined in the .cpp); a nested class so it can call
+  // decode_update / after_aggregate and commit the global state without
+  // widening the protected surface.
   class StreamingSink;
 };
 

@@ -507,62 +507,56 @@ void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
   }
 }
 
-void RefFiLMethod::read_update_extras(util::ByteReader& reader,
-                                      const fed::ClientUpdate& update) {
+std::any RefFiLMethod::decode_update_extras(util::ByteReader& reader) const {
+  const std::size_t d = config_.net.token_dim;
+  // A group is two u64 keys and a [d] tensor (rank, dim, length, d floats):
+  // a hostile count costs one division to reject, before any loop runs.
+  const std::size_t group_bytes = 5 * sizeof(std::uint64_t) + d * sizeof(float);
   const auto num_groups = reader.read_u64();
-  if (num_groups > 0) {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    for (std::uint64_t i = 0; i < num_groups; ++i) {
-      const auto label = reader.read_u64();
-      const auto task = reader.read_u64();
-      pending_uploads_[{label, task}].push_back(T::Tensor::deserialize(reader));
-    }
+  if (num_groups > reader.remaining() / group_bytes) {
+    throw SerializationError("prompt group count " + std::to_string(num_groups) +
+                             " exceeds what the remaining payload could encode");
   }
-  cl::MethodBase::read_update_extras(reader, update);
-}
-
-bool RefFiLMethod::validate_update_extras(util::ByteReader& reader,
-                                          std::string* reason) const {
-  // Read-only mirror of read_update_extras: group count, then per group a
-  // label, a task id, and one prompt tensor. The count is bounded by what
-  // the remaining bytes could actually encode (two u64 keys plus a minimal
-  // tensor is 32 bytes) before any loop runs, so a hostile count costs one
-  // division to reject. Decode failures throw; the caller quarantines.
-  const auto num_groups = reader.read_u64();
-  if (num_groups > reader.remaining() / 32) {
-    if (reason) {
-      *reason = "prompt group count " + std::to_string(num_groups) +
-                " exceeds what the remaining payload could encode";
-    }
-    return false;
-  }
+  PromptGroups groups;
+  groups.reserve(num_groups);
   for (std::uint64_t i = 0; i < num_groups; ++i) {
-    (void)reader.read_u64();  // label
-    (void)reader.read_u64();  // task
-    (void)T::Tensor::deserialize(reader);
+    const auto label = reader.read_u64();
+    const auto task = reader.read_u64();
+    if (label >= config_.net.num_classes || task > current_task_) {
+      throw SerializationError("prompt group key outside the server's classes "
+                               "and tasks so far");
+    }
+    // The client writes its groups from a std::map: keys strictly increase.
+    const PromptKey key(label, task);
+    if (!groups.empty() && !(groups.back().first < key)) {
+      throw SerializationError("prompt group keys not strictly increasing");
+    }
+    T::Tensor prompt = T::Tensor::deserialize(reader);
+    if (prompt.shape() != T::Shape{d}) {
+      throw ShapeError("uploaded prompt is not [token_dim]");
+    }
+    groups.emplace_back(key, std::move(prompt));
   }
-  return cl::MethodBase::validate_update_extras(reader, reason);
+  return groups;
 }
 
-std::unique_ptr<fed::AggregationSink> RefFiLMethod::begin_streaming_aggregate(
-    std::size_t planned_samples) {
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_uploads_.clear();
-  }
-  return cl::MethodBase::begin_streaming_aggregate(planned_samples);
-}
-
-void RefFiLMethod::after_aggregate() {
+void RefFiLMethod::after_aggregate(std::vector<std::any> extras) {
   if (!reffil_.use_gpl) return;
+  // This round's uploads per (class, domain-task) key, in fold order.
+  std::map<PromptKey, std::vector<T::Tensor>> uploads;
+  for (std::any& extra : extras) {
+    for (auto& [key, prompt] : std::any_cast<PromptGroups&>(extra)) {
+      uploads[key].push_back(std::move(prompt));
+    }
+  }
   // Per (class, domain-task) summaries are kept fresh with an exponential
   // moving average over the rounds' uploads — stale prompts from an
   // untrained generator decay away.
   constexpr float kEmaKeep = 0.3f;
-  for (auto& [key, uploads] : pending_uploads_) {
-    T::Tensor mean(uploads.front().shape());
-    for (const auto& u : uploads) T::add_inplace(mean, u);
-    T::scale_inplace(mean, 1.0f / static_cast<float>(uploads.size()));
+  for (auto& [key, prompts] : uploads) {
+    T::Tensor mean(prompts.front().shape());
+    for (const auto& u : prompts) T::add_inplace(mean, u);
+    T::scale_inplace(mean, 1.0f / static_cast<float>(prompts.size()));
     auto it = lpg_summaries_.find(key);
     if (it == lpg_summaries_.end()) {
       lpg_summaries_.emplace(key, std::move(mean));
@@ -571,7 +565,6 @@ void RefFiLMethod::after_aggregate() {
       T::axpy_inplace(it->second, 1.0f - kEmaKeep, mean);
     }
   }
-  pending_uploads_.clear();
 
   // Eq. (4-5): per class, the domain-wise prompt groups are the DPCL
   // candidate set. While the domain count stays under the representative
@@ -629,11 +622,6 @@ AG::Var RefFiLMethod::eval_logits(cl::Replica& replica,
     }
   }
   return logits;
-}
-
-void RefFiLMethod::prepare_eval() {
-  cl::MethodBase::prepare_eval();
-  eval_pbar_.reset();
 }
 
 }  // namespace reffil::core

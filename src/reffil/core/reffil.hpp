@@ -23,8 +23,6 @@
 #include <map>
 #include <utility>
 #include <memory>
-#include <mutex>
-#include <optional>
 
 #include "reffil/cl/method_base.hpp"
 #include "reffil/core/cdap.hpp"
@@ -98,12 +96,6 @@ class RefFiLMethod : public cl::MethodBase {
  public:
   RefFiLMethod(cl::MethodConfig config, RefFiLConfig reffil = {});
 
-  void prepare_eval() override;
-  /// Starts from no pending uploads: those a fold abandoned before finish()
-  /// (a rejected batch) must not reach this fold's after_aggregate().
-  std::unique_ptr<fed::AggregationSink> begin_streaming_aggregate(
-      std::size_t planned_samples) override;
-
   /// Current per-class representative prompts (for analysis / tests).
   const std::map<std::size_t, std::vector<tensor::Tensor>>& representatives() const {
     return representatives_;
@@ -115,11 +107,11 @@ class RefFiLMethod : public cl::MethodBase {
   void read_broadcast_extras(util::ByteReader& reader, std::size_t slot) override;
   void write_update_extras(util::ByteWriter& writer, cl::Replica& replica,
                            const fed::TrainJob& job) override;
-  void read_update_extras(util::ByteReader& reader,
-                          const fed::ClientUpdate& update) override;
-  bool validate_update_extras(util::ByteReader& reader,
-                              std::string* reason) const override;
-  void after_aggregate() override;
+  /// The local prompt groups: a count the bytes left can hold, then per
+  /// group a (label, task) key, strictly increasing, with label <
+  /// num_classes and task <= the current task, and a [token_dim] prompt.
+  std::any decode_update_extras(util::ByteReader& reader) const override;
+  void after_aggregate(std::vector<std::any> extras) override;
   autograd::Var sample_loss(cl::Replica& replica, const TaggedSample& sample,
                             const fed::TrainJob& job, std::size_t slot) override;
   bool batched_step() const override { return true; }
@@ -155,17 +147,16 @@ class RefFiLMethod : public cl::MethodBase {
                           const WorkerPrompts& prompts,
                           const fed::TrainJob& job) const;
 
+  using PromptKey = std::pair<std::size_t, std::size_t>;  ///< (class, task)
+  /// One client's uploaded prompt per key, in key order.
+  using PromptGroups = std::vector<std::pair<PromptKey, tensor::Tensor>>;
+
   RefFiLConfig reffil_;
   std::vector<WorkerPrompts> worker_prompts_;
-  std::optional<tensor::Tensor> eval_pbar_;  ///< cached Eq. (8) for inference
-  // Server state: fresh per-(class, domain-task) prompt summaries, the
-  // FINCH-clustered representatives derived from them, and the current
-  // round's pending uploads.
-  std::map<std::pair<std::size_t, std::size_t>, tensor::Tensor> lpg_summaries_;
+  // Server state: fresh per-(class, domain-task) prompt summaries and the
+  // FINCH-clustered representatives derived from them.
+  std::map<PromptKey, tensor::Tensor> lpg_summaries_;
   std::map<std::size_t, std::vector<tensor::Tensor>> representatives_;
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<tensor::Tensor>>
-      pending_uploads_;
-  std::mutex pending_mutex_;
 };
 
 }  // namespace reffil::core

@@ -237,6 +237,26 @@ void walk_frame(util::ByteReader& reader, std::uint8_t want_kind,
   }
 }
 
+/// walk_frame over a delta frame that must have `model`'s tensor count and
+/// every one of its shapes, checked before `visit` sees each tensor.
+template <typename Visit>
+void walk_delta_shaped(util::ByteReader& reader, const ModelState& model,
+                       Visit&& visit) {
+  std::size_t t = 0;
+  walk_frame(reader, kKindDelta, [&](const TensorView& v) {
+    if (t == model.size() || v.shape != model[t].shape()) {
+      throw SerializationError(
+          "delta tensor shape disagrees with the global model");
+    }
+    ++t;
+    visit(v);
+  });
+  if (t != model.size()) {
+    throw SerializationError(
+        "delta tensor count disagrees with the global model");
+  }
+}
+
 }  // namespace
 
 CompressionConfig CompressionConfig::parse(const std::string& spec) {
@@ -418,17 +438,8 @@ void accumulate_delta(util::ByteReader& reader, float weight,
   // the streaming sink quarantines single updates by catching exactly that.
   std::vector<TensorView> views;
   views.reserve(acc.size());
-  walk_frame(reader, kKindDelta, [&views, &acc](const TensorView& v) {
-    if (views.size() == acc.size() || v.shape != acc[views.size()].shape()) {
-      throw SerializationError(
-          "delta tensor shape disagrees with the global model");
-    }
-    views.push_back(v);
-  });
-  if (views.size() != acc.size()) {
-    throw SerializationError(
-        "delta tensor count disagrees with the global model");
-  }
+  walk_delta_shaped(reader, acc,
+                    [&views](const TensorView& v) { views.push_back(v); });
   std::vector<float> scales;
   for (std::size_t t = 0; t < views.size(); ++t) {
     const TensorView& v = views[t];
@@ -456,9 +467,10 @@ void accumulate_delta(util::ByteReader& reader, float weight,
   }
 }
 
-bool validate_delta_frame(util::ByteReader& reader, std::string* reason) {
+bool validate_delta_frame(util::ByteReader& reader, const ModelState& model,
+                          std::string* reason) {
   try {
-    walk_frame(reader, kKindDelta, [](const TensorView&) {});
+    walk_delta_shaped(reader, model, [](const TensorView&) {});
     return true;
   } catch (const Error& e) {
     if (reason) *reason = e.what();

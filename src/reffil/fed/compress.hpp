@@ -119,21 +119,22 @@ void encode_delta(ModelState& delta, const CompressionConfig& config,
 /// Fold `weight` times the delta frame at `reader` into `acc` (shapes must
 /// match) without materializing the dequantized update: dense q8 tensors
 /// stream through the dispatched q8_axpy, top-k entries scatter-accumulate.
-/// One walk checks the whole frame (everything validate_delta_frame checks,
-/// plus every shape against `acc`) BEFORE any accumulation, so a throw
+/// One walk checks the whole frame (everything validate_delta_frame checks
+/// with `acc` as the model) BEFORE any accumulation, so a throw
 /// (SerializationError — the streaming sink's quarantine path) leaves `acc`
 /// untouched. Consumes exactly the frame, leaving the reader at the method
 /// extras.
 void accumulate_delta(util::ByteReader& reader, float weight, ModelState& acc);
 
-/// The transport validator's check of a delta frame: the strict walk with
-/// nothing done per tensor, so it allocates nothing for the frame — magic/
-/// codec/kind, per-tensor bounds vs. the bytes actually remaining, finite
-/// scales/halves, ordered in-range top-k indices. Accepts exactly the frames
-/// accumulate_delta folds into a model of the frame's shapes. Leaves the
-/// reader positioned after the frame (method extras) on success; never
-/// throws.
-bool validate_delta_frame(util::ByteReader& reader, std::string* reason);
+/// The update reader's check of a delta frame: the strict walk with nothing
+/// done per tensor, so it allocates nothing for the frame — magic/codec/
+/// kind, per-tensor bounds vs. the bytes actually remaining, finite scales/
+/// halves, ordered in-range top-k indices, and `model`'s tensor count and
+/// shapes. Accepts exactly the frames accumulate_delta folds into `model`.
+/// Leaves the reader positioned after the frame (method extras) on success;
+/// never throws.
+bool validate_delta_frame(util::ByteReader& reader, const ModelState& model,
+                          std::string* reason);
 
 /// The f32-serialized byte count the payload's logical content would have
 /// cost uncompressed: payload.size() for uncompressed payloads; for

@@ -33,12 +33,12 @@ std::size_t serialized_size(const ModelState& state);
 /// Server-side sanity check of one inbound update payload before it reaches
 /// aggregation: the payload must be EXACTLY one decodable, non-empty,
 /// all-finite ModelState — trailing undecoded bytes fail validation, so a
-/// duplicated/concatenated state can no longer slip past quarantine. Methods
-/// whose update payloads legitimately carry extras after the state install
-/// their own validator via Method::update_validator(), which checks the
-/// extras structurally and then requires the same exact consumption. On
-/// failure writes a human-readable cause into `reason` (when non-null) and
-/// returns false — never throws.
+/// duplicated/concatenated state can no longer slip past quarantine. This is
+/// Method::update_validator()'s default; cl::MethodBase's methods arm the
+/// reader their fold runs instead, which also checks the state against the
+/// model's shapes and decodes the method's extras before requiring the same
+/// exact consumption. On failure writes a human-readable cause into `reason`
+/// (when non-null) and returns false — never throws.
 bool validate_state_prefix(const std::vector<std::uint8_t>& payload,
                            std::string* reason);
 

@@ -50,8 +50,9 @@ using UpdateValidator =
 
 /// The server's fold of one round: updates are added one at a time as they
 /// arrive and finish() commits the round, so server memory stays O(model)
-/// however large the cohort. add() throws on a malformed update, which
-/// quarantines that single update instead of the whole round.
+/// however large the cohort. add() checks the whole update before it folds
+/// or keeps any of it, and throws on a malformed one: that single update is
+/// quarantined and leaves no trace, not the whole round.
 class AggregationSink {
  public:
   virtual ~AggregationSink() = default;
@@ -84,11 +85,12 @@ class Method {
   /// forwarding wrappers (perfbench's probe) can time it.
   virtual void aggregate(const std::vector<ClientUpdate>& updates);
 
-  /// Validator the runner arms inbound updates with. The default accepts
-  /// exactly one decodable, non-empty model state and nothing else
-  /// (validate_state_prefix); methods whose payloads carry extras after the
-  /// state override this with a validator that also structurally checks the
-  /// extras — the exact-consumption requirement stands either way.
+  /// Validator the runner arms inbound updates with. It should accept
+  /// exactly the payloads the method's sink folds. The default accepts one
+  /// decodable, non-empty model state and nothing else
+  /// (validate_state_prefix); cl::MethodBase arms the checked reader its
+  /// fold runs: the state against the model's shapes, then the method's
+  /// extras decoder, then the end of the payload.
   virtual UpdateValidator update_validator() const;
 
   /// Begin the round's fold. `planned_samples` is the total FedAvg weight of

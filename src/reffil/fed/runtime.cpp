@@ -230,8 +230,8 @@ RunResult FederatedRunner::run(Method& method) {
   RunResult result;
   result.method_name = method.name();
   result.dataset_name = spec.name;
-  // Arm wire compression before validators or broadcasts exist — the
-  // method's update_validator() branches on it at creation time.
+  // Arm wire compression before validators or broadcasts exist: both read
+  // the method's wire format.
   method.configure_compression(config_.compress);
   result.compression = config_.compress.to_string();
 
@@ -267,8 +267,8 @@ RunResult FederatedRunner::run(Method& method) {
     transport.emplace(config_.faults, config_.seed ^ 0x7A2A4F0B7ULL);
   }
   // The method supplies its own payload validator: the default certifies
-  // exactly one model state; methods with update extras (EWC, RefFiL) check
-  // those structurally too. Either way, trailing undecoded bytes quarantine.
+  // exactly one model state; cl::MethodBase's is the reader its fold runs,
+  // extras included. Either way, trailing undecoded bytes quarantine.
   const UpdateValidator update_validator =
       faults_armed ? method.update_validator() : UpdateValidator();
   // shards[t][shard]: the spec-sized partition of domain t's training pool.
@@ -526,8 +526,8 @@ RunResult FederatedRunner::run(Method& method) {
           folded.push_back(assignment.client_id);
         } catch (const Error& e) {
           // Only the armed transport delivers bytes the server did not
-          // produce. Such a frame can validate and still carry extras the
-          // streaming decode rejects: quarantine that update, not the round.
+          // produce. A fold that rejects a payload its method's validator
+          // let through quarantines that update, not the round.
           if (!faults_armed) throw;
           const std::string reason =
               std::string("aggregation rejected: ") + e.what();

@@ -324,7 +324,7 @@ void expect_rejected_and_acc_untouched(const std::vector<std::uint8_t>& bytes,
   }
   util::ByteReader vreader(bytes);
   std::string reason;
-  EXPECT_FALSE(fed::validate_delta_frame(vreader, &reason)) << what;
+  EXPECT_FALSE(fed::validate_delta_frame(vreader, before, &reason)) << what;
   EXPECT_FALSE(reason.empty()) << what;
 }
 
@@ -336,7 +336,9 @@ TEST(CompressHostile, ValidHandmadeFrameIsAccepted) {
   const auto bytes = handmade_topk_frame(3, {1, 3, 5}, {0.05f}, {10, -20, 90});
   util::ByteReader reader(bytes);
   std::string reason;
-  EXPECT_TRUE(fed::validate_delta_frame(reader, &reason)) << reason;
+  EXPECT_TRUE(fed::validate_delta_frame(
+      reader, fed::ModelState{tensor::Tensor({8})}, &reason))
+      << reason;
   EXPECT_TRUE(reader.exhausted());
 }
 
@@ -447,16 +449,16 @@ TEST(CompressHostile, BadCodecOrKindBytesAreRejected) {
 TEST(CompressHostile, FuzzedFramesNeverCrash) {
   // Same discipline as serialization_fuzz_test: truncations and byte
   // corruptions of valid compressed frames parse or throw a typed Error.
-  // The validator and the fold also agree on every mutant: a frame the
-  // fold accepts passes the validator, and a frame the validator rejects
-  // makes the fold throw with the accumulator left bit-identical.
+  // The validator and the fold also agree on every mutant: the validator,
+  // given the fold's model, accepts exactly the frames the fold folds, and
+  // a rejected frame leaves the accumulator bit-identical.
   const auto validator_and_fold_agree =
       [](const std::vector<std::uint8_t>& mutant) {
-        util::ByteReader vreader(mutant);
-        std::string reason;
-        const bool valid = fed::validate_delta_frame(vreader, &reason);
         fed::ModelState acc = sample_state(29);
         const fed::ModelState before = acc;
+        util::ByteReader vreader(mutant);
+        std::string reason;
+        const bool valid = fed::validate_delta_frame(vreader, before, &reason);
         util::ByteReader areader(mutant);
         bool folded = true;
         try {
@@ -464,11 +466,8 @@ TEST(CompressHostile, FuzzedFramesNeverCrash) {
         } catch (const Error&) {
           folded = false;
         }
-        if (folded) {
-          EXPECT_TRUE(valid) << "fold accepted a frame the validator rejects";
-          return;
-        }
-        if (valid) return;  // e.g. a corrupted dim the validator cannot see
+        EXPECT_EQ(valid, folded) << reason;
+        if (folded) return;
         for (std::size_t t = 0; t < acc.size(); ++t) {
           EXPECT_EQ(std::memcmp(acc[t].begin(), before[t].begin(),
                                 acc[t].numel() * sizeof(float)),
@@ -625,7 +624,8 @@ TEST(CompressAccounting, RawEquivMatchesUncompressedSize) {
   ASSERT_EQ(wrapped.size(), 67u);
   util::ByteReader vreader(wrapped);
   std::string reason;
-  EXPECT_FALSE(fed::validate_delta_frame(vreader, &reason));
+  EXPECT_FALSE(fed::validate_delta_frame(
+      vreader, fed::ModelState{tensor::Tensor({8})}, &reason));
   EXPECT_EQ(fed::raw_equiv_bytes(wrapped), wrapped.size());
 }
 

@@ -195,9 +195,9 @@ TEST(RankBound, CompressedFrameTakesRankEightAndRefusesNine) {
   const std::vector<std::uint8_t> bytes = writer.take();
 
   std::string reason;
-  util::ByteReader check(bytes);
-  EXPECT_TRUE(fed::validate_delta_frame(check, &reason)) << reason;
   fed::ModelState acc{T::Tensor(kRank8)};
+  util::ByteReader check(bytes);
+  EXPECT_TRUE(fed::validate_delta_frame(check, acc, &reason)) << reason;
   util::ByteReader fold(bytes);
   fed::accumulate_delta(fold, 1.0f, acc);
   EXPECT_EQ(acc.front(), t);
@@ -206,6 +206,6 @@ TEST(RankBound, CompressedFrameTakesRankEightAndRefusesNine) {
   const auto rank9 = add_unit_dim(bytes, 8 + 1 + 1 + 8);
   util::ByteReader bad(rank9);
   reason.clear();
-  EXPECT_FALSE(fed::validate_delta_frame(bad, &reason));
+  EXPECT_FALSE(fed::validate_delta_frame(bad, acc, &reason));
   EXPECT_NE(reason.find("rank"), std::string::npos) << reason;
 }
